@@ -58,6 +58,7 @@ class DenoiseBatch:
     post_var_elem: np.ndarray  # (K, Q, M)
     lambda_post: np.ndarray  # (K,)
     pi: np.ndarray  # (K,)
+    gain: np.ndarray  # (M,) theta / (theta + v); post_mean = lambda_post * gain * pri_mean
 
     def column_variance(self) -> np.ndarray:
         """Per-antenna average of the elementwise posterior variances."""
@@ -111,7 +112,7 @@ def bg_denoise_batch(
     post_var = lp * ((1.0 - lp) * abs2_mu + phi)
     np.maximum(post_var, 0.0, out=post_var)
     return DenoiseBatch(
-        post_mean=post_mean, post_var_elem=post_var, lambda_post=lambda_post, pi=pi
+        post_mean=post_mean, post_var_elem=post_var, lambda_post=lambda_post, pi=pi, gain=gain
     )
 
 

@@ -3,9 +3,18 @@
 One engine iteration runs the linear estimator and the mean-block denoiser
 (possibly several times), then the linear estimator and the slope-block
 denoiser once, then fuses activity evidence and optionally refreshes the
-prior parameters.  Messages are matrices with one column per antenna plus a
-per-antenna scalar variance; all per-device and per-antenna work inside a
-module is vectorized.
+prior parameters.  Messages are (QK, M) matrices, one column per antenna,
+with one variance per antenna.  Both halves run `_branch` over the row
+weight w of the operator, 1 for the means (A) or D for the slopes (B = D A),
+and build no message objects:
+
+* the linear extrinsic is the closed form x_pri + c A^H(w r / Sigma), with
+  one scalar c per antenna (see `lmmse`);
+* the denoiser's posterior mean is lambda_post * theta / (theta + v) times
+  its input, so its extrinsic is a per-(device, antenna) scale of the input;
+* the forward products fwd_h = A h_pri and fwd_c = B c_pri are recomputed
+  whenever h_pri or c_pri changes (after damping), so they hold at every
+  branch entry and the residual Y - fwd_h - fwd_c needs no operator call.
 """
 
 from __future__ import annotations
@@ -21,13 +30,7 @@ from .activity import ActivityBeliefs, activity_posterior, cross_prior, detect
 from .denoiser import bg_denoise_batch
 from .em import PriorParams, em_schedule
 from .errors import DimensionError, NumericsError, ParameterError
-from .lmmse import (
-    GaussianMessage,
-    extrinsic,
-    lmmse_posterior_c,
-    lmmse_posterior_h,
-    sigma_diag,
-)
+from .lmmse import V_FLOOR, linear_extrinsic, observation_variance
 from .pilots import PilotCodebook
 
 
@@ -63,6 +66,8 @@ class TurboOptions:
             raise ParameterError("em_damping must be in (0, 1]")
         if self.em_slow_start < 1 or self.em_slow_period < 1:
             raise ParameterError("em_slow_start and em_slow_period must be >= 1")
+        if not (np.isfinite(self.v_max) and self.v_max > 0):
+            raise ParameterError("v_max must be positive and finite")
 
 
 _DIAG_FIELDS = ["iter", "v_h", "v_c", "sigma_w2", "lam", "rel_change", "nmse_db", "clamp_events"]
@@ -109,6 +114,8 @@ class TurboState:
     v_h: np.ndarray  # (M,)
     c_pri: np.ndarray
     v_c: np.ndarray
+    fwd_h: np.ndarray  # (TN, M) A @ h_pri
+    fwd_c: np.ndarray  # (TN, M) B @ c_pri
     pi_B: np.ndarray  # (K,)
     pi_C: np.ndarray
     lambda_B_pri: np.ndarray
@@ -152,7 +159,7 @@ def init_state(codebook: PilotCodebook, priors: PriorParams, M: int, Y=None) -> 
     n = codebook.cols
     zeros = lambda *shape: np.zeros(shape, dtype=np.complex128)
     return TurboState(
-        Y=Y if Y is not None else np.zeros((codebook.rows, M), dtype=np.complex128),
+        Y=Y if Y is not None else zeros(codebook.rows, M),
         codebook=codebook,
         priors=priors,
         M=M,
@@ -160,6 +167,8 @@ def init_state(codebook: PilotCodebook, priors: PriorParams, M: int, Y=None) -> 
         v_h=np.full(M, priors.lam * priors.theta_H),
         c_pri=zeros(n, M),
         v_c=np.full(M, priors.lam * priors.theta_C),
+        fwd_h=zeros(codebook.rows, M),  # the products of the zero means
+        fwd_c=zeros(codebook.rows, M),
         pi_B=np.full(K, 0.5),
         pi_C=np.full(K, 0.5),
         lambda_B_pri=np.full(K, priors.lam),
@@ -184,68 +193,41 @@ def _count_uninformative(v_post, v_pri) -> int:
     return int(np.count_nonzero(np.asarray(v_post) >= np.asarray(v_pri)))
 
 
-def _h_branch(state: TurboState, opts: TurboOptions) -> None:
-    cb = state.codebook
-    K, Q = cb.K, cb.Q
-    diag = state.diagnostics
+def _branch(state: TurboState, x_pri, v_pri, weight, theta: float, pi_other, opts):
+    """Linear module then denoiser, for the means (weight 1.0) or slopes (weight D).
 
-    # linear estimation of the mean coefficients
-    sigma = sigma_diag(state.v_h, state.v_c, state.priors.sigma_w2, cb)
-    msg_h = GaussianMessage(state.h_pri, state.v_h)
-    msg_c = GaussianMessage(state.c_pri, state.v_c)
-    post = lmmse_posterior_h(state.Y, msg_h, msg_c, sigma, cb)
-    diag.clamp_events += _count_uninformative(post.variance, msg_h.variance)
-    ext = extrinsic(post, msg_h, v_max=opts.v_max)
-    diag.module_trace.append("A_h")
+    Returns the damped outgoing message (mean, variance, forward product
+    weight * A @ mean), then the denoiser's activity prior, posterior mean,
+    elementwise posterior variance, activity evidence pi and per-antenna
+    posterior variance.
+    """
+    cb, diag = state.codebook, state.diagnostics
+    names = ("A_h", "B") if np.isscalar(weight) else ("A_c", "C")
+    resid = state.Y - state.fwd_h - state.fwd_c
+    if not np.all(np.isfinite(resid)):
+        raise NumericsError("non-finite residual in linear estimator")
+    sigma = observation_variance(state.v_h, state.v_c, state.priors.sigma_w2, cb)
+    ext, v_ext, v_lin = linear_extrinsic(x_pri, v_pri, resid, sigma, weight, cb, opts.v_max)
+    diag.clamp_events += _count_uninformative(v_lin, v_pri)
+    diag.module_trace.append(names[0])
 
-    # denoise the per-device mean blocks
-    state.lambda_B_pri = cross_prior(state.pi_C, state.priors.lam)
-    pri_blocks = ext.mean.reshape(K, Q, state.M)
-    den = bg_denoise_batch(pri_blocks, np.atleast_1d(ext.variance), state.priors.theta_H,
-                           state.lambda_B_pri)
-    state.H_post = den.post_mean
-    state.H_post_var = den.post_var_elem
-    state.pi_B = den.pi
-    state.v_h_B_post = den.column_variance()
-
-    b_post = GaussianMessage(den.post_mean.reshape(cb.cols, state.M), state.v_h_B_post)
-    b_pri = GaussianMessage(ext.mean, ext.variance)
-    diag.clamp_events += _count_uninformative(b_post.variance, b_pri.variance)
-    b_ext = extrinsic(b_post, b_pri, v_max=opts.v_max)
-    state.h_pri = _damp(b_ext.mean, state.h_pri, opts.damping)
-    state.v_h = _damp(np.atleast_1d(b_ext.variance), state.v_h, opts.damping)
-    diag.module_trace.append("B")
-
-
-def _c_branch(state: TurboState, opts: TurboOptions) -> None:
-    cb = state.codebook
-    K, Q = cb.K, cb.Q
-    diag = state.diagnostics
-
-    sigma = sigma_diag(state.v_h, state.v_c, state.priors.sigma_w2, cb)
-    msg_h = GaussianMessage(state.h_pri, state.v_h)
-    msg_c = GaussianMessage(state.c_pri, state.v_c)
-    post = lmmse_posterior_c(state.Y, msg_h, msg_c, sigma, cb)
-    diag.clamp_events += _count_uninformative(post.variance, msg_c.variance)
-    ext = extrinsic(post, msg_c, v_max=opts.v_max)
-    diag.module_trace.append("A_c")
-
-    state.lambda_C_pri = cross_prior(state.pi_B, state.priors.lam)
-    pri_blocks = ext.mean.reshape(K, Q, state.M)
-    den = bg_denoise_batch(pri_blocks, np.atleast_1d(ext.variance), state.priors.theta_C,
-                           state.lambda_C_pri)
-    state.C_post = den.post_mean
-    state.C_post_var = den.post_var_elem
-    state.pi_C = den.pi
-    state.v_c_C_post = den.column_variance()
-
-    c_post = GaussianMessage(den.post_mean.reshape(cb.cols, state.M), state.v_c_C_post)
-    c_pri = GaussianMessage(ext.mean, ext.variance)
-    diag.clamp_events += _count_uninformative(c_post.variance, c_pri.variance)
-    c_ext = extrinsic(c_post, c_pri, v_max=opts.v_max)
-    state.c_pri = _damp(c_ext.mean, state.c_pri, opts.damping)
-    state.v_c = _damp(np.atleast_1d(c_ext.variance), state.v_c, opts.damping)
-    diag.module_trace.append("C")
+    lambda_pri = cross_prior(pi_other, state.priors.lam)
+    blocks = ext.reshape(cb.K, cb.Q, state.M)
+    den = bg_denoise_batch(blocks, v_ext, theta, lambda_pri)
+    v_col = den.column_variance()
+    v_post = np.maximum(v_col, V_FLOOR)
+    diag.clamp_events += _count_uninformative(v_post, v_ext)
+    # lmmse.extrinsic of the denoiser's posterior, whose mean is lambda_post * gain * blocks
+    inv_diff = 1.0 / v_post - 1.0 / v_ext
+    informative = inv_diff > 1.0 / opts.v_max
+    v_out = np.where(informative, 1.0 / np.maximum(inv_diff, 1.0 / opts.v_max), opts.v_max)
+    post_scale = den.lambda_post[:, None] * den.gain  # (K, M)
+    scale = np.where(informative, v_out * (post_scale / v_post - 1.0 / v_ext), post_scale)
+    x_new = _damp((blocks * scale[:, None, :]).reshape(cb.cols, state.M), x_pri, opts.damping)
+    v_new = _damp(np.maximum(v_out, V_FLOOR), v_pri, opts.damping)
+    diag.module_trace.append(names[1])
+    fwd = weight * cb.apply_A(x_new)
+    return x_new, v_new, fwd, lambda_pri, den.post_mean, den.post_var_elem, den.pi, v_col
 
 
 def _check_finite(state: TurboState) -> None:
@@ -280,11 +262,16 @@ def run_turbo_mp(
 
     for iteration in range(1, opts.max_iters + 1):
         state.iteration = iteration
-        prev = np.concatenate([state.h_pri.ravel(), state.c_pri.ravel()])
+        p, h_prev, c_prev = state.priors, state.h_pri, state.c_pri
         try:
             for _ in range(opts.inner_h_updates):
-                _h_branch(state, opts)
-            _c_branch(state, opts)
+                (state.h_pri, state.v_h, state.fwd_h, state.lambda_B_pri, state.H_post,
+                 state.H_post_var, state.pi_B, state.v_h_B_post) = _branch(
+                    state, state.h_pri, state.v_h, 1.0, p.theta_H, state.pi_C, opts)
+            (state.c_pri, state.v_c, state.fwd_c, state.lambda_C_pri, state.C_post,
+             state.C_post_var, state.pi_C, state.v_c_C_post) = _branch(
+                state, state.c_pri, state.v_c, codebook.D_diag[:, None], p.theta_C, state.pi_B,
+                opts)
         except NumericsError as err:
             err.diagnostics = diag
             raise
@@ -295,22 +282,16 @@ def run_turbo_mp(
             state.priors = em_schedule(state, opts)
             diag.module_trace.append("EM")
 
-        cur = np.concatenate([state.h_pri.ravel(), state.c_pri.ravel()])
-        denom = float(np.linalg.norm(prev))
-        rel_change = float(np.linalg.norm(cur - prev)) / denom if denom > 0 else np.inf
+        norm = np.linalg.norm
+        denom = np.hypot(norm(h_prev), norm(c_prev))
+        change = np.hypot(norm(state.h_pri - h_prev), norm(state.c_pri - c_prev))
+        rel_change = float(change / denom) if denom > 0 else np.inf
 
         nmse_db = None
-        if truth is not None:
-            realization, basis = truth
-            if realization.activity.any():
-                value = _metrics.nmse(
-                    realization.G,
-                    state.H_post.reshape(codebook.cols, state.M),
-                    state.C_post.reshape(codebook.cols, state.M),
-                    basis,
-                    realization.activity,
-                )
-                nmse_db = 10.0 * np.log10(max(value, 1e-300))
+        if truth is not None and truth[0].activity.any():
+            real, basis = truth
+            H, C = (x.reshape(codebook.cols, state.M) for x in (state.H_post, state.C_post))
+            nmse_db = _metrics.nmse_db(_metrics.nmse(real.G, H, C, basis, real.activity))
         diag.rows.append(
             {
                 "iter": iteration,

@@ -280,7 +280,7 @@ def _trial_job(args):
 def _aggregate_point(config: ExperimentConfig, snr_db: float, records: list, wall: float) -> dict:
     n = len(records)
     values = [r["nmse"] for r in records if not r["skipped_nmse"]]
-    nmse_mean = float(np.mean(values)) if values else math.nan
+    nmse_mean = math.fsum(values) / len(values) if values else math.nan  # exact, order-free sum
     miss = sum(r["miss"] for r in records)
     false = sum(r["false"] for r in records)
     decisions = config.K * n
@@ -332,6 +332,14 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
 
 
 def _run_point(config, point_idx, snr, profile, codebook) -> list:
+    """All trials of one point; with config.workers > 1 they share one process pool."""
+    if config.workers > 1:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            return _run_chunks(config, point_idx, snr, profile, codebook, pool.map)
+    return _run_chunks(config, point_idx, snr, profile, codebook, map)
+
+
+def _run_chunks(config, point_idx, snr, profile, codebook, mapper) -> list:
     target_events = config.min_error_events
     chunk = config.trials if target_events is None else max(1, min(config.trials, 16))
     records = []
@@ -342,11 +350,7 @@ def _run_point(config, point_idx, snr, profile, codebook) -> list:
             (config, point_idx, snr, trial, profile, codebook)
             for trial in range(next_trial, next_trial + count)
         ]
-        if config.workers > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                records.extend(pool.map(_trial_job, jobs))
-        else:
-            records.extend(_trial_job(job) for job in jobs)
+        records.extend(mapper(_trial_job, jobs))
         next_trial += count
         if target_events is not None:
             events = sum(r["miss"] + r["false"] for r in records)

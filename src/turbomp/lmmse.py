@@ -1,9 +1,22 @@
 """Per-antenna linear MMSE updates and Gaussian message algebra.
 
-The partial orthogonality of the pilots makes the observation covariance
-diagonal, so the posterior update needs only elementwise reciprocals plus
-two fast operator applications per branch.  Means may be a single column
-(one antenna) or a (n, M) matrix with one variance per antenna; all
+The partial orthogonality A A^H = K P I of the pilots makes the observation
+covariance diagonal, Sigma = K P v_h + K P v_c D^2 + sigma_w2 per row and
+antenna.  A branch of the linear module estimates either the sub-block means
+(operator A, row weight w = 1) or the slopes (operator B = D A, w = D) from
+the residual r = y - A h_pri - B c_pri.  With one adjoint application
+
+    u = A^H (w r / Sigma)   and   g = (P / Q) sum_i w_i^2 / Sigma_ii,
+
+the posterior of a prior message (x, v) is mean x + v u with variance
+v (1 - v g), and dividing the prior back out leaves the extrinsic message in
+closed form (the Turbo-CS identity of Ma, Yuan and Ping, IEEE SPL 2015):
+
+    x_ext = x + u / g,   v_ext = 1 / g - v,
+
+one scalar per antenna.  `linear_extrinsic` is that closed form and the
+posteriors `lmmse_posterior_h/_c` share its core.  Means may be a single
+column (one antenna) or a (n, M) matrix with one variance per antenna; all
 functions broadcast over the antenna axis.
 """
 
@@ -56,68 +69,74 @@ class SigmaDiag:
         object.__setattr__(self, "values", values)
 
 
-def sigma_diag(v_h, v_c, sigma_w2: float, codebook: PilotCodebook) -> SigmaDiag:
-    """Observation covariance diagonal K*P*v_h + K*P*v_c*D^2 + sigma_w2."""
-    if sigma_w2 <= 0:
-        raise ParameterError(f"noise variance must be positive, got {sigma_w2}")
-    v_h = np.asarray(v_h, dtype=float)
-    v_c = np.asarray(v_c, dtype=float)
-    if np.any(v_h < 0) or np.any(v_c < 0):
-        raise ParameterError("prior variances must be nonnegative")
+def observation_variance(v_h, v_c, sigma_w2: float, codebook: PilotCodebook) -> np.ndarray:
+    """K*P*v_h + K*P*v_c*D^2 + sigma_w2: (T*N,) for scalar variances, else (T*N, M)."""
     kp = codebook.K * codebook.power
     d2 = codebook.D_diag**2
+    v_h, v_c = np.asarray(v_h, dtype=float), np.asarray(v_c, dtype=float)
     if v_h.ndim == 0:
-        values = kp * v_h + kp * v_c * d2 + sigma_w2
-    else:
-        values = kp * v_h[None, :] + kp * np.outer(d2, v_c) + sigma_w2
-    return SigmaDiag(values=values)
+        return kp * v_h + kp * v_c * d2 + sigma_w2
+    return kp * v_h[None, :] + kp * np.outer(d2, v_c) + sigma_w2
 
 
-def _residual(y, msg_h, msg_c, codebook):
-    y = np.asarray(y, dtype=np.complex128)
-    resid = y - codebook.apply_A(msg_h.mean) - codebook.apply_B(msg_c.mean)
+def sigma_diag(v_h, v_c, sigma_w2: float, codebook: PilotCodebook) -> SigmaDiag:
+    """Validated observation covariance diagonal (see observation_variance)."""
+    if sigma_w2 <= 0:
+        raise ParameterError(f"noise variance must be positive, got {sigma_w2}")
+    if np.any(np.asarray(v_h) < 0) or np.any(np.asarray(v_c) < 0):
+        raise ParameterError("prior variances must be nonnegative")
+    return SigmaDiag(values=observation_variance(v_h, v_c, sigma_w2, codebook))
+
+
+def _matched_filter(resid, sigma, weight, codebook):
+    """u = A^H (w r / Sigma) and per-antenna g; weight is 1 or D_diag (flat or a column)."""
+    w = np.reshape(weight, (-1,) + (1,) * (sigma.ndim - 1))
+    u = codebook.apply_A_adjoint(w * (resid / sigma))
+    g = (codebook.power / codebook.Q) * np.sum(w**2 / sigma, axis=0)
+    return u, g
+
+
+def linear_extrinsic(x_pri, v_pri, resid, sigma, weight, codebook, v_max: float = V_MAX):
+    """Extrinsic message (x_ext, v_ext) of one linear branch, plus its posterior variance.
+
+    Where 1/g - v reaches v_max the posterior adds nothing to the prior: as in
+    `extrinsic`, the variance is clamped to v_max and the posterior mean
+    x + v u passes through.  Variances are floored like a GaussianMessage's.
+    """
+    u, g = _matched_filter(resid, sigma, weight, codebook)
+    v = np.maximum(v_pri, V_FLOOR)
+    v_ext = 1.0 / g - v
+    informative = v_ext < v_max
+    coef = np.where(informative, 1.0 / g, v)  # one per antenna
+    v_ext = np.maximum(np.where(informative, v_ext, v_max), V_FLOOR)
+    return x_pri + coef * u, v_ext, np.maximum(v - v**2 * g, V_FLOOR)
+
+
+def _posterior(y, msg_h, msg_c, sigma, codebook, msg, weight):
+    resid = np.asarray(y, dtype=np.complex128) - codebook.apply_A(msg_h.mean)
+    resid = resid - codebook.apply_B(msg_c.mean)
     if not np.all(np.isfinite(resid)):
         raise NumericsError("non-finite residual in linear estimator")
-    return resid
+    u, g = _matched_filter(resid, sigma.values, weight, codebook)
+    v = msg.variance
+    return GaussianMessage(mean=msg.mean + v * u, variance=np.maximum(v - v**2 * g, 0.0))
 
 
-def lmmse_posterior_h(
-    y: np.ndarray,
-    msg_h: GaussianMessage,
-    msg_c: GaussianMessage,
-    sigma: SigmaDiag,
-    codebook: PilotCodebook,
-) -> GaussianMessage:
+def lmmse_posterior_h(y, msg_h: GaussianMessage, msg_c: GaussianMessage, sigma: SigmaDiag,
+                      codebook: PilotCodebook) -> GaussianMessage:
     """Posterior belief of the sub-block means given the observation.
 
     The mean equals the exact joint LMMSE solution restricted to the mean
     coefficients; the scalar variance is the posterior covariance trace
-    averaged over all Q*K components,
-
-        v_post = v_h - (P * v_h^2 / Q) * sum_i 1 / Sigma_ii.
+    averaged over all Q*K components, v_h - (P * v_h^2 / Q) * sum_i 1 / Sigma_ii.
     """
-    resid = _residual(y, msg_h, msg_c, codebook)
-    v_h = msg_h.variance
-    mean = msg_h.mean + v_h * codebook.apply_A_adjoint(resid / sigma.values)
-    correction = (codebook.power * v_h**2 / codebook.Q) * np.sum(1.0 / sigma.values, axis=0)
-    return GaussianMessage(mean=mean, variance=np.maximum(v_h - correction, 0.0))
+    return _posterior(y, msg_h, msg_c, sigma, codebook, msg_h, 1.0)
 
 
-def lmmse_posterior_c(
-    y: np.ndarray,
-    msg_h: GaussianMessage,
-    msg_c: GaussianMessage,
-    sigma: SigmaDiag,
-    codebook: PilotCodebook,
-) -> GaussianMessage:
+def lmmse_posterior_c(y, msg_h: GaussianMessage, msg_c: GaussianMessage, sigma: SigmaDiag,
+                      codebook: PilotCodebook) -> GaussianMessage:
     """Posterior belief of the sub-block slopes; D^2 weights the variance sum."""
-    resid = _residual(y, msg_h, msg_c, codebook)
-    v_c = msg_c.variance
-    mean = msg_c.mean + v_c * codebook.apply_B_adjoint(resid / sigma.values)
-    d2 = codebook.D_diag**2
-    weights = d2 if sigma.values.ndim == 1 else d2[:, None]
-    correction = (codebook.power * v_c**2 / codebook.Q) * np.sum(weights / sigma.values, axis=0)
-    return GaussianMessage(mean=mean, variance=np.maximum(v_c - correction, 0.0))
+    return _posterior(y, msg_h, msg_c, sigma, codebook, msg_c, codebook.D_diag)
 
 
 def extrinsic(post: GaussianMessage, pri: GaussianMessage, v_max: float = V_MAX) -> GaussianMessage:

@@ -43,6 +43,11 @@ def nmse(
 
     numerator: reconstruction error energy summed over all devices;
     denominator: true response energy of the active devices.
+
+    Only the active devices are expanded to N subcarriers.  An inactive
+    device has a zero true response, so its error is the energy of its
+    reconstruction, sum over blocks and antennas of
+    b|h|^2 + 2 Re(h c*) sum(d) + |c|^2 sum(d^2) for block size b and offsets d.
     """
     G_truth = np.asarray(G_truth)
     activity = np.asarray(activity)
@@ -51,12 +56,25 @@ def nmse(
     active = activity != 0
     if not active.any():
         raise ParameterError("NMSE undefined without active devices")
-    recon = basis.expand(np.asarray(H_est), np.asarray(C_est))
-    if recon.shape != G_truth.shape:
-        raise DimensionError(f"estimate reconstructs to {recon.shape}, truth is {G_truth.shape}")
-    err = float(np.sum(np.abs(G_truth - recon) ** 2))
-    sig = float(np.sum(np.abs(G_truth[active]) ** 2))
-    return err / sig
+    H_est, C_est = np.asarray(H_est), np.asarray(C_est)
+    K, N, M = G_truth.shape
+    if H_est.shape != C_est.shape or H_est.shape != (K * basis.Q, M) or N != basis.N:
+        raise DimensionError(
+            f"estimates {H_est.shape}/{C_est.shape} (N={basis.N}) do not fit truth {G_truth.shape}"
+        )
+    h = H_est.reshape(K, basis.Q, M)
+    c = C_est.reshape(K, basis.Q, M)
+    g = G_truth[active]
+    recon = basis.expand(h[active].reshape(-1, M), c[active].reshape(-1, M))
+    err = float(np.sum(np.abs(g - recon) ** 2))
+    h0, c0 = h[~active], c[~active]
+    d = basis.offsets
+    err += float(
+        basis.block_size * np.vdot(h0, h0).real
+        + 2.0 * d.sum() * np.vdot(c0, h0).real
+        + (d @ d) * np.vdot(c0, c0).real
+    )
+    return err / float(np.sum(np.abs(g) ** 2))
 
 
 def nmse_db(value: float) -> float:

@@ -112,15 +112,15 @@ class PilotCodebook:
         return y[:, 0] if vec else y
 
     def apply_A_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """A^H @ y for y of shape (T*N,) or (T*N, M)."""
+        """A^H @ y for y of shape (T*N,) or (T*N, M); the inverse DFT runs over
+        the devices of a device-major (K, Q, M) array, already in output order."""
         y = np.asarray(y)
         self._check_len(y, self.rows, "y")
         vec = y.ndim == 1
         blocks = y.reshape(self.Q, self.rows_per_block, -1)
-        w = np.zeros((self.Q, self.K, blocks.shape[2]), dtype=np.complex128)
-        w[np.arange(self.Q)[:, None], self.selections] = blocks
-        z = self.K * np.fft.ifft(w, axis=1)  # unscaled DFT adjoint
-        x = self.scale * z.transpose(1, 0, 2).reshape(self.cols, -1)
+        w = np.zeros((self.K, self.Q, blocks.shape[2]), dtype=np.complex128)
+        w[self.selections, np.arange(self.Q)[:, None]] = self.scale * blocks
+        x = np.fft.ifft(w, axis=0, norm="forward").reshape(self.cols, -1)
         return x[:, 0] if vec else x
 
     def apply_B(self, x: np.ndarray) -> np.ndarray:

@@ -106,3 +106,14 @@ def expected_mismatch_ratio(profile, N, Q, delta_f):
     P = np.eye(b) - X @ np.linalg.inv(X.T @ X) @ X.T
     resid_energy = float(np.trace(P @ R).real)
     return Q * resid_energy / N
+
+
+def nmse_full_expansion(G, H, C, basis, activity):
+    """Aggregate NMSE with every device's estimate expanded to all N subcarriers
+    through the dense E1/E2 matrices."""
+    K, N, M = G.shape
+    Q = basis.Q
+    recon = (np.einsum("nq,kqm->knm", basis.e1(), H.reshape(K, Q, M))
+             + np.einsum("nq,kqm->knm", basis.e2(), C.reshape(K, Q, M)))
+    err = np.sum(np.abs(G - recon) ** 2)
+    return err / np.sum(np.abs(G[np.asarray(activity) != 0]) ** 2)

@@ -174,7 +174,8 @@ class TestFailureModes:
     def test_option_validation(self):
         for bad in (dict(max_iters=0), dict(rel_change_tol=0.0),
                     dict(inner_h_updates=0), dict(threshold=1.0),
-                    dict(damping=0.0), dict(em_damping=1.5)):
+                    dict(damping=0.0), dict(em_damping=1.5),
+                    dict(v_max=0.0), dict(v_max=-1.0), dict(v_max=float("inf"))):
             with pytest.raises(ParameterError):
                 TurboOptions(**bad)
 

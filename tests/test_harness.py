@@ -130,6 +130,32 @@ class TestTrialsAndAggregation:
         assert serial.points[0].aggregate["nmse_mean"] == pooled.points[0].aggregate["nmse_mean"]
         assert serial.points[0].aggregate["pe"] == pooled.points[0].aggregate["pe"]
 
+    def test_error_target_pool_matches_serial_with_one_pool_per_point(self, monkeypatch):
+        """With min_error_events, two workers give the serial records and start one
+        process pool per point, however many 16-trial chunks the point runs."""
+        import turbomp.harness as harness
+
+        started = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(1)
+                super().__init__(*args, **kwargs)
+
+        cfg = dict(trials=40, min_error_events=10**6, snr_db=[0.0, 10.0], max_iters=4)
+        serial = run_experiment(exact_config(workers=1, **cfg))
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        pooled = run_experiment(exact_config(workers=2, **cfg))
+        assert len(started) == 2
+
+        def strip(d):
+            return {k: v for k, v in d.items() if k != "wall_s"}
+
+        for ps, pp in zip(serial.points, pooled.points):
+            assert len(pp.trials) == 40
+            assert [strip(t) for t in ps.trials] == [strip(t) for t in pp.trials]
+            assert strip(ps.aggregate) == strip(pp.aggregate)
+
     def test_multipath_mode_runs(self):
         cfg = exact_config(channel="multipath", pdp_file=example_pdp_path(),
                            em=True, theta_H=None, theta_C=None, trials=2)

@@ -14,7 +14,7 @@ from turbomp import (
     lmmse_posterior_h,
     sigma_diag,
 )
-from turbomp.lmmse import V_FLOOR, V_MAX
+from turbomp.lmmse import V_FLOOR, V_MAX, linear_extrinsic
 
 
 def rand_complex(rng, *shape):
@@ -131,6 +131,45 @@ class TestPosteriors:
             )
             np.testing.assert_allclose(post.mean[:, m], post_m.mean, rtol=1e-13)
             np.testing.assert_allclose(post.variance[m], post_m.variance, rtol=1e-13)
+
+
+class TestLinearExtrinsic:
+    """The closed form equals the posterior divided by the prior message."""
+
+    def setup_method(self):
+        self.cb = build_codebook(K=64, N=8, T=4, Q=2, seed=4)
+        rng = np.random.default_rng(12)
+        M = 3
+        self.msg_h = GaussianMessage(rand_complex(rng, self.cb.cols, M), np.array([0.2, 0.5, 0.9]))
+        self.msg_c = GaussianMessage(rand_complex(rng, self.cb.cols, M), np.array([0.1, 0.05, 0.3]))
+        self.Y = rand_complex(rng, self.cb.rows, M)
+        self.sig = sigma_diag(self.msg_h.variance, self.msg_c.variance, 0.07, self.cb)
+        self.resid = (self.Y - self.cb.apply_A(self.msg_h.mean)
+                      - self.cb.apply_B(self.msg_c.mean))
+
+    def _check(self, v_max):
+        cb, sig = self.cb, self.sig
+        for msg, weight, posterior in [(self.msg_h, 1.0, lmmse_posterior_h),
+                                       (self.msg_c, cb.D_diag[:, None], lmmse_posterior_c)]:
+            post = posterior(self.Y, self.msg_h, self.msg_c, sig, cb)
+            ref = extrinsic(post, msg, v_max=v_max)
+            x_ext, v_ext, v_post = linear_extrinsic(msg.mean, msg.variance, self.resid,
+                                                    sig.values, weight, cb, v_max)
+            np.testing.assert_allclose(v_post, post.variance, rtol=1e-12)
+            np.testing.assert_allclose(v_ext, ref.variance, rtol=1e-12)
+            err = np.max(np.abs(x_ext - ref.mean)) / np.max(np.abs(ref.mean))
+            assert err < 1e-12
+        return ref.variance
+
+    def test_matches_posterior_divided_by_prior(self):
+        assert np.all(self._check(V_MAX) < V_MAX)
+
+    def test_clamped_antennas_pass_the_posterior_through(self):
+        """With v_max between the antennas' extrinsic variances, some clamp and some do not."""
+        v_ext = np.sort(self._check(V_MAX))
+        v_max = float(np.sqrt(v_ext[0] * v_ext[1]))
+        clamped = self._check(v_max)
+        assert np.any(clamped == v_max) and np.any(clamped < v_max)
 
 
 class TestExtrinsic:

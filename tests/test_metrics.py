@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import nmse_full_expansion
 from turbomp import (
     ParameterError,
     blockwise_basis,
@@ -46,6 +47,20 @@ class TestNmse:
             if self.real.activity[k]:
                 den += np.sum(np.abs(self.real.G[k]) ** 2)
         assert value == pytest.approx(num / den, rel=1e-12)
+
+    def test_inactive_estimate_energy_matches_full_expansion(self):
+        """Estimates on every device, correlated means and slopes included, score
+        as if every device were expanded to all subcarriers."""
+        basis = blockwise_basis(24, 4)
+        _, real = sample_blockwise_exact(60, 3, basis, 0.3, 1.0, 0.05, seed=5)
+        rng = np.random.default_rng(6)
+        shape = (60 * 4, 3)
+        H = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        C = 0.3 * H + 0.2 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert np.any(real.activity == 0) and np.any(real.activity == 1)
+        value = nmse(real.G, H, C, basis, real.activity)
+        ref = nmse_full_expansion(real.G, H, C, basis, real.activity)
+        assert value == pytest.approx(ref, rel=1e-12)
 
     def test_false_positive_energy_enters_numerator(self):
         H = self.truth.H.copy()

@@ -115,17 +115,29 @@ class TestOperatorAlgebra:
         np.testing.assert_allclose(cb.apply_B(x), cb.D_diag * cb.apply_A(x), rtol=1e-14)
 
     def test_adjoint_inner_product_identity(self):
-        cb = build_codebook(K=64, N=8, T=4, Q=2, seed=9)
+        """<y, A x> = <A^H y, x> on vectors and, at K=16000, on (n, M) matrices."""
         rng = np.random.default_rng(3)
-        for _ in range(5):
-            x = rand_complex(rng, cb.cols)
-            y = rand_complex(rng, cb.rows)
-            lhs = np.vdot(y, cb.apply_A(x))
-            rhs = np.vdot(cb.apply_A_adjoint(y), x)
-            assert abs(lhs - rhs) / abs(lhs) < 1e-12
-            lhs_b = np.vdot(y, cb.apply_B(x))
-            rhs_b = np.vdot(cb.apply_B_adjoint(y), x)
-            assert abs(lhs_b - rhs_b) / abs(lhs_b) < 1e-12
+        for (K, N, T, Q), shape in [((64, 8, 4, 2), ()), ((16000, 72, 8, 4), (3,))]:
+            cb = build_codebook(K=K, N=N, T=T, Q=Q, seed=9)
+            for _ in range(5):
+                x = rand_complex(rng, cb.cols, *shape)
+                y = rand_complex(rng, cb.rows, *shape)
+                lhs = np.vdot(y, cb.apply_A(x))
+                rhs = np.vdot(cb.apply_A_adjoint(y), x)
+                assert abs(lhs - rhs) / abs(lhs) < 1e-12
+                lhs_b = np.vdot(y, cb.apply_B(x))
+                rhs_b = np.vdot(cb.apply_B_adjoint(y), x)
+                assert abs(lhs_b - rhs_b) / abs(lhs_b) < 1e-12
+
+    def test_partial_orthogonality_on_probes_at_scale(self):
+        """A A^H y = K P y on random probes at K=16000, without a dense matrix."""
+        cb = build_codebook(K=16000, N=72, T=8, Q=4, P=1.7, seed=13)
+        rng = np.random.default_rng(6)
+        for shape in [(cb.rows,), (cb.rows, 4)]:
+            y = rand_complex(rng, *shape)
+            back = cb.apply_A(cb.apply_A_adjoint(y))
+            kp_y = cb.K * cb.power * y
+            assert np.linalg.norm(back - kp_y) / np.linalg.norm(kp_y) < 1e-12
 
     def test_length_mismatch_raises(self):
         cb = build_codebook(K=32, N=4, T=2, Q=2, seed=10)
