@@ -20,7 +20,6 @@ from .denoiser import (
     DeviceBlockPrior,
     bg_denoise,
     bg_denoise_batch,
-    column_variance,
 )
 from .em import (
     PriorParams,
@@ -28,8 +27,7 @@ from .em import (
     em_lambda,
     em_schedule,
     em_sigma_w,
-    em_theta_C,
-    em_theta_H,
+    em_theta,
 )
 from .engine import (
     TurboDiagnostics,
@@ -97,7 +95,6 @@ __all__ = [
     "bg_denoise_batch",
     "blockwise_basis",
     "build_codebook",
-    "column_variance",
     "combine",
     "cross_prior",
     "detect",
@@ -106,8 +103,7 @@ __all__ = [
     "em_lambda",
     "em_schedule",
     "em_sigma_w",
-    "em_theta_C",
-    "em_theta_H",
+    "em_theta",
     "emit_results",
     "emit_roc",
     "extrinsic",

@@ -29,7 +29,7 @@ class ActivityBeliefs:
 
 def _check_prob(name, p):
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0) or np.any(p > 1) or not np.all(np.isfinite(p)):
+    if not np.all((p >= 0) & (p <= 1)):  # NaN fails both comparisons
         raise ParameterError(f"{name} must lie in [0, 1]")
     return p
 

@@ -52,17 +52,30 @@ class DenoiseResult:
 
 @dataclass(frozen=True)
 class DenoiseBatch:
-    """Vectorized posteriors for all K devices at once."""
+    """Vectorized posteriors for all K devices at once.
 
-    post_mean: np.ndarray  # (K, Q, M)
-    post_var_elem: np.ndarray  # (K, Q, M)
+    The per-antenna and per-device moments are closed form; the (K, Q, M)
+    posterior tensors are built from the input each time they are read.
+    """
+
+    pri_mean: np.ndarray  # (K, Q, M) input message
     lambda_post: np.ndarray  # (K,)
     pi: np.ndarray  # (K,)
     gain: np.ndarray  # (M,) theta / (theta + v); post_mean = lambda_post * gain * pri_mean
+    phi: np.ndarray  # (M,) gain * v, the active branch's posterior variance
+    column_var: np.ndarray  # (M,) average of post_var_elem over devices and sub-blocks
+    energy: np.ndarray  # (K,) sum of |post_mean|^2 + post_var_elem over sub-blocks and antennas
 
-    def column_variance(self) -> np.ndarray:
-        """Per-antenna average of the elementwise posterior variances."""
-        return self.post_var_elem.mean(axis=(0, 1))
+    @property
+    def post_mean(self) -> np.ndarray:
+        return self.lambda_post[:, None, None] * (self.pri_mean * self.gain)
+
+    @property
+    def post_var_elem(self) -> np.ndarray:
+        lp = self.lambda_post[:, None, None]
+        mu = self.pri_mean * self.gain
+        post_var = lp * ((1.0 - lp) * (mu.real**2 + mu.imag**2) + self.phi)
+        return np.maximum(post_var, 0.0, out=post_var)
 
 
 def bg_denoise_batch(
@@ -75,9 +88,12 @@ def bg_denoise_batch(
 
     lambda_pri may be scalar or per device.  Exact zeros and ones in
     lambda_pri short-circuit to certainly-inactive / certainly-active
-    posteriors without evaluating the prior odds.
+    posteriors without evaluating the prior odds.  Every moment comes from
+    s_km = sum_q |pri_kqm|^2: with lambda = lambda_post, the column variance
+    is (gain^2 sum_k lambda_k (1 - lambda_k) s_k + phi Q sum_k lambda_k) / (K Q)
+    and the energy is lambda_k (sum_m gain_m^2 s_km + Q sum_m phi_m).
     """
-    pri = np.asarray(pri_mean, dtype=np.complex128)
+    pri = np.ascontiguousarray(pri_mean, dtype=np.complex128)
     if pri.ndim != 3:
         raise ParameterError(f"pri_mean must be (K, Q, M), got shape {pri.shape}")
     K, Q, M = pri.shape
@@ -92,12 +108,11 @@ def bg_denoise_batch(
 
     gain = theta / (theta + v)  # (M,)
     phi = gain * v  # (M,)
-    mu = pri * gain  # (K, Q, M)
+    parts = np.square(pri.view(float)).reshape(K, Q, M, 2)
+    s = np.einsum("kqm->km", parts[..., 0] + parts[..., 1])
 
     # log CN(0; pri, V) - log CN(0; pri, V + theta I), accumulated per device
-    abs2 = pri.real**2 + pri.imag**2
-    quad = np.einsum("kqm,m->k", abs2, theta / (v * (v + theta)))
-    log_ratio = Q * np.sum(np.log1p(theta / v)) - quad
+    log_ratio = Q * np.sum(np.log1p(theta / v)) - s @ (theta / (v * (v + theta)))
 
     interior = (lam > 0) & (lam < 1)
     lambda_post = lam.astype(float).copy()  # endpoints carry through exactly
@@ -106,14 +121,12 @@ def bg_denoise_batch(
         lambda_post[interior] = sigmoid(prior_odds - log_ratio[interior])
     pi = sigmoid(-log_ratio)
 
-    lp = lambda_post[:, None, None]
-    post_mean = lp * mu
-    abs2_mu = mu.real**2 + mu.imag**2
-    post_var = lp * ((1.0 - lp) * abs2_mu + phi)
-    np.maximum(post_var, 0.0, out=post_var)
-    return DenoiseBatch(
-        post_mean=post_mean, post_var_elem=post_var, lambda_post=lambda_post, pi=pi, gain=gain
-    )
+    gain2 = gain**2
+    column_var = (gain2 * ((lambda_post * (1.0 - lambda_post)) @ s)
+                  + phi * (Q * lambda_post.sum())) / (K * Q)
+    energy = lambda_post * (s @ gain2 + Q * phi.sum())
+    return DenoiseBatch(pri_mean=pri, lambda_post=lambda_post, pi=pi, gain=gain, phi=phi,
+                        column_var=column_var, energy=energy)
 
 
 def bg_denoise(prior: DeviceBlockPrior) -> DenoiseResult:
@@ -130,17 +143,3 @@ def bg_denoise(prior: DeviceBlockPrior) -> DenoiseResult:
         lambda_post=float(batch.lambda_post[0]),
         pi=float(batch.pi[0]),
     )
-
-
-def column_variance(results) -> np.ndarray:
-    """Average the elementwise posterior variances of per-device results.
-
-    Accepts an iterable of DenoiseResult (or a DenoiseBatch) and returns the
-    length-M per-antenna mean over all devices and sub-blocks.
-    """
-    if isinstance(results, DenoiseBatch):
-        return results.column_variance()
-    stacked = np.stack([r.post_var_elem for r in results])
-    if stacked.size == 0:
-        raise ParameterError("need at least one device result")
-    return stacked.mean(axis=(0, 1))

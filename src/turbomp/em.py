@@ -3,7 +3,8 @@
 The four learnable parameters are the active-block coefficient variances
 (means and slopes), the effective noise variance, and the activity rate.
 The posterior expectations entering the updates are the message products of
-the running iteration, not exact posteriors.
+the running iteration, not exact posteriors, and arrive as per-device second
+moments and the forward products A H_post, B C_post: no update applies an operator.
 """
 
 from __future__ import annotations
@@ -48,47 +49,36 @@ def em_initial_params(Y: np.ndarray, codebook: PilotCodebook) -> PriorParams:
     return PriorParams(theta_H=1.0, theta_C=1e-3, sigma_w2=max(power, VAR_FLOOR), lam=0.1)
 
 
-def _weighted_block_variance(post_mean, post_var_elem, lambda_post, previous):
-    lam = np.asarray(lambda_post, dtype=float)
+def em_theta(energy, lambda_d_post, size: int, previous: float) -> float:
+    """Activity-weighted second moment of one coefficient kind, per coefficient.
+
+    energy[k] is device k's posterior second moment summed over its `size`
+    coefficients (sub-blocks times antennas).  Falls back to the previous
+    value when the posterior activity mass is zero.
+    """
+    lam = np.asarray(lambda_d_post, dtype=float)
     weight = lam.sum()
     if weight <= VAR_FLOOR:
         return previous
-    K, Q, M = post_mean.shape
-    energy = np.sum(np.abs(post_mean) ** 2, axis=(1, 2)) + np.sum(post_var_elem, axis=(1, 2))
-    value = float(np.dot(lam, energy) / (Q * M * weight))
+    value = float(np.dot(lam, energy) / (size * weight))
     return float(np.clip(value, VAR_FLOOR, VAR_CEIL))
 
 
-def em_theta_H(H_post, post_var_elem, lambda_d_post, previous: float) -> float:
-    """Activity-weighted second moment of the mean blocks, per coefficient.
-
-    Falls back to the previous value when the posterior activity mass is zero.
-    """
-    return _weighted_block_variance(np.asarray(H_post), np.asarray(post_var_elem), lambda_d_post, previous)
-
-
-def em_theta_C(C_post, post_var_elem, lambda_d_post, previous: float) -> float:
-    return _weighted_block_variance(np.asarray(C_post), np.asarray(post_var_elem), lambda_d_post, previous)
-
-
 def em_sigma_w(
-    Y: np.ndarray,
-    H_post: np.ndarray,
-    C_post: np.ndarray,
+    resid: np.ndarray,
     codebook: PilotCodebook,
     v_h_post=None,
     v_c_post=None,
     include_correction: bool = False,
 ) -> float:
-    """Residual power of the reconstructed observation, per entry.
+    """Power per entry of the residual Y - A H_post - B C_post.
 
     The optional correction adds the posterior-variance trace term; it is off
     by default because it can grow without bound across iterations.
     """
-    Y = np.asarray(Y)
-    resid = Y - codebook.apply_A(H_post) - codebook.apply_B(C_post)
-    M = Y.shape[1] if Y.ndim == 2 else 1
-    value = float(np.sum(np.abs(resid) ** 2)) / (M * codebook.rows)
+    resid = np.asarray(resid)
+    M = resid.shape[1] if resid.ndim == 2 else 1
+    value = float(np.vdot(resid, resid).real) / (M * codebook.rows)
     if include_correction:
         if v_h_post is None or v_c_post is None:
             raise ParameterError("correction needs the per-antenna posterior variances")
@@ -121,28 +111,24 @@ def em_schedule(state, opts) -> PriorParams:
     d = getattr(opts, "em_damping", 1.0)
     blend = lambda new, old: d * new + (1.0 - d) * old
 
+    den_h, den_c = state.den_h, state.den_c
     sigma_w2 = em_sigma_w(
-        state.Y,
-        state.H_post.reshape(-1, state.H_post.shape[2]),
-        state.C_post.reshape(-1, state.C_post.shape[2]),
+        state.Y - state.post_fwd_h - state.post_fwd_c,
         state.codebook,
-        v_h_post=state.v_h_B_post,
-        v_c_post=state.v_c_C_post,
+        v_h_post=den_h.column_var,
+        v_c_post=den_c.column_var,
         include_correction=opts.em_sigma_correction,
     )
     new = replace(priors, sigma_w2=blend(sigma_w2, priors.sigma_w2))
     slow_start = getattr(opts, "em_slow_start", 1)
     if state.iteration >= slow_start and state.iteration % max(opts.em_slow_period, 1) == 0:
+        size = den_h.pri_mean[0].size
         new = replace(
             new,
-            theta_H=blend(
-                em_theta_H(state.H_post, state.H_post_var, state.lambda_D_post, priors.theta_H),
-                priors.theta_H,
-            ),
-            theta_C=blend(
-                em_theta_C(state.C_post, state.C_post_var, state.lambda_D_post, priors.theta_C),
-                priors.theta_C,
-            ),
+            theta_H=blend(em_theta(den_h.energy, state.lambda_D_post, size, priors.theta_H),
+                          priors.theta_H),
+            theta_C=blend(em_theta(den_c.energy, state.lambda_D_post, size, priors.theta_C),
+                          priors.theta_C),
             lam=blend(em_lambda(state.lambda_D_post), priors.lam),
         )
     return new

@@ -5,16 +5,29 @@ One engine iteration runs the linear estimator and the mean-block denoiser
 denoiser once, then fuses activity evidence and optionally refreshes the
 prior parameters.  Messages are (QK, M) matrices, one column per antenna,
 with one variance per antenna.  Both halves run `_branch` over the row
-weight w of the operator, 1 for the means (A) or D for the slopes (B = D A),
-and build no message objects:
+weight w of the operator, 1 for the means (A) or D for the slopes (B = D A).
+The loop carries messages, their forward products and per-antenna and
+per-device statistics, and builds no (K, Q, M) posterior tensor:
 
-* the linear extrinsic is the closed form x_pri + c A^H(w r / Sigma), with
-  one scalar c per antenna (see `lmmse`);
+* the linear extrinsic is the closed form x_ext = x_pri + c A^H z with
+  z = w r / Sigma and one scalar c per antenna (see `lmmse`); since
+  A A^H = K P I its forward product is w A x_ext = w A x_pri + c K P w z;
 * the denoiser's posterior mean is lambda_post * theta / (theta + v) times
-  its input, so its extrinsic is a per-(device, antenna) scale of the input;
-* the forward products fwd_h = A h_pri and fwd_c = B c_pri are recomputed
-  whenever h_pri or c_pri changes (after damping), so they hold at every
-  branch entry and the residual Y - fwd_h - fwd_c needs no operator call.
+  its input, so its extrinsic x_und is a per-(device, antenna) scale of the
+  input, and the only forward operator call of a branch is w A x_und;
+* with alpha = v_out / v_post and beta = alpha - 1 = v_out / v_ext per
+  antenna (1 and 0 where the denoiser's message is uninformative),
+  x_und = alpha post_mean - beta x_ext, so
+  w A post_mean = (w A x_und + beta w A x_ext) / alpha (beta is not formed as
+  alpha - 1, whose rounding near alpha = 1 the far larger w A x_ext amplifies);
+* damping mixes messages and forward products alike, so fwd_h = A h_pri
+  and fwd_c = B c_pri hold at every branch entry and the residual
+  Y - fwd_h - fwd_c needs no operator call; nor does EM's residual
+  Y - A H_post - B C_post.
+
+One iteration thus costs one adjoint and one forward operator call per
+branch.  The posterior tensors are built from the denoisers' last inputs
+only for the `TurboResult` and for the truth-traced NMSE.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ import numpy as np
 
 from . import metrics as _metrics
 from .activity import ActivityBeliefs, activity_posterior, cross_prior, detect
-from .denoiser import bg_denoise_batch
+from .denoiser import DenoiseBatch, bg_denoise_batch
 from .em import PriorParams, em_schedule
 from .errors import DimensionError, NumericsError, ParameterError
 from .lmmse import V_FLOOR, linear_extrinsic, observation_variance
@@ -116,17 +129,15 @@ class TurboState:
     v_c: np.ndarray
     fwd_h: np.ndarray  # (TN, M) A @ h_pri
     fwd_c: np.ndarray  # (TN, M) B @ c_pri
+    post_fwd_h: np.ndarray  # (TN, M) A @ H_post
+    post_fwd_c: np.ndarray  # (TN, M) B @ C_post
     pi_B: np.ndarray  # (K,)
     pi_C: np.ndarray
     lambda_B_pri: np.ndarray
     lambda_C_pri: np.ndarray
     lambda_D_post: np.ndarray
-    H_post: np.ndarray  # (K, Q, M)
-    H_post_var: np.ndarray
-    C_post: np.ndarray
-    C_post_var: np.ndarray
-    v_h_B_post: np.ndarray  # (M,)
-    v_c_C_post: np.ndarray
+    den_h: DenoiseBatch | None = None  # the last mean-block and slope-block denoiser outputs
+    den_c: DenoiseBatch | None = None
     iteration: int = 0
     diagnostics: TurboDiagnostics = field(default_factory=TurboDiagnostics)
 
@@ -155,8 +166,7 @@ def init_state(codebook: PilotCodebook, priors: PriorParams, M: int, Y=None) -> 
     and neutral activity evidence so the first cross-message equals the prior."""
     if M < 1:
         raise ParameterError("M must be >= 1")
-    K, Q = codebook.K, codebook.Q
-    n = codebook.cols
+    K, n = codebook.K, codebook.cols
     zeros = lambda *shape: np.zeros(shape, dtype=np.complex128)
     return TurboState(
         Y=Y if Y is not None else zeros(codebook.rows, M),
@@ -169,17 +179,13 @@ def init_state(codebook: PilotCodebook, priors: PriorParams, M: int, Y=None) -> 
         v_c=np.full(M, priors.lam * priors.theta_C),
         fwd_h=zeros(codebook.rows, M),  # the products of the zero means
         fwd_c=zeros(codebook.rows, M),
+        post_fwd_h=zeros(codebook.rows, M),
+        post_fwd_c=zeros(codebook.rows, M),
         pi_B=np.full(K, 0.5),
         pi_C=np.full(K, 0.5),
         lambda_B_pri=np.full(K, priors.lam),
         lambda_C_pri=np.full(K, priors.lam),
         lambda_D_post=np.full(K, priors.lam),
-        H_post=zeros(K, Q, M),
-        H_post_var=np.zeros((K, Q, M)),
-        C_post=zeros(K, Q, M),
-        C_post_var=np.zeros((K, Q, M)),
-        v_h_B_post=np.zeros(M),
-        v_c_C_post=np.zeros(M),
     )
 
 
@@ -193,13 +199,13 @@ def _count_uninformative(v_post, v_pri) -> int:
     return int(np.count_nonzero(np.asarray(v_post) >= np.asarray(v_pri)))
 
 
-def _branch(state: TurboState, x_pri, v_pri, weight, theta: float, pi_other, opts):
+def _branch(state: TurboState, x_pri, v_pri, fwd_pri, weight, theta: float, pi_other, opts):
     """Linear module then denoiser, for the means (weight 1.0) or slopes (weight D).
 
-    Returns the damped outgoing message (mean, variance, forward product
-    weight * A @ mean), then the denoiser's activity prior, posterior mean,
-    elementwise posterior variance, activity evidence pi and per-antenna
-    posterior variance.
+    fwd_pri is weight * A @ x_pri.  Returns the damped outgoing message
+    (mean, variance, forward product), the forward product weight * A @
+    post_mean of the denoiser's posterior mean, the denoiser's activity
+    prior and the denoiser's output.
     """
     cb, diag = state.codebook, state.diagnostics
     names = ("A_h", "B") if np.isscalar(weight) else ("A_c", "C")
@@ -207,27 +213,31 @@ def _branch(state: TurboState, x_pri, v_pri, weight, theta: float, pi_other, opt
     if not np.all(np.isfinite(resid)):
         raise NumericsError("non-finite residual in linear estimator")
     sigma = observation_variance(state.v_h, state.v_c, state.priors.sigma_w2, cb)
-    ext, v_ext, v_lin = linear_extrinsic(x_pri, v_pri, resid, sigma, weight, cb, opts.v_max)
+    ext, v_ext, v_lin, fwd_ext = linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight,
+                                                  cb, opts.v_max)
     diag.clamp_events += _count_uninformative(v_lin, v_pri)
     diag.module_trace.append(names[0])
 
     lambda_pri = cross_prior(pi_other, state.priors.lam)
     blocks = ext.reshape(cb.K, cb.Q, state.M)
     den = bg_denoise_batch(blocks, v_ext, theta, lambda_pri)
-    v_col = den.column_variance()
-    v_post = np.maximum(v_col, V_FLOOR)
+    v_post = np.maximum(den.column_var, V_FLOOR)
     diag.clamp_events += _count_uninformative(v_post, v_ext)
-    # lmmse.extrinsic of the denoiser's posterior, whose mean is lambda_post * gain * blocks
+    # lmmse.extrinsic of the denoiser's posterior, x_und = alpha post_mean - beta blocks
     inv_diff = 1.0 / v_post - 1.0 / v_ext
     informative = inv_diff > 1.0 / opts.v_max
     v_out = np.where(informative, 1.0 / np.maximum(inv_diff, 1.0 / opts.v_max), opts.v_max)
-    post_scale = den.lambda_post[:, None] * den.gain  # (K, M)
-    scale = np.where(informative, v_out * (post_scale / v_post - 1.0 / v_ext), post_scale)
-    x_new = _damp((blocks * scale[:, None, :]).reshape(cb.cols, state.M), x_pri, opts.damping)
+    alpha = np.where(informative, v_out / v_post, 1.0)
+    beta = np.where(informative, v_out / v_ext, 0.0)
+    scale = np.outer(den.lambda_post, alpha * den.gain) - beta  # (K, M)
+    x_und = (blocks * scale[:, None, :]).reshape(cb.cols, state.M)
+    fwd_und = weight * cb.apply_A(x_und)
+    fwd_post = (fwd_und + beta * fwd_ext) / alpha
+    x_new = _damp(x_und, x_pri, opts.damping)
+    fwd_new = _damp(fwd_und, fwd_pri, opts.damping)
     v_new = _damp(np.maximum(v_out, V_FLOOR), v_pri, opts.damping)
     diag.module_trace.append(names[1])
-    fwd = weight * cb.apply_A(x_new)
-    return x_new, v_new, fwd, lambda_pri, den.post_mean, den.post_var_elem, den.pi, v_col
+    return x_new, v_new, fwd_new, fwd_post, lambda_pri, den
 
 
 def _check_finite(state: TurboState) -> None:
@@ -265,13 +275,14 @@ def run_turbo_mp(
         p, h_prev, c_prev = state.priors, state.h_pri, state.c_pri
         try:
             for _ in range(opts.inner_h_updates):
-                (state.h_pri, state.v_h, state.fwd_h, state.lambda_B_pri, state.H_post,
-                 state.H_post_var, state.pi_B, state.v_h_B_post) = _branch(
-                    state, state.h_pri, state.v_h, 1.0, p.theta_H, state.pi_C, opts)
-            (state.c_pri, state.v_c, state.fwd_c, state.lambda_C_pri, state.C_post,
-             state.C_post_var, state.pi_C, state.v_c_C_post) = _branch(
-                state, state.c_pri, state.v_c, codebook.D_diag[:, None], p.theta_C, state.pi_B,
-                opts)
+                (state.h_pri, state.v_h, state.fwd_h, state.post_fwd_h, state.lambda_B_pri,
+                 state.den_h) = _branch(state, state.h_pri, state.v_h, state.fwd_h, 1.0,
+                                        p.theta_H, state.pi_C, opts)
+            state.pi_B = state.den_h.pi
+            (state.c_pri, state.v_c, state.fwd_c, state.post_fwd_c, state.lambda_C_pri,
+             state.den_c) = _branch(state, state.c_pri, state.v_c, state.fwd_c,
+                                    codebook.D_diag[:, None], p.theta_C, state.pi_B, opts)
+            state.pi_C = state.den_c.pi
         except NumericsError as err:
             err.diagnostics = diag
             raise
@@ -290,7 +301,7 @@ def run_turbo_mp(
         nmse_db = None
         if truth is not None and truth[0].activity.any():
             real, basis = truth
-            H, C = (x.reshape(codebook.cols, state.M) for x in (state.H_post, state.C_post))
+            H, C = (d.post_mean.reshape(codebook.cols, state.M) for d in (state.den_h, state.den_c))
             nmse_db = _metrics.nmse_db(_metrics.nmse(real.G, H, C, basis, real.activity))
         diag.rows.append(
             {
@@ -317,9 +328,10 @@ def run_turbo_mp(
         lambda_C_pri=state.lambda_C_pri,
         lambda_D_post=lambda_post,
     )
+    den_h, den_c = state.den_h, state.den_c
     return TurboResult(
-        H=state.H_post.reshape(codebook.cols, state.M),
-        C=state.C_post.reshape(codebook.cols, state.M),
+        H=den_h.post_mean.reshape(codebook.cols, state.M),
+        C=den_c.post_mean.reshape(codebook.cols, state.M),
         lambda_D_post=lambda_post,
         activity=detect(lambda_post, opts.threshold),
         beliefs=beliefs,
@@ -327,8 +339,8 @@ def run_turbo_mp(
         iterations=state.iteration,
         converged=converged,
         diagnostics=diag,
-        H_post_var=state.H_post_var,
-        C_post_var=state.C_post_var,
-        v_h_B_post=state.v_h_B_post,
-        v_c_C_post=state.v_c_C_post,
+        H_post_var=den_h.post_var_elem,
+        C_post_var=den_c.post_var_elem,
+        v_h_B_post=den_h.column_var,
+        v_c_C_post=den_c.column_var,
     )

@@ -370,9 +370,10 @@ def run_roc(config: ExperimentConfig, thresholds, snr_db: float | None = None, p
         raise ConfigurationError("thresholds must be ascending inside (0, 1)")
     snr = config.snr_db[0] if snr_db is None else float(snr_db)
     profile = load_pdp(config.pdp_file) if config.channel == "multipath" else None
+    codebook = _point_codebook(config, 0) if config.pin_codebook else None
     posts, truths = [], []
     for trial in range(config.trials):
-        realization, cb, _, Y, priors = _simulate_trial(config, 0, snr, trial, profile, None)
+        realization, cb, _, Y, priors = _simulate_trial(config, 0, snr, trial, profile, codebook)
         result = run_turbo_mp(Y, cb, priors, config.turbo_options())
         posts.append(result.lambda_D_post)
         truths.append(realization.activity)

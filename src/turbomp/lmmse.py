@@ -89,27 +89,31 @@ def sigma_diag(v_h, v_c, sigma_w2: float, codebook: PilotCodebook) -> SigmaDiag:
 
 
 def _matched_filter(resid, sigma, weight, codebook):
-    """u = A^H (w r / Sigma) and per-antenna g; weight is 1 or D_diag (flat or a column)."""
+    """w (broadcastable), z = w r / Sigma, u = A^H z and per-antenna g; weight is 1 or D_diag."""
     w = np.reshape(weight, (-1,) + (1,) * (sigma.ndim - 1))
-    u = codebook.apply_A_adjoint(w * (resid / sigma))
+    z = w * (resid / sigma)
     g = (codebook.power / codebook.Q) * np.sum(w**2 / sigma, axis=0)
-    return u, g
+    return w, z, codebook.apply_A_adjoint(z), g
 
 
-def linear_extrinsic(x_pri, v_pri, resid, sigma, weight, codebook, v_max: float = V_MAX):
-    """Extrinsic message (x_ext, v_ext) of one linear branch, plus its posterior variance.
+def linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight, codebook, v_max: float = V_MAX):
+    """Extrinsic message (x_ext, v_ext) of one linear branch, its posterior
+    variance, and the forward product w A x_ext given fwd_pri = w A x_pri.
 
     Where 1/g - v reaches v_max the posterior adds nothing to the prior: as in
     `extrinsic`, the variance is clamped to v_max and the posterior mean
     x + v u passes through.  Variances are floored like a GaussianMessage's.
+    x_ext = x_pri + c u with one c per antenna, and A A^H = K P I gives
+    w A x_ext = fwd_pri + c K P w z without an operator call.
     """
-    u, g = _matched_filter(resid, sigma, weight, codebook)
+    w, z, u, g = _matched_filter(resid, sigma, weight, codebook)
     v = np.maximum(v_pri, V_FLOOR)
     v_ext = 1.0 / g - v
     informative = v_ext < v_max
     coef = np.where(informative, 1.0 / g, v)  # one per antenna
     v_ext = np.maximum(np.where(informative, v_ext, v_max), V_FLOOR)
-    return x_pri + coef * u, v_ext, np.maximum(v - v**2 * g, V_FLOOR)
+    fwd_ext = fwd_pri + (codebook.K * codebook.power * coef) * (w * z)
+    return x_pri + coef * u, v_ext, np.maximum(v - v**2 * g, V_FLOOR), fwd_ext
 
 
 def _posterior(y, msg_h, msg_c, sigma, codebook, msg, weight):
@@ -117,7 +121,7 @@ def _posterior(y, msg_h, msg_c, sigma, codebook, msg, weight):
     resid = resid - codebook.apply_B(msg_c.mean)
     if not np.all(np.isfinite(resid)):
         raise NumericsError("non-finite residual in linear estimator")
-    u, g = _matched_filter(resid, sigma.values, weight, codebook)
+    _, _, u, g = _matched_filter(resid, sigma.values, weight, codebook)
     v = msg.variance
     return GaussianMessage(mean=msg.mean + v * u, variance=np.maximum(v - v**2 * g, 0.0))
 

@@ -8,16 +8,12 @@ LOG_ODDS_CLAMP = 40.0
 
 
 def sigmoid(x):
-    """Stable logistic function, exact at +/-inf."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out.reshape(np.shape(x))
+    """Stable logistic function, exact at +/-inf: 1/(1 + e^-x) for x >= 0 and
+    e^x/(1 + e^x) below, both written with e = exp(-|x|)."""
+    arr = np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
+    return float(out) if out.ndim == 0 else out
 
 
 def logit(p, clamp: float = LOG_ODDS_CLAMP):

@@ -29,7 +29,8 @@ class PilotCodebook:
 
     selections holds Q rows of T*N/Q DFT-row indices; they are pairwise
     disjoint across blocks when built in strict mode.  D_diag is the
-    diagonal of D, the per-row sub-block offset; scale is sqrt(P).
+    diagonal of D, the per-row sub-block offset; scale is sqrt(P); roots[i]
+    is exp(-2j pi i / K).
     """
 
     K: int
@@ -40,7 +41,7 @@ class PilotCodebook:
     selections: np.ndarray
     strict: bool = True
     D_diag: np.ndarray = field(init=False, repr=False)
-    n_of_row: np.ndarray = field(init=False, repr=False)
+    roots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         K, N, T, Q = self.K, self.N, self.T, self.Q
@@ -68,7 +69,7 @@ class PilotCodebook:
         b = N // Q
         offsets = np.arange(1, b + 1, dtype=float) - b / 2
         object.__setattr__(self, "D_diag", np.tile(np.repeat(offsets, T), Q))
-        object.__setattr__(self, "n_of_row", np.repeat(np.arange(N), T))
+        object.__setattr__(self, "roots", np.exp(-2j * np.pi * np.arange(K) / K))
 
     # -- shapes -----------------------------------------------------------
 
@@ -142,14 +143,19 @@ class PilotCodebook:
         X has shape (K, N) or (K, N, M); the result is the noiseless
         observation sum_k Lambda_k X_k of shape (T*N,) or (T*N, M).  Feeding
         the expanded block-wise responses reproduces apply_A/apply_B exactly.
+        Only devices with a nonzero row enter the sum: device k's symbol on
+        DFT row s is scale * roots[(s k) mod K], with the exact integer index.
         """
         X = np.asarray(X)
         if X.shape[0] != self.K or X.shape[1] != self.N:
             raise DimensionError(f"X must be (K={self.K}, N={self.N}, ...), got {X.shape}")
         vec = X.ndim == 2
-        Xf = np.fft.fft(X.reshape(self.K, self.N, -1), axis=0)
-        sel_flat = self.selections.ravel()
-        y = self.scale * Xf[sel_flat, self.n_of_row]  # (TN, M)
+        X = X.reshape(self.K, self.N, -1)
+        active = np.flatnonzero(X.reshape(self.K, -1).any(axis=1))
+        index = self.selections.reshape(self.N, self.T, 1) * active  # (N, T, a): s k, exact
+        index %= self.K
+        phases = self.roots[index]
+        y = self.scale * (phases @ X[active].transpose(1, 0, 2)).reshape(self.rows, -1)
         return y[:, 0] if vec else y
 
     # -- dense materialization (test oracle) -------------------------------

@@ -117,3 +117,26 @@ def nmse_full_expansion(G, H, C, basis, activity):
              + np.einsum("nq,kqm->knm", basis.e2(), C.reshape(K, Q, M)))
     err = np.sum(np.abs(G - recon) ** 2)
     return err / np.sum(np.abs(G[np.asarray(activity) != 0]) ** 2)
+
+
+def mix_subcarriers_fft(codebook, X):
+    """Pilot mixing through a K-point FFT over all devices, zero rows included:
+    observation row r is scale * FFT(X)[s_r, n_r], with s_r its DFT row and
+    n_r = r // T its subcarrier."""
+    X = np.asarray(X)
+    Xf = np.fft.fft(X.reshape(codebook.K, codebook.N, -1), axis=0)
+    n_of_row = np.repeat(np.arange(codebook.N), codebook.T)
+    y = codebook.scale * Xf[codebook.selections.ravel(), n_of_row]
+    return y[:, 0] if X.ndim == 2 else y
+
+
+def sigmoid_masked(x):
+    """Logistic function evaluated separately on the two sign masks:
+    1/(1 + exp(-x)) where x >= 0 and exp(x)/(1 + exp(x)) elsewhere."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    ex = np.exp(arr[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out.reshape(np.shape(x))

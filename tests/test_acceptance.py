@@ -291,6 +291,7 @@ def _detection_config(M):
     })
 
 
+@pytest.mark.slow
 def test_criterion_08_antenna_gain_trend():
     """Pooled detection error at -15 dB drops by >= 3x from 4 to 8 antennas."""
     start = time.perf_counter()
@@ -320,6 +321,7 @@ def _nmse_trend_config(Q, snr_db):
     })
 
 
+@pytest.mark.slow
 def test_criterion_09_subblock_tradeoff_trend():
     """Fewer sub-blocks win at low SNR; more sub-blocks win at high SNR."""
     start = time.perf_counter()

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import sigmoid_masked
 from turbomp import ParameterError, activity_posterior, cross_prior, detect
+from turbomp.logodds import sigmoid
 
 
 class TestCrossPrior:
@@ -24,8 +26,26 @@ class TestCrossPrior:
         assert out[1] == pytest.approx(0.045 / 0.14, rel=1e-12)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ParameterError):
-            cross_prior(1.2, 0.5)
+        for bad in (1.2, -0.1, np.nan, np.inf, -np.inf):
+            with pytest.raises(ParameterError):
+                cross_prior(bad, 0.5)
+            with pytest.raises(ParameterError):
+                activity_posterior(np.array([0.5, bad]), 0.5, 0.1)
+
+
+class TestSigmoid:
+    def test_bit_equal_to_masked_formula(self):
+        special = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
+        grid = np.concatenate([special, np.linspace(-50, 50, 2001), np.geomspace(1e-300, 1e3, 500),
+                               -np.geomspace(1e-300, 1e3, 500)])
+        got, want = sigmoid(grid), sigmoid_masked(grid)
+        # NaN maps to NaN; its sign bit is not a value, so only NaN-ness is compared
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan) and nan.sum() == 1
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+        for x in special[:-1]:
+            assert isinstance(sigmoid(x), float)
+            assert np.float64(sigmoid(x)).view(np.int64) == sigmoid_masked(x).view(np.int64)
 
 
 class TestActivityPosterior:

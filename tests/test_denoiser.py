@@ -9,7 +9,6 @@ from turbomp import (
     ParameterError,
     bg_denoise,
     bg_denoise_batch,
-    column_variance,
 )
 
 
@@ -127,20 +126,16 @@ class TestColumnVariance:
         rng = np.random.default_rng(5)
         pri = rng.standard_normal((6, 3, 2)) + 1j * rng.standard_normal((6, 3, 2))
         batch = bg_denoise_batch(pri, np.array([0.5, 0.5]), 1.0, np.full(6, 0.5))
-        flat = np.full((4, 3, 2), 0.17)
-        results = [
-            type(bg_denoise(scalar_prior(0.0, 1.0, 1.0, 0.5)))(
-                post_mean=np.zeros((3, 2)), post_var_elem=flat[i], lambda_post=0.5, pi=0.5
-            )
-            for i in range(4)
-        ]
-        np.testing.assert_allclose(column_variance(results), [0.17, 0.17])
-        np.testing.assert_allclose(column_variance(batch), batch.post_var_elem.mean(axis=(0, 1)))
+        # certainly active with theta = 1 and v = 0.17 / 0.83: every element has variance 0.17
+        flat = bg_denoise_batch(pri[:4], np.full(2, 0.17 / 0.83), 1.0, np.ones(4))
+        np.testing.assert_allclose(flat.post_var_elem, 0.17)
+        np.testing.assert_allclose(flat.column_var, [0.17, 0.17])
+        np.testing.assert_allclose(batch.column_var, batch.post_var_elem.mean(axis=(0, 1)))
 
     def test_all_inactive_gives_zero(self):
         pri = np.ones((4, 2, 3), dtype=complex)
         batch = bg_denoise_batch(pri, np.array([1.0, 1.0, 1.0]), 1.0, np.zeros(4))
-        np.testing.assert_array_equal(column_variance(batch), np.zeros(3))
+        np.testing.assert_array_equal(batch.column_var, np.zeros(3))
 
     def test_matches_direct_resummation(self):
         rng = np.random.default_rng(6)
@@ -151,4 +146,21 @@ class TestColumnVariance:
             for q in range(4):
                 direct += batch.post_var_elem[k, q]
         direct /= 8 * 4
-        np.testing.assert_allclose(column_variance(batch), direct, atol=1e-12)
+        np.testing.assert_allclose(batch.column_var, direct, atol=1e-12)
+
+
+class TestClosedFormMoments:
+    """The per-antenna and per-device moments equal sums over the built tensors."""
+
+    def test_moments_match_tensor_sums(self):
+        rng = np.random.default_rng(7)
+        for scale, v in [(1.0, np.array([0.3, 1.1, 0.05])), (30.0, np.array([1e-3, 2.0, 0.4]))]:
+            pri = scale * (rng.standard_normal((50, 4, 3)) + 1j * rng.standard_normal((50, 4, 3)))
+            lam = rng.uniform(0.0, 1.0, 50)
+            lam[:3] = [0.0, 1.0, 0.5]
+            batch = bg_denoise_batch(pri, v, 0.8, lam)
+            mean, var = batch.post_mean, batch.post_var_elem
+            col = var.mean(axis=(0, 1))
+            energy = np.sum(np.abs(mean) ** 2 + var, axis=(1, 2))
+            np.testing.assert_allclose(batch.column_var, col, rtol=1e-12)
+            np.testing.assert_allclose(batch.energy, energy, rtol=1e-12, atol=1e-12 * energy.max())

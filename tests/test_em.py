@@ -12,10 +12,21 @@ from turbomp import (
     em_initial_params,
     em_lambda,
     em_sigma_w,
-    em_theta_H,
+    em_theta,
     run_turbo_mp,
     sample_blockwise_exact,
 )
+
+
+def em_theta_H(H, var, lam, previous):
+    """The mean-block update from (K, Q, M) posterior means and variances."""
+    energy = np.sum(np.abs(H) ** 2 + var, axis=(1, 2))
+    return em_theta(energy, lam, H[0].size, previous)
+
+
+def em_sigma_w_of(Y, H, C, cb, **kwargs):
+    """The noise update from posterior means, through the residual it takes."""
+    return em_sigma_w(Y - cb.apply_A(H) - cb.apply_B(C), cb, **kwargs)
 
 
 class TestThetaUpdates:
@@ -55,7 +66,7 @@ class TestSigmaW:
         H = rng.standard_normal((cb.cols, 2)) + 0j
         C = rng.standard_normal((cb.cols, 2)) + 0j
         Y = cb.apply_A(H) + cb.apply_B(C)
-        assert em_sigma_w(Y, H, C, cb) == pytest.approx(1e-12)
+        assert em_sigma_w_of(Y, H, C, cb) == pytest.approx(1e-12)
 
     def test_zero_estimates_give_observation_power(self):
         cb = build_codebook(K=16, N=4, T=1, Q=2, seed=1)
@@ -63,7 +74,7 @@ class TestSigmaW:
         Y = rng.standard_normal((cb.rows, 3)) + 1j * rng.standard_normal((cb.rows, 3))
         zero = np.zeros((cb.cols, 3), dtype=complex)
         expected = np.sum(np.abs(Y) ** 2) / (3 * cb.rows)
-        assert em_sigma_w(Y, zero, zero, cb) == pytest.approx(expected, rel=1e-12)
+        assert em_sigma_w_of(Y, zero, zero, cb) == pytest.approx(expected, rel=1e-12)
         init = em_initial_params(Y, cb)
         assert init.sigma_w2 == pytest.approx(expected, rel=1e-12)
         assert (init.theta_H, init.theta_C, init.lam) == (1.0, 1e-3, 0.1)
@@ -74,13 +85,13 @@ class TestSigmaW:
         zero = np.zeros((cb.cols, 2), dtype=complex)
         v_h = np.array([0.1, 0.3])
         v_c = np.array([0.01, 0.02])
-        got = em_sigma_w(Y, zero, zero, cb, v_h_post=v_h, v_c_post=v_c,
-                         include_correction=True)
+        got = em_sigma_w_of(Y, zero, zero, cb, v_h_post=v_h, v_c_post=v_c,
+                            include_correction=True)
         d2 = np.mean(cb.D_diag**2)
         expected = (cb.K / 2) * (v_h.sum() + d2 * v_c.sum())
         assert got == pytest.approx(expected, rel=1e-12)
         with pytest.raises(ParameterError):
-            em_sigma_w(Y, zero, zero, cb, include_correction=True)
+            em_sigma_w_of(Y, zero, zero, cb, include_correction=True)
 
 
 class TestLambda:

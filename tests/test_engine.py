@@ -2,10 +2,14 @@
 
 import csv
 import io
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import turbomp
+from turbomp import engine
 from turbomp import (
     DimensionError,
     NumericsError,
@@ -18,6 +22,10 @@ from turbomp import (
     run_turbo_mp,
     sample_blockwise_exact,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
+sys.path.insert(0, str(GOLDEN))
+from make_golden import CASES, replay  # noqa: E402
 
 
 def make_instance(seed=0, K=64, N=8, T=2, Q=2, M=2, lam=0.2, theta_H=1.0,
@@ -198,6 +206,32 @@ class TestDiagnostics:
         res.diagnostics.write_csv(path)
         header = path.read_text().splitlines()[0]
         assert header.split(",")[:4] == ["iter", "v_h", "v_c", "sigma_w2"]
+
+
+class TestForwardProducts:
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_closed_form_products_match_operators(self, monkeypatch, case):
+        """On each golden frame's inputs, every branch's damped forward product and
+        posterior forward product equal the operator applied to the outgoing message
+        and to the denoiser's posterior mean, to 1e-12 relative."""
+        with np.load(GOLDEN / "engine_golden.npz") as data:
+            doc = {key.split("__", 1)[1]: data[key] for key in data.files
+                   if key.startswith(case + "__")}
+        branch, errors = engine._branch, []
+
+        def checked(state, x_pri, v_pri, fwd_pri, weight, *args):
+            out = branch(state, x_pri, v_pri, fwd_pri, weight, *args)
+            x_new, _, fwd_new, fwd_post, _, den = out
+            for got, x in ((fwd_new, x_new), (fwd_post, den.post_mean)):
+                want = weight * state.codebook.apply_A(x.reshape(-1, state.M))
+                errors.append(np.max(np.abs(got - want)) - 1e-12 * np.max(np.abs(want)))
+            return out
+
+        monkeypatch.setattr(engine, "_branch", checked)
+        result = replay(turbomp, doc)
+        trace = result.diagnostics.module_trace
+        assert len(errors) == len(trace) - trace.count("EM")  # two products per branch
+        assert max(errors) <= 0.0
 
 
 class _DevicePermutedCodebook:

@@ -198,6 +198,31 @@ class TestRoc:
         with pytest.raises(ConfigurationError):
             run_roc(exact_config(), [0.5, 0.1])
 
+    def test_pinned_codebook_is_drawn_once(self, monkeypatch):
+        """With pin_codebook every trial runs on the one codebook drawn for the point;
+        without it each trial draws its own."""
+        from turbomp import harness
+
+        drawn, used = [], []
+
+        def counting_build(*args, **kwargs):
+            drawn.append(build_codebook(*args, **kwargs))
+            return drawn[-1]
+
+        def recording_run(Y, codebook, *args, **kwargs):
+            used.append(codebook)
+            return run_frame(Y, codebook, *args, **kwargs)
+
+        run_frame = harness.run_turbo_mp
+        monkeypatch.setattr(harness, "build_codebook", counting_build)
+        monkeypatch.setattr(harness, "run_turbo_mp", recording_run)
+        run_roc(exact_config(trials=3, pin_codebook=True), [0.5])
+        assert len(drawn) == 1 and len(used) == 3
+        assert all(cb is drawn[0] for cb in used)
+        drawn.clear()
+        run_roc(exact_config(trials=3), [0.5])
+        assert len(drawn) == 3
+
 
 class TestCli:
     def _write_config(self, tmp_path, **overrides):

@@ -134,7 +134,8 @@ class TestPosteriors:
 
 
 class TestLinearExtrinsic:
-    """The closed form equals the posterior divided by the prior message."""
+    """The closed form equals the posterior divided by the prior message, and its
+    forward product equals the operator applied to it."""
 
     def setup_method(self):
         self.cb = build_codebook(K=64, N=8, T=4, Q=2, seed=4)
@@ -153,12 +154,16 @@ class TestLinearExtrinsic:
                                        (self.msg_c, cb.D_diag[:, None], lmmse_posterior_c)]:
             post = posterior(self.Y, self.msg_h, self.msg_c, sig, cb)
             ref = extrinsic(post, msg, v_max=v_max)
-            x_ext, v_ext, v_post = linear_extrinsic(msg.mean, msg.variance, self.resid,
-                                                    sig.values, weight, cb, v_max)
+            fwd_pri = weight * cb.apply_A(msg.mean)
+            x_ext, v_ext, v_post, fwd_ext = linear_extrinsic(msg.mean, msg.variance, fwd_pri,
+                                                             self.resid, sig.values, weight, cb,
+                                                             v_max)
             np.testing.assert_allclose(v_post, post.variance, rtol=1e-12)
             np.testing.assert_allclose(v_ext, ref.variance, rtol=1e-12)
             err = np.max(np.abs(x_ext - ref.mean)) / np.max(np.abs(ref.mean))
             assert err < 1e-12
+            direct = weight * cb.apply_A(x_ext)
+            assert np.max(np.abs(fwd_ext - direct)) / np.max(np.abs(direct)) < 1e-12
         return ref.variance
 
     def test_matches_posterior_divided_by_prior(self):

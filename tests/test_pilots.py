@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import mix_subcarriers_fft
 from turbomp import ConfigurationError, DimensionError, PilotCodebook, build_codebook
 
 
@@ -172,6 +173,22 @@ class TestPermutationAndMixing:
         direct = cb.apply_A(H) + cb.apply_B(C)
         mixed = cb.mix_subcarriers(X)
         assert np.linalg.norm(mixed - direct) / np.linalg.norm(direct) < 1e-12
+
+    def test_mix_matches_fft_over_all_devices(self):
+        """Summing over the nonzero device rows equals the K-point FFT over all rows,
+        for sparse, all-active and all-zero inputs, with and without an antenna axis."""
+        rng = np.random.default_rng(6)
+        for K, N, T, Q, strict in [(64, 8, 2, 2, True), (1000, 72, 8, 4, True),
+                                   (16, 8, 4, 2, False)]:
+            cb = build_codebook(K=K, N=N, T=T, Q=Q, seed=K, strict=strict)
+            for active in (rng.random(K) < 0.1, np.ones(K, bool), np.zeros(K, bool)):
+                X = np.zeros((K, N, 3), dtype=complex)
+                X[active] = rand_complex(rng, int(active.sum()), N, 3)
+                for x in (X, X[:, :, 0]):
+                    want = mix_subcarriers_fft(cb, x)
+                    got = cb.mix_subcarriers(x)
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_mix_shape_checks(self):
         cb = build_codebook(K=32, N=4, T=2, Q=2, seed=2)
