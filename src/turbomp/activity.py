@@ -8,23 +8,10 @@ uninformative identities exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError
 from .logodds import logit, sigmoid
-
-
-@dataclass
-class ActivityBeliefs:
-    """Per-device activity evidence and fused posteriors, all in [0, 1]."""
-
-    pi_B: np.ndarray
-    pi_C: np.ndarray
-    lambda_B_pri: np.ndarray
-    lambda_C_pri: np.ndarray
-    lambda_D_post: np.ndarray
 
 
 def _check_prob(name, p):

@@ -72,12 +72,11 @@ def example_pdp_path() -> str:
     return str(files("turbomp.data").joinpath("example_nlos_300ns.pdp"))
 
 
-def load_pdp(path, normalize: bool = True) -> MultipathProfile:
+def load_pdp(path) -> MultipathProfile:
     """Read a power delay profile from a plain-text file.
 
     One "power delay_seconds" pair per line; '#' starts a comment; blank
-    lines are ignored.  With normalize=True (default) the powers are scaled
-    to sum to one.
+    lines are ignored.  The powers are scaled to sum to one.
     """
     powers, delays = [], []
     with open(path) as f:
@@ -92,11 +91,10 @@ def load_pdp(path, normalize: bool = True) -> MultipathProfile:
             delays.append(float(parts[1]))
     powers = np.asarray(powers, dtype=float)
     delays = np.asarray(delays, dtype=float)
-    if normalize:
-        total = powers.sum()
-        if total <= 0:
-            raise ParameterError(f"{path}: total tap power must be positive")
-        powers = powers / total
+    total = powers.sum()
+    if total <= 0:
+        raise ParameterError(f"{path}: total tap power must be positive")
+    powers = powers / total
     return MultipathProfile(powers=powers, delays=delays)
 
 
@@ -109,27 +107,15 @@ class ChannelRealization:
 
     G: np.ndarray
     activity: np.ndarray
-    subcarrier_spacing: float = 0.0
-
-    @property
-    def K(self) -> int:
-        return self.G.shape[0]
-
-    @property
-    def N(self) -> int:
-        return self.G.shape[1]
-
-    @property
-    def M(self) -> int:
-        return self.G.shape[2]
 
 
 @dataclass(frozen=True)
 class BlockwiseBasis:
-    """Sub-block expansion operators for the mean-plus-slope channel model.
+    """Sub-block expansion of the mean-plus-slope channel model.
 
-    E1 is block diagonal with all-ones columns of length N/Q; E2 is block
-    diagonal with the integer offset vector d = [-N/(2Q)+1, ..., N/(2Q)].
+    `expand` applies G = E1 H + E2 C, where E1 is block diagonal with all-ones
+    columns of length N/Q and E2 is block diagonal with the integer offset
+    vector d = [-N/(2Q)+1, ..., N/(2Q)] (`offsets`).
     """
 
     N: int
@@ -150,22 +136,6 @@ class BlockwiseBasis:
     @property
     def block_size(self) -> int:
         return self.N // self.Q
-
-    def e1(self) -> np.ndarray:
-        """Dense N x Q mean-expansion matrix."""
-        out = np.zeros((self.N, self.Q))
-        b = self.block_size
-        for q in range(self.Q):
-            out[q * b : (q + 1) * b, q] = 1.0
-        return out
-
-    def e2(self) -> np.ndarray:
-        """Dense N x Q slope-expansion matrix."""
-        out = np.zeros((self.N, self.Q))
-        b = self.block_size
-        for q in range(self.Q):
-            out[q * b : (q + 1) * b, q] = self.offsets
-        return out
 
     def expand(self, H: np.ndarray, C: np.ndarray) -> np.ndarray:
         """Map stacked means/slopes (QK x M) to responses (K x N x M)."""
@@ -238,7 +208,7 @@ def sample_channel(
         phase = np.exp(-2j * np.pi * delta_f * np.outer(profile.delays, n))  # (L, N)
         weighted = beta * np.sqrt(profile.powers)  # (a, M, L)
         G[active] = np.einsum("aml,ln->anm", weighted, phase)
-    return ChannelRealization(G=G, activity=activity.astype(np.int8), subcarrier_spacing=delta_f)
+    return ChannelRealization(G=G, activity=activity.astype(np.int8))
 
 
 def project_blockwise(realization: ChannelRealization, basis: BlockwiseBasis) -> BlockwiseTruth:

@@ -19,38 +19,6 @@ from .logodds import sigmoid
 
 
 @dataclass(frozen=True)
-class DeviceBlockPrior:
-    """Input message for one device block: Q x M mean, per-antenna variance."""
-
-    pri_mean: np.ndarray
-    per_antenna_var: np.ndarray
-    theta: float
-    lambda_pri: float
-
-    def __post_init__(self):
-        mean = np.asarray(self.pri_mean, dtype=np.complex128)
-        var = np.asarray(self.per_antenna_var, dtype=float)
-        if mean.ndim != 2 or var.shape != (mean.shape[1],):
-            raise ParameterError("pri_mean must be (Q, M) with per_antenna_var of length M")
-        if np.any(var <= 0) or self.theta <= 0:
-            raise ParameterError("variances must be positive")
-        if not 0.0 <= self.lambda_pri <= 1.0:
-            raise ParameterError(f"lambda_pri must be in [0, 1], got {self.lambda_pri}")
-        object.__setattr__(self, "pri_mean", mean)
-        object.__setattr__(self, "per_antenna_var", var)
-
-
-@dataclass(frozen=True)
-class DenoiseResult:
-    """Posterior for one device block plus its activity evidence."""
-
-    post_mean: np.ndarray
-    post_var_elem: np.ndarray
-    lambda_post: float
-    pi: float
-
-
-@dataclass(frozen=True)
 class DenoiseBatch:
     """Vectorized posteriors for all K devices at once.
 
@@ -127,19 +95,3 @@ def bg_denoise_batch(
     energy = lambda_post * (s @ gain2 + Q * phi.sum())
     return DenoiseBatch(pri_mean=pri, lambda_post=lambda_post, pi=pi, gain=gain, phi=phi,
                         column_var=column_var, energy=energy)
-
-
-def bg_denoise(prior: DeviceBlockPrior) -> DenoiseResult:
-    """Denoise a single device block."""
-    batch = bg_denoise_batch(
-        prior.pri_mean[None],
-        prior.per_antenna_var,
-        prior.theta,
-        np.asarray([prior.lambda_pri]),
-    )
-    return DenoiseResult(
-        post_mean=batch.post_mean[0],
-        post_var_elem=batch.post_var_elem[0],
-        lambda_post=float(batch.lambda_post[0]),
-        pi=float(batch.pi[0]),
-    )

@@ -19,7 +19,6 @@ from .pilots import PilotCodebook
 VAR_FLOOR = 1e-12
 VAR_CEIL = 1e6
 LAMBDA_FLOOR = 1e-6
-DEFAULT_SLOW_PERIOD = 3
 
 
 @dataclass(frozen=True)
@@ -102,13 +101,12 @@ def em_schedule(state, opts) -> PriorParams:
 
     The noise variance is refreshed every iteration; the coefficient
     variances and the activity rate only every opts.em_slow_period
-    iterations (and not before opts.em_slow_start), since they lean on the
-    approximate posterior activity and destabilize the messages when
-    refreshed too eagerly.  opts.em_damping < 1 blends each refresh with
-    the previous value.
+    iterations, since they lean on the approximate posterior activity and
+    destabilize the messages when refreshed too eagerly.  opts.em_damping < 1
+    blends each refresh with the previous value.
     """
     priors = state.priors
-    d = getattr(opts, "em_damping", 1.0)
+    d = opts.em_damping
     blend = lambda new, old: d * new + (1.0 - d) * old
 
     den_h, den_c = state.den_h, state.den_c
@@ -120,8 +118,7 @@ def em_schedule(state, opts) -> PriorParams:
         include_correction=opts.em_sigma_correction,
     )
     new = replace(priors, sigma_w2=blend(sigma_w2, priors.sigma_w2))
-    slow_start = getattr(opts, "em_slow_start", 1)
-    if state.iteration >= slow_start and state.iteration % max(opts.em_slow_period, 1) == 0:
+    if state.iteration % opts.em_slow_period == 0:
         size = den_h.pri_mean[0].size
         new = replace(
             new,

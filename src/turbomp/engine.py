@@ -15,8 +15,9 @@ per-device statistics, and builds no (K, Q, M) posterior tensor:
 * the denoiser's posterior mean is lambda_post * theta / (theta + v) times
   its input, so its extrinsic x_und is a per-(device, antenna) scale of the
   input, and the only forward operator call of a branch is w A x_und;
-* with alpha = v_out / v_post and beta = alpha - 1 = v_out / v_ext per
-  antenna (1 and 0 where the denoiser's message is uninformative),
+* dividing the denoiser's posterior by its input message, `lmmse.extrinsic`
+  gives per antenna alpha = v_out / v_post and beta = v_out / v_ext (1 and 0
+  where the outgoing message is uninformative) with
   x_und = alpha post_mean - beta x_ext, so
   w A post_mean = (w A x_und + beta w A x_ext) / alpha (beta is not formed as
   alpha - 1, whose rounding near alpha = 1 the far larger w A x_ext amplifies);
@@ -26,7 +27,7 @@ per-device statistics, and builds no (K, Q, M) posterior tensor:
   Y - A H_post - B C_post.
 
 One iteration thus costs one adjoint and one forward operator call per
-branch.  The posterior tensors are built from the denoisers' last inputs
+branch.  The posterior means are built from the denoisers' last inputs
 only for the `TurboResult` and for the truth-traced NMSE.
 """
 
@@ -39,11 +40,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics as _metrics
-from .activity import ActivityBeliefs, activity_posterior, cross_prior, detect
+from .activity import activity_posterior, cross_prior, detect
 from .denoiser import DenoiseBatch, bg_denoise_batch
 from .em import PriorParams, em_schedule
 from .errors import DimensionError, NumericsError, ParameterError
-from .lmmse import V_FLOOR, linear_extrinsic, observation_variance
+from .lmmse import V_FLOOR, extrinsic, linear_extrinsic, observation_variance
 from .pilots import PilotCodebook
 
 
@@ -55,9 +56,7 @@ class TurboOptions:
     rel_change_tol: float = 1e-6
     inner_h_updates: int = 2
     em_enabled: bool = False
-    em_start_iter: int = 1
     em_slow_period: int = 3
-    em_slow_start: int = 1
     em_damping: float = 1.0
     em_sigma_correction: bool = False
     threshold: float = 0.5
@@ -77,8 +76,8 @@ class TurboOptions:
             raise ParameterError("damping must be in (0, 1]")
         if not 0.0 < self.em_damping <= 1.0:
             raise ParameterError("em_damping must be in (0, 1]")
-        if self.em_slow_start < 1 or self.em_slow_period < 1:
-            raise ParameterError("em_slow_start and em_slow_period must be >= 1")
+        if self.em_slow_period < 1:
+            raise ParameterError("em_slow_period must be >= 1")
         if not (np.isfinite(self.v_max) and self.v_max > 0):
             raise ParameterError("v_max must be positive and finite")
 
@@ -133,8 +132,6 @@ class TurboState:
     post_fwd_c: np.ndarray  # (TN, M) B @ C_post
     pi_B: np.ndarray  # (K,)
     pi_C: np.ndarray
-    lambda_B_pri: np.ndarray
-    lambda_C_pri: np.ndarray
     lambda_D_post: np.ndarray
     den_h: DenoiseBatch | None = None  # the last mean-block and slope-block denoiser outputs
     den_c: DenoiseBatch | None = None
@@ -150,15 +147,10 @@ class TurboResult:
     C: np.ndarray
     lambda_D_post: np.ndarray
     activity: np.ndarray
-    beliefs: ActivityBeliefs
     priors: PriorParams
     iterations: int
     converged: bool
     diagnostics: TurboDiagnostics
-    H_post_var: np.ndarray | None = None  # (K, Q, M) elementwise posterior variances
-    C_post_var: np.ndarray | None = None
-    v_h_B_post: np.ndarray | None = None  # (M,) per-antenna averages
-    v_c_C_post: np.ndarray | None = None
 
 
 def init_state(codebook: PilotCodebook, priors: PriorParams, M: int, Y=None) -> TurboState:
@@ -183,8 +175,6 @@ def init_state(codebook: PilotCodebook, priors: PriorParams, M: int, Y=None) -> 
         post_fwd_c=zeros(codebook.rows, M),
         pi_B=np.full(K, 0.5),
         pi_C=np.full(K, 0.5),
-        lambda_B_pri=np.full(K, priors.lam),
-        lambda_C_pri=np.full(K, priors.lam),
         lambda_D_post=np.full(K, priors.lam),
     )
 
@@ -204,8 +194,7 @@ def _branch(state: TurboState, x_pri, v_pri, fwd_pri, weight, theta: float, pi_o
 
     fwd_pri is weight * A @ x_pri.  Returns the damped outgoing message
     (mean, variance, forward product), the forward product weight * A @
-    post_mean of the denoiser's posterior mean, the denoiser's activity
-    prior and the denoiser's output.
+    post_mean of the denoiser's posterior mean and the denoiser's output.
     """
     cb, diag = state.codebook, state.diagnostics
     names = ("A_h", "B") if np.isscalar(weight) else ("A_c", "C")
@@ -223,12 +212,8 @@ def _branch(state: TurboState, x_pri, v_pri, fwd_pri, weight, theta: float, pi_o
     den = bg_denoise_batch(blocks, v_ext, theta, lambda_pri)
     v_post = np.maximum(den.column_var, V_FLOOR)
     diag.clamp_events += _count_uninformative(v_post, v_ext)
-    # lmmse.extrinsic of the denoiser's posterior, x_und = alpha post_mean - beta blocks
-    inv_diff = 1.0 / v_post - 1.0 / v_ext
-    informative = inv_diff > 1.0 / opts.v_max
-    v_out = np.where(informative, 1.0 / np.maximum(inv_diff, 1.0 / opts.v_max), opts.v_max)
-    alpha = np.where(informative, v_out / v_post, 1.0)
-    beta = np.where(informative, v_out / v_ext, 0.0)
+    # the denoiser's extrinsic message x_und = alpha post_mean - beta blocks
+    v_out, alpha, beta = extrinsic(v_post, v_ext, opts.v_max)
     scale = np.outer(den.lambda_post, alpha * den.gain) - beta  # (K, M)
     x_und = (blocks * scale[:, None, :]).reshape(cb.cols, state.M)
     fwd_und = weight * cb.apply_A(x_und)
@@ -237,7 +222,7 @@ def _branch(state: TurboState, x_pri, v_pri, fwd_pri, weight, theta: float, pi_o
     fwd_new = _damp(fwd_und, fwd_pri, opts.damping)
     v_new = _damp(np.maximum(v_out, V_FLOOR), v_pri, opts.damping)
     diag.module_trace.append(names[1])
-    return x_new, v_new, fwd_new, fwd_post, lambda_pri, den
+    return x_new, v_new, fwd_new, fwd_post, den
 
 
 def _check_finite(state: TurboState) -> None:
@@ -275,13 +260,12 @@ def run_turbo_mp(
         p, h_prev, c_prev = state.priors, state.h_pri, state.c_pri
         try:
             for _ in range(opts.inner_h_updates):
-                (state.h_pri, state.v_h, state.fwd_h, state.post_fwd_h, state.lambda_B_pri,
-                 state.den_h) = _branch(state, state.h_pri, state.v_h, state.fwd_h, 1.0,
-                                        p.theta_H, state.pi_C, opts)
+                state.h_pri, state.v_h, state.fwd_h, state.post_fwd_h, state.den_h = _branch(
+                    state, state.h_pri, state.v_h, state.fwd_h, 1.0, p.theta_H, state.pi_C, opts)
             state.pi_B = state.den_h.pi
-            (state.c_pri, state.v_c, state.fwd_c, state.post_fwd_c, state.lambda_C_pri,
-             state.den_c) = _branch(state, state.c_pri, state.v_c, state.fwd_c,
-                                    codebook.D_diag[:, None], p.theta_C, state.pi_B, opts)
+            state.c_pri, state.v_c, state.fwd_c, state.post_fwd_c, state.den_c = _branch(
+                state, state.c_pri, state.v_c, state.fwd_c, codebook.D_diag[:, None], p.theta_C,
+                state.pi_B, opts)
             state.pi_C = state.den_c.pi
         except NumericsError as err:
             err.diagnostics = diag
@@ -289,7 +273,7 @@ def run_turbo_mp(
         _check_finite(state)
 
         state.lambda_D_post = activity_posterior(state.pi_B, state.pi_C, state.priors.lam)
-        if opts.em_enabled and iteration >= opts.em_start_iter:
+        if opts.em_enabled:
             state.priors = em_schedule(state, opts)
             diag.module_trace.append("EM")
 
@@ -321,26 +305,13 @@ def run_turbo_mp(
 
     lambda_post = activity_posterior(state.pi_B, state.pi_C, state.priors.lam)
     state.lambda_D_post = lambda_post
-    beliefs = ActivityBeliefs(
-        pi_B=state.pi_B,
-        pi_C=state.pi_C,
-        lambda_B_pri=state.lambda_B_pri,
-        lambda_C_pri=state.lambda_C_pri,
-        lambda_D_post=lambda_post,
-    )
-    den_h, den_c = state.den_h, state.den_c
     return TurboResult(
-        H=den_h.post_mean.reshape(codebook.cols, state.M),
-        C=den_c.post_mean.reshape(codebook.cols, state.M),
+        H=state.den_h.post_mean.reshape(codebook.cols, state.M),
+        C=state.den_c.post_mean.reshape(codebook.cols, state.M),
         lambda_D_post=lambda_post,
         activity=detect(lambda_post, opts.threshold),
-        beliefs=beliefs,
         priors=state.priors,
         iterations=state.iteration,
         converged=converged,
         diagnostics=diag,
-        H_post_var=den_h.post_var_elem,
-        C_post_var=den_c.post_var_elem,
-        v_h_B_post=den_h.column_var,
-        v_c_C_post=den_c.column_var,
     )

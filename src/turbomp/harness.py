@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .activity import detect
 from .channel import (
     MultipathProfile,
     blockwise_basis,
@@ -63,9 +64,7 @@ class ExperimentConfig:
     max_iters: int = 50
     rel_change_tol: float = 1e-6
     inner_h_updates: int = 2
-    em_start_iter: int = 1
     em_slow_period: int = 3
-    em_slow_start: int = 1
     em_damping: float = 1.0
     em_sigma_correction: bool = False
     damping: float = 1.0
@@ -115,6 +114,7 @@ class ExperimentConfig:
                     "fixed-parameter multipath runs need an explicit sigma_w2 "
                     "(noise plus mismatch power)"
                 )
+        self.turbo_options()  # TurboOptions validates the estimator options
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -130,11 +130,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"missing config keys: {sorted(missing)}")
         return cls(**doc)
 
-    @classmethod
-    def from_json_file(cls, path) -> "ExperimentConfig":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -144,9 +139,7 @@ class ExperimentConfig:
             rel_change_tol=self.rel_change_tol,
             inner_h_updates=self.inner_h_updates,
             em_enabled=self.em,
-            em_start_iter=self.em_start_iter,
             em_slow_period=self.em_slow_period,
-            em_slow_start=self.em_slow_start,
             em_damping=self.em_damping,
             em_sigma_correction=self.em_sigma_correction,
             threshold=self.threshold,
@@ -366,8 +359,9 @@ def run_roc(config: ExperimentConfig, thresholds, snr_db: float | None = None, p
     config.trials trials; each threshold then yields one operating point.
     """
     thresholds = np.asarray(thresholds, dtype=float)
-    if np.any(thresholds <= 0) or np.any(thresholds >= 1) or np.any(np.diff(thresholds) < 0):
-        raise ConfigurationError("thresholds must be ascending inside (0, 1)")
+    if (thresholds.size == 0 or np.any(thresholds <= 0) or np.any(thresholds >= 1)
+            or np.any(np.diff(thresholds) < 0)):
+        raise ConfigurationError("thresholds must be a non-empty ascending list inside (0, 1)")
     snr = config.snr_db[0] if snr_db is None else float(snr_db)
     profile = load_pdp(config.pdp_file) if config.channel == "multipath" else None
     codebook = _point_codebook(config, 0) if config.pin_codebook else None
@@ -380,22 +374,19 @@ def run_roc(config: ExperimentConfig, thresholds, snr_db: float | None = None, p
         if progress is not None and (trial + 1) % 25 == 0:
             progress(f"roc trial {trial + 1}/{config.trials}")
 
-    post = np.concatenate(posts)
-    truth = np.concatenate(truths).astype(bool)
+    post, truth = np.concatenate(posts), np.concatenate(truths)
     rows = []
     for thr in thresholds:
-        hat = post >= thr
-        miss = int(np.count_nonzero(truth & ~hat))
-        false = int(np.count_nonzero(~truth & hat))
+        m = detection_metrics(truth, detect(post, float(thr)))
         rows.append(
             {
                 "threshold": float(thr),
                 "snr_db": snr,
-                "p_miss": miss / truth.size,
-                "p_false": false / truth.size,
-                "miss_events": miss,
-                "false_events": false,
-                "decisions": truth.size,
+                "p_miss": m.p_miss,
+                "p_false": m.p_false,
+                "miss_events": m.miss_count,
+                "false_events": m.false_count,
+                "decisions": m.num_devices,
             }
         )
     return rows
@@ -443,8 +434,3 @@ def emit_roc(rows, out_dir, stem: str = "roc") -> str:
         writer.writeheader()
         writer.writerows(rows)
     return str(path)
-
-
-def load_results_json(path) -> dict:
-    with open(path) as f:
-        return json.load(f)

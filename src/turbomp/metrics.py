@@ -20,10 +20,8 @@ from .errors import DimensionError, ParameterError
 
 @dataclass(frozen=True)
 class TrialMetrics:
-    """Per-trial channel and detection quality numbers."""
+    """Per-trial detection quality numbers."""
 
-    nmse: float = math.nan
-    nmse_db: float = math.nan
     p_miss: float = math.nan
     p_false: float = math.nan
     pe: float = math.nan

@@ -12,15 +12,12 @@ diagonal D: B = D @ A.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import _as_rng
 from .errors import ConfigurationError, DimensionError
-
-DENSE_ENTRY_GUARD = 10**7
 
 
 @dataclass(frozen=True)
@@ -89,12 +86,6 @@ class PilotCodebook:
     def scale(self) -> float:
         return float(np.sqrt(self.power))
 
-    @property
-    def permutation(self) -> np.ndarray:
-        """Index map p with (P x)[i] = x[p[i]], reordering device-major
-        coefficients into Q contiguous device-indexed blocks of length K."""
-        return (np.arange(self.K)[None, :] * self.Q + np.arange(self.Q)[:, None]).ravel()
-
     # -- fast operator applications ---------------------------------------
 
     def _check_len(self, v, expected, name):
@@ -157,55 +148,6 @@ class PilotCodebook:
         phases = self.roots[index]
         y = self.scale * (phases @ X[active].transpose(1, 0, 2)).reshape(self.rows, -1)
         return y[:, 0] if vec else y
-
-    # -- dense materialization (test oracle) -------------------------------
-
-    def dense_A(self) -> np.ndarray:
-        """Materialize A (T*N x Q*K).  Guarded against oversized requests."""
-        if self.rows * self.cols > DENSE_ENTRY_GUARD:
-            raise ConfigurationError(
-                f"dense A would have {self.rows * self.cols} entries "
-                f"(> {DENSE_ENTRY_GUARD}); use the operator form"
-            )
-        A = np.zeros((self.rows, self.cols), dtype=np.complex128)
-        k = np.arange(self.K)
-        for q in range(self.Q):
-            rows = q * self.rows_per_block + np.arange(self.rows_per_block)
-            cols = k * self.Q + q
-            block = self.scale * np.exp(-2j * np.pi * np.outer(self.selections[q], k) / self.K)
-            A[np.ix_(rows, cols)] = block
-        return A
-
-    def dense_B(self) -> np.ndarray:
-        return self.D_diag[:, None] * self.dense_A()
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        doc = {
-            "K": self.K,
-            "N": self.N,
-            "T": self.T,
-            "Q": self.Q,
-            "power": self.power,
-            "strict": self.strict,
-            "selections": self.selections.tolist(),
-            "permutation": self.permutation.tolist(),
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PilotCodebook":
-        doc = json.loads(text)
-        return cls(
-            K=doc["K"],
-            N=doc["N"],
-            T=doc["T"],
-            Q=doc["Q"],
-            power=doc["power"],
-            selections=np.asarray(doc["selections"], dtype=np.int64),
-            strict=doc["strict"],
-        )
 
 
 def build_codebook(

@@ -1,11 +1,84 @@
 """Independent reference computations used by the tests.
 
 Everything here deliberately avoids the library's fast paths: dense matrix
-algebra, brute-force quadrature, and closed-form statistics derived straight
-from the model definitions.
+algebra, brute-force quadrature, posteriors formed before any extrinsic
+closed form, and statistics derived straight from the model definitions.
 """
 
 import numpy as np
+
+from turbomp import ConfigurationError
+
+DENSE_ENTRY_GUARD = 10**7
+
+
+def dense_A(codebook):
+    """Materialize the pilot matrix A (T*N x Q*K) entry by entry from the DFT
+    row selections.  Guarded against oversized requests."""
+    cb = codebook
+    if cb.rows * cb.cols > DENSE_ENTRY_GUARD:
+        raise ConfigurationError(
+            f"dense A would have {cb.rows * cb.cols} entries (> {DENSE_ENTRY_GUARD}); "
+            "use the operator form"
+        )
+    A = np.zeros((cb.rows, cb.cols), dtype=np.complex128)
+    k = np.arange(cb.K)
+    for q in range(cb.Q):
+        rows = q * cb.rows_per_block + np.arange(cb.rows_per_block)
+        block = cb.scale * np.exp(-2j * np.pi * np.outer(cb.selections[q], k) / cb.K)
+        A[np.ix_(rows, k * cb.Q + q)] = block
+    return A
+
+
+def dense_B(codebook):
+    """Materialize B = D A."""
+    return codebook.D_diag[:, None] * dense_A(codebook)
+
+
+def permutation(codebook):
+    """Index map p with (P x)[i] = x[p[i]], reordering device-major
+    coefficients into Q contiguous device-indexed blocks of length K."""
+    return (np.arange(codebook.K)[None, :] * codebook.Q + np.arange(codebook.Q)[:, None]).ravel()
+
+
+def e1(basis):
+    """Dense N x Q mean-expansion matrix: block diagonal, all-ones columns."""
+    out = np.zeros((basis.N, basis.Q))
+    b = basis.block_size
+    for q in range(basis.Q):
+        out[q * b : (q + 1) * b, q] = 1.0
+    return out
+
+
+def e2(basis):
+    """Dense N x Q slope-expansion matrix: block diagonal, offset-vector columns."""
+    out = np.zeros((basis.N, basis.Q))
+    b = basis.block_size
+    for q in range(basis.Q):
+        out[q * b : (q + 1) * b, q] = basis.offsets
+    return out
+
+
+def lmmse_posterior(y, h_pri, c_pri, v_h, v_c, sigma, codebook, slopes=False):
+    """Posterior (mean, per-antenna variance) of the means (or, with slopes=True,
+    the slopes) from the operators, without the extrinsic closed form.
+
+    With r = y - A h_pri - B c_pri, row weight w = 1 (or D), prior (x, v),
+    u = A^H (w r / Sigma) and g = (P/Q) sum_i w_i^2 / Sigma_ii, the posterior
+    mean is x + v u and the variance max(v - v^2 g, 0).
+    """
+    x, v, w = (c_pri, v_c, codebook.D_diag) if slopes else (h_pri, v_h, np.ones(codebook.rows))
+    resid = np.asarray(y, dtype=np.complex128) - codebook.apply_A(h_pri) - codebook.apply_B(c_pri)
+    w = w.reshape((-1,) + (1,) * (sigma.ndim - 1))
+    u = codebook.apply_A_adjoint(w * (resid / sigma))
+    g = (codebook.power / codebook.Q) * np.sum(w**2 / sigma, axis=0)
+    return x + v * u, np.maximum(v - v**2 * g, 0.0)
+
+
+def combine(mean_a, v_a, mean_b, v_b):
+    """Precision-weighted fusion of two Gaussian messages; returns (mean, variance)."""
+    v = 1.0 / (1.0 / np.asarray(v_a, dtype=float) + 1.0 / np.asarray(v_b, dtype=float))
+    return v * (mean_a / v_a + mean_b / v_b), v
 
 
 def dense_joint_lmmse(y, A, B, h_pri, c_pri, v_h, v_c, sigma_w2):
@@ -74,8 +147,8 @@ def genie_support_lmmse(Y, codebook, activity, theta_H, theta_C, sigma2):
     Q = codebook.Q
     active = np.flatnonzero(activity)
     cols = (active[:, None] * Q + np.arange(Q)).ravel()
-    A = codebook.dense_A()
-    B = codebook.dense_B()
+    A = dense_A(codebook)
+    B = dense_B(codebook)
     Ms = np.hstack([A[:, cols], B[:, cols]])
     Vp = np.concatenate([np.full(cols.size, theta_H), np.full(cols.size, theta_C)])
     Sigma = (Ms * Vp) @ Ms.conj().T + sigma2 * np.eye(codebook.rows)
@@ -113,8 +186,8 @@ def nmse_full_expansion(G, H, C, basis, activity):
     through the dense E1/E2 matrices."""
     K, N, M = G.shape
     Q = basis.Q
-    recon = (np.einsum("nq,kqm->knm", basis.e1(), H.reshape(K, Q, M))
-             + np.einsum("nq,kqm->knm", basis.e2(), C.reshape(K, Q, M)))
+    recon = (np.einsum("nq,kqm->knm", e1(basis), H.reshape(K, Q, M))
+             + np.einsum("nq,kqm->knm", e2(basis), C.reshape(K, Q, M)))
     err = np.sum(np.abs(G - recon) ** 2)
     return err / np.sum(np.abs(G[np.asarray(activity) != 0]) ** 2)
 

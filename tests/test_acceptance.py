@@ -10,22 +10,23 @@ import time
 import numpy as np
 import pytest
 
-from oracles import bg_scalar_reference, dense_joint_lmmse, genie_support_lmmse
+from oracles import (
+    bg_scalar_reference,
+    combine,
+    dense_A,
+    dense_B,
+    dense_joint_lmmse,
+    genie_support_lmmse,
+)
 from turbomp import (
-    DeviceBlockPrior,
     ExperimentConfig,
-    GaussianMessage,
     PriorParams,
     TurboOptions,
     activity_posterior,
-    bg_denoise,
+    bg_denoise_batch,
     blockwise_basis,
     build_codebook,
-    combine,
     detect,
-    extrinsic,
-    lmmse_posterior_c,
-    lmmse_posterior_h,
     nmse,
     project_blockwise,
     roc_sweep,
@@ -34,9 +35,9 @@ from turbomp import (
     sample_activity,
     sample_blockwise_exact,
     sample_channel,
-    sigma_diag,
 )
 from turbomp.channel import example_pdp_path, load_pdp
+from turbomp.lmmse import extrinsic, linear_extrinsic, observation_variance
 
 
 def rand_complex(rng, *shape):
@@ -47,7 +48,7 @@ def test_criterion_01_operator_algebra():
     """Partial orthogonality, fast/dense equivalence, adjoint identity."""
     start = time.perf_counter()
     cb = build_codebook(K=64, N=8, T=4, Q=2, P=1.0, seed=0)
-    A, B = cb.dense_A(), cb.dense_B()
+    A, B = dense_A(cb), dense_B(cb)
     kp_eye = cb.K * cb.power * np.eye(cb.rows)
     ortho = np.linalg.norm(A @ A.conj().T - kp_eye) / np.linalg.norm(kp_eye)
     assert ortho < 1e-10
@@ -84,21 +85,26 @@ def test_criterion_02_linear_module_exactness():
     c_pri = rand_complex(rng, cb.cols)
     y = rand_complex(rng, cb.rows)
 
-    sig = sigma_diag(v_h, v_c, sw2, cb)
-    msg_h = GaussianMessage(h_pri, v_h)
-    msg_c = GaussianMessage(c_pri, v_c)
-    post_h = lmmse_posterior_h(y, msg_h, msg_c, sig, cb)
-    post_c = lmmse_posterior_c(y, msg_h, msg_c, sig, cb)
+    # the posterior variance comes from the linear module; the posterior mean is
+    # its extrinsic message combined with the prior message
+    sigma = observation_variance(v_h, v_c, sw2, cb)
+    resid = y - cb.apply_A(h_pri) - cb.apply_B(c_pri)
+    posts = []
+    for x, v, weight, fwd in [(h_pri, v_h, 1.0, cb.apply_A(h_pri)),
+                              (c_pri, v_c, cb.D_diag, cb.apply_B(c_pri))]:
+        x_ext, v_ext, v_post, _ = linear_extrinsic(x, v, fwd, resid, sigma, weight, cb)
+        posts.append((combine(x_ext, v_ext, x, v)[0], v_post))
+    (mean_h, var_h), (mean_c, var_c) = posts
     h_ref, c_ref, vh_ref, vc_ref = dense_joint_lmmse(
-        y, cb.dense_A(), cb.dense_B(), h_pri, c_pri, v_h, v_c, sw2
+        y, dense_A(cb), dense_B(cb), h_pri, c_pri, v_h, v_c, sw2
     )
     mean_err = max(
-        np.linalg.norm(post_h.mean - h_ref) / np.linalg.norm(h_ref),
-        np.linalg.norm(post_c.mean - c_ref) / np.linalg.norm(c_ref),
+        np.linalg.norm(mean_h - h_ref) / np.linalg.norm(h_ref),
+        np.linalg.norm(mean_c - c_ref) / np.linalg.norm(c_ref),
     )
     var_err = max(
-        abs(post_h.variance - vh_ref) / vh_ref,
-        abs(post_c.variance - vc_ref) / vc_ref,
+        abs(var_h - vh_ref) / vh_ref,
+        abs(var_c - vc_ref) / vc_ref,
     )
     assert mean_err < 1e-8
     assert var_err < 1e-8
@@ -120,18 +126,15 @@ def test_criterion_03_denoiser_exactness():
             for v in (0.1, 1.0, 10.0):
                 for theta in (0.1, 1.0, 10.0):
                     for lam in (0.01, 0.5, 0.99):
-                        res = bg_denoise(DeviceBlockPrior(
-                            pri_mean=np.array([[pri]]),
-                            per_antenna_var=np.array([v]),
-                            theta=theta, lambda_pri=lam,
-                        ))
+                        res = bg_denoise_batch(np.array([[[pri]]]), np.array([v]), theta,
+                                               np.array([lam]))
                         l_ref, m_ref, v_ref = bg_scalar_reference(pri, v, theta, lam)
                         # relative 1e-6, with a tiny absolute floor so that
                         # quadrature noise on exact zeros does not register
                         for got, ref in [
-                            (res.lambda_post, l_ref),
-                            (res.post_mean[0, 0], m_ref),
-                            (res.post_var_elem[0, 0], v_ref),
+                            (res.lambda_post[0], l_ref),
+                            (res.post_mean[0, 0, 0], m_ref),
+                            (res.post_var_elem[0, 0, 0], v_ref),
                         ]:
                             worst = max(worst, abs(got - ref) / (abs(ref) + 1e-9))
                         cases += 1
@@ -149,13 +152,14 @@ def test_criterion_04_message_algebra():
     for _ in range(50):
         v_pri = float(rng.uniform(0.5, 3.0))
         v_post = float(rng.uniform(0.01, 0.4))
-        pri = GaussianMessage(rand_complex(rng, 16), v_pri)
-        post = GaussianMessage(rand_complex(rng, 16), v_post)
-        back = combine(extrinsic(post, pri), pri)
+        pri = rand_complex(rng, 16)
+        post = rand_complex(rng, 16)
+        v_ext, alpha, beta = extrinsic(v_post, v_pri)
+        back_mean, back_var = combine(alpha * post - beta * pri, v_ext, pri, v_pri)
         worst = max(
             worst,
-            abs(back.variance - v_post) / v_post,
-            float(np.max(np.abs(back.mean - post.mean)) / np.max(np.abs(post.mean))),
+            abs(back_var - v_post) / v_post,
+            float(np.max(np.abs(back_mean - post)) / np.max(np.abs(post))),
         )
     assert worst < 1e-12
 

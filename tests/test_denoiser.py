@@ -4,40 +4,32 @@ import numpy as np
 import pytest
 
 from oracles import bg_scalar_reference
-from turbomp import (
-    DeviceBlockPrior,
-    ParameterError,
-    bg_denoise,
-    bg_denoise_batch,
-)
+from turbomp import ParameterError, bg_denoise_batch
 
 
-def scalar_prior(value, v, theta, lam):
-    return DeviceBlockPrior(
-        pri_mean=np.array([[value]], dtype=complex),
-        per_antenna_var=np.array([v]),
-        theta=theta,
-        lambda_pri=lam,
-    )
+def denoise_scalar(value, v, theta, lam):
+    """One device with one sub-block and one antenna."""
+    return bg_denoise_batch(np.array([[[value]]], dtype=complex), np.array([v]), theta,
+                            np.array([lam]))
 
 
 class TestScalarCases:
     def test_reference_point(self):
         """pri=1, v=1, theta=1, lam=0.5 gives the known posterior weights."""
-        res = bg_denoise(scalar_prior(1.0, 1.0, 1.0, 0.5))
-        assert res.lambda_post == pytest.approx(0.4519, abs=2e-4)
-        assert res.post_mean[0, 0].real == pytest.approx(0.2259, abs=1e-4)
+        res = denoise_scalar(1.0, 1.0, 1.0, 0.5)
+        assert res.lambda_post[0] == pytest.approx(0.4519, abs=2e-4)
+        assert res.post_mean[0, 0, 0].real == pytest.approx(0.2259, abs=1e-4)
 
     def test_certainly_inactive(self):
-        res = bg_denoise(scalar_prior(3.0, 1.0, 1.0, 0.0))
-        assert res.lambda_post == 0.0
+        res = denoise_scalar(3.0, 1.0, 1.0, 0.0)
+        assert res.lambda_post[0] == 0.0
         assert np.all(res.post_mean == 0)
         assert np.all(res.post_var_elem == 0)
 
     def test_certainly_active_low_noise(self):
-        res = bg_denoise(scalar_prior(2.0 - 1.0j, 1e-9, 1.0, 1.0))
-        assert res.lambda_post == 1.0
-        assert res.post_mean[0, 0] == pytest.approx(2.0 - 1.0j, rel=1e-6)
+        res = denoise_scalar(2.0 - 1.0j, 1e-9, 1.0, 1.0)
+        assert res.lambda_post[0] == 1.0
+        assert res.post_mean[0, 0, 0] == pytest.approx(2.0 - 1.0j, rel=1e-6)
 
     def test_matches_numerical_integration(self):
         """Posterior weight/mean/variance match brute-force quadrature."""
@@ -45,16 +37,17 @@ class TestScalarCases:
             for v in (0.1, 1.0):
                 for theta in (0.5, 2.0):
                     for lam in (0.05, 0.5):
-                        res = bg_denoise(scalar_prior(value, v, theta, lam))
+                        res = denoise_scalar(value, v, theta, lam)
                         lam_ref, mean_ref, var_ref = bg_scalar_reference(value, v, theta, lam)
-                        assert res.lambda_post == pytest.approx(lam_ref, rel=1e-6)
-                        assert res.post_mean[0, 0] == pytest.approx(mean_ref, rel=1e-6)
-                        assert res.post_var_elem[0, 0] == pytest.approx(var_ref, rel=1e-6, abs=1e-12)
+                        assert res.lambda_post[0] == pytest.approx(lam_ref, rel=1e-6)
+                        assert res.post_mean[0, 0, 0] == pytest.approx(mean_ref, rel=1e-6)
+                        assert res.post_var_elem[0, 0, 0] == pytest.approx(var_ref, rel=1e-6,
+                                                                           abs=1e-12)
 
     def test_log_domain_survives_huge_inputs(self):
         """No overflow for |pri|^2 up to 1e6 times the message variance."""
-        res = bg_denoise(scalar_prior(1000.0, 1.0, 1.0, 0.5))
-        assert np.isfinite(res.lambda_post) and res.lambda_post == 1.0
+        res = denoise_scalar(1000.0, 1.0, 1.0, 0.5)
+        assert np.isfinite(res.lambda_post[0]) and res.lambda_post[0] == 1.0
         assert np.isfinite(res.post_mean).all()
 
 
@@ -66,13 +59,10 @@ class TestBatchBehaviour:
         lam = rng.uniform(0.1, 0.9, 5)
         batch = bg_denoise_batch(pri, v, 0.8, lam)
         for k in range(5):
-            single = bg_denoise(
-                DeviceBlockPrior(pri_mean=pri[k], per_antenna_var=v, theta=0.8,
-                                 lambda_pri=float(lam[k]))
-            )
-            np.testing.assert_allclose(single.post_mean, batch.post_mean[k])
-            assert single.lambda_post == pytest.approx(batch.lambda_post[k])
-            assert single.pi == pytest.approx(batch.pi[k])
+            single = bg_denoise_batch(pri[k][None], v, 0.8, np.array([lam[k]]))
+            np.testing.assert_allclose(single.post_mean[0], batch.post_mean[k])
+            assert single.lambda_post[0] == pytest.approx(batch.lambda_post[k])
+            assert single.pi[0] == pytest.approx(batch.pi[k])
 
     def test_lambda_post_monotone_in_prior(self):
         """Sweeping the prior activity up never lowers the posterior."""

@@ -18,6 +18,7 @@ from turbomp import (
     TurboOptions,
     blockwise_basis,
     build_codebook,
+    cross_prior,
     init_state,
     run_turbo_mp,
     sample_blockwise_exact,
@@ -56,7 +57,7 @@ class TestInit:
         priors = PriorParams(theta_H=1.0, theta_C=0.1, sigma_w2=0.1, lam=0.07)
         state = init_state(cb, priors, M=1)
         np.testing.assert_array_equal(state.pi_C, 0.5)
-        np.testing.assert_array_equal(state.lambda_B_pri, 0.07)
+        np.testing.assert_array_equal(cross_prior(state.pi_C, priors.lam), 0.07)
 
     def test_no_randomness(self):
         cb = build_codebook(64, 8, 2, 2, seed=0)
@@ -221,7 +222,7 @@ class TestForwardProducts:
 
         def checked(state, x_pri, v_pri, fwd_pri, weight, *args):
             out = branch(state, x_pri, v_pri, fwd_pri, weight, *args)
-            x_new, _, fwd_new, fwd_post, _, den = out
+            x_new, _, fwd_new, fwd_post, den = out
             for got, x in ((fwd_new, x_new), (fwd_post, den.post_mean)):
                 want = weight * state.codebook.apply_A(x.reshape(-1, state.M))
                 errors.append(np.max(np.abs(got - want)) - 1e-12 * np.max(np.abs(want)))

@@ -9,6 +9,7 @@ import pytest
 from turbomp import (
     ConfigurationError,
     ExperimentConfig,
+    ParameterError,
     blockwise_basis,
     build_codebook,
     emit_results,
@@ -22,7 +23,7 @@ from turbomp import (
 )
 from turbomp.channel import example_pdp_path
 from turbomp.cli import main as cli_main
-from turbomp.harness import ExperimentResult, load_results_json
+from turbomp.harness import ExperimentResult
 
 
 def exact_config(**overrides):
@@ -62,6 +63,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             exact_config(channel="multipath", pdp_file=example_pdp_path(),
                          em=False, sigma_w2=None)
+
+    def test_estimator_options_rejected_at_construction(self):
+        """Bad estimator options fail when the config is built, before any trial runs."""
+        for bad in (dict(threshold=1.5), dict(damping=0), dict(max_iters=0),
+                    dict(em_damping=1.5), dict(inner_h_updates=0), dict(rel_change_tol=0.0),
+                    dict(em_slow_period=0)):
+            with pytest.raises(ParameterError):
+                exact_config(**bad)
+
+    def test_removed_schedule_keys_are_unknown(self):
+        for key in ("em_start_iter", "em_slow_start"):
+            with pytest.raises(ConfigurationError, match="unknown"):
+                exact_config(**{key: 1})
 
     def test_scalar_snr_promoted_to_list(self):
         cfg = exact_config(snr_db=5)
@@ -172,7 +186,8 @@ class TestEmitResults:
             rows = list(csv.DictReader(f))
         assert len(rows) == 2
         assert float(rows[1]["snr_db"]) == 10.0
-        doc = load_results_json(paths["json"])
+        with open(paths["json"]) as f:
+            doc = json.load(f)
         ' aggregates reload bit-exactly through JSON '
         for point, loaded in zip(result.points, doc["points"]):
             assert loaded["aggregate"] == point.aggregate
@@ -197,6 +212,17 @@ class TestRoc:
     def test_bad_thresholds(self):
         with pytest.raises(ConfigurationError):
             run_roc(exact_config(), [0.5, 0.1])
+
+    def test_empty_thresholds_rejected_before_any_trial(self, monkeypatch):
+        from turbomp import harness
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_turbo_mp", no_trial)
+        for empty in ([], np.array([])):
+            with pytest.raises(ConfigurationError):
+                run_roc(exact_config(), empty)
 
     def test_pinned_codebook_is_drawn_once(self, monkeypatch):
         """With pin_codebook every trial runs on the one codebook drawn for the point;
@@ -256,6 +282,13 @@ class TestCli:
         assert code == 0
         names = {p.name for p in (tmp_path / "sweep").glob("*.csv")}
         assert names == {"sweep_M1.csv", "sweep_M2.csv"}
+
+    def test_roc_rejects_empty_grid(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        code = cli_main(["roc", "--config", cfg, "--points", "0", "--out", str(tmp_path / "roc")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "roc" / "roc.csv").exists()
 
     def test_roc_command(self, tmp_path):
         cfg = self._write_config(tmp_path)

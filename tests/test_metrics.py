@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import nmse_full_expansion
+from oracles import e1, e2, nmse_full_expansion
 from turbomp import (
     ParameterError,
     blockwise_basis,
@@ -38,11 +38,11 @@ class TestNmse:
         value = nmse(self.real.G, H, C, self.basis, self.real.activity)
 
         num = den = 0.0
-        e1, e2 = self.basis.e1(), self.basis.e2()
+        E1, E2 = e1(self.basis), e2(self.basis)
         K = self.real.G.shape[0]
         Q = self.basis.Q
         for k in range(K):
-            recon = e1 @ H[k * Q : (k + 1) * Q] + e2 @ C[k * Q : (k + 1) * Q]
+            recon = E1 @ H[k * Q : (k + 1) * Q] + E2 @ C[k * Q : (k + 1) * Q]
             num += np.sum(np.abs(self.real.G[k] - recon) ** 2)
             if self.real.activity[k]:
                 den += np.sum(np.abs(self.real.G[k]) ** 2)

@@ -1,10 +1,10 @@
-"""Pilot operator construction, fast-path equivalence, and serialization."""
+"""Pilot operator construction and fast-path equivalence."""
 
 import numpy as np
 import pytest
 
-from oracles import mix_subcarriers_fft
-from turbomp import ConfigurationError, DimensionError, PilotCodebook, build_codebook
+from oracles import dense_A, dense_B, mix_subcarriers_fft, permutation
+from turbomp import ConfigurationError, DimensionError, build_codebook
 
 
 def rand_complex(rng, *shape):
@@ -52,28 +52,28 @@ class TestBuild:
 class TestOperatorAlgebra:
     def test_partial_orthogonality(self):
         cb = build_codebook(K=64, N=8, T=4, Q=2, P=1.0, seed=0)
-        A = cb.dense_A()
+        A = dense_A(cb)
         kp_eye = cb.K * cb.power * np.eye(cb.rows)
         rel = np.linalg.norm(A @ A.conj().T - kp_eye) / np.linalg.norm(kp_eye)
         assert rel < 1e-10
 
     def test_partial_orthogonality_nonunit_power(self):
         cb = build_codebook(K=64, N=8, T=4, Q=2, P=2.5, seed=1)
-        A = cb.dense_A()
+        A = dense_A(cb)
         kp_eye = cb.K * 2.5 * np.eye(cb.rows)
         rel = np.linalg.norm(A @ A.conj().T - kp_eye) / np.linalg.norm(kp_eye)
         assert rel < 1e-10
 
     def test_every_entry_has_pilot_power(self):
         cb = build_codebook(K=32, N=4, T=2, Q=2, P=1.7, seed=2)
-        A = cb.dense_A()
+        A = dense_A(cb)
         nz = np.abs(A[np.abs(A) > 0]) ** 2
         np.testing.assert_allclose(nz, 1.7, rtol=1e-12)
 
     def test_block_structure(self):
         """Device k's sub-block-q column is the selected DFT rows in block q only."""
         cb = build_codebook(K=32, N=4, T=2, Q=2, seed=4)
-        A = cb.dense_A()
+        A = dense_A(cb)
         rpb = cb.rows_per_block
         for k in (0, 7, 31):
             for q in range(2):
@@ -86,7 +86,7 @@ class TestOperatorAlgebra:
 
     def test_fast_equals_dense(self):
         cb = build_codebook(K=16, N=8, T=4, Q=2, seed=5, strict=False)
-        A, B = cb.dense_A(), cb.dense_B()
+        A, B = dense_A(cb), dense_B(cb)
         rng = np.random.default_rng(0)
         x = rand_complex(rng, cb.cols)
         y = rand_complex(rng, cb.rows)
@@ -100,7 +100,7 @@ class TestOperatorAlgebra:
 
     def test_fast_equals_dense_matrix_input(self):
         cb = build_codebook(K=64, N=8, T=2, Q=2, seed=6)
-        A = cb.dense_A()
+        A = dense_A(cb)
         rng = np.random.default_rng(1)
         X = rand_complex(rng, cb.cols, 3)
         assert np.linalg.norm(cb.apply_A(X) - A @ X) / np.linalg.norm(A @ X) < 1e-12
@@ -150,14 +150,14 @@ class TestOperatorAlgebra:
     def test_dense_size_guard(self):
         cb = build_codebook(K=5000, N=72, T=8, Q=4, seed=11)
         with pytest.raises(ConfigurationError):
-            cb.dense_A()
+            dense_A(cb)
 
 
 class TestPermutationAndMixing:
     def test_permutation_reorders_device_major_to_block_major(self):
         cb = build_codebook(K=6, N=4, T=1, Q=2, seed=0, strict=False)
         x = np.arange(cb.cols, dtype=float)
-        via_perm = x[cb.permutation].reshape(cb.Q, cb.K)
+        via_perm = x[permutation(cb)].reshape(cb.Q, cb.K)
         via_reshape = x.reshape(cb.K, cb.Q).T
         assert np.array_equal(via_perm, via_reshape)
 
@@ -194,14 +194,3 @@ class TestPermutationAndMixing:
         cb = build_codebook(K=32, N=4, T=2, Q=2, seed=2)
         with pytest.raises(DimensionError):
             cb.mix_subcarriers(np.zeros((31, 4)))
-
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        cb = build_codebook(K=64, N=8, T=4, Q=2, P=1.3, seed=12)
-        clone = PilotCodebook.from_json(cb.to_json())
-        assert np.array_equal(clone.selections, cb.selections)
-        assert clone.power == cb.power and clone.strict == cb.strict
-        rng = np.random.default_rng(5)
-        x = rand_complex(rng, cb.cols)
-        assert np.array_equal(cb.apply_A(x), clone.apply_A(x))
