@@ -58,12 +58,6 @@ class MultipathProfile:
     def num_taps(self) -> int:
         return self.powers.size
 
-    def rms_delay_spread(self) -> float:
-        """Root-mean-square delay spread in seconds."""
-        mean = float(np.sum(self.powers * self.delays))
-        second = float(np.sum(self.powers * self.delays**2))
-        return float(np.sqrt(max(second - mean**2, 0.0)))
-
 
 def example_pdp_path() -> str:
     """Path of the bundled example NLOS profile (300 ns rms delay spread)."""

@@ -18,13 +18,18 @@ from .harness import (
     run_roc,
 )
 
-_CONFIG_ERRORS = (ConfigurationError, ParameterError, DimensionError, FileNotFoundError)
+_CONFIG_ERRORS = (ConfigurationError, ParameterError, DimensionError, FileNotFoundError,
+                  json.JSONDecodeError)
 
 
-def _load_config(path: str, overrides: dict) -> ExperimentConfig:
+def _load_config(path: str, overrides: dict, values=()) -> ExperimentConfig:
+    """The JSON config at `path`, with the overrides that are set, then `values`."""
     with open(path) as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{path} must hold a JSON object")
     doc.update({k: v for k, v in overrides.items() if v is not None})
+    doc.update(values)
     return ExperimentConfig.from_dict(doc)
 
 
@@ -47,28 +52,22 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config) as f:
-        base = json.load(f)
-    if args.seed is not None:
-        base["master_seed"] = args.seed
-    if args.trials is not None:
-        base["trials"] = args.trials
-
     grid = {}
     for spec in args.param or []:
         key, _, values = spec.partition("=")
-        if not values:
-            raise ConfigurationError(f"--param needs KEY=V1,V2,..., got {spec!r}")
+        if "" in values.split(","):
+            raise ConfigurationError(f"--param needs KEY=V1,V2,... without empty values: {spec!r}")
         grid[key] = [_parse_value(v) for v in values.split(",")]
 
     keys = sorted(grid)
-    combos = list(itertools.product(*(grid[k] for k in keys))) if keys else [()]
-    for idx, combo in enumerate(combos):
-        doc = dict(base)
-        doc.update(dict(zip(keys, combo)))
-        config = ExperimentConfig.from_dict(doc)
-        label = "_".join(f"{k}{v}" for k, v in zip(keys, combo)) or "base"
-        print(f"[sweep {idx + 1}/{len(combos)}] {label}")
+    overrides = {"master_seed": args.seed, "trials": args.trials}
+    runs = [
+        ("_".join(f"{k}{v}" for k, v in zip(keys, combo)) or "base",
+         _load_config(args.config, overrides, zip(keys, combo)))
+        for combo in itertools.product(*(grid[k] for k in keys))
+    ]
+    for idx, (label, config) in enumerate(runs):
+        print(f"[sweep {idx + 1}/{len(runs)}] {label}")
         result = run_experiment(config, progress=print)
         paths = emit_results(result, args.out, stem=f"{args.stem}_{label}")
         print(f"wrote {paths['csv']}")
@@ -76,12 +75,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_roc(args) -> int:
-    config = _load_config(
-        args.config,
-        {"master_seed": args.seed, "trials": args.trials},
-    )
+    config = _load_config(args.config, {"master_seed": args.seed, "trials": args.trials})
     if args.thresholds:
-        thresholds = [float(t) for t in args.thresholds.split(",")]
+        try:
+            thresholds = [float(t) for t in args.thresholds.split(",")]
+        except ValueError:
+            raise ConfigurationError(f"--thresholds needs numbers: {args.thresholds!r}") from None
     else:
         thresholds = np.linspace(0.02, 0.98, args.points).tolist()
     rows = run_roc(config, thresholds, snr_db=args.snr, progress=print)

@@ -33,8 +33,6 @@ only for the `TurboResult` and for the truth-traced NMSE.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,9 +80,6 @@ class TurboOptions:
             raise ParameterError("v_max must be positive and finite")
 
 
-_DIAG_FIELDS = ["iter", "v_h", "v_c", "sigma_w2", "lam", "rel_change", "nmse_db", "clamp_events"]
-
-
 @dataclass
 class TurboDiagnostics:
     """Per-iteration traces: variances, learned parameters, clamp events."""
@@ -92,26 +87,6 @@ class TurboDiagnostics:
     rows: list = field(default_factory=list)
     module_trace: list = field(default_factory=list)
     clamp_events: int = 0
-
-    def write_csv(self, target) -> None:
-        """Write one CSV row per iteration to a path or text file object."""
-        close = False
-        if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-            target = open(target, "w", newline="")
-            close = True
-        try:
-            writer = csv.DictWriter(target, fieldnames=_DIAG_FIELDS)
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow({k: row.get(k) for k in _DIAG_FIELDS})
-        finally:
-            if close:
-                target.close()
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
 
 
 @dataclass

@@ -16,12 +16,12 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .activity import detect
 from .channel import (
     MultipathProfile,
     blockwise_basis,
@@ -33,7 +33,7 @@ from .channel import (
 from .em import PriorParams, em_initial_params
 from .engine import TurboOptions, run_turbo_mp
 from .errors import ConfigurationError
-from .metrics import detection_metrics, nmse, nmse_db
+from .metrics import check_thresholds, detection_metrics, nmse, nmse_db, roc_sweep
 from .pilots import PilotCodebook, build_codebook
 
 CHANNEL_MODES = ("multipath", "exact")
@@ -176,8 +176,11 @@ def _point_codebook(config: ExperimentConfig, point_idx: int) -> PilotCodebook:
     )
 
 
-def _simulate_trial(config, point_idx, snr_db, trial_idx, profile, codebook):
-    """Draw one trial's channel and observation; returns (realization, cb, basis, Y, priors)."""
+def _run_trial(config, point_idx, snr_db, trial_idx, profile, codebook):
+    """Draw one trial's channel and observation and run the estimator on it.
+
+    Returns (realization, basis, result).
+    """
     if profile is None and config.channel == "multipath":
         profile = load_pdp(config.pdp_file)
     cb_rng, truth_rng, channel_rng, noise_rng = _trial_streams(
@@ -218,7 +221,7 @@ def _simulate_trial(config, point_idx, snr_db, trial_idx, profile, codebook):
             sigma_w2=config.sigma_w2 if config.sigma_w2 is not None else sigma_n2,
             lam=config.lam,
         )
-    return realization, cb, basis, Y, priors
+    return realization, basis, run_turbo_mp(Y, cb, priors, config.turbo_options())
 
 
 def run_single_trial(
@@ -231,11 +234,9 @@ def run_single_trial(
 ) -> dict:
     """One Monte-Carlo trial; returns a flat record of metrics and traces."""
     start = time.perf_counter()
-    realization, cb, basis, Y, priors = _simulate_trial(
+    realization, basis, result = _run_trial(
         config, point_idx, snr_db, trial_idx, profile, codebook
     )
-    result = run_turbo_mp(Y, cb, priors, config.turbo_options())
-
     det = detection_metrics(realization.activity, result.activity)
     record = {
         "trial": trial_idx,
@@ -253,21 +254,34 @@ def run_single_trial(
         "theta_C_hat": result.priors.theta_C,
         "sigma_w2_hat": result.priors.sigma_w2,
     }
-    if realization.activity.any():
-        value = nmse(realization.G, result.H, result.C, basis, realization.activity)
-        record["nmse"] = value
-        record["nmse_db"] = nmse_db(value)
-        record["skipped_nmse"] = False
-    else:
-        record["nmse"] = math.nan
-        record["nmse_db"] = math.nan
-        record["skipped_nmse"] = True
+    skipped = not realization.activity.any()  # NMSE needs an active device
+    value = math.nan if skipped else nmse(
+        realization.G, result.H, result.C, basis, realization.activity
+    )
+    record["nmse"] = value
+    record["nmse_db"] = math.nan if skipped else nmse_db(value)
+    record["skipped_nmse"] = skipped
     record["wall_s"] = time.perf_counter() - start
     return record
 
 
 def _trial_job(args):
     return run_single_trial(*args)
+
+
+def _roc_job(args):
+    realization, _, result = _run_trial(*args)
+    return result.lambda_D_post, realization.activity
+
+
+@contextmanager
+def _mapper(workers: int):
+    """`map`, or with workers > 1 the `map` of one process pool for every call."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield pool.map
+    else:
+        yield map
 
 
 def _aggregate_point(config: ExperimentConfig, snr_db: float, records: list, wall: float) -> dict:
@@ -311,7 +325,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     for point_idx, snr in enumerate(config.snr_db):
         start = time.perf_counter()
         codebook = _point_codebook(config, point_idx) if config.pin_codebook else None
-        records = _run_point(config, point_idx, snr, profile, codebook)
+        with _mapper(config.workers) as mapper:
+            records = _run_chunks(config, point_idx, snr, profile, codebook, mapper)
         wall = time.perf_counter() - start
         aggregate = _aggregate_point(config, snr, records, wall)
         points.append(PointResult(snr_db=snr, aggregate=aggregate, trials=records))
@@ -322,14 +337,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
                 f"({wall:.1f} s)"
             )
     return ExperimentResult(config=config, points=points)
-
-
-def _run_point(config, point_idx, snr, profile, codebook) -> list:
-    """All trials of one point; with config.workers > 1 they share one process pool."""
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            return _run_chunks(config, point_idx, snr, profile, codebook, pool.map)
-    return _run_chunks(config, point_idx, snr, profile, codebook, map)
 
 
 def _run_chunks(config, point_idx, snr, profile, codebook, mapper) -> list:
@@ -358,38 +365,25 @@ def run_roc(config: ExperimentConfig, thresholds, snr_db: float | None = None, p
     Posterior activity probabilities and true activity are pooled across
     config.trials trials; each threshold then yields one operating point.
     """
-    thresholds = np.asarray(thresholds, dtype=float)
-    if (thresholds.size == 0 or np.any(thresholds <= 0) or np.any(thresholds >= 1)
-            or np.any(np.diff(thresholds) < 0)):
-        raise ConfigurationError("thresholds must be a non-empty ascending list inside (0, 1)")
+    thresholds = check_thresholds(thresholds)
     snr = config.snr_db[0] if snr_db is None else float(snr_db)
     profile = load_pdp(config.pdp_file) if config.channel == "multipath" else None
     codebook = _point_codebook(config, 0) if config.pin_codebook else None
+    jobs = [(config, 0, snr, trial, profile, codebook) for trial in range(config.trials)]
     posts, truths = [], []
-    for trial in range(config.trials):
-        realization, cb, _, Y, priors = _simulate_trial(config, 0, snr, trial, profile, codebook)
-        result = run_turbo_mp(Y, cb, priors, config.turbo_options())
-        posts.append(result.lambda_D_post)
-        truths.append(realization.activity)
-        if progress is not None and (trial + 1) % 25 == 0:
-            progress(f"roc trial {trial + 1}/{config.trials}")
+    with _mapper(config.workers) as mapper:
+        for done, (post, truth) in enumerate(mapper(_roc_job, jobs), 1):
+            posts.append(post)
+            truths.append(truth)
+            if progress is not None and done % 25 == 0:
+                progress(f"roc trial {done}/{config.trials}")
 
-    post, truth = np.concatenate(posts), np.concatenate(truths)
-    rows = []
-    for thr in thresholds:
-        m = detection_metrics(truth, detect(post, float(thr)))
-        rows.append(
-            {
-                "threshold": float(thr),
-                "snr_db": snr,
-                "p_miss": m.p_miss,
-                "p_false": m.p_false,
-                "miss_events": m.miss_count,
-                "false_events": m.false_count,
-                "decisions": m.num_devices,
-            }
-        )
-    return rows
+    sweep = roc_sweep(np.concatenate(posts), np.concatenate(truths), thresholds)
+    return [
+        {"threshold": float(thr), "snr_db": snr, "p_miss": m.p_miss, "p_false": m.p_false,
+         "miss_events": m.miss_count, "false_events": m.false_count, "decisions": m.num_devices}
+        for thr, m in zip(thresholds, sweep)
+    ]
 
 
 AGGREGATE_COLUMNS = [
@@ -402,17 +396,23 @@ ROC_COLUMNS = [
 ]
 
 
+def _write_csv(path: Path, columns: list, rows) -> str:
+    """One header row of `columns`, then one row per dict (other keys dropped)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=columns, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+    return str(path)
+
+
 def emit_results(result: ExperimentResult, out_dir, stem: str = "results") -> dict:
     """Write aggregate CSV plus a full JSON record; returns the file paths."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{stem}.csv"
+    csv_path = _write_csv(
+        out / f"{stem}.csv", AGGREGATE_COLUMNS, (p.aggregate for p in result.points)
+    )
     json_path = out / f"{stem}.json"
-    with open(csv_path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=AGGREGATE_COLUMNS)
-        writer.writeheader()
-        for point in result.points:
-            writer.writerow({k: point.aggregate.get(k) for k in AGGREGATE_COLUMNS})
     doc = {
         "config": result.config.to_dict(),
         "points": [
@@ -422,15 +422,8 @@ def emit_results(result: ExperimentResult, out_dir, stem: str = "results") -> di
     }
     with open(json_path, "w") as f:
         json.dump(doc, f, indent=1)
-    return {"csv": str(csv_path), "json": str(json_path)}
+    return {"csv": csv_path, "json": str(json_path)}
 
 
 def emit_roc(rows, out_dir, stem: str = "roc") -> str:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{stem}.csv"
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=ROC_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-    return str(path)
+    return _write_csv(Path(out_dir) / f"{stem}.csv", ROC_COLUMNS, rows)

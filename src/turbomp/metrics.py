@@ -9,7 +9,7 @@ normalization, so miss + false-alarm is the total per-device error rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,16 +18,15 @@ from .channel import BlockwiseBasis
 from .errors import DimensionError, ParameterError
 
 
-@dataclass(frozen=True)
-class TrialMetrics:
-    """Per-trial detection quality numbers."""
+class TrialMetrics(NamedTuple):
+    """Detection quality numbers of one set of decisions."""
 
-    p_miss: float = math.nan
-    p_false: float = math.nan
-    pe: float = math.nan
-    miss_count: int = 0
-    false_count: int = 0
-    num_devices: int = 0
+    p_miss: float
+    p_false: float
+    pe: float
+    miss_count: int
+    false_count: int
+    num_devices: int
 
 
 def nmse(
@@ -98,19 +97,17 @@ def detection_metrics(alpha_true: np.ndarray, alpha_hat: np.ndarray) -> TrialMet
     )
 
 
-def roc_sweep(lambda_d_post, alpha_true, thresholds) -> list[tuple[float, float]]:
-    """(p_miss, p_false) pairs for each detection threshold.
+def check_thresholds(thresholds) -> np.ndarray:
+    """Detection thresholds as an array: non-empty, ascending and inside (0, 1)."""
+    t = np.asarray(thresholds, dtype=float)
+    if t.ndim != 1 or t.size == 0 or not np.all((t > 0) & (t < 1)) or np.any(np.diff(t) < 0):
+        raise ParameterError("thresholds must be a non-empty ascending list inside (0, 1)")
+    return t
 
-    Thresholds must be sorted ascending inside (0, 1); along the sweep
-    p_false never increases and p_miss never decreases.
-    """
-    thresholds = np.asarray(thresholds, dtype=float)
-    if thresholds.size == 0 or np.any(thresholds <= 0) or np.any(thresholds >= 1):
-        raise ParameterError("thresholds must lie strictly inside (0, 1)")
-    if np.any(np.diff(thresholds) < 0):
-        raise ParameterError("thresholds must be sorted ascending")
-    points = []
-    for thr in thresholds:
-        m = detection_metrics(alpha_true, detect(lambda_d_post, float(thr)))
-        points.append((m.p_miss, m.p_false))
-    return points
+
+def roc_sweep(lambda_d_post, alpha_true, thresholds) -> list[TrialMetrics]:
+    """Detection metrics at each threshold; p_miss never falls and p_false never rises."""
+    return [
+        detection_metrics(alpha_true, detect(lambda_d_post, float(thr)))
+        for thr in check_thresholds(thresholds)
+    ]

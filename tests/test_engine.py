@@ -1,7 +1,5 @@
 """Iteration schedule, equivariance, and convergence behaviour of the engine."""
 
-import csv
-import io
 import sys
 from pathlib import Path
 
@@ -187,26 +185,6 @@ class TestFailureModes:
                     dict(v_max=0.0), dict(v_max=-1.0), dict(v_max=float("inf"))):
             with pytest.raises(ParameterError):
                 TurboOptions(**bad)
-
-
-class TestDiagnostics:
-    def test_csv_round_trip(self):
-        Y, cb, priors, real, basis, _ = make_instance(seed=10)
-        res = run_turbo_mp(Y, cb, priors, TurboOptions(max_iters=4),
-                           truth=(real, basis))
-        text = res.diagnostics.to_csv_text()
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == len(res.diagnostics.rows)
-        assert float(rows[0]["v_h"]) == pytest.approx(res.diagnostics.rows[0]["v_h"])
-        assert rows[0]["nmse_db"] != ""
-
-    def test_csv_file_target(self, tmp_path):
-        Y, cb, priors, *_ = make_instance(seed=12)
-        res = run_turbo_mp(Y, cb, priors, TurboOptions(max_iters=2))
-        path = tmp_path / "diag.csv"
-        res.diagnostics.write_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header.split(",")[:4] == ["iter", "v_h", "v_c", "sigma_w2"]
 
 
 class TestForwardProducts:

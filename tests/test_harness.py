@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ class TestEmitResults:
     def test_empty_results_give_header_only_csv(self, tmp_path):
         cfg = exact_config()
         paths = emit_results(ExperimentResult(config=cfg, points=[]), tmp_path)
-        lines = open(paths["csv"]).read().splitlines()
+        lines = Path(paths["csv"]).read_text().splitlines()
         assert len(lines) == 1 and lines[0].startswith("snr_db,")
 
 
@@ -210,7 +211,7 @@ class TestRoc:
         assert all(b <= a for a, b in zip(p_false, p_false[1:]))
 
     def test_bad_thresholds(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ParameterError):
             run_roc(exact_config(), [0.5, 0.1])
 
     def test_empty_thresholds_rejected_before_any_trial(self, monkeypatch):
@@ -221,7 +222,7 @@ class TestRoc:
 
         monkeypatch.setattr(harness, "run_turbo_mp", no_trial)
         for empty in ([], np.array([])):
-            with pytest.raises(ConfigurationError):
+            with pytest.raises(ParameterError):
                 run_roc(exact_config(), empty)
 
     def test_pinned_codebook_is_drawn_once(self, monkeypatch):
@@ -248,6 +249,24 @@ class TestRoc:
         drawn.clear()
         run_roc(exact_config(trials=3), [0.5])
         assert len(drawn) == 3
+
+    def test_worker_pool_matches_serial_with_one_pool(self, monkeypatch):
+        """With two workers the ROC rows equal the serial rows, from one process pool."""
+        import turbomp.harness as harness
+
+        started = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(1)
+                super().__init__(*args, **kwargs)
+
+        thresholds = [0.1, 0.3, 0.5, 0.7, 0.9]
+        serial = run_roc(exact_config(trials=6, workers=1), thresholds)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        pooled = run_roc(exact_config(trials=6, workers=2), thresholds)
+        assert len(started) == 1
+        assert pooled == serial
 
 
 class TestCli:
@@ -290,6 +309,30 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "roc" / "roc.csv").exists()
 
+    @pytest.mark.parametrize("text", ['{"K": 64,', "[1, 2]"])
+    def test_malformed_config_json_is_an_error(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "res")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_roc_rejects_unparseable_thresholds(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        code = cli_main(["roc", "--config", cfg, "--thresholds", "0.2,x",
+                         "--out", str(tmp_path / "roc")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "roc" / "roc.csv").exists()
+
+    def test_sweep_rejects_empty_param_value(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        code = cli_main(["sweep", "--config", cfg, "--param", "M=1,2,",
+                         "--out", str(tmp_path / "sweep")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_roc_command(self, tmp_path):
         cfg = self._write_config(tmp_path)
         code = cli_main([
@@ -297,5 +340,5 @@ class TestCli:
             "--trials", "2", "--out", str(tmp_path / "roc"),
         ])
         assert code == 0
-        rows = list(csv.DictReader(open(tmp_path / "roc" / "roc.csv")))
+        rows = list(csv.DictReader((tmp_path / "roc" / "roc.csv").read_text().splitlines()))
         assert len(rows) == 2
