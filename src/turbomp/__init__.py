@@ -3,9 +3,9 @@ MIMO-OFDM grant-free random access."""
 
 from .activity import activity_posterior, cross_prior, detect
 from .channel import (
+    BlockwiseBasis,
     ChannelRealization,
     MultipathProfile,
-    blockwise_basis,
     load_pdp,
     project_blockwise,
     sample_activity,
@@ -30,6 +30,7 @@ from .pilots import PilotCodebook, build_codebook
 __version__ = "0.1.0"
 
 __all__ = [
+    "BlockwiseBasis",
     "ChannelRealization",
     "ConfigurationError",
     "DimensionError",
@@ -43,7 +44,6 @@ __all__ = [
     "TurboResult",
     "activity_posterior",
     "bg_denoise_batch",
-    "blockwise_basis",
     "build_codebook",
     "cross_prior",
     "detect",

@@ -22,13 +22,6 @@ from .errors import ConfigurationError, DimensionError, ParameterError
 POWER_SUM_TOL = 1e-9
 
 
-def _as_rng(seed) -> np.random.Generator:
-    """Accept an int seed, SeedSequence, or an existing Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 @dataclass(frozen=True)
 class MultipathProfile:
     """Power delay profile: per-tap linear power fractions and delays in seconds.
@@ -53,10 +46,6 @@ class MultipathProfile:
             raise ParameterError("tap delays must be >= 0 and strictly increasing")
         object.__setattr__(self, "powers", powers)
         object.__setattr__(self, "delays", delays)
-
-    @property
-    def num_taps(self) -> int:
-        return self.powers.size
 
 
 def example_pdp_path() -> str:
@@ -84,7 +73,6 @@ def load_pdp(path) -> MultipathProfile:
             powers.append(float(parts[0]))
             delays.append(float(parts[1]))
     powers = np.asarray(powers, dtype=float)
-    delays = np.asarray(delays, dtype=float)
     total = powers.sum()
     if total <= 0:
         raise ParameterError(f"{path}: total tap power must be positive")
@@ -155,18 +143,13 @@ class BlockwiseTruth:
     Delta: np.ndarray
 
 
-def blockwise_basis(N: int, Q: int) -> BlockwiseBasis:
-    """Build the sub-block expansion operators for N subcarriers in Q blocks."""
-    return BlockwiseBasis(N=N, Q=Q)
-
-
 def sample_activity(K: int, lam: float, seed) -> np.ndarray:
     """Draw the K-device activity vector, i.i.d. Bernoulli(lam)."""
     if K < 1:
         raise ParameterError(f"K must be >= 1, got {K}")
     if not 0.0 < lam < 1.0:
         raise ParameterError(f"activity rate must be in (0, 1), got {lam}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     return (rng.random(K) < lam).astype(np.int8)
 
 
@@ -188,12 +171,12 @@ def sample_channel(
         raise ParameterError(f"M={M} and N={N} must be >= 1")
     activity = np.asarray(activity)
     K = activity.size
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
 
     G = np.zeros((K, N, M), dtype=np.complex128)
     active = np.flatnonzero(activity)
     if active.size:
-        L = profile.num_taps
+        L = profile.powers.size
         beta = (
             rng.standard_normal((active.size, M, L))
             + 1j * rng.standard_normal((active.size, M, L))
@@ -254,7 +237,7 @@ def sample_blockwise_exact(
         raise ParameterError("prior variances must be positive (theta_C may be 0)")
     if not 0.0 < lam <= 1.0:
         raise ParameterError(f"activity rate must be in (0, 1], got {lam}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     activity = (rng.random(K) < lam).astype(np.int8)
 
     Q = basis.Q

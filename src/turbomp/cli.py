@@ -24,12 +24,16 @@ _CONFIG_ERRORS = (ConfigurationError, ParameterError, DimensionError, FileNotFou
 
 def _load_config(path: str, overrides: dict, values=()) -> ExperimentConfig:
     """The JSON config at `path`, with the overrides that are set, then `values`."""
-    with open(path) as f:
-        doc = json.load(f)
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path} must hold a JSON object")
+    doc = ExperimentConfig.canonical_keys(doc)  # per document, so an override always wins
     doc.update({k: v for k, v in overrides.items() if v is not None})
-    doc.update(values)
+    doc.update(ExperimentConfig.canonical_keys(dict(values)))
     return ExperimentConfig.from_dict(doc)
 
 

@@ -42,7 +42,7 @@ from .activity import activity_posterior, cross_prior, detect
 from .denoiser import DenoiseBatch, bg_denoise_batch
 from .em import PriorParams, em_schedule
 from .errors import DimensionError, NumericsError, ParameterError
-from .lmmse import V_FLOOR, extrinsic, linear_extrinsic, observation_variance
+from .lmmse import V_FLOOR, V_MAX, extrinsic, linear_extrinsic, observation_variance
 from .pilots import PilotCodebook
 
 
@@ -59,9 +59,12 @@ class TurboOptions:
     em_sigma_correction: bool = False
     threshold: float = 0.5
     damping: float = 1.0
-    v_max: float = 1e6
+    v_max: float = V_MAX
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         if self.max_iters < 1:
             raise ParameterError("max_iters must be >= 1")
         if self.rel_change_tol <= 0:
@@ -175,7 +178,7 @@ def _branch(state: TurboState, x_pri, v_pri, fwd_pri, weight, theta: float, pi_o
     names = ("A_h", "B") if np.isscalar(weight) else ("A_c", "C")
     resid = state.Y - state.fwd_h - state.fwd_c
     if not np.all(np.isfinite(resid)):
-        raise NumericsError("non-finite residual in linear estimator")
+        raise NumericsError("non-finite residual in linear estimator", diagnostics=diag)
     sigma = observation_variance(state.v_h, state.v_c, state.priors.sigma_w2, cb)
     ext, v_ext, v_lin, fwd_ext = linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight,
                                                   cb, opts.v_max)
@@ -233,18 +236,14 @@ def run_turbo_mp(
     for iteration in range(1, opts.max_iters + 1):
         state.iteration = iteration
         p, h_prev, c_prev = state.priors, state.h_pri, state.c_pri
-        try:
-            for _ in range(opts.inner_h_updates):
-                state.h_pri, state.v_h, state.fwd_h, state.post_fwd_h, state.den_h = _branch(
-                    state, state.h_pri, state.v_h, state.fwd_h, 1.0, p.theta_H, state.pi_C, opts)
-            state.pi_B = state.den_h.pi
-            state.c_pri, state.v_c, state.fwd_c, state.post_fwd_c, state.den_c = _branch(
-                state, state.c_pri, state.v_c, state.fwd_c, codebook.D_diag[:, None], p.theta_C,
-                state.pi_B, opts)
-            state.pi_C = state.den_c.pi
-        except NumericsError as err:
-            err.diagnostics = diag
-            raise
+        for _ in range(opts.inner_h_updates):
+            state.h_pri, state.v_h, state.fwd_h, state.post_fwd_h, state.den_h = _branch(
+                state, state.h_pri, state.v_h, state.fwd_h, 1.0, p.theta_H, state.pi_C, opts)
+        state.pi_B = state.den_h.pi
+        state.c_pri, state.v_c, state.fwd_c, state.post_fwd_c, state.den_c = _branch(
+            state, state.c_pri, state.v_c, state.fwd_c, codebook.D_diag[:, None], p.theta_C,
+            state.pi_B, opts)
+        state.pi_C = state.den_c.pi
         _check_finite(state)
 
         state.lambda_D_post = activity_posterior(state.pi_B, state.pi_C, state.priors.lam)
@@ -279,7 +278,6 @@ def run_turbo_mp(
             break
 
     lambda_post = activity_posterior(state.pi_B, state.pi_C, state.priors.lam)
-    state.lambda_D_post = lambda_post
     return TurboResult(
         H=state.den_h.post_mean.reshape(codebook.cols, state.M),
         C=state.den_c.post_mean.reshape(codebook.cols, state.M),

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .channel import (
+    BlockwiseBasis,
     MultipathProfile,
-    blockwise_basis,
     load_pdp,
     sample_activity,
     sample_blockwise_exact,
@@ -39,9 +39,14 @@ from .pilots import PilotCodebook, build_codebook
 CHANNEL_MODES = ("multipath", "exact")
 
 
-@dataclass
-class ExperimentConfig:
-    """One experiment: system dimensions, SNR sweep, estimator options."""
+@dataclass(kw_only=True)
+class ExperimentConfig(TurboOptions):
+    """One experiment: system dimensions, SNR sweep, estimator options.
+
+    The estimator options are the inherited `TurboOptions` fields but v_max, which no config
+    sets: max_iters, rel_change_tol, inner_h_updates, em_enabled, em_slow_period, em_damping,
+    em_sigma_correction, threshold and damping.  "lambda" and "em" are read as lam, em_enabled.
+    """
 
     K: int
     N: int
@@ -57,17 +62,9 @@ class ExperimentConfig:
     theta_H: float | None = None
     theta_C: float | None = None
     sigma_w2: float | None = None
-    em: bool = True
+    em_enabled: bool = True  # experiments learn the priors; a bare engine run keeps those given
     trials: int = 200
     master_seed: int = 0
-    threshold: float = 0.5
-    max_iters: int = 50
-    rel_change_tol: float = 1e-6
-    inner_h_updates: int = 2
-    em_slow_period: int = 3
-    em_damping: float = 1.0
-    em_sigma_correction: bool = False
-    damping: float = 1.0
     pin_codebook: bool = False
     strict_pilots: bool = True
     min_error_events: int | None = None
@@ -80,12 +77,10 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        super().validate()
         if min(self.K, self.N, self.T, self.Q, self.M) < 1:
             raise ConfigurationError("K, N, T, Q, M must all be >= 1")
-        if self.N % self.Q != 0:
-            raise ConfigurationError(f"Q={self.Q} must divide N={self.N}")
-        if self.N // self.Q < 2:
-            raise ConfigurationError("need at least 2 subcarriers per sub-block")
+        BlockwiseBasis(N=self.N, Q=self.Q)  # raises unless Q divides N into blocks of >= 2
         if self.strict_pilots and self.T * self.N > self.K:
             raise ConfigurationError(
                 f"T*N={self.T * self.N} > K={self.K} needs strict_pilots=false"
@@ -106,7 +101,7 @@ class ExperimentConfig:
             raise ConfigurationError("multipath channel needs pdp_file")
         if self.channel == "exact" and (self.theta_H is None or self.theta_C is None):
             raise ConfigurationError("exact channel needs theta_H and theta_C")
-        if not self.em:
+        if not self.em_enabled:
             if self.theta_H is None or self.theta_C is None:
                 raise ConfigurationError("fixed-parameter runs need theta_H and theta_C")
             if self.channel == "multipath" and self.sigma_w2 is None:
@@ -114,14 +109,22 @@ class ExperimentConfig:
                     "fixed-parameter multipath runs need an explicit sigma_w2 "
                     "(noise plus mismatch power)"
                 )
-        self.turbo_options()  # TurboOptions validates the estimator options
+
+    @staticmethod
+    def canonical_keys(doc: dict) -> dict:
+        """`doc` with each alias renamed to its field; naming both in one doc is an error."""
+        doc = dict(doc)
+        for alias, name in (("lambda", "lam"), ("em", "em_enabled")):
+            if alias in doc:
+                if name in doc:
+                    raise ConfigurationError(f"config sets both {alias!r} and {name!r}")
+                doc[name] = doc.pop(alias)
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
-        if "lambda" in doc:
-            doc["lam"] = doc.pop("lambda")
-        known = set(cls.__dataclass_fields__)
+        doc = cls.canonical_keys(doc)
+        known = set(cls.__dataclass_fields__) - {"v_max"}
         unknown = set(doc) - known
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
@@ -131,20 +134,7 @@ class ExperimentConfig:
         return cls(**doc)
 
     def to_dict(self) -> dict:
-        return asdict(self)
-
-    def turbo_options(self) -> TurboOptions:
-        return TurboOptions(
-            max_iters=self.max_iters,
-            rel_change_tol=self.rel_change_tol,
-            inner_h_updates=self.inner_h_updates,
-            em_enabled=self.em,
-            em_slow_period=self.em_slow_period,
-            em_damping=self.em_damping,
-            em_sigma_correction=self.em_sigma_correction,
-            threshold=self.threshold,
-            damping=self.damping,
-        )
+        return {k: v for k, v in asdict(self).items() if k != "v_max"}
 
     def noise_variance(self, snr_db: float) -> float:
         return self.pilot_power * 10.0 ** (-snr_db / 10.0)
@@ -168,11 +158,11 @@ def _trial_streams(master_seed: int, point_idx: int, trial_idx: int):
     return [np.random.default_rng(child) for child in ss.spawn(4)]
 
 
-def _point_codebook(config: ExperimentConfig, point_idx: int) -> PilotCodebook:
-    ss = np.random.SeedSequence((config.master_seed, point_idx))
+def _codebook(config: ExperimentConfig, seed) -> PilotCodebook:
+    """Pilots drawn from a trial's stream, or pinned per point by (master_seed, point)."""
     return build_codebook(
         config.K, config.N, config.T, config.Q, P=config.pilot_power,
-        seed=np.random.default_rng(ss), strict=config.strict_pilots,
+        seed=seed, strict=config.strict_pilots,
     )
 
 
@@ -186,13 +176,8 @@ def _run_trial(config, point_idx, snr_db, trial_idx, profile, codebook):
     cb_rng, truth_rng, channel_rng, noise_rng = _trial_streams(
         config.master_seed, point_idx, trial_idx
     )
-    cb = codebook
-    if cb is None:
-        cb = build_codebook(
-            config.K, config.N, config.T, config.Q, P=config.pilot_power,
-            seed=cb_rng, strict=config.strict_pilots,
-        )
-    basis = blockwise_basis(config.N, config.Q)
+    cb = codebook if codebook is not None else _codebook(config, cb_rng)
+    basis = BlockwiseBasis(N=config.N, Q=config.Q)
 
     if config.channel == "exact":
         _, realization = sample_blockwise_exact(
@@ -212,7 +197,7 @@ def _run_trial(config, point_idx, snr_db, trial_idx, profile, codebook):
     )
     Y = cb.mix_subcarriers(realization.G) + noise
 
-    if config.em:
+    if config.em_enabled:
         priors = em_initial_params(Y, cb)
     else:
         priors = PriorParams(
@@ -221,7 +206,7 @@ def _run_trial(config, point_idx, snr_db, trial_idx, profile, codebook):
             sigma_w2=config.sigma_w2 if config.sigma_w2 is not None else sigma_n2,
             lam=config.lam,
         )
-    return realization, basis, run_turbo_mp(Y, cb, priors, config.turbo_options())
+    return realization, basis, run_turbo_mp(Y, cb, priors, config)
 
 
 def run_single_trial(
@@ -324,7 +309,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     points = []
     for point_idx, snr in enumerate(config.snr_db):
         start = time.perf_counter()
-        codebook = _point_codebook(config, point_idx) if config.pin_codebook else None
+        pinned = config.pin_codebook
+        codebook = _codebook(config, (config.master_seed, point_idx)) if pinned else None
         with _mapper(config.workers) as mapper:
             records = _run_chunks(config, point_idx, snr, profile, codebook, mapper)
         wall = time.perf_counter() - start
@@ -368,7 +354,7 @@ def run_roc(config: ExperimentConfig, thresholds, snr_db: float | None = None, p
     thresholds = check_thresholds(thresholds)
     snr = config.snr_db[0] if snr_db is None else float(snr_db)
     profile = load_pdp(config.pdp_file) if config.channel == "multipath" else None
-    codebook = _point_codebook(config, 0) if config.pin_codebook else None
+    codebook = _codebook(config, (config.master_seed, 0)) if config.pin_codebook else None
     jobs = [(config, 0, snr, trial, profile, codebook) for trial in range(config.trials)]
     posts, truths = [], []
     with _mapper(config.workers) as mapper:

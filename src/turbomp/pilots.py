@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import _as_rng
 from .errors import ConfigurationError, DimensionError
 
 
@@ -46,8 +45,6 @@ class PilotCodebook:
             raise ConfigurationError("K, N, T, Q must all be >= 1")
         if N % Q != 0:
             raise ConfigurationError(f"Q={Q} must divide N={N}")
-        if (T * N) % Q != 0:
-            raise ConfigurationError(f"Q={Q} must divide T*N={T * N}")
         if self.power <= 0:
             raise ConfigurationError(f"pilot power must be positive, got {self.power}")
         sel = np.asarray(self.selections, dtype=np.int64)
@@ -170,7 +167,7 @@ def build_codebook(
         raise ConfigurationError(f"Q={Q} must divide N={N}")
     total = T * N
     rpb = total // Q
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     if strict:
         if total > K:
             raise ConfigurationError(

@@ -64,7 +64,7 @@ THETA_H, THETA_C = 1.0, 0.05  # prior of the exact-channel cases
 def case_inputs(tm, name):
     """Draw one case's frame through the public API; returns the stored inputs."""
     channel, (K, N, T, Q, M), lam, snr_db, seed, options, traced = CASES[name]
-    basis = tm.blockwise_basis(N, Q)
+    basis = tm.BlockwiseBasis(N, Q)
     if channel == "exact":
         _, real = tm.sample_blockwise_exact(K, M, basis, lam, THETA_H, THETA_C, seed=seed)
     else:
@@ -106,7 +106,7 @@ def replay(tm, doc):
     truth = None
     if "G" in doc:
         real = tm.ChannelRealization(G=doc["G"], activity=doc["activity"])
-        truth = (real, tm.blockwise_basis(N, Q))
+        truth = (real, tm.BlockwiseBasis(N, Q))
     return tm.run_turbo_mp(doc["Y"], cb, priors, opts, truth=truth)
 
 

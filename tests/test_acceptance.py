@@ -19,12 +19,12 @@ from oracles import (
     genie_support_lmmse,
 )
 from turbomp import (
+    BlockwiseBasis,
     ExperimentConfig,
     PriorParams,
     TurboOptions,
     activity_posterior,
     bg_denoise_batch,
-    blockwise_basis,
     build_codebook,
     detect,
     nmse,
@@ -188,7 +188,7 @@ def test_criterion_05_decomposition_consistency():
         real = sample_channel(profile, alpha, M=2, N=72, delta_f=15e3, seed=2000 + trial)
         for q in (2, 4, 8):
             cb = build_codebook(K=200, N=72, T=2, Q=q, seed=3000 + 10 * trial + q)
-            truth = project_blockwise(real, blockwise_basis(72, q))
+            truth = project_blockwise(real, BlockwiseBasis(72, q))
             direct = cb.mix_subcarriers(real.G)
             decomposed = (
                 cb.apply_A(truth.H) + cb.apply_B(truth.C) + cb.mix_subcarriers(truth.Delta)
@@ -206,7 +206,7 @@ def _oracle_gap_trials(snr_db, n_trials, em):
     K, N, T, Q, M = 200, 24, 8, 4, 4
     lam, theta_H, theta_C = 0.05, 1.0, 0.01
     sn2 = 10.0 ** (-snr_db / 10.0)
-    basis = blockwise_basis(N, Q)
+    basis = BlockwiseBasis(N, Q)
     out = {"turbo": [], "genie": [], "lam_hat": [], "fixed": []}
     for trial in range(n_trials):
         truth, real = sample_blockwise_exact(K, M, basis, lam, theta_H, theta_C,

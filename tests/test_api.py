@@ -1,8 +1,14 @@
-"""The package's public names: exactly the pinned list, and none of the removed ones."""
+"""The package's public names and config keys: exactly the pinned lists, and none of
+the removed names."""
+
+from dataclasses import fields
+
+import pytest
 
 import turbomp
 
 PUBLIC = [
+    "BlockwiseBasis",
     "ChannelRealization",
     "ConfigurationError",
     "DimensionError",
@@ -16,7 +22,6 @@ PUBLIC = [
     "TurboResult",
     "activity_posterior",
     "bg_denoise_batch",
-    "blockwise_basis",
     "build_codebook",
     "cross_prior",
     "detect",
@@ -48,11 +53,57 @@ REMOVED = [
     "GaussianMessage",
     "SigmaDiag",
     "bg_denoise",
+    "blockwise_basis",
     "combine",
     "extrinsic",
     "lmmse_posterior_c",
     "lmmse_posterior_h",
     "sigma_diag",
+]
+
+TURBO_OPTIONS_FIELDS = [
+    "damping",
+    "em_damping",
+    "em_enabled",
+    "em_sigma_correction",
+    "em_slow_period",
+    "inner_h_updates",
+    "max_iters",
+    "rel_change_tol",
+    "threshold",
+    "v_max",
+]
+
+CONFIG_KEYS = [
+    "K",
+    "M",
+    "N",
+    "Q",
+    "T",
+    "channel",
+    "damping",
+    "delta_f",
+    "em_damping",
+    "em_enabled",
+    "em_sigma_correction",
+    "em_slow_period",
+    "inner_h_updates",
+    "lam",
+    "master_seed",
+    "max_iters",
+    "min_error_events",
+    "pdp_file",
+    "pilot_power",
+    "pin_codebook",
+    "rel_change_tol",
+    "sigma_w2",
+    "snr_db",
+    "strict_pilots",
+    "theta_C",
+    "theta_H",
+    "threshold",
+    "trials",
+    "workers",
 ]
 
 
@@ -68,4 +119,21 @@ def test_removed_names_are_gone():
     assert not hasattr(turbomp.harness, "load_results_json")
     assert not hasattr(turbomp.PilotCodebook, "to_json")
     assert not hasattr(turbomp.PilotCodebook, "dense_A")
-    assert not hasattr(turbomp.blockwise_basis(8, 2), "e1")
+    assert not hasattr(turbomp.BlockwiseBasis(8, 2), "e1")
+    assert not hasattr(turbomp.ExperimentConfig, "turbo_options")
+    assert not hasattr(turbomp.MultipathProfile, "num_taps")
+
+
+def test_config_keys_are_pinned():
+    """Every estimator option is declared once, in `TurboOptions`; all but the LMMSE clamp
+    v_max are config keys."""
+    doc = dict(K=64, N=8, T=2, Q=2, M=2, snr_db=[10.0], lam=0.2, channel="exact",
+               theta_H=1.0, theta_C=0.05)
+    options = sorted(f.name for f in fields(turbomp.TurboOptions))
+    keys = sorted(turbomp.ExperimentConfig.from_dict(doc).to_dict())
+    assert options == TURBO_OPTIONS_FIELDS
+    assert keys == CONFIG_KEYS
+    assert set(options) - {"v_max"} <= set(keys)
+    assert issubclass(turbomp.ExperimentConfig, turbomp.TurboOptions)
+    with pytest.raises(turbomp.ConfigurationError, match="unknown"):
+        turbomp.ExperimentConfig.from_dict({**doc, "v_max": 1e5})

@@ -5,10 +5,10 @@ import pytest
 
 from oracles import e1, e2, expected_mismatch_ratio
 from turbomp import (
+    BlockwiseBasis,
     ConfigurationError,
     MultipathProfile,
     ParameterError,
-    blockwise_basis,
     load_pdp,
     project_blockwise,
     sample_activity,
@@ -123,33 +123,33 @@ class TestSampleChannel:
 
 class TestBlockwiseBasis:
     def test_small_case_matches_definition(self):
-        basis = blockwise_basis(4, 2)
+        basis = BlockwiseBasis(4, 2)
         np.testing.assert_array_equal(e1(basis), [[1, 0], [1, 0], [0, 1], [0, 1]])
         np.testing.assert_array_equal(basis.offsets, [0.0, 1.0])
         np.testing.assert_array_equal(e2(basis), [[0, 0], [1, 0], [0, 0], [0, 1]])
 
     def test_standard_case_offsets(self):
-        basis = blockwise_basis(72, 4)
+        basis = BlockwiseBasis(72, 4)
         assert e1(basis).shape == (72, 4)
         np.testing.assert_array_equal(basis.offsets, np.arange(-8, 10))
 
     def test_disjoint_column_supports(self):
-        basis = blockwise_basis(24, 4)
+        basis = BlockwiseBasis(24, 4)
         overlap = (e1(basis) != 0).astype(int)
         assert np.all(overlap.sum(axis=1) == 1)
 
     def test_rejects_one_subcarrier_blocks(self):
         with pytest.raises(ConfigurationError):
-            blockwise_basis(8, 8)
+            BlockwiseBasis(8, 8)
 
     def test_rejects_nondividing_q(self):
         with pytest.raises(ConfigurationError):
-            blockwise_basis(10, 4)
+            BlockwiseBasis(10, 4)
 
 
 class TestProjectBlockwise:
     def test_constant_block_gives_pure_mean(self):
-        basis = blockwise_basis(8, 2)
+        basis = BlockwiseBasis(8, 2)
         G = np.zeros((1, 8, 1), dtype=complex)
         G[0, :4, 0] = 2.0 - 1.0j
         G[0, 4:, 0] = 0.5j
@@ -160,7 +160,7 @@ class TestProjectBlockwise:
         np.testing.assert_allclose(truth.Delta, 0, atol=1e-14)
 
     def test_affine_block_is_fit_exactly(self):
-        basis = blockwise_basis(12, 3)
+        basis = BlockwiseBasis(12, 3)
         d = basis.offsets
         G = np.zeros((1, 12, 1), dtype=complex)
         for q in range(3):
@@ -173,7 +173,7 @@ class TestProjectBlockwise:
         alpha = sample_activity(20, 0.5, seed=5)
         real_ = sample_channel(prof, alpha, M=3, N=72, delta_f=15e3, seed=6)
         for q in (2, 4, 8):
-            basis = blockwise_basis(72, q)
+            basis = BlockwiseBasis(72, q)
             truth = project_blockwise(real_, basis)
             recon = basis.expand(truth.H, truth.C) + truth.Delta
             assert np.max(np.abs(real_.G - recon)) < 1e-12
@@ -182,7 +182,7 @@ class TestProjectBlockwise:
         prof = load_pdp(example_pdp_path())
         alpha = np.array([1, 0], dtype=np.int8)
         real_ = sample_channel(prof, alpha, M=2, N=8, delta_f=15e3, seed=7)
-        truth = project_blockwise(real_, blockwise_basis(8, 2))
+        truth = project_blockwise(real_, BlockwiseBasis(8, 2))
         assert np.all(truth.H[2:] == 0) and np.all(truth.C[2:] == 0)
 
     def test_least_squares_optimality_probe(self):
@@ -190,7 +190,7 @@ class TestProjectBlockwise:
         prof = load_pdp(example_pdp_path())
         real_ = sample_channel(prof, np.ones(1, dtype=np.int8), M=1, N=8,
                                delta_f=15e3, seed=8)
-        basis = blockwise_basis(8, 2)
+        basis = BlockwiseBasis(8, 2)
         truth = project_blockwise(real_, basis)
 
         def resid_norm(H, C):
@@ -216,7 +216,7 @@ class TestProjectBlockwise:
         floors = []
         for q in (2, 4, 8):
             floor = expected_mismatch_ratio(prof, 72, q, delta_f)
-            truth = project_blockwise(real_, blockwise_basis(72, q))
+            truth = project_blockwise(real_, BlockwiseBasis(72, q))
             ratio = np.sum(np.abs(truth.Delta) ** 2) / np.sum(np.abs(real_.G) ** 2)
             assert 0.7 * floor < ratio < 1.3 * floor
             floors.append(floor)
@@ -225,7 +225,7 @@ class TestProjectBlockwise:
 
 class TestSampleBlockwiseExact:
     def test_degenerate_prior(self):
-        basis = blockwise_basis(8, 2)
+        basis = BlockwiseBasis(8, 2)
         truth, real_ = sample_blockwise_exact(2000, 1, basis, 1.0, 1.0, 0.0, seed=0)
         assert np.all(truth.C == 0)
         assert abs(np.mean(np.abs(truth.H) ** 2) - 1.0) < 0.05
@@ -233,13 +233,13 @@ class TestSampleBlockwiseExact:
 
     def test_variance_moment_check(self):
         """Active-entry sample variance within 2% of the target at 1e5 draws."""
-        basis = blockwise_basis(4, 2)
+        basis = BlockwiseBasis(4, 2)
         truth, real_ = sample_blockwise_exact(50_000, 1, basis, 1.0, 2.5, 0.3, seed=1)
         assert abs(np.mean(np.abs(truth.H) ** 2) / 2.5 - 1.0) < 0.02
         assert abs(np.mean(np.abs(truth.C) ** 2) / 0.3 - 1.0) < 0.02
 
     def test_reconstruction_exact(self):
-        basis = blockwise_basis(12, 3)
+        basis = BlockwiseBasis(12, 3)
         truth, real_ = sample_blockwise_exact(50, 2, basis, 0.3, 1.0, 0.1, seed=2)
         assert np.all(truth.Delta == 0)
         recon = basis.expand(truth.H, truth.C)
@@ -248,7 +248,7 @@ class TestSampleBlockwiseExact:
         assert np.all(real_.G[inactive] == 0)
 
     def test_rejects_bad_variance(self):
-        basis = blockwise_basis(4, 2)
+        basis = BlockwiseBasis(4, 2)
         with pytest.raises(ParameterError):
             sample_blockwise_exact(4, 1, basis, 0.5, -1.0, 0.1, seed=0)
 

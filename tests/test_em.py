@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from turbomp import (
+    BlockwiseBasis,
     ParameterError,
     PriorParams,
     TurboOptions,
-    blockwise_basis,
     build_codebook,
     em_initial_params,
     em_lambda,
@@ -114,7 +114,7 @@ class TestLambda:
 
 class TestScheduleCadence:
     def _run(self, slow_period, iters, seed=0):
-        basis = blockwise_basis(8, 2)
+        basis = BlockwiseBasis(8, 2)
         truth, real = sample_blockwise_exact(64, 2, basis, 0.3, 1.0, 0.05, seed=seed)
         cb = build_codebook(64, 8, 1, 2, seed=seed)
         rng = np.random.default_rng(seed + 1)
@@ -139,7 +139,7 @@ class TestScheduleCadence:
         assert res.priors.lam != 0.1
 
     def test_em_disabled_reproduces_fixed_runs_bit_exactly(self):
-        basis = blockwise_basis(8, 2)
+        basis = BlockwiseBasis(8, 2)
         truth, real = sample_blockwise_exact(64, 2, basis, 0.3, 1.0, 0.05, seed=5)
         cb = build_codebook(64, 8, 1, 2, seed=5)
         rng = np.random.default_rng(6)
@@ -154,7 +154,7 @@ class TestScheduleCadence:
 
 class TestConsistency:
     def _em_run(self, lam, seed, sn2=0.1):
-        basis = blockwise_basis(24, 4)
+        basis = BlockwiseBasis(24, 4)
         truth, real = sample_blockwise_exact(200, 4, basis, lam, 1.0, 0.01, seed=seed)
         cb = build_codebook(200, 24, 8, 4, seed=seed + 1000)
         rng = np.random.default_rng(seed + 2000)

@@ -9,12 +9,12 @@ import pytest
 import turbomp
 from turbomp import engine
 from turbomp import (
+    BlockwiseBasis,
     DimensionError,
     NumericsError,
     ParameterError,
     PriorParams,
     TurboOptions,
-    blockwise_basis,
     build_codebook,
     cross_prior,
     init_state,
@@ -29,7 +29,7 @@ from make_golden import CASES, replay  # noqa: E402
 
 def make_instance(seed=0, K=64, N=8, T=2, Q=2, M=2, lam=0.2, theta_H=1.0,
                   theta_C=0.05, sn2=0.05):
-    basis = blockwise_basis(N, Q)
+    basis = BlockwiseBasis(N, Q)
     truth, real = sample_blockwise_exact(K, M, basis, lam, theta_H, theta_C, seed=seed)
     cb = build_codebook(K, N, T, Q, seed=seed + 10_000)
     rng = np.random.default_rng(seed + 20_000)

@@ -2,16 +2,17 @@
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from turbomp import (
+    BlockwiseBasis,
     ConfigurationError,
     ExperimentConfig,
     ParameterError,
-    blockwise_basis,
     build_codebook,
     emit_results,
     load_pdp,
@@ -73,6 +74,17 @@ class TestConfigValidation:
             with pytest.raises(ParameterError):
                 exact_config(**bad)
 
+    def test_aliases_and_their_clash_with_the_field(self):
+        """"lambda" and "em" still load; naming an alias next to its field is an error."""
+        base = dict(K=64, N=8, T=2, Q=2, M=2, snr_db=[10.0], channel="exact",
+                    theta_H=1.0, theta_C=0.05)
+        for both in ({"lambda": 0.05, "lam": 0.3},
+                     {"lam": 0.05, "em": True, "em_enabled": False}):
+            with pytest.raises(ConfigurationError, match="both"):
+                ExperimentConfig.from_dict({**base, **both})
+        cfg = exact_config()
+        assert cfg.lam == 0.2 and cfg.em_enabled is False
+
     def test_removed_schedule_keys_are_unknown(self):
         for key in ("em_start_iter", "em_slow_start"):
             with pytest.raises(ConfigurationError, match="unknown"):
@@ -90,7 +102,7 @@ class TestObservationEquivalence:
         prof = load_pdp(example_pdp_path())
         for q in (2, 4):
             cb = build_codebook(K=200, N=72, T=2, Q=q, seed=q)
-            basis = blockwise_basis(72, q)
+            basis = BlockwiseBasis(72, q)
             alpha = sample_activity(200, 0.1, seed=q + 10)
             real = sample_channel(prof, alpha, M=2, N=72, delta_f=15e3, seed=q + 20)
             truth = project_blockwise(real, basis)
@@ -192,6 +204,40 @@ class TestEmitResults:
         ' aggregates reload bit-exactly through JSON '
         for point, loaded in zip(result.points, doc["points"]):
             assert loaded["aggregate"] == point.aggregate
+
+    def test_every_estimator_option_reaches_the_engine_and_the_json(self, tmp_path, monkeypatch):
+        """A config's TurboOptions fields are the options each trial runs with, and the
+        config written to the results JSON reloads to an equal config.  v_max is not a
+        config key, so every trial keeps its default."""
+        from turbomp import TurboOptions, harness
+
+        options = dict(max_iters=7, rel_change_tol=1e-5, inner_h_updates=1, em_enabled=True,
+                       em_slow_period=2, em_damping=0.5, em_sigma_correction=True,
+                       threshold=0.4, damping=0.9)
+        defaults = TurboOptions()
+        assert set(options) == {f.name for f in fields(TurboOptions)} - {"v_max"}
+        assert all(getattr(defaults, k) != v for k, v in options.items())
+        cfg = ExperimentConfig.from_dict(dict(
+            K=64, N=8, T=2, Q=2, M=2, snr_db=[10.0], lam=0.2, channel="exact",
+            theta_H=1.0, theta_C=0.05, trials=2, master_seed=1, **options,
+        ))
+
+        seen = []
+
+        def recording_run(Y, codebook, priors, opts, *args, **kwargs):
+            seen.append(opts)
+            return run_frame(Y, codebook, priors, opts, *args, **kwargs)
+
+        run_frame = harness.run_turbo_mp
+        monkeypatch.setattr(harness, "run_turbo_mp", recording_run)
+        result = run_experiment(cfg)
+        assert len(seen) == 2
+        for opts in seen:
+            assert {k: getattr(opts, k) for k in options} == options
+            assert opts.v_max == defaults.v_max
+        paths = emit_results(result, tmp_path)
+        doc = json.loads(Path(paths["json"]).read_text())
+        assert ExperimentConfig.from_dict(doc["config"]) == cfg
 
     def test_empty_results_give_header_only_csv(self, tmp_path):
         cfg = exact_config()
@@ -316,6 +362,36 @@ class TestCli:
         code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "res")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_directory_as_config_is_an_error(self, tmp_path, capsys):
+        code = cli_main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "res")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_output_errors_are_not_config_errors(self, tmp_path):
+        """Only reading the config turns an OSError into a usage error."""
+        cfg = self._write_config(tmp_path)
+        (tmp_path / "blocker").write_text("")
+        with pytest.raises(NotADirectoryError):
+            cli_main(["run", "--config", cfg, "--out", str(tmp_path / "blocker" / "res")])
+
+    def test_sweep_override_wins_whichever_spelling(self, tmp_path):
+        """A --param beats the file's key when one names the field and the other its alias."""
+        aliased = self._write_config(tmp_path)  # "lambda" and "em"
+        named = tmp_path / "named.json"  # "lam" and "em_enabled", as results JSON holds them
+        named.write_text(json.dumps(
+            ExperimentConfig.from_dict(json.loads(Path(aliased).read_text())).to_dict()))
+        cases = ((str(named), "lambda=0.1,0.3", "lam", [0.1, 0.3]),
+                 (aliased, "lam=0.1,0.3", "lam", [0.1, 0.3]),
+                 (str(named), "em=true,false", "em_enabled", [False, True]),
+                 (aliased, "em_enabled=true,false", "em_enabled", [False, True]))
+        for idx, (cfg, param, key, want) in enumerate(cases):
+            out = tmp_path / f"sweep{idx}"
+            code = cli_main(["sweep", "--config", cfg, "--param", param, "--trials", "1",
+                             "--out", str(out)])
+            assert code == 0
+            assert sorted(json.loads(p.read_text())["config"][key]
+                          for p in out.glob("*.json")) == want
 
     def test_roc_rejects_unparseable_thresholds(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)

@@ -5,8 +5,8 @@ import pytest
 
 from oracles import e1, e2, nmse_full_expansion
 from turbomp import (
+    BlockwiseBasis,
     ParameterError,
-    blockwise_basis,
     detection_metrics,
     nmse,
     roc_sweep,
@@ -16,7 +16,7 @@ from turbomp import (
 
 class TestNmse:
     def setup_method(self):
-        self.basis = blockwise_basis(8, 2)
+        self.basis = BlockwiseBasis(8, 2)
         self.truth, self.real = sample_blockwise_exact(
             20, 2, self.basis, 0.4, 1.0, 0.05, seed=0
         )
@@ -51,7 +51,7 @@ class TestNmse:
     def test_inactive_estimate_energy_matches_full_expansion(self):
         """Estimates on every device, correlated means and slopes included, score
         as if every device were expanded to all subcarriers."""
-        basis = blockwise_basis(24, 4)
+        basis = BlockwiseBasis(24, 4)
         _, real = sample_blockwise_exact(60, 3, basis, 0.3, 1.0, 0.05, seed=5)
         rng = np.random.default_rng(6)
         shape = (60 * 4, 3)

@@ -162,10 +162,10 @@ class TestPermutationAndMixing:
         assert np.array_equal(via_perm, via_reshape)
 
     def test_mix_matches_operators_on_expanded_coefficients(self):
-        from turbomp import blockwise_basis
+        from turbomp import BlockwiseBasis
 
         cb = build_codebook(K=64, N=8, T=2, Q=2, seed=1)
-        basis = blockwise_basis(8, 2)
+        basis = BlockwiseBasis(8, 2)
         rng = np.random.default_rng(4)
         H = rand_complex(rng, cb.cols, 3)
         C = rand_complex(rng, cb.cols, 3)
