@@ -1,7 +1,7 @@
 """Joint activity detection and block-wise linear channel estimation for
 MIMO-OFDM grant-free random access."""
 
-from .activity import activity_posterior, cross_prior, detect
+from .activity import activity_posterior, detect
 from .channel import (
     BlockwiseBasis,
     ChannelRealization,
@@ -14,7 +14,7 @@ from .channel import (
 )
 from .denoiser import bg_denoise_batch
 from .em import PriorParams, em_initial_params, em_lambda, em_sigma_w, em_theta
-from .engine import TurboOptions, TurboResult, init_state, run_turbo_mp
+from .engine import TurboOptions, TurboResult, run_turbo_mp
 from .errors import ConfigurationError, DimensionError, NumericsError, ParameterError
 from .harness import (
     ExperimentConfig,
@@ -45,7 +45,6 @@ __all__ = [
     "activity_posterior",
     "bg_denoise_batch",
     "build_codebook",
-    "cross_prior",
     "detect",
     "detection_metrics",
     "em_initial_params",
@@ -54,7 +53,6 @@ __all__ = [
     "em_theta",
     "emit_results",
     "emit_roc",
-    "init_state",
     "load_pdp",
     "nmse",
     "project_blockwise",

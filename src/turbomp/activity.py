@@ -21,22 +21,12 @@ def _check_prob(name, p):
     return p
 
 
-def cross_prior(pi_other, lam):
-    """Blend one denoiser's activity likelihood with the Bernoulli prior.
-
-    Returns lam*pi / (lam*pi + (1-lam)*(1-pi)) elementwise.
-    """
-    pi_other = _check_prob("pi", pi_other)
-    lam = _check_prob("lam", lam)
-    evidence = logit(pi_other)
-    out = np.where(evidence == 0.0, lam, sigmoid(evidence + logit(lam)))
-    return out if np.ndim(pi_other) or np.ndim(lam) else float(out)
-
-
 def activity_posterior(pi_b, pi_c, lam):
     """Fuse both denoisers' likelihoods with the prior.
 
     Returns lam*pi_b*pi_c / (lam*pi_b*pi_c + (1-lam)*(1-pi_b)*(1-pi_c)).
+    A neutral pi_c = 0.5 (log-odds exactly 0) gives one denoiser's cross prior
+    lam*pi_b / (lam*pi_b + (1-lam)*(1-pi_b)) bit for bit.
     """
     pi_b = _check_prob("pi_b", pi_b)
     pi_c = _check_prob("pi_c", pi_c)

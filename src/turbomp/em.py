@@ -3,8 +3,9 @@
 The four learnable parameters are the active-block coefficient variances
 (means and slopes), the effective noise variance, and the activity rate.
 The posterior expectations entering the updates are the message products of
-the running iteration, not exact posteriors, and arrive as per-device second
-moments and the forward products A H_post, B C_post: no update applies an operator.
+the running iteration, not exact posteriors, and arrive as arguments: per-device
+second moments and the residual Y - A H_post - B C_post, so no update applies an
+operator or reads an engine object.
 """
 
 from __future__ import annotations
@@ -96,36 +97,26 @@ def em_lambda(lambda_d_post) -> float:
     return float(np.clip(lam.mean(), LAMBDA_FLOOR, 1.0 - LAMBDA_FLOOR))
 
 
-def em_schedule(state, opts) -> PriorParams:
-    """One scheduled parameter refresh from the engine state.
+def em_schedule(priors, iteration, resid, den_h, den_c, lambda_d_post, codebook,
+                opts) -> PriorParams:
+    """One scheduled parameter refresh from the running iteration's quantities.
 
+    resid is Y - A H_post - B C_post, den_h and den_c the last mean-block and
+    slope-block denoiser outputs and lambda_d_post the fused activity posterior.
     The noise variance is refreshed every iteration; the coefficient
     variances and the activity rate only every opts.em_slow_period
     iterations, since they lean on the approximate posterior activity and
-    destabilize the messages when refreshed too eagerly.  opts.em_damping < 1
-    blends each refresh with the previous value.
+    destabilize the messages when refreshed too eagerly.
     """
-    priors = state.priors
-    d = opts.em_damping
-    blend = lambda new, old: d * new + (1.0 - d) * old
-
-    den_h, den_c = state.den_h, state.den_c
-    sigma_w2 = em_sigma_w(
-        state.Y - state.post_fwd_h - state.post_fwd_c,
-        state.codebook,
-        v_h_post=den_h.column_var,
-        v_c_post=den_c.column_var,
-        include_correction=opts.em_sigma_correction,
+    sigma_w2 = em_sigma_w(resid, codebook, v_h_post=den_h.column_var, v_c_post=den_c.column_var,
+                          include_correction=opts.em_sigma_correction)
+    if iteration % opts.em_slow_period:
+        return replace(priors, sigma_w2=sigma_w2)
+    size = den_h.pri_mean[0].size
+    return replace(
+        priors,
+        sigma_w2=sigma_w2,
+        theta_H=em_theta(den_h.energy, lambda_d_post, size, priors.theta_H),
+        theta_C=em_theta(den_c.energy, lambda_d_post, size, priors.theta_C),
+        lam=em_lambda(lambda_d_post),
     )
-    new = replace(priors, sigma_w2=blend(sigma_w2, priors.sigma_w2))
-    if state.iteration % opts.em_slow_period == 0:
-        size = den_h.pri_mean[0].size
-        new = replace(
-            new,
-            theta_H=blend(em_theta(den_h.energy, state.lambda_D_post, size, priors.theta_H),
-                          priors.theta_H),
-            theta_C=blend(em_theta(den_c.energy, state.lambda_D_post, size, priors.theta_C),
-                          priors.theta_C),
-            lam=blend(em_lambda(state.lambda_D_post), priors.lam),
-        )
-    return new

@@ -14,10 +14,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +40,28 @@ from .pilots import PilotCodebook, build_codebook
 CHANNEL_MODES = ("multipath", "exact")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+_KINDS = {  # field annotation -> (check, description)
+    "int": (lambda v: _is_number(v) and isinstance(v, numbers.Integral), "an integer"),
+    "float": (_is_number, "a number"),
+    "bool": (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list[float]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+                    "a number or a list of numbers"),
+}
+
+
 @dataclass(kw_only=True)
 class ExperimentConfig(TurboOptions):
     """One experiment: system dimensions, SNR sweep, estimator options.
 
     The estimator options are the inherited `TurboOptions` fields but v_max, which no config
-    sets: max_iters, rel_change_tol, inner_h_updates, em_enabled, em_slow_period, em_damping,
+    sets: max_iters, rel_change_tol, inner_h_updates, em_enabled, em_slow_period,
     em_sigma_correction, threshold and damping.  "lambda" and "em" are read as lam, em_enabled.
+    Every field must hold a value of its annotated type; an optional one may also be None.
     """
 
     K: int
@@ -71,15 +87,23 @@ class ExperimentConfig(TurboOptions):
     workers: int = 1
 
     def __post_init__(self):
-        if isinstance(self.snr_db, (int, float)):
-            self.snr_db = [float(self.snr_db)]
-        self.snr_db = [float(s) for s in self.snr_db]
+        if _is_number(self.snr_db):
+            self.snr_db = [self.snr_db]
         self.validate()
+        self.snr_db = [float(s) for s in self.snr_db]
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            check, description = _KINDS[kind]
+            if not (check(value) or optional and value is None):
+                raise ConfigurationError(f"{f.name} must be {description}, got {value!r}")
         super().validate()
-        if min(self.K, self.N, self.T, self.Q, self.M) < 1:
-            raise ConfigurationError("K, N, T, Q, M must all be >= 1")
+        for name in ("K", "N", "T", "Q", "M", "trials", "workers", "min_error_events"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
         BlockwiseBasis(N=self.N, Q=self.Q)  # raises unless Q divides N into blocks of >= 2
         if self.strict_pilots and self.T * self.N > self.K:
             raise ConfigurationError(
@@ -91,10 +115,11 @@ class ExperimentConfig(TurboOptions):
             raise ConfigurationError("snr_db must contain at least one value")
         if self.pilot_power <= 0:
             raise ConfigurationError("pilot_power must be positive")
-        if self.trials < 1:
-            raise ConfigurationError("trials must be >= 1")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
+        for name in ("theta_H", "theta_C", "sigma_w2"):
+            value = getattr(self, name)
+            zero_ok = name == "theta_C" and self.em_enabled  # the exact sampler allows theta_C = 0
+            if value is not None and not (0 < value < math.inf or zero_ok and value == 0):
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
         if self.channel not in CHANNEL_MODES:
             raise ConfigurationError(f"channel must be one of {CHANNEL_MODES}")
         if self.channel == "multipath" and not self.pdp_file:

@@ -4,31 +4,35 @@ import numpy as np
 import pytest
 
 from oracles import sigmoid_masked
-from turbomp import ParameterError, activity_posterior, cross_prior, detect
+from turbomp import ParameterError, activity_posterior, detect
 from turbomp.logodds import sigmoid
 
 
 class TestCrossPrior:
+    """A denoiser's cross prior is `activity_posterior` with a neutral (0.5) second evidence."""
+
     def test_uninformative_returns_prior_exactly(self):
         for lam in (0.05, 0.31, 0.9):
-            assert cross_prior(0.5, lam) == lam
+            assert activity_posterior(0.5, 0.5, lam) == lam
 
     def test_certain_evidence(self):
-        assert cross_prior(1.0, 0.05) == pytest.approx(1.0, abs=1e-12)
-        assert cross_prior(0.0, 0.95) == pytest.approx(0.0, abs=1e-12)
+        assert activity_posterior(1.0, 0.5, 0.05) == pytest.approx(1.0, abs=1e-12)
+        assert activity_posterior(0.0, 0.5, 0.95) == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_substitution(self):
-        assert cross_prior(0.9, 0.05) == pytest.approx(0.045 / 0.14, rel=1e-12)
+        assert activity_posterior(0.9, 0.5, 0.05) == pytest.approx(0.045 / 0.14, rel=1e-12)
 
     def test_vectorized(self):
-        out = cross_prior(np.array([0.5, 0.9]), 0.05)
+        out = activity_posterior(np.array([0.5, 0.9]), 0.5, 0.05)
         assert out[0] == 0.05
         assert out[1] == pytest.approx(0.045 / 0.14, rel=1e-12)
 
     def test_rejects_out_of_range(self):
         for bad in (1.2, -0.1, np.nan, np.inf, -np.inf):
             with pytest.raises(ParameterError):
-                cross_prior(bad, 0.5)
+                activity_posterior(bad, 0.5, 0.5)
+            with pytest.raises(ParameterError):
+                activity_posterior(0.9, 0.5, bad)
             with pytest.raises(ParameterError):
                 activity_posterior(np.array([0.5, bad]), 0.5, 0.1)
 

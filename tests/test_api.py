@@ -23,7 +23,6 @@ PUBLIC = [
     "activity_posterior",
     "bg_denoise_batch",
     "build_codebook",
-    "cross_prior",
     "detect",
     "detection_metrics",
     "em_initial_params",
@@ -32,7 +31,6 @@ PUBLIC = [
     "em_theta",
     "emit_results",
     "emit_roc",
-    "init_state",
     "load_pdp",
     "nmse",
     "project_blockwise",
@@ -55,15 +53,20 @@ REMOVED = [
     "bg_denoise",
     "blockwise_basis",
     "combine",
+    "cross_prior",
     "extrinsic",
+    "init_state",
     "lmmse_posterior_c",
     "lmmse_posterior_h",
     "sigma_diag",
 ]
 
+REMOVED_FROM_MODULES = {"activity": ["cross_prior"], "engine": ["TurboState", "init_state"]}
+
+REMOVED_CONFIG_KEYS = ["em_damping", "v_max"]
+
 TURBO_OPTIONS_FIELDS = [
     "damping",
-    "em_damping",
     "em_enabled",
     "em_sigma_correction",
     "em_slow_period",
@@ -83,7 +86,6 @@ CONFIG_KEYS = [
     "channel",
     "damping",
     "delta_f",
-    "em_damping",
     "em_enabled",
     "em_sigma_correction",
     "em_slow_period",
@@ -116,6 +118,9 @@ def test_public_names_are_pinned_and_resolve():
 def test_removed_names_are_gone():
     for name in REMOVED:
         assert not hasattr(turbomp, name), name
+    for module, names in REMOVED_FROM_MODULES.items():
+        for name in names:
+            assert not hasattr(getattr(turbomp, module), name), (module, name)
     assert not hasattr(turbomp.harness, "load_results_json")
     assert not hasattr(turbomp.PilotCodebook, "to_json")
     assert not hasattr(turbomp.PilotCodebook, "dense_A")
@@ -135,5 +140,6 @@ def test_config_keys_are_pinned():
     assert keys == CONFIG_KEYS
     assert set(options) - {"v_max"} <= set(keys)
     assert issubclass(turbomp.ExperimentConfig, turbomp.TurboOptions)
-    with pytest.raises(turbomp.ConfigurationError, match="unknown"):
-        turbomp.ExperimentConfig.from_dict({**doc, "v_max": 1e5})
+    for key in REMOVED_CONFIG_KEYS:
+        with pytest.raises(turbomp.ConfigurationError, match="unknown"):
+            turbomp.ExperimentConfig.from_dict({**doc, key: 1.0})

@@ -16,8 +16,6 @@ from turbomp import (
     PriorParams,
     TurboOptions,
     build_codebook,
-    cross_prior,
-    init_state,
     run_turbo_mp,
     sample_blockwise_exact,
 )
@@ -39,30 +37,6 @@ def make_instance(seed=0, K=64, N=8, T=2, Q=2, M=2, lam=0.2, theta_H=1.0,
     Y = cb.mix_subcarriers(real.G) + noise
     priors = PriorParams(theta_H=theta_H, theta_C=theta_C, sigma_w2=sn2, lam=lam)
     return Y, cb, priors, real, basis, truth
-
-
-class TestInit:
-    def test_prior_matched_variances(self):
-        cb = build_codebook(64, 8, 2, 2, seed=0)
-        priors = PriorParams(theta_H=1.0, theta_C=0.1, sigma_w2=0.1, lam=0.05)
-        state = init_state(cb, priors, M=3)
-        np.testing.assert_allclose(state.v_h, 0.05)
-        np.testing.assert_allclose(state.v_c, 0.005)
-        assert np.all(state.h_pri == 0) and np.all(state.c_pri == 0)
-
-    def test_first_cross_message_equals_prior(self):
-        cb = build_codebook(64, 8, 2, 2, seed=0)
-        priors = PriorParams(theta_H=1.0, theta_C=0.1, sigma_w2=0.1, lam=0.07)
-        state = init_state(cb, priors, M=1)
-        np.testing.assert_array_equal(state.pi_C, 0.5)
-        np.testing.assert_array_equal(cross_prior(state.pi_C, priors.lam), 0.07)
-
-    def test_no_randomness(self):
-        cb = build_codebook(64, 8, 2, 2, seed=0)
-        priors = PriorParams(theta_H=1.0, theta_C=0.1, sigma_w2=0.1, lam=0.05)
-        a = init_state(cb, priors, M=2)
-        b = init_state(cb, priors, M=2)
-        assert np.array_equal(a.v_h, b.v_h) and np.array_equal(a.pi_B, b.pi_B)
 
 
 class TestSchedule:
@@ -181,7 +155,7 @@ class TestFailureModes:
     def test_option_validation(self):
         for bad in (dict(max_iters=0), dict(rel_change_tol=0.0),
                     dict(inner_h_updates=0), dict(threshold=1.0),
-                    dict(damping=0.0), dict(em_damping=1.5),
+                    dict(damping=0.0),
                     dict(v_max=0.0), dict(v_max=-1.0), dict(v_max=float("inf"))):
             with pytest.raises(ParameterError):
                 TurboOptions(**bad)
@@ -198,11 +172,11 @@ class TestForwardProducts:
                    if key.startswith(case + "__")}
         branch, errors = engine._branch, []
 
-        def checked(state, x_pri, v_pri, fwd_pri, weight, *args):
-            out = branch(state, x_pri, v_pri, fwd_pri, weight, *args)
+        def checked(resid, sigma, x_pri, v_pri, fwd_pri, weight, theta, lambda_pri, cb, *args):
+            out = branch(resid, sigma, x_pri, v_pri, fwd_pri, weight, theta, lambda_pri, cb, *args)
             x_new, _, fwd_new, fwd_post, den = out
             for got, x in ((fwd_new, x_new), (fwd_post, den.post_mean)):
-                want = weight * state.codebook.apply_A(x.reshape(-1, state.M))
+                want = weight * cb.apply_A(x.reshape(x_pri.shape))
                 errors.append(np.max(np.abs(got - want)) - 1e-12 * np.max(np.abs(want)))
             return out
 

@@ -69,7 +69,7 @@ class TestConfigValidation:
     def test_estimator_options_rejected_at_construction(self):
         """Bad estimator options fail when the config is built, before any trial runs."""
         for bad in (dict(threshold=1.5), dict(damping=0), dict(max_iters=0),
-                    dict(em_damping=1.5), dict(inner_h_updates=0), dict(rel_change_tol=0.0),
+                    dict(inner_h_updates=0), dict(rel_change_tol=0.0),
                     dict(em_slow_period=0)):
             with pytest.raises(ParameterError):
                 exact_config(**bad)
@@ -93,6 +93,35 @@ class TestConfigValidation:
     def test_scalar_snr_promoted_to_list(self):
         cfg = exact_config(snr_db=5)
         assert cfg.snr_db == [5.0]
+
+    @pytest.mark.parametrize("bad", [
+        dict(snr_db="10"), dict(snr_db=["10"]), dict(snr_db=True),
+        dict(em="false"), dict(em=1), dict(K=200.5), dict(K="200"), dict(K=True),
+        dict(trials=2.5), dict(lam="0.2"), dict(theta_H="1"), dict(channel=3),
+        dict(pdp_file=7), dict(min_error_events=1.0), dict(strict_pilots="yes"),
+    ])
+    def test_ill_typed_values_rejected_at_construction(self, bad):
+        with pytest.raises(ConfigurationError, match="must"):
+            exact_config(**bad)
+
+    def test_any_numeric_type_is_a_number(self):
+        cfg = exact_config(K=np.int64(64), theta_H=1, lam=np.float64(0.2), snr_db=(5, 10.5))
+        assert cfg.snr_db == [5.0, 10.5] and all(type(s) is float for s in cfg.snr_db)
+
+    @pytest.mark.parametrize("bad", [
+        dict(theta_H=0.0), dict(theta_H=-1.0), dict(theta_H=float("nan")),
+        dict(theta_H=float("inf")), dict(theta_C=-0.1), dict(theta_C=0.0),
+        dict(theta_C=-0.1, em=True), dict(sigma_w2=0.0), dict(sigma_w2=-1.0),
+        dict(sigma_w2=-1.0, em=True), dict(min_error_events=0), dict(min_error_events=-3),
+    ])
+    def test_out_of_range_values_rejected_at_construction(self, bad):
+        with pytest.raises(ConfigurationError):
+            exact_config(**bad)
+
+    def test_zero_slope_variance_runs_with_em(self):
+        """The exact sampler allows theta_C = 0, and with EM on the estimator never uses it."""
+        result = run_experiment(exact_config(theta_C=0.0, em=True, trials=1))
+        assert result.points[0].aggregate["trials"] == 1
 
 
 class TestObservationEquivalence:
@@ -212,7 +241,7 @@ class TestEmitResults:
         from turbomp import TurboOptions, harness
 
         options = dict(max_iters=7, rel_change_tol=1e-5, inner_h_updates=1, em_enabled=True,
-                       em_slow_period=2, em_damping=0.5, em_sigma_correction=True,
+                       em_slow_period=2, em_sigma_correction=True,
                        threshold=0.4, damping=0.9)
         defaults = TurboOptions()
         assert set(options) == {f.name for f in fields(TurboOptions)} - {"v_max"}
@@ -400,6 +429,28 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "roc" / "roc.csv").exists()
+
+    @pytest.mark.parametrize("bad", [
+        dict(snr_db="10"), dict(em="false"), dict(K=200.5), dict(trials=2.5), dict(K="200"),
+        dict(theta_H=-1.0), dict(theta_C=0.0), dict(sigma_w2=0.0), dict(min_error_events=0),
+    ])
+    def test_run_rejects_ill_typed_and_out_of_range_values(self, tmp_path, capsys, bad):
+        cfg = self._write_config(tmp_path, **bad)
+        code = cli_main(["run", "--config", cfg, "--out", str(tmp_path / "res")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("param", ["snr_db=abc", "K=200.5", "em=no", "theta_H=-1"])
+    def test_sweep_rejects_ill_typed_and_out_of_range_values(self, tmp_path, capsys, param):
+        cfg = self._write_config(tmp_path)
+        code = cli_main(["sweep", "--config", cfg, "--param", param,
+                         "--out", str(tmp_path / "sweep")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "sweep").exists()
 
     def test_sweep_rejects_empty_param_value(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
