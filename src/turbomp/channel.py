@@ -38,6 +38,8 @@ class MultipathProfile:
         delays = np.asarray(self.delays, dtype=float)
         if powers.ndim != 1 or powers.size == 0 or powers.shape != delays.shape:
             raise ParameterError("profile needs matching non-empty power/delay vectors")
+        if not (np.all(np.isfinite(powers)) and np.all(np.isfinite(delays))):
+            raise ParameterError("tap powers and delays must be finite")
         if np.any(powers <= 0):
             raise ParameterError("tap powers must be positive")
         if abs(powers.sum() - 1.0) > POWER_SUM_TOL:
@@ -243,17 +245,10 @@ def sample_blockwise_exact(
     Q = basis.Q
     H = np.zeros((K * Q, M), dtype=np.complex128)
     C = np.zeros((K * Q, M), dtype=np.complex128)
-    active = np.flatnonzero(activity)
-    if active.size:
-        def cgauss(var, shape):
-            if var == 0:
-                return np.zeros(shape, dtype=np.complex128)
-            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            return np.sqrt(var / 2.0) * z
-
-        rows = (active[:, None] * Q + np.arange(Q)).ravel()
-        H[rows] = cgauss(theta_H, (active.size * Q, M))
-        C[rows] = cgauss(theta_C, (active.size * Q, M))
+    rows = (np.flatnonzero(activity)[:, None] * Q + np.arange(Q)).ravel()
+    for out, var in ((H, theta_H), (C, theta_C)):
+        z = rng.standard_normal((rows.size, M)) + 1j * rng.standard_normal((rows.size, M))
+        out[rows] = np.sqrt(var / 2.0) * z
 
     G = basis.expand(H, C)
     truth = BlockwiseTruth(H=H, C=C, Delta=np.zeros_like(G))

@@ -22,15 +22,16 @@ _CONFIG_ERRORS = (ConfigurationError, ParameterError, DimensionError, FileNotFou
                   json.JSONDecodeError)
 
 
-def _load_config(path: str, overrides: dict, values=()) -> ExperimentConfig:
-    """The JSON config at `path`, with the overrides that are set, then `values`."""
+def _load_config(args, values=(), **overrides) -> ExperimentConfig:
+    """The JSON config at --config with --seed, --trials and `overrides` if set, then `values`."""
+    overrides.update(master_seed=args.seed, trials=args.trials)
     try:
-        with open(path) as f:
+        with open(args.config) as f:
             doc = json.load(f)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config: {exc}") from None
     if not isinstance(doc, dict):
-        raise ConfigurationError(f"{path} must hold a JSON object")
+        raise ConfigurationError(f"{args.config} must hold a JSON object")
     doc = ExperimentConfig.canonical_keys(doc)  # per document, so an override always wins
     doc.update({k: v for k, v in overrides.items() if v is not None})
     doc.update(ExperimentConfig.canonical_keys(dict(values)))
@@ -45,10 +46,7 @@ def _parse_value(text: str):
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(
-        args.config,
-        {"master_seed": args.seed, "trials": args.trials, "workers": args.workers},
-    )
+    config = _load_config(args, workers=args.workers)
     result = run_experiment(config, progress=print)
     paths = emit_results(result, args.out, stem=args.stem)
     print(f"wrote {paths['csv']} and {paths['json']}")
@@ -64,10 +62,9 @@ def _cmd_sweep(args) -> int:
         grid[key] = [_parse_value(v) for v in values.split(",")]
 
     keys = sorted(grid)
-    overrides = {"master_seed": args.seed, "trials": args.trials}
     runs = [
         ("_".join(f"{k}{v}" for k, v in zip(keys, combo)) or "base",
-         _load_config(args.config, overrides, zip(keys, combo)))
+         _load_config(args, zip(keys, combo)))
         for combo in itertools.product(*(grid[k] for k in keys))
     ]
     for idx, (label, config) in enumerate(runs):
@@ -79,7 +76,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_roc(args) -> int:
-    config = _load_config(args.config, {"master_seed": args.seed, "trials": args.trials})
+    config = _load_config(args)
     if args.thresholds:
         try:
             thresholds = [float(t) for t in args.thresholds.split(",")]
@@ -100,36 +97,29 @@ def build_parser() -> argparse.ArgumentParser:
         "block-wise linear channel estimation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", required=True, help="JSON config path")
+    shared.add_argument("--seed", type=int, default=None, help="override master_seed")
+    shared.add_argument("--trials", type=int, default=None, help="override trial count")
+    shared.add_argument("--out", default="results", help="output directory")
 
-    run = sub.add_parser("run", help="run the SNR sweep of a config file")
-    run.add_argument("--config", required=True, help="JSON config path")
-    run.add_argument("--seed", type=int, default=None, help="override master_seed")
-    run.add_argument("--trials", type=int, default=None, help="override trial count")
+    run = sub.add_parser("run", parents=[shared], help="run the SNR sweep of a config file")
     run.add_argument("--workers", type=int, default=None, help="override worker count")
-    run.add_argument("--out", default="results", help="output directory")
     run.add_argument("--stem", default="results", help="output file stem")
     run.set_defaults(func=_cmd_run)
 
-    sweep = sub.add_parser("sweep", help="cross-product sweep over config keys")
-    sweep.add_argument("--config", required=True)
+    sweep = sub.add_parser("sweep", parents=[shared], help="cross-product sweep over config keys")
     sweep.add_argument(
         "--param", action="append", metavar="KEY=V1,V2",
         help="config key and comma-separated values; repeatable",
     )
-    sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--trials", type=int, default=None)
-    sweep.add_argument("--out", default="results")
     sweep.add_argument("--stem", default="sweep")
     sweep.set_defaults(func=_cmd_sweep)
 
-    roc = sub.add_parser("roc", help="detection threshold sweep at one SNR")
-    roc.add_argument("--config", required=True)
+    roc = sub.add_parser("roc", parents=[shared], help="detection threshold sweep at one SNR")
     roc.add_argument("--snr", type=float, default=None, help="SNR in dB (default: first in config)")
     roc.add_argument("--thresholds", default=None, help="comma-separated thresholds in (0,1)")
     roc.add_argument("--points", type=int, default=25, help="grid size when --thresholds absent")
-    roc.add_argument("--seed", type=int, default=None)
-    roc.add_argument("--trials", type=int, default=None)
-    roc.add_argument("--out", default="results")
     roc.add_argument("--stem", default="roc")
     roc.set_defaults(func=_cmd_roc)
     return parser

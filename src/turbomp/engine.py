@@ -155,12 +155,6 @@ def _branch(resid, sigma, x_pri, v_pri, fwd_pri, weight, theta, lambda_pri, cb, 
     return x_new, v_new, fwd_new, fwd_post, den
 
 
-def _check_finite(diag, **messages) -> None:
-    for name, arr in messages.items():
-        if not np.all(np.isfinite(arr)):
-            raise NumericsError(f"non-finite message in {name}", diagnostics=diag)
-
-
 def run_turbo_mp(
     Y: np.ndarray,
     codebook: PilotCodebook,
@@ -205,7 +199,14 @@ def run_turbo_mp(
             resid, sigma, c_pri, v_c, fwd_c, codebook.D_diag[:, None], priors.theta_C, lambda_c,
             codebook, opts, diag)
         pi_C = den_c.pi
-        _check_finite(diag, h_pri=h_pri, c_pri=c_pri, v_h=v_h, v_c=v_c)
+        # a NaN or inf makes a message's step or a variance's sum non-finite; checked before EM
+        norm = np.linalg.norm
+        step_h, step_c = norm(h_pri - h_prev), norm(c_pri - c_prev)
+        for branch, value in (("mean branch (h_pri, v_h)", step_h + v_h.sum()),
+                              ("slope branch (c_pri, v_c)", step_c + v_c.sum())):
+            if not np.isfinite(value):
+                raise NumericsError(f"non-finite message in the {branch}", diagnostics=diag)
+        change = np.hypot(step_h, step_c)
 
         lambda_D_post = activity_posterior(den_h.pi, pi_C, priors.lam)
         if opts.em_enabled:
@@ -213,9 +214,7 @@ def run_turbo_mp(
                                  lambda_D_post, codebook, opts)
             diag.module_trace.append("EM")
 
-        norm = np.linalg.norm
         denom = np.hypot(norm(h_prev), norm(c_prev))
-        change = np.hypot(norm(h_pri - h_prev), norm(c_pri - c_prev))
         rel_change = float(change / denom) if denom > 0 else np.inf
 
         nmse_db = None

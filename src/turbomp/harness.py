@@ -35,7 +35,7 @@ from .em import PriorParams, em_initial_params
 from .engine import TurboOptions, run_turbo_mp
 from .errors import ConfigurationError
 from .metrics import check_thresholds, detection_metrics, nmse, nmse_db, roc_sweep
-from .pilots import PilotCodebook, build_codebook
+from .pilots import PilotCodebook, build_codebook, check_pilot_rows
 
 CHANNEL_MODES = ("multipath", "exact")
 
@@ -44,13 +44,17 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    return _is_number(value) and -math.inf < value < math.inf  # also false for NaN
+
+
 _KINDS = {  # field annotation -> (check, description)
     "int": (lambda v: _is_number(v) and isinstance(v, numbers.Integral), "an integer"),
-    "float": (_is_number, "a number"),
+    "float": (_is_finite, "a finite number"),
     "bool": (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "list[float]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
-                    "a number or a list of numbers"),
+    "list[float]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_finite, v)),
+                    "a finite number or a list of finite numbers"),
 }
 
 
@@ -61,7 +65,8 @@ class ExperimentConfig(TurboOptions):
     The estimator options are the inherited `TurboOptions` fields but v_max, which no config
     sets: max_iters, rel_change_tol, inner_h_updates, em_enabled, em_slow_period,
     em_sigma_correction, threshold and damping.  "lambda" and "em" are read as lam, em_enabled.
-    Every field must hold a value of its annotated type; an optional one may also be None.
+    Every field must hold a value of its annotated type, a float a finite one; an optional one
+    may also be None.
     """
 
     K: int
@@ -105,10 +110,7 @@ class ExperimentConfig(TurboOptions):
             if value is not None and value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
         BlockwiseBasis(N=self.N, Q=self.Q)  # raises unless Q divides N into blocks of >= 2
-        if self.strict_pilots and self.T * self.N > self.K:
-            raise ConfigurationError(
-                f"T*N={self.T * self.N} > K={self.K} needs strict_pilots=false"
-            )
+        check_pilot_rows(self.K, self.N, self.T, self.Q, self.strict_pilots)
         if not 0.0 < self.lam < 1.0:
             raise ConfigurationError(f"lambda must be in (0, 1), got {self.lam}")
         if not self.snr_db:
@@ -118,22 +120,20 @@ class ExperimentConfig(TurboOptions):
         for name in ("theta_H", "theta_C", "sigma_w2"):
             value = getattr(self, name)
             zero_ok = name == "theta_C" and self.em_enabled  # the exact sampler allows theta_C = 0
-            if value is not None and not (0 < value < math.inf or zero_ok and value == 0):
+            if value is not None and not (0 < value or zero_ok and value == 0):
                 raise ConfigurationError(f"{name} must be positive and finite, got {value}")
         if self.channel not in CHANNEL_MODES:
             raise ConfigurationError(f"channel must be one of {CHANNEL_MODES}")
         if self.channel == "multipath" and not self.pdp_file:
             raise ConfigurationError("multipath channel needs pdp_file")
-        if self.channel == "exact" and (self.theta_H is None or self.theta_C is None):
-            raise ConfigurationError("exact channel needs theta_H and theta_C")
-        if not self.em_enabled:
+        if self.channel == "exact" or not self.em_enabled:
             if self.theta_H is None or self.theta_C is None:
-                raise ConfigurationError("fixed-parameter runs need theta_H and theta_C")
-            if self.channel == "multipath" and self.sigma_w2 is None:
-                raise ConfigurationError(
-                    "fixed-parameter multipath runs need an explicit sigma_w2 "
-                    "(noise plus mismatch power)"
-                )
+                raise ConfigurationError("exact or fixed-parameter runs need theta_H and theta_C")
+        if not self.em_enabled and self.channel == "multipath" and self.sigma_w2 is None:
+            raise ConfigurationError(
+                "fixed-parameter multipath runs need an explicit sigma_w2 "
+                "(noise plus mismatch power)"
+            )
 
     @staticmethod
     def canonical_keys(doc: dict) -> dict:

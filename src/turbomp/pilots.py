@@ -43,8 +43,7 @@ class PilotCodebook:
         K, N, T, Q = self.K, self.N, self.T, self.Q
         if min(K, N, T, Q) < 1:
             raise ConfigurationError("K, N, T, Q must all be >= 1")
-        if N % Q != 0:
-            raise ConfigurationError(f"Q={Q} must divide N={N}")
+        check_pilot_rows(K, N, T, Q, self.strict)
         if self.power <= 0:
             raise ConfigurationError(f"pilot power must be positive, got {self.power}")
         sel = np.asarray(self.selections, dtype=np.int64)
@@ -147,6 +146,16 @@ class PilotCodebook:
         return y[:, 0] if vec else y
 
 
+def check_pilot_rows(K: int, N: int, T: int, Q: int, strict: bool) -> None:
+    """Raise `ConfigurationError` unless Q divides N and selections of K rows can exist."""
+    if N % Q != 0:
+        raise ConfigurationError(f"Q={Q} must divide N={N}")
+    if strict and T * N > K:
+        raise ConfigurationError(f"strict pilots need T*N <= K, got T*N={T * N} > K={K}")
+    if T * N // Q > K:
+        raise ConfigurationError(f"pilots need T*N/Q <= K, got T*N/Q={T * N // Q} > K={K}")
+
+
 def build_codebook(
     K: int,
     N: int,
@@ -163,20 +172,11 @@ def build_codebook(
     only keeps rows distinct within each block, which admits T*N > K at the
     cost of reusing rows across sub-blocks.
     """
-    if N % Q != 0:
-        raise ConfigurationError(f"Q={Q} must divide N={N}")
-    total = T * N
-    rpb = total // Q
+    check_pilot_rows(K, N, T, Q, strict)
+    rpb = T * N // Q
     rng = np.random.default_rng(seed)
     if strict:
-        if total > K:
-            raise ConfigurationError(
-                f"strict selections impossible: T*N={total} > K={K}; "
-                "pass strict=False to allow per-block reuse"
-            )
-        sel = rng.choice(K, size=total, replace=False).reshape(Q, rpb)
+        sel = rng.choice(K, size=T * N, replace=False).reshape(Q, rpb)
     else:
-        if rpb > K:
-            raise ConfigurationError(f"even one block needs {rpb} distinct rows, K={K}")
         sel = np.stack([rng.choice(K, size=rpb, replace=False) for _ in range(Q)])
     return PilotCodebook(K=K, N=N, T=T, Q=Q, power=P, selections=sel, strict=strict)

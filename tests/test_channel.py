@@ -78,6 +78,14 @@ class TestMultipathProfile:
             load_pdp_path.write_text("1.0\n")
             load_pdp(load_pdp_path)
 
+    @pytest.mark.parametrize("text", ["nan 0\n", "1 0\n1 nan\n", "1 0\n1 inf\n"])
+    def test_load_pdp_rejects_non_finite_values(self, tmp_path, text):
+        """A NaN power, or a NaN or infinite delay, would give a NaN channel."""
+        path = tmp_path / "bad.pdp"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match="finite"):
+            load_pdp(path)
+
 
 class TestSampleChannel:
     def test_single_tap_is_flat_in_frequency(self):

@@ -147,6 +147,30 @@ class TestFailureModes:
             run_turbo_mp(Y, cb, priors, TurboOptions(max_iters=2))
         assert excinfo.value.diagnostics is not None
 
+    @pytest.mark.parametrize("em", [False, True])
+    @pytest.mark.parametrize("target", ["mean", "variance"])
+    def test_non_finite_slope_message_aborts_before_em(self, monkeypatch, target, em):
+        """A NaN leaving the slope branch at iteration 2, in its mean and both forward
+        products (as a NaN in x_und gives) or in its variance, raises NumericsError naming
+        that branch's message before EM reads it, with iteration 1's diagnostics row."""
+        Y, cb, priors, *_ = make_instance(seed=3)
+        branch, slope_calls = engine._branch, []
+
+        def poisoned(*args):
+            out = list(branch(*args))  # x_new, v_new, fwd_new, fwd_post, den
+            slope_calls.append(not np.isscalar(args[5]))  # weight D: the slope branch
+            if sum(slope_calls) == 2 and slope_calls[-1]:
+                for i in ((0, 2, 3) if target == "mean" else (1,)):
+                    out[i] = out[i].copy()
+                    out[i].flat[0] = np.nan
+            return tuple(out)
+
+        monkeypatch.setattr(engine, "_branch", poisoned)
+        with pytest.raises(NumericsError, match="c_pri|v_c") as excinfo:
+            run_turbo_mp(Y, cb, priors, TurboOptions(max_iters=5, em_enabled=em))
+        assert "h_pri" not in str(excinfo.value)
+        assert len(excinfo.value.diagnostics.rows) == 1
+
     def test_dimension_mismatch(self):
         Y, cb, priors, *_ = make_instance(seed=9)
         with pytest.raises(DimensionError):

@@ -1,5 +1,6 @@
 """Experiment orchestration, result export, and CLI behaviour."""
 
+import argparse
 import csv
 import json
 from dataclasses import fields
@@ -24,6 +25,7 @@ from turbomp import (
     sample_channel,
 )
 from turbomp.channel import example_pdp_path
+from turbomp.cli import build_parser
 from turbomp.cli import main as cli_main
 from turbomp.harness import ExperimentResult
 
@@ -99,6 +101,9 @@ class TestConfigValidation:
         dict(em="false"), dict(em=1), dict(K=200.5), dict(K="200"), dict(K=True),
         dict(trials=2.5), dict(lam="0.2"), dict(theta_H="1"), dict(channel=3),
         dict(pdp_file=7), dict(min_error_events=1.0), dict(strict_pilots="yes"),
+        dict(snr_db=[float("nan")]), dict(snr_db=[10.0, float("inf")]),
+        dict(pilot_power=float("inf")), dict(pilot_power=float("nan")),
+        dict(delta_f=float("nan")), dict(rel_change_tol=float("inf")),
     ])
     def test_ill_typed_values_rejected_at_construction(self, bad):
         with pytest.raises(ConfigurationError, match="must"):
@@ -113,6 +118,7 @@ class TestConfigValidation:
         dict(theta_H=float("inf")), dict(theta_C=-0.1), dict(theta_C=0.0),
         dict(theta_C=-0.1, em=True), dict(sigma_w2=0.0), dict(sigma_w2=-1.0),
         dict(sigma_w2=-1.0, em=True), dict(min_error_events=0), dict(min_error_events=-3),
+        dict(K=8, N=16, T=4, Q=2, strict_pilots=False),  # a block needs 32 distinct rows
     ])
     def test_out_of_range_values_rejected_at_construction(self, bad):
         with pytest.raises(ConfigurationError):
@@ -354,6 +360,23 @@ class TestCli:
         path.write_text(json.dumps(doc))
         return str(path)
 
+    def test_flags_types_defaults_and_required_are_pinned(self):
+        """Every subcommand keeps its option strings, types, defaults and required flags."""
+        shared = {"--config": (None, None, True), "--seed": (int, None, False),
+                  "--trials": (int, None, False), "--out": (None, "results", False)}
+        want = {
+            "run": {**shared, "--workers": (int, None, False), "--stem": (None, "results", False)},
+            "sweep": {**shared, "--param": (None, None, False), "--stem": (None, "sweep", False)},
+            "roc": {**shared, "--snr": (float, None, False), "--thresholds": (None, None, False),
+                    "--points": (int, 25, False), "--stem": (None, "roc", False)},
+        }
+        commands = next(action.choices for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        got = {name: {" ".join(a.option_strings): (a.type, a.default, a.required)
+                      for a in sub._actions if a.dest != "help"}
+               for name, sub in commands.items()}
+        assert got == want
+
     def test_run_command(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
         code = cli_main(["run", "--config", cfg, "--out", str(tmp_path / "res")])
@@ -433,6 +456,7 @@ class TestCli:
     @pytest.mark.parametrize("bad", [
         dict(snr_db="10"), dict(em="false"), dict(K=200.5), dict(trials=2.5), dict(K="200"),
         dict(theta_H=-1.0), dict(theta_C=0.0), dict(sigma_w2=0.0), dict(min_error_events=0),
+        dict(rel_change_tol=float("inf")),
     ])
     def test_run_rejects_ill_typed_and_out_of_range_values(self, tmp_path, capsys, bad):
         cfg = self._write_config(tmp_path, **bad)
