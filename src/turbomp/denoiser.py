@@ -26,7 +26,7 @@ class DenoiseBatch:
     posterior tensors are built from the input each time they are read.
     """
 
-    pri_mean: np.ndarray  # (K, Q, M) input message
+    pri_mean: np.ndarray  # (K, Q, M) input message, in any memory layout and never copied
     lambda_post: np.ndarray  # (K,)
     pi: np.ndarray  # (K,)
     gain: np.ndarray  # (M,) theta / (theta + v); post_mean = lambda_post * gain * pri_mean
@@ -61,7 +61,7 @@ def bg_denoise_batch(
     is (gain^2 sum_k lambda_k (1 - lambda_k) s_k + phi Q sum_k lambda_k) / (K Q)
     and the energy is lambda_k (sum_m gain_m^2 s_km + Q sum_m phi_m).
     """
-    pri = np.ascontiguousarray(pri_mean, dtype=np.complex128)
+    pri = np.asarray(pri_mean, dtype=np.complex128)
     if pri.ndim != 3:
         raise ParameterError(f"pri_mean must be (K, Q, M), got shape {pri.shape}")
     K, Q, M = pri.shape
@@ -76,8 +76,7 @@ def bg_denoise_batch(
 
     gain = theta / (theta + v)  # (M,)
     phi = gain * v  # (M,)
-    parts = np.square(pri.view(float)).reshape(K, Q, M, 2)
-    s = np.einsum("kqm->km", parts[..., 0] + parts[..., 1])
+    s = np.einsum("kqm->km", np.square(pri.real) + np.square(pri.imag))
 
     # log CN(0; pri, V) - log CN(0; pri, V + theta I), accumulated per device
     log_ratio = Q * np.sum(np.log1p(theta / v)) - s @ (theta / (v * (v + theta)))

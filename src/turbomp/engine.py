@@ -3,9 +3,12 @@
 One engine iteration runs the linear estimator and the mean-block denoiser
 (possibly several times), then the linear estimator and the slope-block
 denoiser once, then fuses activity evidence and optionally refreshes the
-prior parameters.  Messages are (QK, M) matrices, one column per antenna,
-with one variance per antenna.  Both halves run `_branch` over the row
-weight w of the operator, 1 for the means (A) or D for the slopes (B = D A).
+prior parameters.  Messages are device-contiguous (K, Q, M) blocks (the
+strides of a C-ordered (Q, M, K) array, so every DFT and elementwise pass runs
+along contiguous memory) with one variance per antenna; the `TurboResult`
+holds C-ordered (QK, M) matrices, converted once per frame.  Both halves run
+`_branch` over the row weight w of the operator, 1 for the means (A) or D for
+the slopes (B = D A).
 `run_turbo_mp` keeps messages, their forward products, per-antenna and
 per-device statistics and the priors in locals, hands each branch its
 residual, observation variance Sigma and activity cross prior, and builds
@@ -137,15 +140,13 @@ def _branch(resid, sigma, x_pri, v_pri, fwd_pri, weight, theta, lambda_pri, cb, 
     diag.clamp_events += _count_uninformative(v_lin, v_pri)
     diag.module_trace.append(names[0])
 
-    M = x_pri.shape[1]
-    blocks = ext.reshape(cb.K, cb.Q, M)
-    den = bg_denoise_batch(blocks, v_ext, theta, lambda_pri)
+    den = bg_denoise_batch(ext, v_ext, theta, lambda_pri)
     v_post = np.maximum(den.column_var, V_FLOOR)
     diag.clamp_events += _count_uninformative(v_post, v_ext)
-    # the denoiser's extrinsic message x_und = alpha post_mean - beta blocks
+    # the denoiser's extrinsic message x_und = alpha post_mean - beta ext
     v_out, alpha, beta = extrinsic(v_post, v_ext, opts.v_max)
-    scale = np.outer(den.lambda_post, alpha * den.gain) - beta  # (K, M)
-    x_und = (blocks * scale[:, None, :]).reshape(cb.cols, M)
+    scale = (np.outer(alpha * den.gain, den.lambda_post) - beta[:, None]).T  # (K, M), like ext
+    x_und = ext * scale[:, None, :]
     fwd_und = weight * cb.apply_A(x_und)
     fwd_post = (fwd_und + beta * fwd_ext) / alpha
     x_new = _damp(x_und, x_pri, opts.damping)
@@ -177,7 +178,7 @@ def run_turbo_mp(
     M, diag, converged = Y.shape[1], TurboDiagnostics(), False
     # uninformed start: zero means (never written in place) with zero forward products,
     # prior-matched variances, and neutral slope evidence, so the first cross prior is lam
-    h_pri = c_pri = np.zeros((codebook.cols, M), dtype=np.complex128)
+    h_pri = c_pri = np.zeros((codebook.Q, M, codebook.K), dtype=np.complex128).transpose(2, 0, 1)
     fwd_h = fwd_c = np.zeros_like(Y)
     v_h = np.full(M, priors.lam * priors.theta_H)
     v_c = np.full(M, priors.lam * priors.theta_C)

@@ -16,8 +16,9 @@ closed form (the Turbo-CS identity of Ma, Yuan and Ping, IEEE SPL 2015):
 
 one scalar per antenna.  `linear_extrinsic` is that closed form; `extrinsic`
 divides any other posterior (the denoisers') by its prior message.  Means may
-be a single column (one antenna) or a (n, M) matrix with one variance per
-antenna; all functions broadcast over the antenna axis.
+be a single column (one antenna), a (n, M) matrix or (K, Q, M) blocks with
+one variance per antenna; all functions broadcast over the antenna axis, and
+`linear_extrinsic` returns x_ext in x_pri's shape.
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ def linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight, codebook, v_ma
     coef = np.where(informative, 1.0 / g, v)  # one per antenna
     v_ext = np.maximum(np.where(informative, v_ext, v_max), V_FLOOR)
     fwd_ext = fwd_pri + (codebook.K * codebook.power * coef) * (w * z)
-    x_ext = x_pri + coef * codebook.apply_A_adjoint(z)
+    x_ext = codebook.apply_A_adjoint(z).reshape(np.shape(x_pri))  # a new array, updated in place
+    x_ext *= coef
+    x_ext += x_pri
     return x_ext, v_ext, np.maximum(v - v**2 * g, V_FLOOR), fwd_ext
 
 

@@ -8,6 +8,13 @@ O(Q*K*log K).  Each implied pilot symbol has squared magnitude P, and the
 row structure gives the partial orthogonality A @ A^H = K*P*I that the
 linear estimator relies on.  B shares the factorization through the real
 diagonal D: B = D @ A.
+
+Coefficients enter as (Q*K,) vectors, device-major (Q*K, M) matrices or
+(K, Q, M) blocks; the adjoints return a matrix as (K, Q, M) blocks with the
+strides of a C-ordered (Q, M, K) array ("device-contiguous").  Every DFT runs
+along the device axis, which such blocks hold contiguously, so pocketfft reads
+it without a copy: bitwise the values of a C-ordered input in about half the
+time at K=16000.
 """
 
 from __future__ import annotations
@@ -89,27 +96,31 @@ class PilotCodebook:
             raise DimensionError(f"{name} has leading dim {v.shape[0]}, expected {expected}")
 
     def apply_A(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for x of shape (Q*K,) or (Q*K, M)."""
+        """A @ x for x of shape (Q*K,), (Q*K, M) or (K, Q, M); returns (T*N,) or (T*N, M).
+        The DFT runs along the device axis, which device-contiguous blocks hold contiguously."""
         x = np.asarray(x)
-        self._check_len(x, self.cols, "x")
-        vec = x.ndim == 1
-        cols = x.reshape(self.K, self.Q, -1).transpose(1, 0, 2)  # (Q, K, M)
-        w = np.fft.fft(cols, axis=1)
-        y = w[np.arange(self.Q)[:, None], self.selections]  # (Q, rpb, M)
-        y = self.scale * y.reshape(self.rows, -1)
-        return y[:, 0] if vec else y
+        if (x.shape[:2] != (self.K, self.Q)) if x.ndim == 3 else (x.shape[0] != self.cols):
+            raise DimensionError(f"x must be ({self.cols},), ({self.cols}, M) or "
+                                 f"({self.K}, {self.Q}, M), got {x.shape}")
+        w = np.fft.fft(x.reshape(self.K, self.Q, -1).transpose(1, 2, 0))  # (Q, M, K)
+        y = np.take_along_axis(w, self.selections[:, None, :], axis=-1)  # (Q, M, rpb)
+        y = self.scale * y.transpose(0, 2, 1).reshape(self.rows, -1)
+        return y[:, 0] if x.ndim == 1 else y
 
     def apply_A_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """A^H @ y for y of shape (T*N,) or (T*N, M); the inverse DFT runs over
-        the devices of a device-major (K, Q, M) array, already in output order."""
+        """A^H @ y for y of shape (T*N,) or (T*N, M); returns (Q*K,) or (K, Q, M) blocks.
+
+        The rows are scattered into a zeroed (Q, M, K) array and the inverse DFT runs in
+        place along its contiguous last axis (a separate output array nearly doubled the
+        time at K=16000); a matrix y gets the device-contiguous (K, Q, M) transpose view.
+        """
         y = np.asarray(y)
         self._check_len(y, self.rows, "y")
-        vec = y.ndim == 1
-        blocks = y.reshape(self.Q, self.rows_per_block, -1)
-        w = np.zeros((self.K, self.Q, blocks.shape[2]), dtype=np.complex128)
-        w[self.selections, np.arange(self.Q)[:, None]] = self.scale * blocks
-        x = np.fft.ifft(w, axis=0, norm="forward").reshape(self.cols, -1)
-        return x[:, 0] if vec else x
+        blocks = y.reshape(self.Q, self.rows_per_block, -1).transpose(0, 2, 1)  # (Q, M, rpb)
+        w = np.zeros((self.Q, blocks.shape[1], self.K), dtype=np.complex128)
+        np.put_along_axis(w, self.selections[:, None, :], self.scale * blocks, axis=-1)
+        x = np.fft.ifft(w, norm="forward", out=w).transpose(2, 0, 1)  # (K, Q, M)
+        return x.reshape(self.cols) if y.ndim == 1 else x
 
     def apply_B(self, x: np.ndarray) -> np.ndarray:
         """B @ x, with B = D @ A."""

@@ -139,6 +139,21 @@ class TestColumnVariance:
         np.testing.assert_allclose(batch.column_var, direct, atol=1e-12)
 
 
+class TestLayout:
+    def test_device_contiguous_input_is_read_in_place(self):
+        """A (K, Q, M) input with the strides of a C-ordered (Q, M, K) array gives the
+        C-ordered input's moments to 1e-14 and is kept without a copy."""
+        rng = np.random.default_rng(8)
+        pri = rng.standard_normal((300, 4, 3)) + 1j * rng.standard_normal((300, 4, 3))
+        device_contiguous = np.ascontiguousarray(pri.transpose(1, 2, 0)).transpose(2, 0, 1)
+        v, lam = np.array([0.3, 1.1, 0.05]), rng.uniform(0.0, 1.0, 300)
+        a = bg_denoise_batch(pri, v, 0.8, lam)
+        b = bg_denoise_batch(device_contiguous, v, 0.8, lam)
+        for name in ("lambda_post", "pi", "column_var", "energy"):
+            np.testing.assert_allclose(getattr(b, name), getattr(a, name), rtol=1e-14, atol=0)
+        assert np.shares_memory(b.pri_mean, device_contiguous)
+
+
 class TestClosedFormMoments:
     """The per-antenna and per-device moments equal sums over the built tensors."""
 

@@ -211,6 +211,30 @@ class TestForwardProducts:
         assert max(errors) <= 0.0
 
 
+class TestMessageLayout:
+    def test_messages_device_contiguous_and_result_device_major(self, monkeypatch):
+        """In a multipath frame every matrix reaching apply_A has a contiguous device axis
+        (a C-order temporary would keep the output but lose the fast FFT path), and the
+        result's H and C are C-ordered (QK, M) matrices."""
+        with np.load(GOLDEN / "engine_golden.npz") as data:
+            doc = {key.split("__", 1)[1]: data[key] for key in data.files
+                   if key.startswith("multipath_em_corrected__")}
+        apply_A, strides = turbomp.PilotCodebook.apply_A, []
+
+        def recorded(cb, x):
+            if np.ndim(x) > 1:
+                strides.append(x.strides[0] // x.itemsize)
+            return apply_A(cb, x)
+
+        monkeypatch.setattr(turbomp.PilotCodebook, "apply_A", recorded)
+        result = replay(turbomp, doc)
+        assert len(strides) == 3 * result.iterations  # one per branch, three branches
+        assert set(strides) == {1}
+        K, N, T, Q = (int(v) for v in doc["dims"])
+        for X in (result.H, result.C):
+            assert X.shape == (Q * K, doc["Y"].shape[1]) and X.flags.c_contiguous
+
+
 class _DevicePermutedCodebook:
     """Duck-typed codebook whose device j uses the wrapped device perm[j]."""
 

@@ -105,6 +105,29 @@ class TestOperatorAlgebra:
         X = rand_complex(rng, cb.cols, 3)
         assert np.linalg.norm(cb.apply_A(X) - A @ X) / np.linalg.norm(A @ X) < 1e-12
 
+    def test_adjoint_matrix_input_equals_dense(self):
+        """A matrix y gives (K, Q, M) blocks equal to the dense adjoints' (Q*K, M) products."""
+        cb = build_codebook(K=64, N=8, T=2, Q=2, seed=6)
+        A, B = dense_A(cb), dense_B(cb)
+        Y = rand_complex(np.random.default_rng(4), cb.rows, 3)
+        for fast, dense in [(cb.apply_A_adjoint, A), (cb.apply_B_adjoint, B)]:
+            got, ref = fast(Y), dense.conj().T @ Y
+            assert got.shape == (cb.K, cb.Q, 3)
+            assert np.linalg.norm(got.reshape(ref.shape) - ref) / np.linalg.norm(ref) < 1e-12
+
+    @pytest.mark.parametrize("K", [1000, 16000])
+    def test_block_layouts_give_identical_products(self, K):
+        """apply_A is bitwise the same on (Q*K, M) matrices, C-ordered (K, Q, M) blocks and
+        device-contiguous blocks (the strides of a C-ordered (Q, M, K) array)."""
+        cb = build_codebook(K=K, N=72, T=8, Q=4, seed=12)
+        X = rand_complex(np.random.default_rng(5), cb.cols, 8)
+        blocks = X.reshape(cb.K, cb.Q, 8)
+        device_contiguous = np.ascontiguousarray(blocks.transpose(1, 2, 0)).transpose(2, 0, 1)
+        assert device_contiguous.strides[0] == device_contiguous.itemsize
+        want = cb.apply_A(X)
+        for x in (blocks, device_contiguous):
+            assert np.array_equal(cb.apply_A(x), want)
+
     def test_zero_maps_to_zero(self):
         cb = build_codebook(K=32, N=4, T=2, Q=2, seed=7)
         assert np.all(cb.apply_A(np.zeros(cb.cols)) == 0)
@@ -146,6 +169,9 @@ class TestOperatorAlgebra:
             cb.apply_A(np.zeros(cb.cols + 1))
         with pytest.raises(DimensionError):
             cb.apply_A_adjoint(np.zeros(cb.rows - 1))
+        for shape in [(cb.K + 1, cb.Q, 2), (cb.K, cb.Q + 1, 2), (cb.Q, cb.K, 2)]:
+            with pytest.raises(DimensionError):
+                cb.apply_A(np.zeros(shape))
 
     def test_dense_size_guard(self):
         cb = build_codebook(K=5000, N=72, T=8, Q=4, seed=11)
