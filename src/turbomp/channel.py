@@ -82,15 +82,37 @@ def load_pdp(path) -> MultipathProfile:
     return MultipathProfile(powers=powers, delays=delays)
 
 
-@dataclass
+def subblock_offsets(b: int) -> np.ndarray:
+    """The slope's offset vector d = [1, ..., b] - b/2 over a sub-block of b subcarriers."""
+    return np.arange(1, b + 1, dtype=float) - b / 2
+
+
+@dataclass(frozen=True)
 class ChannelRealization:
-    """Ground truth for one trial: activity vector and response tensor.
+    """Ground truth for one trial: activity (K,) and G_active (a, N, M), row i the response of
+    device active[i], where active = flatnonzero(activity).  Inactive devices' responses are
+    zero and held nowhere."""
 
-    G has shape (K, N, M); rows of inactive devices are exactly zero.
-    """
-
-    G: np.ndarray
     activity: np.ndarray
+    G_active: np.ndarray
+
+    def __post_init__(self):
+        if (np.ndim(self.activity) != 1 or np.ndim(self.G_active) != 3
+                or len(self.G_active) != np.count_nonzero(self.activity)):
+            raise DimensionError(f"G_active {np.shape(self.G_active)} must hold one (N, M) "
+                                 f"row per active device of {np.shape(self.activity)}")
+
+    @property
+    def active(self) -> np.ndarray:
+        return np.flatnonzero(self.activity)
+
+    @property
+    def G(self) -> np.ndarray:
+        """Dense (K, N, M) responses, zero for inactive devices, built on each access for the
+        tests and the benchmark probe; no library module reads it."""
+        G = np.zeros((self.activity.size, *self.G_active.shape[1:]), dtype=self.G_active.dtype)
+        G[self.active] = self.G_active
+        return G
 
 
 @dataclass(frozen=True)
@@ -114,8 +136,7 @@ class BlockwiseBasis:
                 "sub-blocks need at least 2 subcarriers (slope is meaningless otherwise); "
                 "use a larger N/Q and a near-zero slope variance instead"
             )
-        b = self.N // self.Q
-        object.__setattr__(self, "offsets", np.arange(1, b + 1, dtype=float) - b / 2)
+        object.__setattr__(self, "offsets", subblock_offsets(self.N // self.Q))
 
     @property
     def block_size(self) -> int:
@@ -138,7 +159,7 @@ class BlockwiseBasis:
 
 @dataclass
 class BlockwiseTruth:
-    """Stacked sub-block means H, slopes C (both QK x M) and residual Delta (K x N x M)."""
+    """Stacked sub-block means H, slopes C (both QK x M) and the active rows' residual Delta."""
 
     H: np.ndarray
     C: np.ndarray
@@ -166,57 +187,51 @@ def sample_channel(
     """Draw frequency responses for the active devices of one trial.
 
     Tap gains are i.i.d. CN(0, 1); the profile's unit power sum gives
-    E|g|^2 = 1 on every subcarrier of an active device.  Inactive devices
-    get exactly-zero slices (their gains are never drawn).
+    E|g|^2 = 1 on every subcarrier of an active device.  Only the active
+    devices' gains are drawn, and the realization holds only their responses.
     """
     if M < 1 or N < 1:
         raise ParameterError(f"M={M} and N={N} must be >= 1")
     activity = np.asarray(activity)
-    K = activity.size
+    a = np.count_nonzero(activity)
     rng = np.random.default_rng(seed)
 
-    G = np.zeros((K, N, M), dtype=np.complex128)
-    active = np.flatnonzero(activity)
-    if active.size:
-        L = profile.powers.size
-        beta = (
-            rng.standard_normal((active.size, M, L))
-            + 1j * rng.standard_normal((active.size, M, L))
-        ) / np.sqrt(2.0)
-        n = np.arange(1, N + 1)
-        phase = np.exp(-2j * np.pi * delta_f * np.outer(profile.delays, n))  # (L, N)
-        weighted = beta * np.sqrt(profile.powers)  # (a, M, L)
-        G[active] = np.einsum("aml,ln->anm", weighted, phase)
-    return ChannelRealization(G=G, activity=activity.astype(np.int8))
+    L = profile.powers.size
+    beta = (rng.standard_normal((a, M, L)) + 1j * rng.standard_normal((a, M, L))) / np.sqrt(2.0)
+    phase = np.exp(-2j * np.pi * delta_f * np.outer(profile.delays, np.arange(1, N + 1)))  # (L, N)
+    weighted = beta * np.sqrt(profile.powers)  # (a, M, L)
+    # C order: in any other layout the mixer's matmul rounds differently
+    G_active = np.einsum("aml,ln->anm", weighted, phase, order="C")
+    return ChannelRealization(activity=activity.astype(np.int8), G_active=G_active)
 
 
 def project_blockwise(realization: ChannelRealization, basis: BlockwiseBasis) -> BlockwiseTruth:
-    """Least-squares mean/slope fit of each sub-block, per device and antenna.
+    """Least-squares mean/slope fit of each sub-block, per active device and antenna.
 
-    The offset vector d is not zero mean, so the 2x2 normal equations are
-    solved jointly; the residual Delta completes the exact reconstruction
-    G = E1 H + E2 C + Delta.
+    The offset vector d is not zero mean, so the 2x2 normal equations are solved
+    jointly.  H and C hold every device, zero rows for the inactive ones; the residual
+    Delta (a x N x M) completes G_active = E1 H + E2 C + Delta on the active rows.
     """
-    G = realization.G
-    K, N, M = G.shape
+    G = realization.G_active
+    a, N, M = G.shape
     if N != basis.N:
         raise DimensionError(f"realization has N={N}, basis has N={basis.N}")
-    b = basis.block_size
+    K, Q, b = realization.activity.size, basis.Q, basis.block_size
     d = basis.offsets
     sd = d.sum()
     sdd = (d * d).sum()
     det = b * sdd - sd * sd
 
-    blocks = G.reshape(K, basis.Q, b, M)
+    blocks = G.reshape(a, Q, b, M)
     sg = blocks.sum(axis=2)
     sdg = np.einsum("kqbm,b->kqm", blocks, d)
     h = (sdd * sg - sd * sdg) / det
     c = (b * sdg - sd * sg) / det
 
-    H = h.reshape(K * basis.Q, M)
-    C = c.reshape(K * basis.Q, M)
-    Delta = G - basis.expand(H, C)
-    return BlockwiseTruth(H=H, C=C, Delta=Delta)
+    H, C = np.zeros((2, K, Q, M), dtype=np.complex128)
+    H[realization.active], C[realization.active] = h, c
+    Delta = G - basis.expand(h.reshape(a * Q, M), c.reshape(a * Q, M))
+    return BlockwiseTruth(H=H.reshape(K * Q, M), C=C.reshape(K * Q, M), Delta=Delta)
 
 
 def sample_blockwise_exact(
@@ -231,7 +246,7 @@ def sample_blockwise_exact(
     """Draw synthetic data that follows the block-sparse Gaussian prior exactly.
 
     Active devices get i.i.d. CN(0, theta_H) means and CN(0, theta_C) slopes;
-    the returned realization has G = E1 H + E2 C, i.e. zero model mismatch.
+    the returned realization has G_active = E1 H + E2 C, i.e. zero model mismatch.
     Intended for oracle tests where the estimator's prior is exact.  Allows
     lam = 1 (all devices active), unlike the physical activity sampler.
     """
@@ -243,13 +258,12 @@ def sample_blockwise_exact(
     activity = (rng.random(K) < lam).astype(np.int8)
 
     Q = basis.Q
-    H = np.zeros((K * Q, M), dtype=np.complex128)
-    C = np.zeros((K * Q, M), dtype=np.complex128)
+    H, C = np.zeros((2, K * Q, M), dtype=np.complex128)
     rows = (np.flatnonzero(activity)[:, None] * Q + np.arange(Q)).ravel()
     for out, var in ((H, theta_H), (C, theta_C)):
         z = rng.standard_normal((rows.size, M)) + 1j * rng.standard_normal((rows.size, M))
         out[rows] = np.sqrt(var / 2.0) * z
 
-    G = basis.expand(H, C)
-    truth = BlockwiseTruth(H=H, C=C, Delta=np.zeros_like(G))
-    return truth, ChannelRealization(G=G, activity=activity)
+    G_active = basis.expand(H[rows], C[rows])
+    truth = BlockwiseTruth(H=H, C=C, Delta=np.zeros_like(G_active))
+    return truth, ChannelRealization(activity=activity, G_active=G_active)

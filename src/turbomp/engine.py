@@ -222,7 +222,7 @@ def run_turbo_mp(
         if truth is not None and truth[0].activity.any():
             real, basis = truth
             H, C = (d.post_mean.reshape(codebook.cols, M) for d in (den_h, den_c))
-            nmse_db = _metrics.nmse_db(_metrics.nmse(real.G, H, C, basis, real.activity))
+            nmse_db = _metrics.nmse_db(_metrics.nmse(real, H, C, basis))
         diag.rows.append(dict(
             iter=iteration, v_h=float(np.mean(v_h)), v_c=float(np.mean(v_c)),
             sigma_w2=priors.sigma_w2, lam=priors.lam, rel_change=rel_change, nmse_db=nmse_db,

@@ -220,7 +220,7 @@ def _run_trial(config, point_idx, snr_db, trial_idx, profile, codebook):
         noise_rng.standard_normal((cb.rows, config.M))
         + 1j * noise_rng.standard_normal((cb.rows, config.M))
     )
-    Y = cb.mix_subcarriers(realization.G) + noise
+    Y = cb.mix_subcarriers(realization.G_active, realization.active) + noise
 
     if config.em_enabled:
         priors = em_initial_params(Y, cb)
@@ -265,9 +265,7 @@ def run_single_trial(
         "sigma_w2_hat": result.priors.sigma_w2,
     }
     skipped = not realization.activity.any()  # NMSE needs an active device
-    value = math.nan if skipped else nmse(
-        realization.G, result.H, result.C, basis, realization.activity
-    )
+    value = math.nan if skipped else nmse(realization, result.H, result.C, basis)
     record["nmse"] = value
     record["nmse_db"] = math.nan if skipped else nmse_db(value)
     record["skipped_nmse"] = skipped
@@ -377,6 +375,8 @@ def run_roc(config: ExperimentConfig, thresholds, snr_db: float | None = None, p
     config.trials trials; each threshold then yields one operating point.
     """
     thresholds = check_thresholds(thresholds)
+    if not (snr_db is None or _is_finite(snr_db)):
+        raise ConfigurationError(f"snr_db must be a finite number, got {snr_db!r}")
     snr = config.snr_db[0] if snr_db is None else float(snr_db)
     profile = load_pdp(config.pdp_file) if config.channel == "multipath" else None
     codebook = _codebook(config, (config.master_seed, 0)) if config.pin_codebook else None

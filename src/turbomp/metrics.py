@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .activity import detect
-from .channel import BlockwiseBasis
+from .channel import BlockwiseBasis, ChannelRealization
 from .errors import DimensionError, ParameterError
 
 
@@ -30,41 +30,36 @@ class TrialMetrics(NamedTuple):
 
 
 def nmse(
-    G_truth: np.ndarray,
+    realization: ChannelRealization,
     H_est: np.ndarray,
     C_est: np.ndarray,
     basis: BlockwiseBasis,
-    activity: np.ndarray,
 ) -> float:
     """Aggregate normalized channel reconstruction error (linear scale).
 
     numerator: reconstruction error energy summed over all devices;
     denominator: true response energy of the active devices.
 
-    Only the active devices are expanded to N subcarriers.  An inactive
-    device has a zero true response, so its error is the energy of its
-    reconstruction, sum over blocks and antennas of
+    Only the active devices are expanded to N subcarriers, against G_active.
+    An inactive device has a zero true response, so its error is the energy of
+    its reconstruction, sum over blocks and antennas of
     b|h|^2 + 2 Re(h c*) sum(d) + |c|^2 sum(d^2) for block size b and offsets d.
     """
-    G_truth = np.asarray(G_truth)
-    activity = np.asarray(activity)
-    if G_truth.ndim != 3 or activity.shape != (G_truth.shape[0],):
-        raise DimensionError("G_truth must be (K, N, M) with a length-K activity vector")
-    active = activity != 0
-    if not active.any():
+    g = realization.G_active
+    if g.shape[0] == 0:
         raise ParameterError("NMSE undefined without active devices")
     H_est, C_est = np.asarray(H_est), np.asarray(C_est)
-    K, N, M = G_truth.shape
+    K = realization.activity.size
+    _, N, M = g.shape
     if H_est.shape != C_est.shape or H_est.shape != (K * basis.Q, M) or N != basis.N:
-        raise DimensionError(
-            f"estimates {H_est.shape}/{C_est.shape} (N={basis.N}) do not fit truth {G_truth.shape}"
-        )
+        raise DimensionError(f"estimates {H_est.shape}/{C_est.shape} (N={basis.N}) do not "
+                             f"fit {K} devices with responses {g.shape}")
     h = H_est.reshape(K, basis.Q, M)
     c = C_est.reshape(K, basis.Q, M)
-    g = G_truth[active]
+    active, inactive = realization.active, realization.activity == 0
     recon = basis.expand(h[active].reshape(-1, M), c[active].reshape(-1, M))
     err = float(np.sum(np.abs(g - recon) ** 2))
-    h0, c0 = h[~active], c[~active]
+    h0, c0 = h[inactive], c[inactive]
     d = basis.offsets
     err += float(
         basis.block_size * np.vdot(h0, h0).real

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import subblock_offsets
 from .errors import ConfigurationError, DimensionError
 
 
@@ -66,8 +67,7 @@ class PilotCodebook:
             raise ConfigurationError("strict mode requires globally disjoint row selections")
         object.__setattr__(self, "selections", sel)
 
-        b = N // Q
-        offsets = np.arange(1, b + 1, dtype=float) - b / 2
+        offsets = subblock_offsets(N // Q)
         object.__setattr__(self, "D_diag", np.tile(np.repeat(offsets, T), Q))
         object.__setattr__(self, "roots", np.exp(-2j * np.pi * np.arange(K) / K))
 
@@ -135,26 +135,23 @@ class PilotCodebook:
 
     # -- physical pilot mixing --------------------------------------------
 
-    def mix_subcarriers(self, X: np.ndarray) -> np.ndarray:
-        """Superimpose per-device per-subcarrier signals through the pilots.
-
-        X has shape (K, N) or (K, N, M); the result is the noiseless
-        observation sum_k Lambda_k X_k of shape (T*N,) or (T*N, M).  Feeding
-        the expanded block-wise responses reproduces apply_A/apply_B exactly.
-        Only devices with a nonzero row enter the sum: device k's symbol on
-        DFT row s is scale * roots[(s k) mod K], with the exact integer index.
-        """
-        X = np.asarray(X)
-        if X.shape[0] != self.K or X.shape[1] != self.N:
-            raise DimensionError(f"X must be (K={self.K}, N={self.N}, ...), got {X.shape}")
-        vec = X.ndim == 2
-        X = X.reshape(self.K, self.N, -1)
-        active = np.flatnonzero(X.reshape(self.K, -1).any(axis=1))
-        index = self.selections.reshape(self.N, self.T, 1) * active  # (N, T, a): s k, exact
-        index %= self.K
-        phases = self.roots[index]
-        y = self.scale * (phases @ X[active].transpose(1, 0, 2)).reshape(self.rows, -1)
-        return y[:, 0] if vec else y
+    def mix_subcarriers(self, X_active: np.ndarray, active: np.ndarray) -> np.ndarray:
+        """The noiseless observation sum_k Lambda_k X_k over the devices `active`, integer
+        indices in [0, K); X_active is (a, N) or (a, N, M), row i device active[i]'s signal, and
+        the result (T*N,) or (T*N, M).  Fed the expanded block-wise responses it reproduces
+        apply_A/apply_B.  Device k's symbol on DFT row s is scale * roots[(s k) mod K]."""
+        X, active = np.asarray(X_active), np.asarray(active)
+        if X.ndim not in (2, 3) or active.ndim != 1 or X.shape[:2] != (active.size, self.N):
+            raise DimensionError(f"X_active must be ({active.size}, {self.N}, ...) for "
+                                 f"{active.size} device indices, got {X.shape}")
+        if active.size and not (active.dtype.kind in "iu" and 0 <= active.min()
+                                and active.max() < self.K):
+            raise DimensionError(f"device indices must be integers in [0, {self.K})")
+        index = self.selections.reshape(self.N, self.T, 1) * active.astype(np.int64) % self.K
+        phases = self.roots[index]  # (N, T, a), from the exact integer index s k mod K
+        y = phases @ (X if X.ndim == 3 else X[:, :, None]).transpose(1, 0, 2)
+        y = self.scale * y.reshape(self.rows, -1)
+        return y[:, 0] if X.ndim == 2 else y
 
 
 def check_pilot_rows(K: int, N: int, T: int, Q: int, strict: bool) -> None:

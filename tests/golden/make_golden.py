@@ -11,12 +11,18 @@ cached forward products, so ``tests/test_golden.py`` checks that the lean
 iteration reproduces it.  The test replays the stored inputs (observation,
 pilot rows, priors, options) and never rewrites the file.
 
+This script drives only trees whose ``ChannelRealization`` holds
+``activity`` and ``G_active`` and whose ``mix_subcarriers`` takes the active
+rows and their indices; ``replay`` hands the truth-traced case the active
+rows of the stored dense ``G``.  To record an older tree, such as 47baf1d,
+run the script as it stood in that tree's own history.
+
 Each case stores, under ``<case>__<key>``:
 
 * inputs: ``dims`` (K, N, T, Q), ``power``, ``selections``, ``strict``,
   ``Y``, ``priors`` (theta_H, theta_C, sigma_w2, lam), ``options`` (JSON of
   the ``TurboOptions`` fields that differ from the defaults) and, for the
-  truth-traced case, ``G`` and ``activity``;
+  truth-traced case, the dense (K, N, M) ``G`` and ``activity``;
 * outputs: ``H``/``C`` rows of the devices in ``devices`` (all devices
   except in the K=1000 frame, where the record keeps the active devices and
   every fourth one), the squared norms ``H_norm2``/``C_norm2`` of the full
@@ -76,7 +82,7 @@ def case_inputs(tm, name):
     sn2 = 10.0 ** (-snr_db / 10.0)
     rng = np.random.default_rng(seed + 3)
     noise = np.sqrt(sn2 / 2) * (rng.standard_normal((cb.rows, M)) + 1j * rng.standard_normal((cb.rows, M)))
-    Y = cb.mix_subcarriers(real.G) + noise
+    Y = cb.mix_subcarriers(real.G_active, real.active) + noise
     if channel == "exact":
         priors = (THETA_H, THETA_C, sn2, lam)
     else:
@@ -105,7 +111,8 @@ def replay(tm, doc):
     opts = tm.TurboOptions(**json.loads(str(doc["options"])))
     truth = None
     if "G" in doc:
-        real = tm.ChannelRealization(G=doc["G"], activity=doc["activity"])
+        activity = doc["activity"]
+        real = tm.ChannelRealization(activity=activity, G_active=doc["G"][np.flatnonzero(activity)])
         truth = (real, tm.BlockwiseBasis(N, Q))
     return tm.run_turbo_mp(doc["Y"], cb, priors, opts, truth=truth)
 

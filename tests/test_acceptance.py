@@ -189,9 +189,9 @@ def test_criterion_05_decomposition_consistency():
         for q in (2, 4, 8):
             cb = build_codebook(K=200, N=72, T=2, Q=q, seed=3000 + 10 * trial + q)
             truth = project_blockwise(real, BlockwiseBasis(72, q))
-            direct = cb.mix_subcarriers(real.G)
+            direct = cb.mix_subcarriers(real.G_active, real.active)
             decomposed = (
-                cb.apply_A(truth.H) + cb.apply_B(truth.C) + cb.mix_subcarriers(truth.Delta)
+                cb.apply_A(truth.H) + cb.apply_B(truth.C) + cb.mix_subcarriers(truth.Delta, real.active)
             )
             denom = np.linalg.norm(direct)
             if denom > 0:
@@ -216,22 +216,22 @@ def _oracle_gap_trials(snr_db, n_trials, em):
         cb = build_codebook(K, N, T, Q, seed=20_000 + trial)
         rng = np.random.default_rng(30_000 + trial)
         noise = np.sqrt(sn2 / 2) * rand_complex(rng, cb.rows, M)
-        Y = cb.mix_subcarriers(real.G) + noise
+        Y = cb.mix_subcarriers(real.G_active, real.active) + noise
 
         fixed_priors = PriorParams(theta_H=theta_H, theta_C=theta_C, sigma_w2=sn2, lam=lam)
         res_fixed = run_turbo_mp(Y, cb, fixed_priors, TurboOptions())
-        out["fixed"].append(nmse(real.G, res_fixed.H, res_fixed.C, basis, real.activity))
+        out["fixed"].append(nmse(real, res_fixed.H, res_fixed.C, basis))
 
         if em:
             from turbomp import em_initial_params
 
             res_em = run_turbo_mp(Y, cb, em_initial_params(Y, cb),
                                   TurboOptions(em_enabled=True))
-            out["turbo"].append(nmse(real.G, res_em.H, res_em.C, basis, real.activity))
+            out["turbo"].append(nmse(real, res_em.H, res_em.C, basis))
             out["lam_hat"].append(res_em.priors.lam)
         else:
             H_g, C_g = genie_support_lmmse(Y, cb, real.activity, theta_H, theta_C, sn2)
-            out["genie"].append(nmse(real.G, H_g, C_g, basis, real.activity))
+            out["genie"].append(nmse(real, H_g, C_g, basis))
     return out
 
 

@@ -115,6 +115,14 @@ def test_public_names_are_pinned_and_resolve():
         assert getattr(turbomp, name) is not None
 
 
+def test_channel_realization_fields_are_pinned():
+    """A trial's truth is the activity vector and the active devices' responses; the dense
+    tensor is a derived view, not a field."""
+    assert [f.name for f in fields(turbomp.ChannelRealization)] == ["activity", "G_active"]
+    assert isinstance(vars(turbomp.ChannelRealization)["G"], property)
+    assert isinstance(vars(turbomp.ChannelRealization)["active"], property)
+
+
 def test_removed_names_are_gone():
     for name in REMOVED:
         assert not hasattr(turbomp, name), name

@@ -6,7 +6,9 @@ import pytest
 from oracles import e1, e2, expected_mismatch_ratio
 from turbomp import (
     BlockwiseBasis,
+    ChannelRealization,
     ConfigurationError,
+    DimensionError,
     MultipathProfile,
     ParameterError,
     load_pdp,
@@ -128,6 +130,42 @@ class TestSampleChannel:
             sample_channel(flat_profile(), np.ones(2, dtype=np.int8), M=0, N=4,
                            delta_f=15e3, seed=0)
 
+    def test_holds_the_active_rows_only(self):
+        prof = load_pdp(example_pdp_path())
+        alpha = np.array([0, 1, 0, 0, 1, 1], dtype=np.int8)
+        real = sample_channel(prof, alpha, M=3, N=12, delta_f=15e3, seed=12)
+        assert real.G_active.shape == (3, 12, 3) and real.G_active.flags.c_contiguous
+        np.testing.assert_array_equal(real.active, [1, 4, 5])
+        np.testing.assert_array_equal(real.G[real.active], real.G_active)
+
+    def test_no_active_device_gives_an_empty_response_array(self):
+        real = sample_channel(flat_profile(), np.zeros(5, dtype=np.int8), M=2, N=8,
+                              delta_f=15e3, seed=0)
+        assert real.G_active.shape == (0, 8, 2)
+        assert real.G_active.flags.c_contiguous
+        assert real.active.size == 0 and real.G.shape == (5, 8, 2) and not real.G.any()
+
+
+class TestChannelRealization:
+    def test_rejects_a_row_count_that_differs_from_the_active_devices(self):
+        activity = np.array([1, 0, 1], dtype=np.int8)
+        for rows in (1, 3, 0):
+            with pytest.raises(DimensionError):
+                ChannelRealization(activity=activity, G_active=np.zeros((rows, 4, 2), complex))
+        ChannelRealization(activity=activity, G_active=np.zeros((2, 4, 2), complex))
+
+    def test_rejects_wrong_ranks(self):
+        with pytest.raises(DimensionError):
+            ChannelRealization(activity=np.ones(2, np.int8), G_active=np.zeros((2, 4), complex))
+        with pytest.raises(DimensionError):
+            ChannelRealization(activity=np.ones((2, 1), np.int8),
+                               G_active=np.zeros((2, 4, 1), complex))
+
+    def test_is_frozen(self):
+        real = ChannelRealization(activity=np.ones(1, np.int8), G_active=np.ones((1, 2, 1)))
+        with pytest.raises(AttributeError):
+            real.G_active = np.zeros((1, 2, 1))
+
 
 class TestBlockwiseBasis:
     def test_small_case_matches_definition(self):
@@ -183,8 +221,8 @@ class TestProjectBlockwise:
         for q in (2, 4, 8):
             basis = BlockwiseBasis(72, q)
             truth = project_blockwise(real_, basis)
-            recon = basis.expand(truth.H, truth.C) + truth.Delta
-            assert np.max(np.abs(real_.G - recon)) < 1e-12
+            recon = basis.expand(truth.H, truth.C)[real_.active] + truth.Delta
+            assert np.max(np.abs(real_.G_active - recon)) < 1e-12
 
     def test_inactive_rows_are_zero(self):
         prof = load_pdp(example_pdp_path())
@@ -250,6 +288,7 @@ class TestSampleBlockwiseExact:
         basis = BlockwiseBasis(12, 3)
         truth, real_ = sample_blockwise_exact(50, 2, basis, 0.3, 1.0, 0.1, seed=2)
         assert np.all(truth.Delta == 0)
+        assert truth.Delta.shape == real_.G_active.shape == (real_.activity.sum(), 12, 2)
         recon = basis.expand(truth.H, truth.C)
         assert np.max(np.abs(real_.G - recon)) == 0.0
         inactive = np.flatnonzero(real_.activity == 0)
@@ -262,7 +301,5 @@ class TestSampleBlockwiseExact:
 
 
 def _realization(G):
-    from turbomp import ChannelRealization
-
     K = G.shape[0]
-    return ChannelRealization(G=G, activity=np.ones(K, dtype=np.int8))
+    return ChannelRealization(activity=np.ones(K, dtype=np.int8), G_active=G)

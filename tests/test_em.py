@@ -119,7 +119,7 @@ class TestScheduleCadence:
         cb = build_codebook(64, 8, 1, 2, seed=seed)
         rng = np.random.default_rng(seed + 1)
         noise = 0.1 * (rng.standard_normal((cb.rows, 2)) + 1j * rng.standard_normal((cb.rows, 2)))
-        Y = cb.mix_subcarriers(real.G) + noise
+        Y = cb.mix_subcarriers(real.G_active, real.active) + noise
         opts = TurboOptions(
             em_enabled=True, em_slow_period=slow_period, max_iters=iters,
             rel_change_tol=1e-14,
@@ -144,7 +144,7 @@ class TestScheduleCadence:
         cb = build_codebook(64, 8, 1, 2, seed=5)
         rng = np.random.default_rng(6)
         noise = 0.1 * (rng.standard_normal((cb.rows, 2)) + 1j * rng.standard_normal((cb.rows, 2)))
-        Y = cb.mix_subcarriers(real.G) + noise
+        Y = cb.mix_subcarriers(real.G_active, real.active) + noise
         priors = PriorParams(theta_H=1.0, theta_C=0.05, sigma_w2=0.02, lam=0.3)
         a = run_turbo_mp(Y, cb, priors, TurboOptions(max_iters=5))
         b = run_turbo_mp(Y, cb, priors, TurboOptions(max_iters=5, em_enabled=False))
@@ -161,7 +161,7 @@ class TestConsistency:
         noise = np.sqrt(sn2 / 2) * (
             rng.standard_normal((cb.rows, 4)) + 1j * rng.standard_normal((cb.rows, 4))
         )
-        Y = cb.mix_subcarriers(real.G) + noise
+        Y = cb.mix_subcarriers(real.G_active, real.active) + noise
         res = run_turbo_mp(Y, cb, em_initial_params(Y, cb), TurboOptions(em_enabled=True))
         return res, real
 

@@ -34,7 +34,7 @@ def make_instance(seed=0, K=64, N=8, T=2, Q=2, M=2, lam=0.2, theta_H=1.0,
     noise = np.sqrt(sn2 / 2) * (
         rng.standard_normal((cb.rows, M)) + 1j * rng.standard_normal((cb.rows, M))
     )
-    Y = cb.mix_subcarriers(real.G) + noise
+    Y = cb.mix_subcarriers(real.G_active, real.active) + noise
     priors = PriorParams(theta_H=theta_H, theta_C=theta_C, sigma_w2=sn2, lam=lam)
     return Y, cb, priors, real, basis, truth
 

@@ -141,8 +141,9 @@ class TestObservationEquivalence:
             alpha = sample_activity(200, 0.1, seed=q + 10)
             real = sample_channel(prof, alpha, M=2, N=72, delta_f=15e3, seed=q + 20)
             truth = project_blockwise(real, basis)
-            via_model = cb.mix_subcarriers(real.G)
-            via_parts = cb.apply_A(truth.H) + cb.apply_B(truth.C) + cb.mix_subcarriers(truth.Delta)
+            via_model = cb.mix_subcarriers(real.G_active, real.active)
+            via_parts = (cb.apply_A(truth.H) + cb.apply_B(truth.C)
+                         + cb.mix_subcarriers(truth.Delta, real.active))
             scale = np.linalg.norm(via_model)
             assert np.linalg.norm(via_model - via_parts) / scale < 1e-10
 
@@ -406,6 +407,14 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "roc" / "roc.csv").exists()
+
+    @pytest.mark.parametrize("snr", [["--snr", "inf"], ["--snr", "nan"], ["--snr=-inf"]])
+    def test_roc_rejects_a_snr_that_is_not_finite(self, tmp_path, capsys, snr):
+        cfg = self._write_config(tmp_path)
+        code = cli_main(["roc", "--config", cfg, *snr, "--out", str(tmp_path / "roc")])
+        assert code == 2
+        assert "snr_db must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "roc").exists()
 
     @pytest.mark.parametrize("text", ['{"K": 64,', "[1, 2]"])
     def test_malformed_config_json_is_an_error(self, tmp_path, capsys, text):

@@ -6,6 +6,7 @@ import pytest
 from oracles import e1, e2, nmse_full_expansion
 from turbomp import (
     BlockwiseBasis,
+    ChannelRealization,
     ParameterError,
     detection_metrics,
     nmse,
@@ -22,20 +23,19 @@ class TestNmse:
         )
 
     def test_perfect_estimate_is_zero(self):
-        value = nmse(self.real.G, self.truth.H, self.truth.C, self.basis,
-                     self.real.activity)
+        value = nmse(self.real, self.truth.H, self.truth.C, self.basis)
         assert value == pytest.approx(0.0, abs=1e-28)
 
     def test_zero_estimate_is_one(self):
         zero = np.zeros_like(self.truth.H)
-        value = nmse(self.real.G, zero, zero, self.basis, self.real.activity)
+        value = nmse(self.real, zero, zero, self.basis)
         assert value == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_independent_resummation(self):
         rng = np.random.default_rng(1)
         H = self.truth.H + 0.1 * rng.standard_normal(self.truth.H.shape)
         C = self.truth.C + 0.1 * rng.standard_normal(self.truth.C.shape)
-        value = nmse(self.real.G, H, C, self.basis, self.real.activity)
+        value = nmse(self.real, H, C, self.basis)
 
         num = den = 0.0
         E1, E2 = e1(self.basis), e2(self.basis)
@@ -58,7 +58,7 @@ class TestNmse:
         H = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         C = 0.3 * H + 0.2 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         assert np.any(real.activity == 0) and np.any(real.activity == 1)
-        value = nmse(real.G, H, C, basis, real.activity)
+        value = nmse(real, H, C, basis)
         ref = nmse_full_expansion(real.G, H, C, basis, real.activity)
         assert value == pytest.approx(ref, rel=1e-12)
 
@@ -66,21 +66,22 @@ class TestNmse:
         H = self.truth.H.copy()
         inactive = np.flatnonzero(self.real.activity == 0)[0]
         H[inactive * 2] = 10.0
-        bumped = nmse(self.real.G, H, self.truth.C, self.basis, self.real.activity)
+        bumped = nmse(self.real, H, self.truth.C, self.basis)
         assert bumped > 0.1
 
     def test_antenna_permutation_invariance(self):
-        value = nmse(self.real.G, self.truth.H, self.truth.C, self.basis,
-                     self.real.activity)
+        value = nmse(self.real, self.truth.H, self.truth.C, self.basis)
         perm = [1, 0]
-        flipped = nmse(self.real.G[:, :, perm], self.truth.H[:, perm],
-                       self.truth.C[:, perm], self.basis, self.real.activity)
+        flipped_real = ChannelRealization(activity=self.real.activity,
+                                          G_active=self.real.G_active[:, :, perm])
+        flipped = nmse(flipped_real, self.truth.H[:, perm], self.truth.C[:, perm], self.basis)
         assert value == pytest.approx(flipped, abs=1e-28)
 
     def test_no_active_devices_is_an_error(self):
         with pytest.raises(ParameterError):
-            nmse(np.zeros_like(self.real.G), self.truth.H, self.truth.C,
-                 self.basis, np.zeros(20, dtype=np.int8))
+            nmse(ChannelRealization(activity=np.zeros(20, dtype=np.int8),
+                                    G_active=np.zeros((0, 8, 2), dtype=complex)),
+                 self.truth.H, self.truth.C, self.basis)
 
 
 class TestDetectionMetrics:

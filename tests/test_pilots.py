@@ -197,11 +197,11 @@ class TestPermutationAndMixing:
         C = rand_complex(rng, cb.cols, 3)
         X = basis.expand(H, C)  # (K, N, M)
         direct = cb.apply_A(H) + cb.apply_B(C)
-        mixed = cb.mix_subcarriers(X)
+        mixed = cb.mix_subcarriers(X, np.arange(cb.K))
         assert np.linalg.norm(mixed - direct) / np.linalg.norm(direct) < 1e-12
 
     def test_mix_matches_fft_over_all_devices(self):
-        """Summing over the nonzero device rows equals the K-point FFT over all rows,
+        """Summing over the active device rows equals the K-point FFT over all rows,
         for sparse, all-active and all-zero inputs, with and without an antenna axis."""
         rng = np.random.default_rng(6)
         for K, N, T, Q, strict in [(64, 8, 2, 2, True), (1000, 72, 8, 4, True),
@@ -212,11 +212,34 @@ class TestPermutationAndMixing:
                 X[active] = rand_complex(rng, int(active.sum()), N, 3)
                 for x in (X, X[:, :, 0]):
                     want = mix_subcarriers_fft(cb, x)
-                    got = cb.mix_subcarriers(x)
+                    got = cb.mix_subcarriers(x[active], np.flatnonzero(active))
                     assert got.shape == want.shape
                     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_mix_shape_checks(self):
         cb = build_codebook(K=32, N=4, T=2, Q=2, seed=2)
         with pytest.raises(DimensionError):
-            cb.mix_subcarriers(np.zeros((31, 4)))
+            cb.mix_subcarriers(np.zeros((31, 4)), np.arange(32))
+
+    def test_mix_rejects_rows_that_do_not_match_the_indices(self):
+        cb = build_codebook(K=32, N=4, T=2, Q=2, seed=2)
+        for rows, active in ((3, [0, 5]), (2, [0, 5, 9]), (0, [1])):
+            with pytest.raises(DimensionError):
+                cb.mix_subcarriers(np.ones((rows, 4, 2)), np.array(active))
+        with pytest.raises(DimensionError):
+            cb.mix_subcarriers(np.ones((2, 3, 2)), np.array([0, 5]))  # N mismatch
+
+    def test_mix_rejects_indices_outside_the_devices(self):
+        """An index k >= K would alias device k - K through roots[(s k) mod K]."""
+        cb = build_codebook(K=32, N=4, T=2, Q=2, seed=2)
+        X = np.ones((2, 4, 2), dtype=complex)
+        for active in ([0, 32], [-1, 3], [3, 40]):
+            with pytest.raises(DimensionError):
+                cb.mix_subcarriers(X, np.array(active))
+        with pytest.raises(DimensionError):
+            cb.mix_subcarriers(X, np.array([0.0, 3.0]))
+        dense = np.zeros((32, 4, 2), dtype=complex)
+        dense[[0, 31]] = X
+        want = mix_subcarriers_fft(cb, dense)
+        got = cb.mix_subcarriers(X, np.array([0, 31]))  # the edge indices 0 and K - 1
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
