@@ -70,11 +70,15 @@ def em_sigma_w(
     v_h_post=None,
     v_c_post=None,
     include_correction: bool = False,
+    moment: float | None = None,
 ) -> float:
-    """Power per entry of the residual Y - A H_post - B C_post.
+    """Noise variance from the power s per entry of the residual Y - A H_post - B C_post.
 
-    The optional correction adds the posterior-variance trace term; it is off
-    by default because it can grow without bound across iterations.
+    s underestimates the noise by the power the posterior means fit.  Given the moment
+    estimate m = mean(|r|^2 - (Sigma - sigma_w2)) of a linear branch's input r, which
+    falls below zero where the message variances overstate the error, the update is
+    max(m, s).  The optional correction adds the posterior-variance trace term to s
+    instead and ignores m; it is off by default because it can grow without bound.
     """
     resid = np.asarray(resid)
     M = resid.shape[1] if resid.ndim == 2 else 1
@@ -86,6 +90,8 @@ def em_sigma_w(
         value += (codebook.K / M) * float(
             np.sum(np.asarray(v_h_post)) + d2_mean * np.sum(np.asarray(v_c_post))
         )
+    elif moment is not None:
+        value = max(value, moment)
     return float(np.clip(value, VAR_FLOOR, VAR_CEIL))
 
 
@@ -97,19 +103,20 @@ def em_lambda(lambda_d_post) -> float:
     return float(np.clip(lam.mean(), LAMBDA_FLOOR, 1.0 - LAMBDA_FLOOR))
 
 
-def em_schedule(priors, iteration, resid, den_h, den_c, lambda_d_post, codebook,
+def em_schedule(priors, iteration, resid, moment, den_h, den_c, lambda_d_post, codebook,
                 opts) -> PriorParams:
     """One scheduled parameter refresh from the running iteration's quantities.
 
-    resid is Y - A H_post - B C_post, den_h and den_c the last mean-block and
-    slope-block denoiser outputs and lambda_d_post the fused activity posterior.
+    resid is Y - A H_post - B C_post, moment the moment estimate m of `em_sigma_w`,
+    den_h and den_c the last mean-block and slope-block denoiser outputs and
+    lambda_d_post the fused activity posterior.
     The noise variance is refreshed every iteration; the coefficient
     variances and the activity rate only every opts.em_slow_period
     iterations, since they lean on the approximate posterior activity and
     destabilize the messages when refreshed too eagerly.
     """
     sigma_w2 = em_sigma_w(resid, codebook, v_h_post=den_h.column_var, v_c_post=den_c.column_var,
-                          include_correction=opts.em_sigma_correction)
+                          include_correction=opts.em_sigma_correction, moment=moment)
     if iteration % opts.em_slow_period:
         return replace(priors, sigma_w2=sigma_w2)
     size = den_h.pri_mean[0].size

@@ -56,7 +56,7 @@ class TurboOptions:
     """Knobs of the iteration schedule and numerical guards."""
 
     max_iters: int = 50
-    rel_change_tol: float = 1e-6
+    rel_change_tol: float = 1e-3
     inner_h_updates: int = 2
     em_enabled: bool = False
     em_slow_period: int = 3
@@ -211,8 +211,10 @@ def run_turbo_mp(
 
         lambda_D_post = activity_posterior(den_h.pi, pi_C, priors.lam)
         if opts.em_enabled:
-            priors = em_schedule(priors, iteration, Y - post_fwd_h - post_fwd_c, den_h, den_c,
-                                 lambda_D_post, codebook, opts)
+            # the moment estimate mean(|r|^2 - (Sigma - sigma_w2)) of the slope branch's inputs
+            moment = np.vdot(resid, resid).real / resid.size - np.mean(sigma) + priors.sigma_w2
+            priors = em_schedule(priors, iteration, Y - post_fwd_h - post_fwd_c, float(moment),
+                                 den_h, den_c, lambda_D_post, codebook, opts)
             diag.module_trace.append("EM")
 
         denom = np.hypot(norm(h_prev), norm(c_prev))

@@ -19,6 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,9 @@ def _trial_streams(master_seed: int, point_idx: int, trial_idx: int):
     return [np.random.default_rng(child) for child in ss.spawn(4)]
 
 
+_profile = cache(load_pdp)  # each power delay profile file is read once per process
+
+
 def _codebook(config: ExperimentConfig, seed) -> PilotCodebook:
     """Pilots drawn from a trial's stream, or pinned per point by (master_seed, point)."""
     return build_codebook(
@@ -197,7 +201,7 @@ def _run_trial(config, point_idx, snr_db, trial_idx, profile, codebook):
     Returns (realization, basis, result).
     """
     if profile is None and config.channel == "multipath":
-        profile = load_pdp(config.pdp_file)
+        profile = _profile(config.pdp_file)
     cb_rng, truth_rng, channel_rng, noise_rng = _trial_streams(
         config.master_seed, point_idx, trial_idx
     )
@@ -328,7 +332,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     config.trials) until that many detection errors have accumulated.
     """
     config.validate()
-    profile = load_pdp(config.pdp_file) if config.channel == "multipath" else None
+    profile = _profile(config.pdp_file) if config.channel == "multipath" else None
     points = []
     for point_idx, snr in enumerate(config.snr_db):
         start = time.perf_counter()
@@ -378,7 +382,7 @@ def run_roc(config: ExperimentConfig, thresholds, snr_db: float | None = None, p
     if not (snr_db is None or _is_finite(snr_db)):
         raise ConfigurationError(f"snr_db must be a finite number, got {snr_db!r}")
     snr = config.snr_db[0] if snr_db is None else float(snr_db)
-    profile = load_pdp(config.pdp_file) if config.channel == "multipath" else None
+    profile = _profile(config.pdp_file) if config.channel == "multipath" else None
     codebook = _codebook(config, (config.master_seed, 0)) if config.pin_codebook else None
     jobs = [(config, 0, snr, trial, profile, codebook) for trial in range(config.trials)]
     posts, truths = [], []

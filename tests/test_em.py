@@ -16,6 +16,8 @@ from turbomp import (
     run_turbo_mp,
     sample_blockwise_exact,
 )
+from turbomp.denoiser import bg_denoise_batch
+from turbomp.em import em_schedule
 
 
 def em_theta_H(H, var, lam, previous):
@@ -92,6 +94,51 @@ class TestSigmaW:
         assert got == pytest.approx(expected, rel=1e-12)
         with pytest.raises(ParameterError):
             em_sigma_w_of(Y, zero, zero, cb, include_correction=True)
+
+
+class TestNoiseRule:
+    """The scheduled noise update is max(m, s): the moment estimate m when it
+    exceeds the residual power s, else s; the correction ignores m."""
+
+    def _inputs(self):
+        cb = build_codebook(K=16, N=4, T=1, Q=2, seed=0)
+        rng = np.random.default_rng(0)
+        resid = 0.3 * (rng.standard_normal((cb.rows, 2)) + 1j * rng.standard_normal((cb.rows, 2)))
+        pri = rng.standard_normal((16, 2, 2)) + 1j * rng.standard_normal((16, 2, 2))
+        den = bg_denoise_batch(pri, np.array([0.1, 0.2]), 1.0, np.full(16, 0.2))
+        priors = PriorParams(theta_H=1.0, theta_C=1e-3, sigma_w2=0.5, lam=0.1)
+        return cb, resid, den, priors
+
+    def _sigma(self, moment, resid=None, correction=False):
+        cb, default_resid, den, priors = self._inputs()
+        resid = default_resid if resid is None else resid
+        opts = TurboOptions(em_enabled=True, em_sigma_correction=correction)
+        return em_schedule(priors, 1, resid, moment, den, den, np.full(16, 0.1), cb,
+                           opts).sigma_w2
+
+    def test_residual_power_when_moment_below(self):
+        cb, resid, _, _ = self._inputs()
+        s = em_sigma_w(resid, cb)
+        for moment in (0.5 * s, 0.0, -0.88, -1e9):
+            assert self._sigma(moment) == s
+
+    def test_moment_when_above(self):
+        cb, resid, _, _ = self._inputs()
+        s = em_sigma_w(resid, cb)
+        assert self._sigma(3.0 * s) == 3.0 * s
+
+    def test_both_clipped(self):
+        assert self._sigma(1e9) == 1e6
+        zero = np.zeros_like(self._inputs()[1])
+        assert self._sigma(-1.0, resid=zero) == 1e-12
+        assert self._sigma(1e-20, resid=zero) == 1e-12
+
+    def test_correction_ignores_moment(self):
+        cb, resid, den, _ = self._inputs()
+        expected = em_sigma_w(resid, cb, v_h_post=den.column_var, v_c_post=den.column_var,
+                              include_correction=True)
+        for moment in (-1.0, 0.0, expected * 10.0, 1e9):
+            assert self._sigma(moment, correction=True) == expected
 
 
 class TestLambda:
@@ -179,8 +226,8 @@ class TestConsistency:
         assert np.mean(lam_err) < 0.01
 
     def test_em_noise_variance_near_truth_when_occupancy_low(self):
-        """The simplified noise update is biased low by the fitted-coefficient
-        fraction, so it is checked where that fraction is small."""
+        """The learned noise variance lands near the truth where few
+        coefficients are active."""
         sw_hats = []
         for seed in range(10):
             res, real = self._em_run(0.02, 400 + seed)

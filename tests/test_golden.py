@@ -1,7 +1,9 @@
 """The engine reproduces the golden record written by tests/golden/make_golden.py.
 
 The record holds the inputs and outputs of eight frames run by the engine
-before the closed-form linear extrinsic and the cached forward products.
+before the closed-form linear extrinsic and the cached forward products
+(``multipath_60db`` was recomputed when the default EM noise update changed;
+see make_golden.py).
 Learned priors and the per-row traces agree to 1e-10 relative, entry by
 entry.  So do the estimates and activity posteriors, except that entries far
 below an array's largest one are held to 1e-10 of that largest entry.
