@@ -82,6 +82,8 @@ def _cmd_roc(args) -> int:
             thresholds = [float(t) for t in args.thresholds.split(",")]
         except ValueError:
             raise ConfigurationError(f"--thresholds needs numbers: {args.thresholds!r}") from None
+    elif args.points < 1:
+        raise ConfigurationError(f"--points must be >= 1, got {args.points}")
     else:
         thresholds = np.linspace(0.02, 0.98, args.points).tolist()
     rows = run_roc(config, thresholds, snr_db=args.snr, progress=print)

@@ -66,12 +66,12 @@ def bg_denoise_batch(
         raise ParameterError(f"pri_mean must be (K, Q, M), got shape {pri.shape}")
     K, Q, M = pri.shape
     v = np.asarray(per_antenna_var, dtype=float)
-    if v.shape != (M,) or np.any(v <= 0):
-        raise ParameterError("per_antenna_var must be positive with length M")
-    if theta <= 0:
-        raise ParameterError(f"theta must be positive, got {theta}")
+    if v.shape != (M,) or not np.all((v > 0) & (v < np.inf)):  # also false for NaN
+        raise ParameterError("per_antenna_var must be positive and finite with length M")
+    if not 0 < theta < np.inf:
+        raise ParameterError(f"theta must be positive and finite, got {theta}")
     lam = np.broadcast_to(np.asarray(lambda_pri, dtype=float), (K,))
-    if np.any(lam < 0) or np.any(lam > 1):
+    if not np.all((lam >= 0) & (lam <= 1)):
         raise ParameterError("lambda_pri must lie in [0, 1]")
 
     gain = theta / (theta + v)  # (M,)

@@ -20,6 +20,7 @@ from .pilots import PilotCodebook
 VAR_FLOOR = 1e-12
 VAR_CEIL = 1e6
 LAMBDA_FLOOR = 1e-6
+SLOW_PERIOD = 3  # iterations between refreshes of the coefficient variances and activity rate
 
 
 @dataclass(frozen=True)
@@ -111,13 +112,13 @@ def em_schedule(priors, iteration, resid, moment, den_h, den_c, lambda_d_post, c
     den_h and den_c the last mean-block and slope-block denoiser outputs and
     lambda_d_post the fused activity posterior.
     The noise variance is refreshed every iteration; the coefficient
-    variances and the activity rate only every opts.em_slow_period
-    iterations, since they lean on the approximate posterior activity and
-    destabilize the messages when refreshed too eagerly.
+    variances and the activity rate only every SLOW_PERIOD iterations, since
+    they lean on the approximate posterior activity and destabilize the
+    messages when refreshed too eagerly.
     """
     sigma_w2 = em_sigma_w(resid, codebook, v_h_post=den_h.column_var, v_c_post=den_c.column_var,
                           include_correction=opts.em_sigma_correction, moment=moment)
-    if iteration % opts.em_slow_period:
+    if iteration % SLOW_PERIOD:
         return replace(priors, sigma_w2=sigma_w2)
     size = den_h.pri_mean[0].size
     return replace(

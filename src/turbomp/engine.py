@@ -1,14 +1,14 @@
 """Iteration schedule and message bookkeeping of the turbo estimator.
 
 One engine iteration runs the linear estimator and the mean-block denoiser
-(possibly several times), then the linear estimator and the slope-block
-denoiser once, then fuses activity evidence and optionally refreshes the
-prior parameters.  Messages are device-contiguous (K, Q, M) blocks (the
-strides of a C-ordered (Q, M, K) array, so every DFT and elementwise pass runs
-along contiguous memory) with one variance per antenna; the `TurboResult`
-holds C-ordered (QK, M) matrices, converted once per frame.  Both halves run
-`_branch` over the row weight w of the operator, 1 for the means (A) or D for
-the slopes (B = D A).
+twice, then the linear estimator and the slope-block denoiser once, then
+fuses activity evidence and optionally refreshes the prior parameters.
+Messages are device-contiguous (K, Q, M) blocks (the strides of a C-ordered
+(Q, M, K) array, so every DFT and elementwise pass runs along contiguous
+memory) with one variance per antenna; the `TurboResult` holds C-ordered
+(QK, M) matrices, converted once per frame.  Both halves run `_branch` over
+the row weight w of the operator, 1 for the means (A) or D for the slopes
+(B = D A).
 `run_turbo_mp` keeps messages, their forward products, per-antenna and
 per-device statistics and the priors in locals, hands each branch its
 residual, observation variance Sigma and activity cross prior, and builds
@@ -26,10 +26,10 @@ no (K, Q, M) posterior tensor:
   x_und = alpha post_mean - beta x_ext, so
   w A post_mean = (w A x_und + beta w A x_ext) / alpha (beta is not formed as
   alpha - 1, whose rounding near alpha = 1 the far larger w A x_ext amplifies);
-* damping mixes messages and forward products alike, so fwd_h = A h_pri
-  and fwd_c = B c_pri hold at every branch entry and the residual
-  Y - fwd_h - fwd_c needs no operator call; nor does EM's residual
-  Y - A H_post - B C_post.
+* each branch returns its outgoing message with that message's forward
+  product, so fwd_h = A h_pri and fwd_c = B c_pri hold at every branch entry
+  and the residual Y - fwd_h - fwd_c needs no operator call; nor does EM's
+  residual Y - A H_post - B C_post.
 
 One iteration thus costs one adjoint and one forward operator call per
 branch.  The posterior means are built from the denoisers' last inputs
@@ -38,6 +38,7 @@ only for the `TurboResult` and for the truth-traced NMSE.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,36 +54,29 @@ from .pilots import PilotCodebook
 
 @dataclass
 class TurboOptions:
-    """Knobs of the iteration schedule and numerical guards."""
+    """Stopping rule, EM switches and detection threshold of one fixed schedule.
+
+    Each iteration runs the mean branch twice, then the slope branch, then activity
+    fusion and, with em_enabled, the EM refresh of `em.em_schedule`.
+    """
 
     max_iters: int = 50
     rel_change_tol: float = 1e-3
-    inner_h_updates: int = 2
     em_enabled: bool = False
-    em_slow_period: int = 3
     em_sigma_correction: bool = False
     threshold: float = 0.5
-    damping: float = 1.0
-    v_max: float = V_MAX
 
     def __post_init__(self):
         self.validate()
 
     def validate(self) -> None:
-        if self.max_iters < 1:
-            raise ParameterError("max_iters must be >= 1")
-        if self.rel_change_tol <= 0:
-            raise ParameterError("rel_change_tol must be positive")
-        if self.inner_h_updates < 1:
-            raise ParameterError("inner_h_updates must be >= 1")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ParameterError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        if not 0.0 < self.rel_change_tol < np.inf:
+            raise ParameterError(
+                f"rel_change_tol must be positive and finite, got {self.rel_change_tol!r}")
         if not 0.0 < self.threshold < 1.0:
             raise ParameterError("threshold must be in (0, 1)")
-        if not 0.0 < self.damping <= 1.0:
-            raise ParameterError("damping must be in (0, 1]")
-        if self.em_slow_period < 1:
-            raise ParameterError("em_slow_period must be >= 1")
-        if not (np.isfinite(self.v_max) and self.v_max > 0):
-            raise ParameterError("v_max must be positive and finite")
 
 
 @dataclass
@@ -90,7 +84,6 @@ class TurboDiagnostics:
     """Per-iteration traces: variances, learned parameters, clamp events."""
 
     rows: list = field(default_factory=list)
-    module_trace: list = field(default_factory=list)
     clamp_events: int = 0
 
 
@@ -108,12 +101,6 @@ class TurboResult:
     diagnostics: TurboDiagnostics
 
 
-def _damp(new, old, factor):
-    if factor >= 1.0:
-        return new
-    return factor * new + (1.0 - factor) * old
-
-
 def _count_uninformative(v_post, v_pri) -> int:
     return int(np.count_nonzero(np.asarray(v_post) >= np.asarray(v_pri)))
 
@@ -126,34 +113,28 @@ def _residual(Y, fwd_h, fwd_c, diag):
     return resid
 
 
-def _branch(resid, sigma, x_pri, v_pri, fwd_pri, weight, theta, lambda_pri, cb, opts, diag):
+def _branch(resid, sigma, x_pri, v_pri, fwd_pri, weight, theta, lambda_pri, cb, diag):
     """Linear module then denoiser, for the means (weight 1.0) or slopes (weight D).
 
     resid is Y - A h_pri - B c_pri, sigma the observation variance Sigma, fwd_pri is
     weight * A @ x_pri and lambda_pri the denoiser's cross prior on activity.  Returns the
-    damped outgoing message (mean, variance, forward product), the forward product
+    outgoing message (mean, variance, forward product), the forward product
     weight * A @ post_mean of the denoiser's posterior mean and the denoiser's output.
     """
-    names = ("A_h", "B") if np.isscalar(weight) else ("A_c", "C")
     ext, v_ext, v_lin, fwd_ext = linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight,
-                                                  cb, opts.v_max)
+                                                  cb, V_MAX)
     diag.clamp_events += _count_uninformative(v_lin, v_pri)
-    diag.module_trace.append(names[0])
 
     den = bg_denoise_batch(ext, v_ext, theta, lambda_pri)
     v_post = np.maximum(den.column_var, V_FLOOR)
     diag.clamp_events += _count_uninformative(v_post, v_ext)
     # the denoiser's extrinsic message x_und = alpha post_mean - beta ext
-    v_out, alpha, beta = extrinsic(v_post, v_ext, opts.v_max)
+    v_out, alpha, beta = extrinsic(v_post, v_ext, V_MAX)
     scale = (np.outer(alpha * den.gain, den.lambda_post) - beta[:, None]).T  # (K, M), like ext
     x_und = ext * scale[:, None, :]
     fwd_und = weight * cb.apply_A(x_und)
     fwd_post = (fwd_und + beta * fwd_ext) / alpha
-    x_new = _damp(x_und, x_pri, opts.damping)
-    fwd_new = _damp(fwd_und, fwd_pri, opts.damping)
-    v_new = _damp(np.maximum(v_out, V_FLOOR), v_pri, opts.damping)
-    diag.module_trace.append(names[1])
-    return x_new, v_new, fwd_new, fwd_post, den
+    return x_und, np.maximum(v_out, V_FLOOR), fwd_und, fwd_post, den
 
 
 def run_turbo_mp(
@@ -187,18 +168,17 @@ def run_turbo_mp(
     for iteration in range(1, opts.max_iters + 1):
         h_prev, c_prev = h_pri, c_pri
         lambda_h = activity_posterior(pi_C, 0.5, priors.lam)
-        for _ in range(opts.inner_h_updates):
+        for _ in range(2):
             resid = _residual(Y, fwd_h, fwd_c, diag)
             sigma = observation_variance(v_h, v_c, priors.sigma_w2, codebook)
             h_pri, v_h, fwd_h, post_fwd_h, den_h = _branch(
-                resid, sigma, h_pri, v_h, fwd_h, 1.0, priors.theta_H, lambda_h, codebook, opts,
-                diag)
+                resid, sigma, h_pri, v_h, fwd_h, 1.0, priors.theta_H, lambda_h, codebook, diag)
         lambda_c = activity_posterior(den_h.pi, 0.5, priors.lam)
         resid = _residual(Y, fwd_h, fwd_c, diag)
         sigma = observation_variance(v_h, v_c, priors.sigma_w2, codebook)
         c_pri, v_c, fwd_c, post_fwd_c, den_c = _branch(
             resid, sigma, c_pri, v_c, fwd_c, codebook.D_diag[:, None], priors.theta_C, lambda_c,
-            codebook, opts, diag)
+            codebook, diag)
         pi_C = den_c.pi
         # a NaN or inf makes a message's step or a variance's sum non-finite; checked before EM
         norm = np.linalg.norm
@@ -215,7 +195,6 @@ def run_turbo_mp(
             moment = np.vdot(resid, resid).real / resid.size - np.mean(sigma) + priors.sigma_w2
             priors = em_schedule(priors, iteration, Y - post_fwd_h - post_fwd_c, float(moment),
                                  den_h, den_c, lambda_D_post, codebook, opts)
-            diag.module_trace.append("EM")
 
         denom = np.hypot(norm(h_prev), norm(c_prev))
         rel_change = float(change / denom) if denom > 0 else np.inf
@@ -227,7 +206,8 @@ def run_turbo_mp(
             nmse_db = _metrics.nmse_db(_metrics.nmse(real, H, C, basis))
         diag.rows.append(dict(
             iter=iteration, v_h=float(np.mean(v_h)), v_c=float(np.mean(v_c)),
-            sigma_w2=priors.sigma_w2, lam=priors.lam, rel_change=rel_change, nmse_db=nmse_db,
+            sigma_w2=priors.sigma_w2, lam=priors.lam, theta_H=priors.theta_H,
+            theta_C=priors.theta_C, rel_change=rel_change, nmse_db=nmse_db,
             clamp_events=diag.clamp_events,
         ))
         if rel_change < opts.rel_change_tol:

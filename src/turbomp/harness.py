@@ -63,9 +63,9 @@ _KINDS = {  # field annotation -> (check, description)
 class ExperimentConfig(TurboOptions):
     """One experiment: system dimensions, SNR sweep, estimator options.
 
-    The estimator options are the inherited `TurboOptions` fields but v_max, which no config
-    sets: max_iters, rel_change_tol, inner_h_updates, em_enabled, em_slow_period,
-    em_sigma_correction, threshold and damping.  "lambda" and "em" are read as lam, em_enabled.
+    The estimator options are the inherited `TurboOptions` fields: max_iters, rel_change_tol,
+    em_enabled, em_sigma_correction and threshold.  "lambda" and "em" are read as lam,
+    em_enabled.
     Every field must hold a value of its annotated type, a float a finite one; an optional one
     may also be None.
     """
@@ -150,8 +150,7 @@ class ExperimentConfig(TurboOptions):
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         doc = cls.canonical_keys(doc)
-        known = set(cls.__dataclass_fields__) - {"v_max"}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         missing = {"K", "N", "T", "Q", "M", "snr_db", "lam"} - set(doc)
@@ -160,7 +159,7 @@ class ExperimentConfig(TurboOptions):
         return cls(**doc)
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if k != "v_max"}
+        return asdict(self)
 
     def noise_variance(self, snr_db: float) -> float:
         return self.pilot_power * 10.0 ** (-snr_db / 10.0)

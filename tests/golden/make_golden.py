@@ -1,4 +1,4 @@
-"""Write the golden record of the Turbo-MP engine: the inputs and outputs of eight frames.
+"""Write the golden record of the Turbo-MP engine: the inputs and outputs of six frames.
 
 Run from the repository root:
 
@@ -30,14 +30,21 @@ Each case stores, under ``<case>__<key>``:
 
 * inputs: ``dims`` (K, N, T, Q), ``power``, ``selections``, ``strict``,
   ``Y``, ``priors`` (theta_H, theta_C, sigma_w2, lam), ``options`` (JSON of
-  the ``TurboOptions`` fields that differ from the defaults) and, for the
+  the ``TurboOptions`` fields that differ from the defaults, plus the message
+  clamp ``v_max`` of ``vmax_clamped``, which ``replay`` sets as
+  ``turbomp.engine.V_MAX`` for the duration of the run) and, for the
   truth-traced case, the dense (K, N, M) ``G`` and ``activity``;
 * outputs: ``H``/``C`` rows of the devices in ``devices`` (all devices
   except in the K=1000 frame, where the record keeps the active devices and
   every fourth one), the squared norms ``H_norm2``/``C_norm2`` of the full
   estimates, ``lambda_D_post``, ``priors_out``, ``iterations``,
-  ``converged``, ``clamp_events``, ``module_trace`` and the per-row
-  diagnostics ``rows_<field>`` (``nmse_db`` is NaN where it was not traced).
+  ``converged``, ``clamp_events`` and the per-row diagnostics
+  ``rows_<field>`` (``nmse_db`` is NaN where it was not traced).
+
+The committed cases also hold ``module_trace``, the order of the module calls
+as the recording tree logged it.  The engine runs one fixed schedule and no
+longer logs it, so this script does not write that key and the test does not
+read it.
 """
 
 from __future__ import annotations
@@ -65,10 +72,6 @@ CASES = {
     "multipath_60db": (
         "multipath", (128, 24, 4, 4, 4), 0.1, 60.0, 3,
         {"max_iters": 50, "rel_change_tol": 1e-6, "em_enabled": True}, False,
-    ),
-    "damped": ("exact", (64, 8, 2, 2, 2), 0.2, 10.0, 4, {"max_iters": 40, "damping": 0.7}, False),
-    "single_inner": (
-        "exact", (96, 8, 4, 2, 3), 0.1, 10.0, 5, {"max_iters": 30, "inner_h_updates": 1}, False,
     ),
     "vmax_clamped": (
         "exact", (96, 8, 4, 2, 3), 0.1, 10.0, 5,
@@ -127,13 +130,18 @@ def replay(tm, doc):
     cb = tm.PilotCodebook(K=K, N=N, T=T, Q=Q, power=float(doc["power"]),
                           selections=doc["selections"], strict=bool(doc["strict"]))
     priors = tm.PriorParams(*(float(v) for v in doc["priors"]))
-    opts = tm.TurboOptions(**json.loads(str(doc["options"])))
+    options = json.loads(str(doc["options"]))
     truth = None
     if "G" in doc:
         activity = doc["activity"]
         real = tm.ChannelRealization(activity=activity, G_active=doc["G"][np.flatnonzero(activity)])
         truth = (real, tm.BlockwiseBasis(N, Q))
-    return tm.run_turbo_mp(doc["Y"], cb, priors, opts, truth=truth)
+    saved = tm.engine.V_MAX
+    tm.engine.V_MAX = options.pop("v_max", saved)  # the message clamp is an engine constant
+    try:
+        return tm.run_turbo_mp(doc["Y"], cb, priors, tm.TurboOptions(**options), truth=truth)
+    finally:
+        tm.engine.V_MAX = saved
 
 
 def recorded_devices(K, lambda_post):
@@ -161,7 +169,6 @@ def outputs(result, Q, devices):
         "iterations": np.array(result.iterations),
         "converged": np.array(result.converged),
         "clamp_events": np.array(result.diagnostics.clamp_events),
-        "module_trace": np.array(",".join(result.diagnostics.module_trace)),
     }
     for name in ROW_FIELDS:
         out[f"rows_{name}"] = np.array([nan if r[name] is None else r[name] for r in rows], dtype=float)

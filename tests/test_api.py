@@ -61,20 +61,19 @@ REMOVED = [
     "sigma_diag",
 ]
 
-REMOVED_FROM_MODULES = {"activity": ["cross_prior"], "engine": ["TurboState", "init_state"]}
+REMOVED_FROM_MODULES = {
+    "activity": ["cross_prior"],
+    "engine": ["TurboState", "_damp", "init_state"],
+}
 
-REMOVED_CONFIG_KEYS = ["em_damping", "v_max"]
+REMOVED_CONFIG_KEYS = ["damping", "em_damping", "em_slow_period", "inner_h_updates", "v_max"]
 
 TURBO_OPTIONS_FIELDS = [
-    "damping",
     "em_enabled",
     "em_sigma_correction",
-    "em_slow_period",
-    "inner_h_updates",
     "max_iters",
     "rel_change_tol",
     "threshold",
-    "v_max",
 ]
 
 CONFIG_KEYS = [
@@ -84,12 +83,9 @@ CONFIG_KEYS = [
     "Q",
     "T",
     "channel",
-    "damping",
     "delta_f",
     "em_enabled",
     "em_sigma_correction",
-    "em_slow_period",
-    "inner_h_updates",
     "lam",
     "master_seed",
     "max_iters",
@@ -134,19 +130,19 @@ def test_removed_names_are_gone():
     assert not hasattr(turbomp.PilotCodebook, "dense_A")
     assert not hasattr(turbomp.BlockwiseBasis(8, 2), "e1")
     assert not hasattr(turbomp.ExperimentConfig, "turbo_options")
+    assert not hasattr(turbomp.engine.TurboDiagnostics(), "module_trace")
     assert not hasattr(turbomp.MultipathProfile, "num_taps")
 
 
 def test_config_keys_are_pinned():
-    """Every estimator option is declared once, in `TurboOptions`; all but the LMMSE clamp
-    v_max are config keys."""
+    """Every estimator option is declared once, in `TurboOptions`, and is a config key."""
     doc = dict(K=64, N=8, T=2, Q=2, M=2, snr_db=[10.0], lam=0.2, channel="exact",
                theta_H=1.0, theta_C=0.05)
     options = sorted(f.name for f in fields(turbomp.TurboOptions))
     keys = sorted(turbomp.ExperimentConfig.from_dict(doc).to_dict())
     assert options == TURBO_OPTIONS_FIELDS
     assert keys == CONFIG_KEYS
-    assert set(options) - {"v_max"} <= set(keys)
+    assert set(options) <= set(keys)
     assert issubclass(turbomp.ExperimentConfig, turbomp.TurboOptions)
     for key in REMOVED_CONFIG_KEYS:
         with pytest.raises(turbomp.ConfigurationError, match="unknown"):

@@ -107,8 +107,12 @@ class TestBatchBehaviour:
             bg_denoise_batch(np.zeros((2, 2, 1), dtype=complex), np.array([0.0]), 1.0, 0.5)
         with pytest.raises(ParameterError):
             bg_denoise_batch(np.zeros((2, 2, 1), dtype=complex), np.array([1.0]), 0.0, 0.5)
-        with pytest.raises(ParameterError):
-            bg_denoise_batch(np.zeros((2, 2, 1), dtype=complex), np.array([1.0]), 1.0, 1.5)
+        nan, inf = float("nan"), float("inf")
+        for v, theta, lam in (([nan], 1.0, 0.5), ([inf], 1.0, 0.5), ([1.0], nan, 0.5),
+                              ([1.0], inf, 0.5), ([1.0], 1.0, 1.5), ([1.0], 1.0, nan),
+                              ([1.0], 1.0, [0.5, nan])):
+            with pytest.raises(ParameterError):
+                bg_denoise_batch(np.zeros((2, 2, 1), dtype=complex), np.array(v), theta, lam)
 
 
 class TestColumnVariance:

@@ -160,30 +160,37 @@ class TestLambda:
 
 
 class TestScheduleCadence:
-    def _run(self, slow_period, iters, seed=0):
+    def _run(self, iters, seed=0):
         basis = BlockwiseBasis(8, 2)
         truth, real = sample_blockwise_exact(64, 2, basis, 0.3, 1.0, 0.05, seed=seed)
         cb = build_codebook(64, 8, 1, 2, seed=seed)
         rng = np.random.default_rng(seed + 1)
         noise = 0.1 * (rng.standard_normal((cb.rows, 2)) + 1j * rng.standard_normal((cb.rows, 2)))
         Y = cb.mix_subcarriers(real.G_active, real.active) + noise
-        opts = TurboOptions(
-            em_enabled=True, em_slow_period=slow_period, max_iters=iters,
-            rel_change_tol=1e-14,
-        )
+        opts = TurboOptions(em_enabled=True, max_iters=iters, rel_change_tol=1e-14)
         return run_turbo_mp(Y, cb, em_initial_params(Y, cb), opts)
 
     def test_only_noise_variance_moves_before_slow_period(self):
-        res = self._run(slow_period=3, iters=1)
+        res = self._run(iters=1)
         row = res.diagnostics.rows[0]
         assert res.priors.theta_H == 1.0 and res.priors.theta_C == 1e-3
         assert res.priors.lam == 0.1
         assert row["sigma_w2"] != pytest.approx(res.diagnostics.rows[0]["lam"])
 
     def test_all_parameters_move_at_slow_period(self):
-        res = self._run(slow_period=3, iters=3)
+        res = self._run(iters=3)
         assert res.priors.theta_H != 1.0
         assert res.priors.lam != 0.1
+
+    def test_coefficient_variances_move_every_third_iteration_only(self):
+        """Each diagnostics row holds the priors after its iteration's EM refresh: the noise
+        variance moves at every iteration, theta_H and theta_C at iterations 3 and 6 only."""
+        rows = self._run(iters=7).diagnostics.rows
+        assert len(rows) == 7
+        for name, start in (("sigma_w2", None), ("theta_H", 1.0), ("theta_C", 1e-3)):
+            values = [start] + [row[name] for row in rows]  # the blind start, then each row
+            moved = [row["iter"] for row, a, b in zip(rows, values, values[1:]) if a != b]
+            assert moved == ([1, 2, 3, 4, 5, 6, 7] if start is None else [3, 6]), name
 
     def test_em_disabled_reproduces_fixed_runs_bit_exactly(self):
         basis = BlockwiseBasis(8, 2)

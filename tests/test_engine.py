@@ -43,26 +43,26 @@ def make_instance(seed=0, K=64, N=8, T=2, Q=2, M=2, lam=0.2, theta_H=1.0,
 
 
 class TestSchedule:
-    def test_module_sequence_single_inner_update(self):
-        """One iteration visits linear/mean-denoise/linear/slope-denoise in order."""
+    @pytest.mark.parametrize("em", [False, True])
+    def test_call_order_per_iteration(self, monkeypatch, em):
+        """Every iteration runs the mean branch twice, then the slope branch, then the EM
+        refresh when EM is enabled."""
         Y, cb, priors, *_ = make_instance()
-        opts = TurboOptions(max_iters=3, inner_h_updates=1, rel_change_tol=1e-300)
-        res = run_turbo_mp(Y, cb, priors, opts)
-        trace = res.diagnostics.module_trace
-        assert trace == ["A_h", "B", "A_c", "C"] * 3
+        branch, em_schedule, calls = engine._branch, engine.em_schedule, []
 
-    def test_module_sequence_with_inner_updates(self):
-        Y, cb, priors, *_ = make_instance()
-        opts = TurboOptions(max_iters=2, inner_h_updates=2, rel_change_tol=1e-300)
-        res = run_turbo_mp(Y, cb, priors, opts)
-        assert res.diagnostics.module_trace == ["A_h", "B", "A_h", "B", "A_c", "C"] * 2
+        def recorded_branch(*args):
+            calls.append("h" if np.isscalar(args[5]) else "c")  # weight 1 or D
+            return branch(*args)
 
-    def test_em_appears_in_trace_when_enabled(self):
-        Y, cb, priors, *_ = make_instance()
-        opts = TurboOptions(max_iters=2, inner_h_updates=1, em_enabled=True,
-                            rel_change_tol=1e-300)
-        res = run_turbo_mp(Y, cb, priors, opts)
-        assert res.diagnostics.module_trace == ["A_h", "B", "A_c", "C", "EM"] * 2
+        def recorded_em(*args):
+            calls.append("EM")
+            return em_schedule(*args)
+
+        monkeypatch.setattr(engine, "_branch", recorded_branch)
+        monkeypatch.setattr(engine, "em_schedule", recorded_em)
+        opts = TurboOptions(max_iters=3, em_enabled=em, rel_change_tol=1e-300)
+        assert run_turbo_mp(Y, cb, priors, opts).iterations == 3
+        assert calls == (["h", "h", "c"] + ["EM"] * em) * 3
 
     def test_zero_observation_collapses_toward_inactive(self):
         """All-zero measurements leave zero estimates and suppress the
@@ -211,10 +211,9 @@ class TestFailureModes:
             run_turbo_mp(Y[:-1], cb, priors)
 
     def test_option_validation(self):
-        for bad in (dict(max_iters=0), dict(rel_change_tol=0.0),
-                    dict(inner_h_updates=0), dict(threshold=1.0),
-                    dict(damping=0.0),
-                    dict(v_max=0.0), dict(v_max=-1.0), dict(v_max=float("inf"))):
+        for bad in (dict(max_iters=0), dict(max_iters=2.5), dict(rel_change_tol=0.0),
+                    dict(rel_change_tol=float("inf")), dict(rel_change_tol=float("nan")),
+                    dict(threshold=1.0)):
             with pytest.raises(ParameterError):
                 TurboOptions(**bad)
 
@@ -222,7 +221,7 @@ class TestFailureModes:
 class TestForwardProducts:
     @pytest.mark.parametrize("case", list(CASES))
     def test_closed_form_products_match_operators(self, monkeypatch, case):
-        """On each golden frame's inputs, every branch's damped forward product and
+        """On each golden frame's inputs, every branch's outgoing forward product and
         posterior forward product equal the operator applied to the outgoing message
         and to the denoiser's posterior mean, to 1e-12 relative."""
         with np.load(GOLDEN / "engine_golden.npz") as data:
@@ -240,8 +239,7 @@ class TestForwardProducts:
 
         monkeypatch.setattr(engine, "_branch", checked)
         result = replay(turbomp, doc)
-        trace = result.diagnostics.module_trace
-        assert len(errors) == len(trace) - trace.count("EM")  # two products per branch
+        assert len(errors) == 2 * 3 * result.iterations  # two products each of three branches
         assert max(errors) <= 0.0
 
 

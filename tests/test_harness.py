@@ -70,9 +70,7 @@ class TestConfigValidation:
 
     def test_estimator_options_rejected_at_construction(self):
         """Bad estimator options fail when the config is built, before any trial runs."""
-        for bad in (dict(threshold=1.5), dict(damping=0), dict(max_iters=0),
-                    dict(inner_h_updates=0), dict(rel_change_tol=0.0),
-                    dict(em_slow_period=0)):
+        for bad in (dict(threshold=1.5), dict(max_iters=0), dict(rel_change_tol=0.0)):
             with pytest.raises(ParameterError):
                 exact_config(**bad)
 
@@ -243,15 +241,13 @@ class TestEmitResults:
 
     def test_every_estimator_option_reaches_the_engine_and_the_json(self, tmp_path, monkeypatch):
         """A config's TurboOptions fields are the options each trial runs with, and the
-        config written to the results JSON reloads to an equal config.  v_max is not a
-        config key, so every trial keeps its default."""
+        config written to the results JSON reloads to an equal config."""
         from turbomp import TurboOptions, harness
 
-        options = dict(max_iters=7, rel_change_tol=1e-5, inner_h_updates=1, em_enabled=True,
-                       em_slow_period=2, em_sigma_correction=True,
-                       threshold=0.4, damping=0.9)
+        options = dict(max_iters=7, rel_change_tol=1e-5, em_enabled=True,
+                       em_sigma_correction=True, threshold=0.4)
         defaults = TurboOptions()
-        assert set(options) == {f.name for f in fields(TurboOptions)} - {"v_max"}
+        assert set(options) == {f.name for f in fields(TurboOptions)}
         assert all(getattr(defaults, k) != v for k, v in options.items())
         cfg = ExperimentConfig.from_dict(dict(
             K=64, N=8, T=2, Q=2, M=2, snr_db=[10.0], lam=0.2, channel="exact",
@@ -270,7 +266,6 @@ class TestEmitResults:
         assert len(seen) == 2
         for opts in seen:
             assert {k: getattr(opts, k) for k in options} == options
-            assert opts.v_max == defaults.v_max
         paths = emit_results(result, tmp_path)
         doc = json.loads(Path(paths["json"]).read_text())
         assert ExperimentConfig.from_dict(doc["config"]) == cfg
@@ -403,10 +398,12 @@ class TestCli:
 
     def test_roc_rejects_empty_grid(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
-        code = cli_main(["roc", "--config", cfg, "--points", "0", "--out", str(tmp_path / "roc")])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
-        assert not (tmp_path / "roc" / "roc.csv").exists()
+        for points in ("0", "-1"):
+            code = cli_main(["roc", "--config", cfg, "--points", points,
+                             "--out", str(tmp_path / "roc")])
+            assert code == 2
+            assert "error:" in capsys.readouterr().err
+            assert not (tmp_path / "roc" / "roc.csv").exists()
 
     @pytest.mark.parametrize("snr", [["--snr", "inf"], ["--snr", "nan"], ["--snr=-inf"]])
     def test_roc_rejects_a_snr_that_is_not_finite(self, tmp_path, capsys, snr):
