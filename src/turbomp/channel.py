@@ -61,19 +61,25 @@ def load_pdp(path) -> MultipathProfile:
     """Read a power delay profile from a plain-text file.
 
     One "power delay_seconds" pair per line; '#' starts a comment; blank
-    lines are ignored.  The powers are scaled to sum to one.
+    lines are ignored.  The powers are scaled to sum to one.  A file that cannot be read or
+    decoded raises ParameterError, as does a malformed one.
     """
     powers, delays = [], []
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParameterError(f"{path}:{lineno}: expected 'power delay', got {raw!r}")
-            powers.append(float(parts[0]))
-            delays.append(float(parts[1]))
+    try:
+        with open(path) as f:
+            for lineno, raw in enumerate(f, 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                try:
+                    power, delay = map(float, line.split())
+                except ValueError:  # a count other than two, or a token that is not a number
+                    raise ParameterError(
+                        f"{path}:{lineno}: expected 'power delay', got {raw!r}") from None
+                powers.append(power)
+                delays.append(delay)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read power delay profile {path}: {exc}") from None
     powers = np.asarray(powers, dtype=float)
     total = powers.sum()
     if total <= 0:

@@ -18,8 +18,7 @@ from .harness import (
     run_roc,
 )
 
-_CONFIG_ERRORS = (ConfigurationError, ParameterError, DimensionError, FileNotFoundError,
-                  json.JSONDecodeError)
+_CONFIG_ERRORS = (ConfigurationError, ParameterError, DimensionError, json.JSONDecodeError)
 
 
 def _load_config(args, values=(), **overrides) -> ExperimentConfig:

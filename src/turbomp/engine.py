@@ -81,7 +81,12 @@ class TurboOptions:
 
 @dataclass
 class TurboDiagnostics:
-    """Per-iteration traces: variances, learned parameters, clamp events."""
+    """Per-iteration traces: variances, learned parameters, clamp events.
+
+    clamp_events counts the outgoing antenna messages whose variance was clamped at `V_MAX`
+    because they carried no information: the linear modules' and the denoisers' alike, summed
+    over every branch run so far.  Each row holds the count at the end of its iteration.
+    """
 
     rows: list = field(default_factory=list)
     clamp_events: int = 0
@@ -101,10 +106,6 @@ class TurboResult:
     diagnostics: TurboDiagnostics
 
 
-def _count_uninformative(v_post, v_pri) -> int:
-    return int(np.count_nonzero(np.asarray(v_post) >= np.asarray(v_pri)))
-
-
 def _residual(Y, fwd_h, fwd_c, diag):
     """Y - A h_pri - B c_pri from the carried forward products, checked finite."""
     resid = Y - fwd_h - fwd_c
@@ -121,15 +122,13 @@ def _branch(resid, sigma, x_pri, v_pri, fwd_pri, weight, theta, lambda_pri, cb, 
     outgoing message (mean, variance, forward product), the forward product
     weight * A @ post_mean of the denoiser's posterior mean and the denoiser's output.
     """
-    ext, v_ext, v_lin, fwd_ext = linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight,
-                                                  cb, V_MAX)
-    diag.clamp_events += _count_uninformative(v_lin, v_pri)
-
+    ext, v_ext, _, fwd_ext = linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight, cb,
+                                              V_MAX)
     den = bg_denoise_batch(ext, v_ext, theta, lambda_pri)
     v_post = np.maximum(den.column_var, V_FLOOR)
-    diag.clamp_events += _count_uninformative(v_post, v_ext)
     # the denoiser's extrinsic message x_und = alpha post_mean - beta ext
     v_out, alpha, beta = extrinsic(v_post, v_ext, V_MAX)
+    diag.clamp_events += int(np.count_nonzero(v_ext == V_MAX) + np.count_nonzero(v_out == V_MAX))
     scale = (np.outer(alpha * den.gain, den.lambda_post) - beta[:, None]).T  # (K, M), like ext
     x_und = ext * scale[:, None, :]
     fwd_und = weight * cb.apply_A(x_und)

@@ -5,8 +5,12 @@ per-subcarrier responses mixed through the pilots plus white noise), so
 model mismatch enters the evaluation exactly as the estimator will see it
 in the field.  The synthetic-exact mode replaces the physical channel with
 data drawn from the estimator's own prior, which is the right fixture for
-oracle comparisons.  Every trial derives its random streams from
-(master_seed, point_index, trial_index), so records replay exactly.
+oracle comparisons.
+
+A trial is named by its config, point index, SNR and trial index, plus the
+point's pinned codebook when the config pins one: it derives its random streams
+from (master_seed, point_index, trial_index) and reads everything else from the
+config, so `run_single_trial` replays any record alone.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import csv
 import json
 import math
 import numbers
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -26,7 +31,6 @@ import numpy as np
 
 from .channel import (
     BlockwiseBasis,
-    MultipathProfile,
     load_pdp,
     sample_activity,
     sample_blockwise_exact,
@@ -67,7 +71,9 @@ class ExperimentConfig(TurboOptions):
     em_enabled, em_sigma_correction and threshold.  "lambda" and "em" are read as lam,
     em_enabled.
     Every field must hold a value of its annotated type, a float a finite one; an optional one
-    may also be None.
+    may also be None.  A multipath config reads its power delay profile once per process, when
+    it is built, so a pdp_file that cannot be read or parsed fails before any trial runs.  With
+    workers > 1 the trials run on a process pool capped at the CPUs this process may use.
     """
 
     K: int
@@ -125,8 +131,10 @@ class ExperimentConfig(TurboOptions):
                 raise ConfigurationError(f"{name} must be positive and finite, got {value}")
         if self.channel not in CHANNEL_MODES:
             raise ConfigurationError(f"channel must be one of {CHANNEL_MODES}")
-        if self.channel == "multipath" and not self.pdp_file:
-            raise ConfigurationError("multipath channel needs pdp_file")
+        if self.channel == "multipath":
+            if not self.pdp_file:
+                raise ConfigurationError("multipath channel needs pdp_file")
+            _profile(self.pdp_file)
         if self.channel == "exact" or not self.em_enabled:
             if self.theta_H is None or self.theta_C is None:
                 raise ConfigurationError("exact or fixed-parameter runs need theta_H and theta_C")
@@ -194,13 +202,11 @@ def _codebook(config: ExperimentConfig, seed) -> PilotCodebook:
     )
 
 
-def _run_trial(config, point_idx, snr_db, trial_idx, profile, codebook):
+def _run_trial(config, point_idx, snr_db, trial_idx, codebook):
     """Draw one trial's channel and observation and run the estimator on it.
 
     Returns (realization, basis, result).
     """
-    if profile is None and config.channel == "multipath":
-        profile = _profile(config.pdp_file)
     cb_rng, truth_rng, channel_rng, noise_rng = _trial_streams(
         config.master_seed, point_idx, trial_idx
     )
@@ -215,7 +221,7 @@ def _run_trial(config, point_idx, snr_db, trial_idx, profile, codebook):
     else:
         activity = sample_activity(config.K, config.lam, truth_rng)
         realization = sample_channel(
-            profile, activity, config.M, config.N, config.delta_f, channel_rng
+            _profile(config.pdp_file), activity, config.M, config.N, config.delta_f, channel_rng
         )
 
     sigma_n2 = config.noise_variance(snr_db)
@@ -242,14 +248,15 @@ def run_single_trial(
     point_idx: int,
     snr_db: float,
     trial_idx: int,
-    profile: MultipathProfile | None = None,
     codebook: PilotCodebook | None = None,
 ) -> dict:
-    """One Monte-Carlo trial; returns a flat record of metrics and traces."""
+    """One Monte-Carlo trial; returns a flat record of metrics and traces.
+
+    The config, point index, SNR and trial index name the trial; `codebook` is the point's
+    pinned codebook, or None for pilots drawn from the trial's own stream.
+    """
     start = time.perf_counter()
-    realization, basis, result = _run_trial(
-        config, point_idx, snr_db, trial_idx, profile, codebook
-    )
+    realization, basis, result = _run_trial(config, point_idx, snr_db, trial_idx, codebook)
     det = detection_metrics(realization.activity, result.activity)
     record = {
         "trial": trial_idx,
@@ -287,9 +294,11 @@ def _roc_job(args):
 
 @contextmanager
 def _mapper(workers: int):
-    """`map`, or with workers > 1 the `map` of one process pool for every call."""
+    """`map`, or with workers > 1 the `map` of one process pool for every call, of at most
+    as many processes as this process has CPUs."""
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with ProcessPoolExecutor(max_workers=min(workers, cpus or 1)) as pool:
             yield pool.map
     else:
         yield map
@@ -331,14 +340,13 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     config.trials) until that many detection errors have accumulated.
     """
     config.validate()
-    profile = _profile(config.pdp_file) if config.channel == "multipath" else None
     points = []
     for point_idx, snr in enumerate(config.snr_db):
         start = time.perf_counter()
         pinned = config.pin_codebook
         codebook = _codebook(config, (config.master_seed, point_idx)) if pinned else None
         with _mapper(config.workers) as mapper:
-            records = _run_chunks(config, point_idx, snr, profile, codebook, mapper)
+            records = _run_chunks(config, point_idx, snr, codebook, mapper)
         wall = time.perf_counter() - start
         aggregate = _aggregate_point(config, snr, records, wall)
         points.append(PointResult(snr_db=snr, aggregate=aggregate, trials=records))
@@ -351,23 +359,15 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     return ExperimentResult(config=config, points=points)
 
 
-def _run_chunks(config, point_idx, snr, profile, codebook, mapper) -> list:
-    target_events = config.min_error_events
-    chunk = config.trials if target_events is None else max(1, min(config.trials, 16))
+def _run_chunks(config, point_idx, snr, codebook, mapper) -> list:
+    target = config.min_error_events
+    chunk = config.trials if target is None else 16
     records = []
-    next_trial = 0
-    while next_trial < config.trials:
-        count = min(chunk, config.trials - next_trial)
-        jobs = [
-            (config, point_idx, snr, trial, profile, codebook)
-            for trial in range(next_trial, next_trial + count)
-        ]
-        records.extend(mapper(_trial_job, jobs))
-        next_trial += count
-        if target_events is not None:
-            events = sum(r["miss"] + r["false"] for r in records)
-            if events >= target_events:
-                break
+    for first in range(0, config.trials, chunk):
+        trials = range(first, min(first + chunk, config.trials))
+        records.extend(mapper(_trial_job, [(config, point_idx, snr, t, codebook) for t in trials]))
+        if target is not None and sum(r["miss"] + r["false"] for r in records) >= target:
+            break
     return records
 
 
@@ -381,9 +381,8 @@ def run_roc(config: ExperimentConfig, thresholds, snr_db: float | None = None, p
     if not (snr_db is None or _is_finite(snr_db)):
         raise ConfigurationError(f"snr_db must be a finite number, got {snr_db!r}")
     snr = config.snr_db[0] if snr_db is None else float(snr_db)
-    profile = _profile(config.pdp_file) if config.channel == "multipath" else None
     codebook = _codebook(config, (config.master_seed, 0)) if config.pin_codebook else None
-    jobs = [(config, 0, snr, trial, profile, codebook) for trial in range(config.trials)]
+    jobs = [(config, 0, snr, trial, codebook) for trial in range(config.trials)]
     posts, truths = [], []
     with _mapper(config.workers) as mapper:
         for done, (post, truth) in enumerate(mapper(_roc_job, jobs), 1):
@@ -427,15 +426,8 @@ def emit_results(result: ExperimentResult, out_dir, stem: str = "results") -> di
         out / f"{stem}.csv", AGGREGATE_COLUMNS, (p.aggregate for p in result.points)
     )
     json_path = out / f"{stem}.json"
-    doc = {
-        "config": result.config.to_dict(),
-        "points": [
-            {"snr_db": p.snr_db, "aggregate": p.aggregate, "trials": p.trials}
-            for p in result.points
-        ],
-    }
     with open(json_path, "w") as f:
-        json.dump(doc, f, indent=1)
+        json.dump(asdict(result), f, indent=1)
     return {"csv": csv_path, "json": str(json_path)}
 
 

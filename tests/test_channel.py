@@ -61,6 +61,8 @@ class TestMultipathProfile:
             MultipathProfile(powers=np.array([0.5, 0.5]), delays=np.array([1e-7, 1e-7]))
         with pytest.raises(ParameterError):
             MultipathProfile(powers=np.array([0.7, 0.2]), delays=np.array([0.0, 1e-7]))
+        with pytest.raises(ParameterError, match="positive"):
+            MultipathProfile(powers=np.array([1.0, 0.0]), delays=np.array([0.0, 1e-7]))
 
     def test_example_profile_loads(self):
         prof = load_pdp(example_pdp_path())
@@ -79,6 +81,12 @@ class TestMultipathProfile:
             load_pdp_path = tmp_path / "bad.pdp"
             load_pdp_path.write_text("1.0\n")
             load_pdp(load_pdp_path)
+        with pytest.raises(ParameterError, match="expected 'power delay'"):
+            load_pdp_path.write_text("1 0\n1 1e-7s\n")
+            load_pdp(load_pdp_path)
+        with pytest.raises(ParameterError, match="total tap power"):
+            load_pdp_path.write_text("0 0\n0 1e-7\n")
+            load_pdp(load_pdp_path)
 
     @pytest.mark.parametrize("text", ["nan 0\n", "1 0\n1 nan\n", "1 0\n1 inf\n"])
     def test_load_pdp_rejects_non_finite_values(self, tmp_path, text):
@@ -86,6 +94,17 @@ class TestMultipathProfile:
         path = tmp_path / "bad.pdp"
         path.write_text(text)
         with pytest.raises(ParameterError, match="finite"):
+            load_pdp(path)
+
+
+    @pytest.mark.parametrize("kind", ["directory", "missing", "undecodable"])
+    def test_load_pdp_names_a_file_it_cannot_read(self, tmp_path, kind):
+        path = tmp_path / "p.pdp"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "undecodable":
+            path.write_bytes(b"\xff\xfe 1 0\n")
+        with pytest.raises(ParameterError, match="cannot read power delay profile .*p.pdp"):
             load_pdp(path)
 
 
@@ -192,6 +211,13 @@ class TestBlockwiseBasis:
         with pytest.raises(ConfigurationError):
             BlockwiseBasis(10, 4)
 
+    def test_expand_rejects_mismatched_means_and_slopes(self):
+        basis = BlockwiseBasis(8, 2)
+        with pytest.raises(DimensionError):
+            basis.expand(np.zeros((4, 2)), np.zeros((4, 1)))
+        with pytest.raises(DimensionError):
+            basis.expand(np.zeros((3, 2)), np.zeros((3, 2)))  # 3 rows are not Q * K
+
 
 class TestProjectBlockwise:
     def test_constant_block_gives_pure_mean(self):
@@ -230,6 +256,11 @@ class TestProjectBlockwise:
         real_ = sample_channel(prof, alpha, M=2, N=8, delta_f=15e3, seed=7)
         truth = project_blockwise(real_, BlockwiseBasis(8, 2))
         assert np.all(truth.H[2:] == 0) and np.all(truth.C[2:] == 0)
+
+    def test_rejects_a_basis_of_another_size(self):
+        with pytest.raises(DimensionError, match="N=8"):
+            project_blockwise(_realization(np.zeros((1, 8, 1), dtype=complex)),
+                              BlockwiseBasis(12, 2))
 
     def test_least_squares_optimality_probe(self):
         """Any +/- eps perturbation of a fitted (mean, slope) grows the residual."""
@@ -298,6 +329,12 @@ class TestSampleBlockwiseExact:
         basis = BlockwiseBasis(4, 2)
         with pytest.raises(ParameterError):
             sample_blockwise_exact(4, 1, basis, 0.5, -1.0, 0.1, seed=0)
+
+    def test_rejects_a_rate_outside_the_unit_interval(self):
+        basis = BlockwiseBasis(4, 2)
+        for lam in (0.0, -0.1, 1.5):
+            with pytest.raises(ParameterError, match="activity rate"):
+                sample_blockwise_exact(4, 1, basis, lam, 1.0, 0.1, seed=0)
 
 
 def _realization(G):

@@ -158,6 +158,10 @@ class TestLambda:
         assert em_lambda(np.zeros(10)) == 1e-6
         assert em_lambda(np.ones(10)) == 1 - 1e-6
 
+    def test_empty_is_an_error(self):
+        with pytest.raises(ParameterError):
+            em_lambda(np.array([]))
+
 
 class TestScheduleCadence:
     def _run(self, iters, seed=0):

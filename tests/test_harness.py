@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import multiprocessing
 from dataclasses import fields
 from pathlib import Path
 
@@ -41,6 +42,20 @@ def exact_config(**overrides):
                                        for k, v in doc.items()})
 
 
+MULTIPATH = dict(channel="multipath", em=True, theta_H=None, theta_C=None)
+BAD_PDP_KINDS = ["directory", "missing", "undecodable"]
+
+
+def bad_pdp_path(tmp_path, kind):
+    """A power delay profile path that names a directory, no file, or bytes that are not text."""
+    path = tmp_path / "bad.pdp"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "undecodable":
+        path.write_bytes(b"\xff\xfe 1 0\n")
+    return str(path)
+
+
 class TestConfigValidation:
     def test_structural_errors(self):
         with pytest.raises(ConfigurationError):
@@ -67,6 +82,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             exact_config(channel="multipath", pdp_file=example_pdp_path(),
                          em=False, sigma_w2=None)
+
+    @pytest.mark.parametrize("kind", BAD_PDP_KINDS)
+    def test_unreadable_pdp_rejected_at_construction(self, tmp_path, kind):
+        with pytest.raises(ParameterError, match="cannot read power delay profile"):
+            exact_config(pdp_file=bad_pdp_path(tmp_path, kind), **MULTIPATH)
 
     def test_estimator_options_rejected_at_construction(self):
         """Bad estimator options fail when the config is built, before any trial runs."""
@@ -117,6 +137,7 @@ class TestConfigValidation:
         dict(theta_C=-0.1, em=True), dict(sigma_w2=0.0), dict(sigma_w2=-1.0),
         dict(sigma_w2=-1.0, em=True), dict(min_error_events=0), dict(min_error_events=-3),
         dict(K=8, N=16, T=4, Q=2, strict_pilots=False),  # a block needs 32 distinct rows
+        dict(snr_db=[]), dict(pilot_power=0.0), dict(pilot_power=-1.0),
     ])
     def test_out_of_range_values_rejected_at_construction(self, bad):
         with pytest.raises(ConfigurationError):
@@ -222,6 +243,64 @@ class TestTrialsAndAggregation:
                            em=True, theta_H=None, theta_C=None, trials=2)
         result = run_experiment(cfg)
         assert result.points[0].aggregate["trials"] == 2
+
+    def test_pool_is_capped_at_the_available_cpus(self, monkeypatch):
+        """However many workers a config asks for, the pool has at most one process per CPU
+        this process may use; a fake pool records its size and maps serially."""
+        import turbomp.harness as harness
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        for workers in (1, 500, 2):  # one worker starts no pool
+            run_experiment(exact_config(trials=3, workers=workers))
+        run_roc(exact_config(trials=3, workers=500), [0.5])
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        for cpus in (2, None):  # os.cpu_count() may not know
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+            run_roc(exact_config(trials=1, workers=500), [0.5])
+        assert sizes == [3, 2, 3, 2, 1]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers inherit a patched module global")
+    def test_module_globals_are_the_patch_points_of_every_trial(self, monkeypatch):
+        """The harness calls run_single_trial, sample_channel and nmse through its module
+        globals, so a wrapper set there runs once per trial, and pooled workers run it too."""
+        import turbomp.harness as harness
+
+        calls = {"run_single_trial": 0, "sample_channel": 0, "nmse": 0}
+
+        def wrap(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                out = original(*args, **kwargs)
+                if name == "run_single_trial":
+                    out["wrapped"] = True
+                return out
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(harness, name, wrap(name, getattr(harness, name)))
+        cfg = dict(pdp_file=example_pdp_path(), trials=2, **MULTIPATH)
+        serial = run_experiment(exact_config(workers=1, **cfg))
+        assert calls == dict.fromkeys(calls, 2)
+        assert all(t["wrapped"] for t in serial.points[0].trials)
+        pooled = run_experiment(exact_config(workers=2, **cfg))
+        assert [t.get("wrapped") for t in pooled.points[0].trials] == [True, True]
 
 
 class TestEmitResults:
@@ -425,6 +504,17 @@ class TestCli:
         code = cli_main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "res")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", BAD_PDP_KINDS)
+    def test_unreadable_pdp_is_an_error_before_any_output(self, tmp_path, capsys, kind):
+        cfg = self._write_config(tmp_path, pdp_file=bad_pdp_path(tmp_path, kind), **MULTIPATH)
+        for command in (["run"], ["sweep", "--param", "M=1,2"], ["roc"]):
+            out = tmp_path / command[0]
+            code = cli_main([*command, "--config", cfg, "--out", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "bad.pdp" in err
+            assert not out.exists()
 
     def test_output_errors_are_not_config_errors(self, tmp_path):
         """Only reading the config turns an OSError into a usage error."""

@@ -7,6 +7,7 @@ from oracles import e1, e2, nmse_full_expansion
 from turbomp import (
     BlockwiseBasis,
     ChannelRealization,
+    DimensionError,
     ParameterError,
     detection_metrics,
     nmse,
@@ -83,6 +84,13 @@ class TestNmse:
                                     G_active=np.zeros((0, 8, 2), dtype=complex)),
                  self.truth.H, self.truth.C, self.basis)
 
+    def test_estimates_that_do_not_fit_are_an_error(self):
+        H, C = self.truth.H, self.truth.C
+        for args in ((H, C[:, :1], self.basis), (H[:-2], C[:-2], self.basis),
+                     (H, C, BlockwiseBasis(12, 2))):
+            with pytest.raises(DimensionError):
+                nmse(self.real, *args)
+
 
 class TestDetectionMetrics:
     def test_direct_count(self):
@@ -108,6 +116,12 @@ class TestDetectionMetrics:
             m = detection_metrics(a, b)
             assert m.pe == pytest.approx(m.p_miss + m.p_false, abs=1e-15)
             assert m.pe * m.num_devices == pytest.approx(m.miss_count + m.false_count)
+
+
+    def test_shape_checks(self):
+        for truth, decided in ((np.ones(4), np.ones(5)), (np.ones((2, 2)), np.ones((2, 2)))):
+            with pytest.raises(DimensionError):
+                detection_metrics(truth, decided)
 
 
 class TestRocSweep:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import dense_A, dense_B, mix_subcarriers_fft, permutation
-from turbomp import ConfigurationError, DimensionError, build_codebook
+from turbomp import ConfigurationError, DimensionError, PilotCodebook, build_codebook
 
 
 def rand_complex(rng, *shape):
@@ -42,6 +42,25 @@ class TestBuild:
     def test_divisibility_checks(self):
         with pytest.raises(ConfigurationError):
             build_codebook(K=100, N=10, T=2, Q=4, seed=0)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda sel: dict(K=0), ">= 1"),
+        (lambda sel: dict(power=0.0), "power"),
+        (lambda sel: dict(power=-1.0), "power"),
+        (lambda sel: dict(selections=sel[:, :-1]), "selections must be"),
+        (lambda sel: dict(selections=np.where(sel == sel[0, 0], 16, sel)), r"\[0, K\)"),
+        (lambda sel: dict(selections=np.where(sel == sel[0, 0], -1, sel)), r"\[0, K\)"),
+        (lambda sel: dict(selections=np.where(sel == sel[0, 1], sel[0, 0], sel)), "repeats"),
+        (lambda sel: dict(selections=np.where(sel == sel[1, 0], sel[0, 0], sel)), "disjoint"),
+    ])
+    def test_direct_construction_is_validated(self, edit, match):
+        """Each check of a codebook built from its fields, one edit away from valid strict
+        pilots (whose rows are distinct across blocks)."""
+        sel = build_codebook(K=16, N=8, T=2, Q=2, seed=0).selections
+        doc = dict(K=16, N=8, T=2, Q=2, power=1.0, selections=sel, strict=True)
+        PilotCodebook(**doc)
+        with pytest.raises(ConfigurationError, match=match):
+            PilotCodebook(**{**doc, **edit(sel)})
 
     def test_deterministic_given_seed(self):
         a = build_codebook(K=64, N=8, T=2, Q=2, seed=9)
