@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .logodds import sigmoid
+from .parallel import halves
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,15 @@ def bg_denoise_batch(
 
     gain = theta / (theta + v)  # (M,)
     phi = gain * v  # (M,)
-    s = np.einsum("kqm->km", np.square(pri.real) + np.square(pri.imag))
+    s = np.zeros((3, M, K))  # s.T (einsum's layout: C order moves `@ s` by 1 ulp), 2 scratch rows
+
+    def energies(m):  # s_km summed over q in order
+        for rows in pri.transpose(1, 2, 0)[:, m]:
+            re2, im2 = np.square(rows.real, out=s[1, m]), np.square(rows.imag, out=s[2, m])
+            s[0, m] += np.add(re2, im2, out=re2)
+
+    halves(energies, M, pri.size)
+    s = s[0].T
 
     # log CN(0; pri, V) - log CN(0; pri, V + theta I), accumulated per device
     log_ratio = Q * np.sum(np.log1p(theta / v)) - s @ (theta / (v * (v + theta)))

@@ -19,7 +19,6 @@ import csv
 import json
 import math
 import numbers
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -29,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .channel import (
     BlockwiseBasis,
     load_pdp,
@@ -295,10 +295,10 @@ def _roc_job(args):
 @contextmanager
 def _mapper(workers: int):
     """`map`, or with workers > 1 the `map` of one process pool for every call, of at most
-    as many processes as this process has CPUs."""
+    as many processes as this process has CPUs; pool workers run every block pass unsplit."""
     if workers > 1:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        with ProcessPoolExecutor(max_workers=min(workers, cpus or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, parallel.cpus()),
+                                 initializer=parallel.disable) as pool:
             yield pool.map
     else:
         yield map
@@ -426,8 +426,9 @@ def emit_results(result: ExperimentResult, out_dir, stem: str = "results") -> di
         out / f"{stem}.csv", AGGREGATE_COLUMNS, (p.aggregate for p in result.points)
     )
     json_path = out / f"{stem}.json"
+    doc = json.loads(json.dumps(asdict(result)), parse_constant=lambda _: None)  # NaN, inf: null
     with open(json_path, "w") as f:
-        json.dump(asdict(result), f, indent=1)
+        json.dump(doc, f, indent=1, allow_nan=False)
     return {"csv": csv_path, "json": str(json_path)}
 
 

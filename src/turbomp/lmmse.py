@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .parallel import halves
 from .pilots import PilotCodebook
 
 V_FLOOR = 1e-12
@@ -58,8 +59,9 @@ def linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight, codebook, v_ma
     v_ext = np.maximum(np.where(informative, v_ext, v_max), V_FLOOR)
     fwd_ext = fwd_pri + (codebook.K * codebook.power * coef) * (w * z)
     x_ext = codebook.apply_A_adjoint(z).reshape(np.shape(x_pri))  # a new array, updated in place
-    x_ext *= coef
-    x_ext += x_pri
+    c = np.broadcast_to(coef, x_ext.shape[-1:])  # x_ext = c x_ext + x_pri, per antenna
+    halves(lambda m: np.add(np.multiply(x_ext[..., m], c[m], out=x_ext[..., m]), x_pri[..., m],
+                            out=x_ext[..., m]), c.size, x_ext.size)
     return x_ext, v_ext, np.maximum(v - v**2 * g, V_FLOOR), fwd_ext
 
 

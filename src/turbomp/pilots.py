@@ -1,20 +1,20 @@
 """Structured pilot operators with a fast DFT application path.
 
-The wide pilot matrix A maps stacked per-device sub-block coefficients
-(length Q*K, device-major) to T*N observation rows.  It factors as a
-permutation into Q device-indexed blocks, a scaled K-point DFT per block,
-and a row gather, which keeps every matrix-vector product at
-O(Q*K*log K).  Each implied pilot symbol has squared magnitude P, and the
-row structure gives the partial orthogonality A @ A^H = K*P*I that the
-linear estimator relies on.  B shares the factorization through the real
-diagonal D: B = D @ A.
+The wide pilot matrix A maps stacked per-device sub-block coefficients (length Q*K,
+device-major) to T*N observation rows.  It factors as a permutation into Q device-indexed
+blocks, a scaled K-point DFT per block, and a row gather, which keeps every matrix-vector
+product at O(Q*K*log K).  Each implied pilot symbol has squared magnitude P, and the row
+structure gives the partial orthogonality A @ A^H = K*P*I that the linear estimator relies on.
+B shares the factorization through the real diagonal D: B = D @ A.
 
-Coefficients enter as (Q*K,) vectors, device-major (Q*K, M) matrices or
-(K, Q, M) blocks; the adjoints return a matrix as (K, Q, M) blocks with the
-strides of a C-ordered (Q, M, K) array ("device-contiguous").  Every DFT runs
-along the device axis, which such blocks hold contiguously, so pocketfft reads
-it without a copy: bitwise the values of a C-ordered input in about half the
-time at K=16000.
+Coefficients enter as (Q*K,) vectors, device-major (Q*K, M) matrices or (K, Q, M) blocks; the
+adjoints return a matrix as (K, Q, M) blocks with the strides of a C-ordered (Q, M, K) array
+("device-contiguous").  Every DFT runs along the device axis, which such blocks hold
+contiguously, so pocketfft reads it without a copy: bitwise the values of a C-ordered input in
+about half the time at K=16000.  At large K both operators split their Q sub-blocks into two
+halves on two threads (`parallel.halves`): the forward DFTs, and the adjoint's zeroing, scatter
+and inverse DFTs.  Each sub-block is transformed alike in either half, so outputs are bitwise
+independent of the split; pool workers never split.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from .channel import subblock_offsets
 from .errors import ConfigurationError, DimensionError
+from .parallel import halves
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,9 @@ class PilotCodebook:
         if (x.shape[:2] != (self.K, self.Q)) if x.ndim == 3 else (x.shape[0] != self.cols):
             raise DimensionError(f"x must be ({self.cols},), ({self.cols}, M) or "
                                  f"({self.K}, {self.Q}, M), got {x.shape}")
-        w = np.fft.fft(x.reshape(self.K, self.Q, -1).transpose(1, 2, 0))  # (Q, M, K)
+        rows = x.reshape(self.K, self.Q, -1).transpose(1, 2, 0)  # (Q, M, K)
+        w = np.empty(rows.shape, dtype=np.result_type(x.dtype, 1j))
+        halves(lambda q: np.fft.fft(rows[q], out=w[q]), self.Q, w.size)
         y = np.take_along_axis(w, self.selections[:, None, :], axis=-1)  # (Q, M, rpb)
         y = self.scale * y.transpose(0, 2, 1).reshape(self.rows, -1)
         return y[:, 0] if x.ndim == 1 else y
@@ -117,9 +120,15 @@ class PilotCodebook:
         y = np.asarray(y)
         self._check_len(y, self.rows, "y")
         blocks = y.reshape(self.Q, self.rows_per_block, -1).transpose(0, 2, 1)  # (Q, M, rpb)
-        w = np.zeros((self.Q, blocks.shape[1], self.K), dtype=np.complex128)
-        np.put_along_axis(w, self.selections[:, None, :], self.scale * blocks, axis=-1)
-        x = np.fft.ifft(w, norm="forward", out=w).transpose(2, 0, 1)  # (K, Q, M)
+        w = np.empty((self.Q, blocks.shape[1], self.K), dtype=np.complex128)
+
+        def scatter_ifft(q):
+            w[q] = 0
+            np.put_along_axis(w[q], self.selections[q, None], self.scale * blocks[q], axis=-1)
+            np.fft.ifft(w[q], norm="forward", out=w[q])
+
+        halves(scatter_ifft, self.Q, w.size)
+        x = w.transpose(2, 0, 1)  # (K, Q, M)
         return x.reshape(self.cols) if y.ndim == 1 else x
 
     def apply_B(self, x: np.ndarray) -> np.ndarray:

@@ -71,3 +71,11 @@ def test_engine_matches_golden_record(record, case):
             np.testing.assert_allclose(got, want, rtol=REL_CHANGE_RTOL, atol=REL_CHANGE_ATOL)
         else:
             np.testing.assert_allclose(got, want, rtol=RTOL, err_msg=name)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_golden_record_holds_when_every_pass_splits(record, case, monkeypatch):
+    """With the size limit at 0 every block pass of these small frames runs as two halves
+    on two threads, and the same record holds."""
+    monkeypatch.setattr(turbomp.parallel, "MIN_SIZE", 0)
+    test_engine_matches_golden_record(record, case)

@@ -25,6 +25,7 @@ from turbomp import (
     sample_activity,
     sample_channel,
 )
+from turbomp import parallel
 from turbomp.channel import example_pdp_path
 from turbomp.cli import build_parser
 from turbomp.cli import main as cli_main
@@ -246,13 +247,15 @@ class TestTrialsAndAggregation:
 
     def test_pool_is_capped_at_the_available_cpus(self, monkeypatch):
         """However many workers a config asks for, the pool has at most one process per CPU
-        this process may use; a fake pool records its size and maps serially."""
+        this process may use, and its initializer turns the block-pass split off; a fake pool
+        records its size and maps serially."""
         import turbomp.harness as harness
 
         sizes = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
+                assert initializer is parallel.disable
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -265,13 +268,13 @@ class TestTrialsAndAggregation:
                 return map(fn, jobs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         for workers in (1, 500, 2):  # one worker starts no pool
             run_experiment(exact_config(trials=3, workers=workers))
         run_roc(exact_config(trials=3, workers=500), [0.5])
-        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        monkeypatch.delattr(parallel.os, "sched_getaffinity")
         for cpus in (2, None):  # os.cpu_count() may not know
-            monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
             run_roc(exact_config(trials=1, workers=500), [0.5])
         assert sizes == [3, 2, 3, 2, 1]
 
@@ -348,6 +351,21 @@ class TestEmitResults:
         paths = emit_results(result, tmp_path)
         doc = json.loads(Path(paths["json"]).read_text())
         assert ExperimentConfig.from_dict(doc["config"]) == cfg
+
+    def test_json_is_strict_where_a_trial_has_no_active_device(self, tmp_path):
+        """A trial with no active device has no NMSE: the results JSON writes null there, and
+        a reader that rejects NaN and Infinity tokens reads the file."""
+        result = run_experiment(exact_config(lam=0.01, trials=3, master_seed=1))
+        skipped = [t for t in result.points[0].trials if t["skipped_nmse"]]
+        assert skipped
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        path = emit_results(result, tmp_path)["json"]
+        doc = json.loads(Path(path).read_text(), parse_constant=reject)
+        for trial in doc["points"][0]["trials"]:
+            assert (trial["nmse"] is None) == trial["skipped_nmse"]
 
     def test_empty_results_give_header_only_csv(self, tmp_path):
         cfg = exact_config()

@@ -42,3 +42,11 @@ def test_records_match_golden(golden, name):
                     (i, key, value, expected)
             else:
                 assert type(value) is type(expected) and value == expected, (i, key, value, expected)
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_records_hold_when_every_pass_splits(golden, name, monkeypatch):
+    """With the size limit at 0 every block pass runs as two halves on two threads, and the
+    same records hold."""
+    monkeypatch.setattr(turbomp.parallel, "MIN_SIZE", 0)
+    test_records_match_golden(golden, name)
