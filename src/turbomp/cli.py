@@ -75,7 +75,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_roc(args) -> int:
-    config = _load_config(args)
+    config = _load_config(args, snr_db=None if args.snr is None else [args.snr])
     if args.thresholds:
         try:
             thresholds = [float(t) for t in args.thresholds.split(",")]
@@ -85,7 +85,7 @@ def _cmd_roc(args) -> int:
         raise ConfigurationError(f"--points must be >= 1, got {args.points}")
     else:
         thresholds = np.linspace(0.02, 0.98, args.points).tolist()
-    rows = run_roc(config, thresholds, snr_db=args.snr, progress=print)
+    rows = run_roc(config, thresholds, progress=print)
     path = emit_roc(rows, args.out, stem=args.stem)
     print(f"wrote {path}")
     return 0
@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=_cmd_sweep)
 
     roc = sub.add_parser("roc", parents=[shared], help="detection threshold sweep at one SNR")
-    roc.add_argument("--snr", type=float, default=None, help="SNR in dB (default: first in config)")
+    roc.add_argument("--snr", type=float, help="SNR in dB; replaces the config's snr_db")
     roc.add_argument("--thresholds", default=None, help="comma-separated thresholds in (0,1)")
     roc.add_argument("--points", type=int, default=25, help="grid size when --thresholds absent")
     roc.add_argument("--stem", default="roc")

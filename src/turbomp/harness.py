@@ -7,10 +7,10 @@ in the field.  The synthetic-exact mode replaces the physical channel with
 data drawn from the estimator's own prior, which is the right fixture for
 oracle comparisons.
 
-A trial is named by its config, point index, SNR and trial index, plus the
-point's pinned codebook when the config pins one: it derives its random streams
-from (master_seed, point_index, trial_index) and reads everything else from the
-config, so `run_single_trial` replays any record alone.
+A trial is named by its config, point index, SNR and trial index: it derives its
+random streams, pilots included, from (master_seed, point_index, trial_index) and
+reads everything else from the config, so `run_single_trial` replays any record
+alone.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .em import PriorParams, em_initial_params
 from .engine import TurboOptions, run_turbo_mp
 from .errors import ConfigurationError
 from .metrics import check_thresholds, detection_metrics, nmse, nmse_db, roc_sweep
-from .pilots import PilotCodebook, build_codebook, check_pilot_rows
+from .pilots import build_codebook, check_pilot_rows
 
 CHANNEL_MODES = ("multipath", "exact")
 
@@ -71,9 +71,11 @@ class ExperimentConfig(TurboOptions):
     em_enabled, em_sigma_correction and threshold.  "lambda" and "em" are read as lam,
     em_enabled.
     Every field must hold a value of its annotated type, a float a finite one; an optional one
-    may also be None.  A multipath config reads its power delay profile once per process, when
-    it is built, so a pdp_file that cannot be read or parsed fails before any trial runs.  With
-    workers > 1 the trials run on a process pool capped at the CPUs this process may use.
+    may also be None.  master_seed must be >= 0, and each SNR must give a positive, finite
+    noise variance.  Each trial draws its own strict pilots (T*N <= K).  A multipath config
+    reads its power delay profile once per process, when it is built, so a pdp_file that cannot
+    be read or parsed fails before any trial runs.  With workers > 1 the trials run on a
+    process pool capped at the CPUs this process may use.
     """
 
     K: int
@@ -93,8 +95,6 @@ class ExperimentConfig(TurboOptions):
     em_enabled: bool = True  # experiments learn the priors; a bare engine run keeps those given
     trials: int = 200
     master_seed: int = 0
-    pin_codebook: bool = False
-    strict_pilots: bool = True
     min_error_events: int | None = None
     workers: int = 1
 
@@ -117,13 +117,17 @@ class ExperimentConfig(TurboOptions):
             if value is not None and value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
         BlockwiseBasis(N=self.N, Q=self.Q)  # raises unless Q divides N into blocks of >= 2
-        check_pilot_rows(self.K, self.N, self.T, self.Q, self.strict_pilots)
+        check_pilot_rows(self.K, self.N, self.T, self.Q, strict=True)
         if not 0.0 < self.lam < 1.0:
             raise ConfigurationError(f"lambda must be in (0, 1), got {self.lam}")
         if not self.snr_db:
             raise ConfigurationError("snr_db must contain at least one value")
-        if self.pilot_power <= 0:
-            raise ConfigurationError("pilot_power must be positive")
+        if self.master_seed < 0:
+            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
+        for snr in self.snr_db:  # a pilot_power <= 0 fails here too
+            if not 0.0 < self.noise_variance(snr) < math.inf:
+                raise ConfigurationError(f"snr_db {snr} at pilot_power {self.pilot_power} "
+                                         "must give a positive, finite noise variance")
         for name in ("theta_H", "theta_C", "sigma_w2"):
             value = getattr(self, name)
             zero_ok = name == "theta_C" and self.em_enabled  # the exact sampler allows theta_C = 0
@@ -166,11 +170,11 @@ class ExperimentConfig(TurboOptions):
             raise ConfigurationError(f"missing config keys: {sorted(missing)}")
         return cls(**doc)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def noise_variance(self, snr_db: float) -> float:
-        return self.pilot_power * 10.0 ** (-snr_db / 10.0)
+        try:
+            return self.pilot_power * 10.0 ** (-snr_db / 10.0)
+        except OverflowError:  # a float power raises where its result would be inf
+            return math.inf
 
 
 @dataclass
@@ -194,15 +198,7 @@ def _trial_streams(master_seed: int, point_idx: int, trial_idx: int):
 _profile = cache(load_pdp)  # each power delay profile file is read once per process
 
 
-def _codebook(config: ExperimentConfig, seed) -> PilotCodebook:
-    """Pilots drawn from a trial's stream, or pinned per point by (master_seed, point)."""
-    return build_codebook(
-        config.K, config.N, config.T, config.Q, P=config.pilot_power,
-        seed=seed, strict=config.strict_pilots,
-    )
-
-
-def _run_trial(config, point_idx, snr_db, trial_idx, codebook):
+def _run_trial(config, point_idx, snr_db, trial_idx):
     """Draw one trial's channel and observation and run the estimator on it.
 
     Returns (realization, basis, result).
@@ -210,7 +206,7 @@ def _run_trial(config, point_idx, snr_db, trial_idx, codebook):
     cb_rng, truth_rng, channel_rng, noise_rng = _trial_streams(
         config.master_seed, point_idx, trial_idx
     )
-    cb = codebook if codebook is not None else _codebook(config, cb_rng)
+    cb = build_codebook(config.K, config.N, config.T, config.Q, P=config.pilot_power, seed=cb_rng)
     basis = BlockwiseBasis(N=config.N, Q=config.Q)
 
     if config.channel == "exact":
@@ -243,20 +239,12 @@ def _run_trial(config, point_idx, snr_db, trial_idx, codebook):
     return realization, basis, run_turbo_mp(Y, cb, priors, config)
 
 
-def run_single_trial(
-    config: ExperimentConfig,
-    point_idx: int,
-    snr_db: float,
-    trial_idx: int,
-    codebook: PilotCodebook | None = None,
-) -> dict:
-    """One Monte-Carlo trial; returns a flat record of metrics and traces.
-
-    The config, point index, SNR and trial index name the trial; `codebook` is the point's
-    pinned codebook, or None for pilots drawn from the trial's own stream.
-    """
+def run_single_trial(config: ExperimentConfig, point_idx: int, snr_db: float,
+                     trial_idx: int) -> dict:
+    """One Monte-Carlo trial, named in full by its arguments; returns a flat record of
+    metrics and traces."""
     start = time.perf_counter()
-    realization, basis, result = _run_trial(config, point_idx, snr_db, trial_idx, codebook)
+    realization, basis, result = _run_trial(config, point_idx, snr_db, trial_idx)
     det = detection_metrics(realization.activity, result.activity)
     record = {
         "trial": trial_idx,
@@ -343,10 +331,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     points = []
     for point_idx, snr in enumerate(config.snr_db):
         start = time.perf_counter()
-        pinned = config.pin_codebook
-        codebook = _codebook(config, (config.master_seed, point_idx)) if pinned else None
         with _mapper(config.workers) as mapper:
-            records = _run_chunks(config, point_idx, snr, codebook, mapper)
+            records = _run_chunks(config, point_idx, snr, mapper)
         wall = time.perf_counter() - start
         aggregate = _aggregate_point(config, snr, records, wall)
         points.append(PointResult(snr_db=snr, aggregate=aggregate, trials=records))
@@ -359,30 +345,27 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     return ExperimentResult(config=config, points=points)
 
 
-def _run_chunks(config, point_idx, snr, codebook, mapper) -> list:
+def _run_chunks(config, point_idx, snr, mapper) -> list:
     target = config.min_error_events
     chunk = config.trials if target is None else 16
     records = []
     for first in range(0, config.trials, chunk):
         trials = range(first, min(first + chunk, config.trials))
-        records.extend(mapper(_trial_job, [(config, point_idx, snr, t, codebook) for t in trials]))
+        records.extend(mapper(_trial_job, [(config, point_idx, snr, t) for t in trials]))
         if target is not None and sum(r["miss"] + r["false"] for r in records) >= target:
             break
     return records
 
 
-def run_roc(config: ExperimentConfig, thresholds, snr_db: float | None = None, progress=None):
-    """Pooled miss/false-alarm rates over a threshold sweep at one SNR.
+def run_roc(config: ExperimentConfig, thresholds, progress=None):
+    """Pooled miss/false-alarm rates over a threshold sweep at the config's first SNR.
 
     Posterior activity probabilities and true activity are pooled across
     config.trials trials; each threshold then yields one operating point.
     """
     thresholds = check_thresholds(thresholds)
-    if not (snr_db is None or _is_finite(snr_db)):
-        raise ConfigurationError(f"snr_db must be a finite number, got {snr_db!r}")
-    snr = config.snr_db[0] if snr_db is None else float(snr_db)
-    codebook = _codebook(config, (config.master_seed, 0)) if config.pin_codebook else None
-    jobs = [(config, 0, snr, trial, codebook) for trial in range(config.trials)]
+    snr = config.snr_db[0]
+    jobs = [(config, 0, snr, trial) for trial in range(config.trials)]
     posts, truths = [], []
     with _mapper(config.workers) as mapper:
         for done, (post, truth) in enumerate(mapper(_roc_job, jobs), 1):

@@ -16,13 +16,13 @@ def sigmoid(x):
     return float(out) if out.ndim == 0 else out
 
 
-def logit(p, clamp: float = LOG_ODDS_CLAMP):
-    """log(p / (1-p)) with the result clipped to [-clamp, clamp].
+def logit(p):
+    """log(p / (1-p)) with the result clipped to [-LOG_ODDS_CLAMP, LOG_ODDS_CLAMP].
 
     The clip resolves the 0/0 forms that exact-zero or exact-one
     probabilities would otherwise produce downstream.
     """
     p = np.asarray(p, dtype=float)
     with np.errstate(divide="ignore"):
-        out = np.clip(np.log(p) - np.log1p(-p), -clamp, clamp)
+        out = np.clip(np.log(p) - np.log1p(-p), -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP)
     return out if out.ndim else float(out)

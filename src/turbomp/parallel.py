@@ -3,12 +3,13 @@
 `halves(fn, n, size)` runs fn(slice(n // 2, n)) on a helper thread and fn(slice(0, n // 2)) on
 the caller, then joins; it runs fn(slice(0, n)) alone for a pass of fewer than MIN_SIZE
 elements, for n < 2, on one CPU, and after `disable()`, the harness's pool initializer (pool
-workers fill the CPUs).  fn computes each element alike in either half, so outputs are bitwise
-independent of the split.  On the helper thread fn runs numpy and local closures only, never a
-turbomp layer's callable, and allocates no block-sized temporary, only row-sized ones or
-in-place and out= passes: that thread's malloc arena keeps what it frees, and block-sized
-temporaries there raised the peak RSS of K=16000 frames by 5-7.5%.  The helper starts at the
-first split and stops before each fork, so importing starts no thread.
+workers fill the CPUs, so `disable()` also sets numpy's bundled OpenBLAS to one thread).  fn
+computes each element alike in either half, so outputs are bitwise independent of the split.
+On the helper thread fn runs numpy and local closures only, never a turbomp layer's callable,
+and allocates no block-sized temporary, only row-sized ones or in-place and out= passes: that
+thread's malloc arena keeps what it frees, and block-sized temporaries there raised the peak
+RSS of K=16000 frames by 5-7.5%.  The helper starts at the first split and stops before each
+fork, so importing starts no thread.
 
 MIN_SIZE is the crossover measured by `tools/split_sweep.py` (multipath frames, M=8, Q=4, 10
 iterations; frame time split over unsplit, median of 5 alternating pairs, 2-vCPU host):
@@ -18,8 +19,12 @@ iterations; frame time split over unsplit, median of 5 alternating pairs, 2-vCPU
     split / unsplit    1.36    1.18    0.82    0.84    0.65
 """
 
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
 
 MIN_SIZE = 100_000  # elements of a (K, Q, M) block
 _enabled, _helper = True, None
@@ -31,10 +36,20 @@ def cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+def _openblas():
+    """numpy's bundled OpenBLAS (the copy numpy already loaded), or None where it has none."""
+    libs = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
+    return ctypes.CDLL(str(libs[0])) if libs else None
+
+
 def disable() -> None:
-    """Run every later pass of this process whole."""
+    """Run every later pass of this process whole, and numpy's OpenBLAS on one thread."""
     global _enabled
     _enabled = False
+    set_threads = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
 
 
 def _stop_helper() -> None:

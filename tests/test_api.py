@@ -1,7 +1,9 @@
 """The package's public names and config keys: exactly the pinned lists, and none of
-the removed names."""
+the removed names; and the harness surface the benchmark drives."""
 
-from dataclasses import fields
+import concurrent.futures
+import inspect
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -66,7 +68,10 @@ REMOVED_FROM_MODULES = {
     "engine": ["TurboState", "_damp", "init_state"],
 }
 
-REMOVED_CONFIG_KEYS = ["damping", "em_damping", "em_slow_period", "inner_h_updates", "v_max"]
+REMOVED_CONFIG_KEYS = [
+    "damping", "em_damping", "em_slow_period", "inner_h_updates", "pin_codebook", "strict_pilots",
+    "v_max",
+]
 
 TURBO_OPTIONS_FIELDS = [
     "em_enabled",
@@ -92,11 +97,9 @@ CONFIG_KEYS = [
     "min_error_events",
     "pdp_file",
     "pilot_power",
-    "pin_codebook",
     "rel_change_tol",
     "sigma_w2",
     "snr_db",
-    "strict_pilots",
     "theta_C",
     "theta_H",
     "threshold",
@@ -130,6 +133,7 @@ def test_removed_names_are_gone():
     assert not hasattr(turbomp.PilotCodebook, "dense_A")
     assert not hasattr(turbomp.BlockwiseBasis(8, 2), "e1")
     assert not hasattr(turbomp.ExperimentConfig, "turbo_options")
+    assert not hasattr(turbomp.ExperimentConfig, "to_dict")
     assert not hasattr(turbomp.engine.TurboDiagnostics(), "module_trace")
     assert not hasattr(turbomp.MultipathProfile, "num_taps")
 
@@ -139,7 +143,7 @@ def test_config_keys_are_pinned():
     doc = dict(K=64, N=8, T=2, Q=2, M=2, snr_db=[10.0], lam=0.2, channel="exact",
                theta_H=1.0, theta_C=0.05)
     options = sorted(f.name for f in fields(turbomp.TurboOptions))
-    keys = sorted(turbomp.ExperimentConfig.from_dict(doc).to_dict())
+    keys = sorted(asdict(turbomp.ExperimentConfig.from_dict(doc)))
     assert options == TURBO_OPTIONS_FIELDS
     assert keys == CONFIG_KEYS
     assert set(options) <= set(keys)
@@ -147,3 +151,18 @@ def test_config_keys_are_pinned():
     for key in REMOVED_CONFIG_KEYS:
         with pytest.raises(turbomp.ConfigurationError, match="unknown"):
             turbomp.ExperimentConfig.from_dict({**doc, key: 1.0})
+
+
+def test_harness_surface_the_benchmark_drives_is_pinned():
+    """`bench/run.py` replays a trial as run_single_trial(config, point, snr, trial), and
+    `bench/probe.py` and `bench/selftest.py` patch these harness globals (that trials call
+    them through the module is `test_module_globals_are_the_patch_points_of_every_trial`)."""
+    harness = turbomp.harness
+    params = inspect.signature(harness.run_single_trial).parameters
+    assert list(params) == ["config", "point_idx", "snr_db", "trial_idx"]
+    assert list(inspect.signature(harness.run_roc).parameters) == [
+        "config", "thresholds", "progress"]
+    assert harness.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+    assert harness.run_turbo_mp is turbomp.engine.run_turbo_mp
+    assert harness.sample_channel is turbomp.channel.sample_channel
+    assert harness.nmse is turbomp.metrics.nmse

@@ -4,7 +4,7 @@ import argparse
 import csv
 import json
 import multiprocessing
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,7 @@ from turbomp import (
     ParameterError,
     build_codebook,
     emit_results,
+    emit_roc,
     load_pdp,
     project_blockwise,
     run_experiment,
@@ -119,7 +120,7 @@ class TestConfigValidation:
         dict(snr_db="10"), dict(snr_db=["10"]), dict(snr_db=True),
         dict(em="false"), dict(em=1), dict(K=200.5), dict(K="200"), dict(K=True),
         dict(trials=2.5), dict(lam="0.2"), dict(theta_H="1"), dict(channel=3),
-        dict(pdp_file=7), dict(min_error_events=1.0), dict(strict_pilots="yes"),
+        dict(pdp_file=7), dict(min_error_events=1.0), dict(master_seed=1.5),
         dict(snr_db=[float("nan")]), dict(snr_db=[10.0, float("inf")]),
         dict(pilot_power=float("inf")), dict(pilot_power=float("nan")),
         dict(delta_f=float("nan")), dict(rel_change_tol=float("inf")),
@@ -137,8 +138,11 @@ class TestConfigValidation:
         dict(theta_H=float("inf")), dict(theta_C=-0.1), dict(theta_C=0.0),
         dict(theta_C=-0.1, em=True), dict(sigma_w2=0.0), dict(sigma_w2=-1.0),
         dict(sigma_w2=-1.0, em=True), dict(min_error_events=0), dict(min_error_events=-3),
-        dict(K=8, N=16, T=4, Q=2, strict_pilots=False),  # a block needs 32 distinct rows
+        dict(K=15),  # strict pilots need T*N = 16 distinct rows
         dict(snr_db=[]), dict(pilot_power=0.0), dict(pilot_power=-1.0),
+        dict(master_seed=-1), dict(snr_db=[-4000.0]), dict(snr_db=[4000.0]),
+        dict(snr_db=[10.0, 4000.0], em=True), dict(snr_db=[-3000.0], pilot_power=1e10),
+        dict(snr_db=[-10**400]),
     ])
     def test_out_of_range_values_rejected_at_construction(self, bad):
         with pytest.raises(ConfigurationError):
@@ -168,6 +172,10 @@ class TestObservationEquivalence:
             assert np.linalg.norm(via_model - via_parts) / scale < 1e-10
 
 
+def strip(record):
+    return {k: v for k, v in record.items() if k != "wall_s"}
+
+
 class TestTrialsAndAggregation:
     def test_replay_determinism(self):
         """Same (config, master_seed) reproduces every record; only the
@@ -176,12 +184,20 @@ class TestTrialsAndAggregation:
         a = run_experiment(cfg)
         b = run_experiment(cfg)
 
-        def strip(d):
-            return {k: v for k, v in d.items() if k != "wall_s"}
-
         for pa, pb in zip(a.points, b.points):
             assert strip(pa.aggregate) == strip(pb.aggregate)
             assert [strip(t) for t in pa.trials] == [strip(t) for t in pb.trials]
+
+    def test_every_pooled_record_replays_alone(self):
+        """Each record of a two-point, two-worker run with an error target equals the record
+        of run_single_trial(config, point, snr, trial) run alone, wall_s aside."""
+        cfg = exact_config(snr_db=[0.0, 10.0], trials=20, min_error_events=3, workers=2)
+        result = run_experiment(cfg)
+        assert result.points[0].aggregate["trials"] < 20  # the error target stopped it
+        for point_idx, point in enumerate(result.points):
+            for record in point.trials:
+                alone = run_single_trial(cfg, point_idx, point.snr_db, record["trial"])
+                assert strip(alone) == strip(record)
 
     def test_trial_record_fields(self):
         cfg = exact_config(trials=1)
@@ -230,10 +246,6 @@ class TestTrialsAndAggregation:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
         pooled = run_experiment(exact_config(workers=2, **cfg))
         assert len(started) == 2
-
-        def strip(d):
-            return {k: v for k, v in d.items() if k != "wall_s"}
-
         for ps, pp in zip(serial.points, pooled.points):
             assert len(pp.trials) == 40
             assert [strip(t) for t in ps.trials] == [strip(t) for t in pp.trials]
@@ -399,9 +411,8 @@ class TestRoc:
             with pytest.raises(ParameterError):
                 run_roc(exact_config(), empty)
 
-    def test_pinned_codebook_is_drawn_once(self, monkeypatch):
-        """With pin_codebook every trial runs on the one codebook drawn for the point;
-        without it each trial draws its own."""
+    def test_each_trial_draws_its_own_codebook(self, monkeypatch):
+        """Every trial runs on a codebook of its own, drawn from its own stream."""
         from turbomp import harness
 
         drawn, used = [], []
@@ -417,12 +428,10 @@ class TestRoc:
         run_frame = harness.run_turbo_mp
         monkeypatch.setattr(harness, "build_codebook", counting_build)
         monkeypatch.setattr(harness, "run_turbo_mp", recording_run)
-        run_roc(exact_config(trials=3, pin_codebook=True), [0.5])
-        assert len(drawn) == 1 and len(used) == 3
-        assert all(cb is drawn[0] for cb in used)
-        drawn.clear()
         run_roc(exact_config(trials=3), [0.5])
-        assert len(drawn) == 3
+        assert len(drawn) == 3 and all(cb is d for cb, d in zip(used, drawn))
+        selections = {cb.selections.tobytes() for cb in drawn}
+        assert len(selections) == 3
 
     def test_worker_pool_matches_serial_with_one_pool(self, monkeypatch):
         """With two workers the ROC rows equal the serial rows, from one process pool."""
@@ -510,6 +519,36 @@ class TestCli:
         assert "snr_db must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "roc").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--seed", "-1"], ["sweep", "--param", "master_seed=0,-1"],
+        ["roc", "--seed=-1"], ["roc", "--snr", "-4000"], ["roc", "--snr", "4000"],
+        ["sweep", "--param", "snr_db=10,4000"],
+    ])
+    def test_seeds_and_snrs_that_crash_every_trial_are_errors_before_any_output(
+            self, tmp_path, capsys, argv):
+        """A negative master_seed, or an SNR whose noise variance overflows or underflows,
+        exits 2 with one error line and writes nothing."""
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        code = cli_main([*argv, "--config", cfg, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_roc_snr_replaces_the_config_snrs(self, tmp_path):
+        """`roc --snr X` writes the rows of run_roc on the config with snr_db=[X]."""
+        cfg = self._write_config(tmp_path, snr_db=[10.0, 20.0], trials=3)
+        code = cli_main(["roc", "--config", cfg, "--snr", "5", "--thresholds", "0.2,0.5,0.8",
+                         "--out", str(tmp_path / "cli")])
+        assert code == 0
+        config = ExperimentConfig.from_dict({**json.loads(Path(cfg).read_text()),
+                                             "snr_db": [5.0]})
+        rows = run_roc(config, [0.2, 0.5, 0.8])
+        assert {r["snr_db"] for r in rows} == {5.0}
+        want = emit_roc(rows, tmp_path / "api")
+        assert (tmp_path / "cli" / "roc.csv").read_bytes() == Path(want).read_bytes()
+
     @pytest.mark.parametrize("text", ['{"K": 64,', "[1, 2]"])
     def test_malformed_config_json_is_an_error(self, tmp_path, capsys, text):
         path = tmp_path / "config.json"
@@ -546,7 +585,7 @@ class TestCli:
         aliased = self._write_config(tmp_path)  # "lambda" and "em"
         named = tmp_path / "named.json"  # "lam" and "em_enabled", as results JSON holds them
         named.write_text(json.dumps(
-            ExperimentConfig.from_dict(json.loads(Path(aliased).read_text())).to_dict()))
+            asdict(ExperimentConfig.from_dict(json.loads(Path(aliased).read_text())))))
         cases = ((str(named), "lambda=0.1,0.3", "lam", [0.1, 0.3]),
                  (aliased, "lam=0.1,0.3", "lam", [0.1, 0.3]),
                  (str(named), "em=true,false", "em_enabled", [False, True]),

@@ -1,6 +1,8 @@
 """Two-thread halves of the block passes: when they split, that a split changes no output,
-and that a helper thread started in a process never reaches a forked pool worker."""
+and that a helper thread started in a process never reaches a forked pool worker; and that
+pool workers run numpy's OpenBLAS on one thread."""
 
+import json
 import os
 import subprocess
 import sys
@@ -18,10 +20,12 @@ SRC = str(Path(turbomp.__file__).resolve().parent.parent)
 two_cpus = pytest.mark.skipif(parallel.cpus() < 2, reason="a process with one CPU never splits")
 
 
-def run_python(code: str, timeout: float = 300) -> str:
-    """Run `code` in a fresh interpreter that imports this turbomp; return its stdout."""
+def run_python(code: str, timeout: float = 300, pin_blas: bool = True) -> str:
+    """Run `code` in a fresh interpreter that imports this turbomp, with OpenBLAS pinned to
+    one thread through its environment unless `pin_blas` is false; return its stdout."""
+    env = {"PYTHONPATH": SRC, **({"OPENBLAS_NUM_THREADS": "1"} if pin_blas else {})}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         timeout=timeout, env={"PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"})
+                         timeout=timeout, env=env)
     assert out.returncode == 0, out.stderr
     return out.stdout
 
@@ -45,6 +49,7 @@ class TestHalves:
         assert len({t for _, t in seen}) == 2
 
     def test_a_pass_runs_whole_on_the_caller_where_it_does_not_split(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_openblas", lambda: None)  # keep this process's BLAS
         whole = [(slice(0, 5), threading.get_ident())]
         assert calls(5, parallel.MIN_SIZE - 1) == whole  # small block
         assert calls(1, parallel.MIN_SIZE)[0][0] == slice(0, 1)  # nothing to halve
@@ -123,10 +128,33 @@ def test_a_large_frame_is_bitwise_the_same_split_or_not(monkeypatch):
     results = []
     for size in (0, np.inf):
         monkeypatch.setattr(parallel, "MIN_SIZE", size)
-        results.append(harness._run_trial(config, 0, -15.0, 0, None)[2])
+        results.append(harness._run_trial(config, 0, -15.0, 0)[2])
     split, whole = results
     for name in ("H", "C", "lambda_D_post", "activity"):
         assert np.array_equal(getattr(split, name), getattr(whole, name)), name
     assert split.iterations == whole.iterations and split.converged == whole.converged
     assert split.priors == whole.priors
     assert split.diagnostics == whole.diagnostics
+
+
+@pytest.mark.skipif(parallel._openblas() is None, reason="numpy bundles no OpenBLAS here")
+def test_pool_workers_run_openblas_on_one_thread():
+    """With OpenBLAS unpinned in the environment, the workers of the harness's pool read one
+    BLAS thread while their parent keeps its own count, and their records equal the records of
+    the parent run alone."""
+    code = f"""
+import json, turbomp
+from turbomp import harness, parallel as p
+def threads(_=None):
+    return p._openblas().scipy_openblas_get_num_threads64_()
+doc = dict(K=200, N=72, T=2, Q=4, M=4, snr_db=[0.0], lam=0.05, trials=4, max_iters=5,
+           pdp_file={example_pdp_path()!r}, master_seed=3)
+records = lambda workers: [{{k: v for k, v in r.items() if k != "wall_s"}}
+    for r in turbomp.run_experiment(
+        turbomp.ExperimentConfig(**doc, workers=workers)).points[0].trials]
+parent = threads()
+with harness._mapper(2) as mapper:
+    workers = sorted(set(mapper(threads, range(4))))
+print(json.dumps([parent == threads(), workers, records(2) == records(1)]))
+"""
+    assert json.loads(run_python(code, pin_blas=False)) == [True, [1], True]
