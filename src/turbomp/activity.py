@@ -3,7 +3,8 @@
 All products of activity probabilities are formed as clamped log-odds sums,
 which resolves the 0/0 corner cases that exact certainties would create.
 A zero net evidence term returns the prior untouched, making the
-uninformative identities exact.
+uninformative identities exact.  `fuse` is that step on unchecked log-odds
+evidence, which the engine takes once per denoiser output.
 """
 
 from __future__ import annotations
@@ -31,10 +32,14 @@ def activity_posterior(pi_b, pi_c, lam):
     pi_b = _check_prob("pi_b", pi_b)
     pi_c = _check_prob("pi_c", pi_c)
     lam = _check_prob("lam", lam)
-    evidence = logit(pi_b) + logit(pi_c)
-    out = np.where(evidence == 0.0, lam, sigmoid(evidence + logit(lam)))
+    out = fuse(logit(pi_b) + logit(pi_c), lam)
     scalar = not (np.ndim(pi_b) or np.ndim(pi_c) or np.ndim(lam))
     return float(out) if scalar else out
+
+
+def fuse(evidence, lam):
+    """The posterior of log-odds evidence under prior lam: lam itself where it is exactly 0."""
+    return np.where(evidence == 0.0, lam, sigmoid(evidence + logit(lam)))
 
 
 def detect(lambda_d_post, threshold: float) -> np.ndarray:

@@ -72,7 +72,8 @@ def bg_denoise_batch(
     if not 0 < theta < np.inf:
         raise ParameterError(f"theta must be positive and finite, got {theta}")
     lam = np.broadcast_to(np.asarray(lambda_pri, dtype=float), (K,))
-    if not np.all((lam >= 0) & (lam <= 1)):
+    interior = (lam > 0) & (lam < 1)
+    if not (interior.all() or np.all((lam >= 0) & (lam <= 1))):
         raise ParameterError("lambda_pri must lie in [0, 1]")
 
     gain = theta / (theta + v)  # (M,)
@@ -90,9 +91,10 @@ def bg_denoise_batch(
     # log CN(0; pri, V) - log CN(0; pri, V + theta I), accumulated per device
     log_ratio = Q * np.sum(np.log1p(theta / v)) - s @ (theta / (v * (v + theta)))
 
-    interior = (lam > 0) & (lam < 1)
-    lambda_post = lam.astype(float).copy()  # endpoints carry through exactly
-    if np.any(interior):
+    if interior.all():  # no masked gather and scatter (an engine cross prior can round to 1.0)
+        lambda_post = sigmoid((np.log(lam) - np.log1p(-lam)) - log_ratio)
+    else:
+        lambda_post = lam.copy()  # endpoints carry through exactly
         prior_odds = np.log(lam[interior]) - np.log1p(-lam[interior])
         lambda_post[interior] = sigmoid(prior_odds - log_ratio[interior])
     pi = sigmoid(-log_ratio)

@@ -27,7 +27,8 @@ observation variance Sigma and activity cross prior, and builds no (K, Q, M) pos
 
 One iteration thus costs one adjoint and one forward operator call per branch.  The posterior
 means are built from the denoisers' last inputs only for the `TurboResult` and for the
-truth-traced NMSE.
+truth-traced NMSE.  Activity is fused in log-odds (`activity.fuse`) from one logit per denoiser
+output; only the frame's final posterior goes through the validating `activity_posterior`.
 
 At large K each block pass runs as two halves on two threads (`parallel.halves`): x_und and the
 per-antenna sums of the step norms split on the antenna axis (as `lmmse` and `denoiser` do, and
@@ -43,11 +44,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics as _metrics
-from .activity import activity_posterior, detect
+from .activity import activity_posterior, detect, fuse
 from .denoiser import bg_denoise_batch
 from .em import PriorParams, em_schedule
 from .errors import DimensionError, NumericsError, ParameterError
 from .lmmse import V_FLOOR, V_MAX, extrinsic, linear_extrinsic, observation_variance
+from .logodds import logit
 from .parallel import halves
 from .pilots import PilotCodebook
 
@@ -148,7 +150,7 @@ def _branch(resid, sigma, x_pri, v_pri, fwd_pri, weight, theta, lambda_pri, cb, 
     x_und = np.empty_like(x_pri)  # device-contiguous, as every message is
     halves(lambda m: np.multiply(ext[..., m], scale[:, None, m], out=x_und[..., m]),
            ext.shape[2], ext.size)
-    fwd_und = weight * cb.apply_A(x_und)
+    fwd_und = cb.apply_A(x_und) if np.isscalar(weight) else weight * cb.apply_A(x_und)
     fwd_post = (fwd_und + beta * fwd_ext) / alpha
     return x_und, np.maximum(v_out, V_FLOOR), fwd_und, fwd_post, den
 
@@ -180,23 +182,24 @@ def run_turbo_mp(
     fwd_h = fwd_c = np.zeros_like(Y)
     v_h = np.full(M, priors.lam * priors.theta_H)
     v_c = np.full(M, priors.lam * priors.theta_C)
-    pi_C = np.full(codebook.K, 0.5)
+    logit_c = np.zeros(codebook.K)
 
     for iteration in range(1, opts.max_iters + 1):
         h_prev, c_prev = h_pri, c_pri
-        lambda_h = activity_posterior(pi_C, 0.5, priors.lam)
+        lambda_h = fuse(logit_c, priors.lam)
         for _ in range(2):
             resid = _residual(Y, fwd_h, fwd_c, diag)
             sigma = observation_variance(v_h, v_c, priors.sigma_w2, codebook)
             h_pri, v_h, fwd_h, post_fwd_h, den_h = _branch(
                 resid, sigma, h_pri, v_h, fwd_h, 1.0, priors.theta_H, lambda_h, codebook, diag)
-        lambda_c = activity_posterior(den_h.pi, 0.5, priors.lam)
+        logit_h = logit(den_h.pi)
+        lambda_c = fuse(logit_h, priors.lam)
         resid = _residual(Y, fwd_h, fwd_c, diag)
         sigma = observation_variance(v_h, v_c, priors.sigma_w2, codebook)
         c_pri, v_c, fwd_c, post_fwd_c, den_c = _branch(
             resid, sigma, c_pri, v_c, fwd_c, codebook.D_diag[:, None], priors.theta_C, lambda_c,
             codebook, diag)
-        pi_C = den_c.pi
+        logit_c = logit(den_c.pi)
         # a NaN or inf makes a message's step or a variance's sum non-finite; checked before EM
         (step_h, norm_h), (step_c, norm_c) = _step_norms(h_pri, h_prev), _step_norms(c_pri, c_prev)
         del h_prev, c_prev  # now the steps: two blocks freed before EM and the result
@@ -206,12 +209,12 @@ def run_turbo_mp(
                 raise NumericsError(f"non-finite message in the {branch}", diagnostics=diag)
         change = np.hypot(step_h, step_c)
 
-        lambda_D_post = activity_posterior(den_h.pi, pi_C, priors.lam)
         if opts.em_enabled:
             # the moment estimate mean(|r|^2 - (Sigma - sigma_w2)) of the slope branch's inputs
             moment = np.vdot(resid, resid).real / resid.size - np.mean(sigma) + priors.sigma_w2
             priors = em_schedule(priors, iteration, Y - post_fwd_h - post_fwd_c, float(moment),
-                                 den_h, den_c, lambda_D_post, codebook, opts)
+                                 den_h, den_c, fuse(logit_h + logit_c, priors.lam), codebook,
+                                 opts)
 
         denom = np.hypot(norm_h, norm_c)
         rel_change = float(change / denom) if denom > 0 else np.inf
@@ -231,7 +234,7 @@ def run_turbo_mp(
             converged = True
             break
 
-    lambda_post = activity_posterior(den_h.pi, pi_C, priors.lam)
+    lambda_post = activity_posterior(den_h.pi, den_c.pi, priors.lam)
     H, C = (d.post_mean.reshape(codebook.cols, M) for d in (den_h, den_c))
     return TurboResult(H=H, C=C, lambda_D_post=lambda_post,
                        activity=detect(lambda_post, opts.threshold), priors=priors,

@@ -50,7 +50,10 @@ def _is_number(value) -> bool:
 
 
 def _is_finite(value) -> bool:
-    return _is_number(value) and -math.inf < value < math.inf  # also false for NaN
+    try:  # float() also rejects an int beyond the float range, which every trial would fail on
+        return _is_number(value) and math.isfinite(float(value))
+    except OverflowError:
+        return False
 
 
 _KINDS = {  # field annotation -> (check, description)

@@ -50,14 +50,15 @@ def linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight, codebook, v_ma
     gives w A x_ext = fwd_pri + c K P w z without an operator call.
     """
     w = np.reshape(weight, (-1,) + (1,) * (sigma.ndim - 1))
-    z = w * (resid / sigma)
+    unit = np.isscalar(weight) and weight == 1.0  # the means' weight multiplies nothing
+    z = resid / sigma if unit else w * (resid / sigma)
     g = (codebook.power / codebook.Q) * np.sum(w**2 / sigma, axis=0)
     v = np.maximum(v_pri, V_FLOOR)
     v_ext = 1.0 / g - v
     informative = v_ext < v_max
     coef = np.where(informative, 1.0 / g, v)  # one per antenna
     v_ext = np.maximum(np.where(informative, v_ext, v_max), V_FLOOR)
-    fwd_ext = fwd_pri + (codebook.K * codebook.power * coef) * (w * z)
+    fwd_ext = fwd_pri + (codebook.K * codebook.power * coef) * (z if unit else w * z)
     x_ext = codebook.apply_A_adjoint(z).reshape(np.shape(x_pri))  # a new array, updated in place
     c = np.broadcast_to(coef, x_ext.shape[-1:])  # x_ext = c x_ext + x_pri, per antenna
     halves(lambda m: np.add(np.multiply(x_ext[..., m], c[m], out=x_ext[..., m]), x_pri[..., m],

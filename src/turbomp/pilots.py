@@ -2,10 +2,10 @@
 
 The wide pilot matrix A maps stacked per-device sub-block coefficients (length Q*K,
 device-major) to T*N observation rows.  It factors as a permutation into Q device-indexed
-blocks, a scaled K-point DFT per block, and a row gather, which keeps every matrix-vector
-product at O(Q*K*log K).  Each implied pilot symbol has squared magnitude P, and the row
-structure gives the partial orthogonality A @ A^H = K*P*I that the linear estimator relies on.
-B shares the factorization through the real diagonal D: B = D @ A.
+blocks, a scaled K-point DFT per block, and a row gather (one direct index, in row order), which
+keeps every matrix-vector product at O(Q*K*log K).  Each implied pilot symbol has squared
+magnitude P, and the row structure gives the partial orthogonality A @ A^H = K*P*I that the
+linear estimator relies on.  B shares the factorization through the real diagonal D: B = D @ A.
 
 Coefficients enter as (Q*K,) vectors, device-major (Q*K, M) matrices or (K, Q, M) blocks; the
 adjoints return a matrix as (K, Q, M) blocks with the strides of a C-ordered (Q, M, K) array
@@ -106,8 +106,8 @@ class PilotCodebook:
         rows = x.reshape(self.K, self.Q, -1).transpose(1, 2, 0)  # (Q, M, K)
         w = np.empty(rows.shape, dtype=np.result_type(x.dtype, 1j))
         halves(lambda q: np.fft.fft(rows[q], out=w[q]), self.Q, w.size)
-        y = np.take_along_axis(w, self.selections[:, None, :], axis=-1)  # (Q, M, rpb)
-        y = self.scale * y.transpose(0, 2, 1).reshape(self.rows, -1)
+        y = w[np.arange(self.Q)[:, None], :, self.selections]  # (Q, rpb, M), in row order
+        y = self.scale * y.reshape(self.rows, -1)
         return y[:, 0] if x.ndim == 1 else y
 
     def apply_A_adjoint(self, y: np.ndarray) -> np.ndarray:
@@ -119,12 +119,12 @@ class PilotCodebook:
         """
         y = np.asarray(y)
         self._check_len(y, self.rows, "y")
-        blocks = y.reshape(self.Q, self.rows_per_block, -1).transpose(0, 2, 1)  # (Q, M, rpb)
-        w = np.empty((self.Q, blocks.shape[1], self.K), dtype=np.complex128)
+        blocks = y.reshape(self.Q, self.rows_per_block, -1)  # (Q, rpb, M), in row order
+        w = np.empty((self.Q, blocks.shape[2], self.K), dtype=np.complex128)
 
         def scatter_ifft(q):
             w[q] = 0
-            np.put_along_axis(w[q], self.selections[q, None], self.scale * blocks[q], axis=-1)
+            w[np.arange(self.Q)[q, None], :, self.selections[q]] = self.scale * blocks[q]
             np.fft.ifft(w[q], norm="forward", out=w[q])
 
         halves(scatter_ifft, self.Q, w.size)

@@ -5,7 +5,8 @@ import pytest
 
 from oracles import sigmoid_masked
 from turbomp import ParameterError, activity_posterior, detect
-from turbomp.logodds import sigmoid
+from turbomp.activity import fuse
+from turbomp.logodds import logit, sigmoid
 
 
 class TestCrossPrior:
@@ -82,6 +83,35 @@ class TestActivityPosterior:
         out = activity_posterior(np.array([1.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), 0.5)
         assert np.all(np.isfinite(out))
         assert out[0] > 0.999 and out[1] < 1e-12
+
+
+class TestFuse:
+    """The engine fuses logits taken once per denoiser output; `activity_posterior` takes them
+    per call.  Both give the same bits, at the clamps and the neutral 0.5 as elsewhere."""
+
+    PROBS = np.concatenate([np.random.default_rng(7).uniform(0.0, 1.0, 40),
+                            [0.0, 1.0, 0.5, 1e-20, 1e-300, 5e-324, 1.0 - 2**-53, 2**-53]])
+    LAMS = [0.0, 1.0, 0.5, 0.05, 1e-20, 1e-6, 1.0 - 1e-6, 0.123456789]
+
+    @staticmethod
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.int64)
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_fused_sums_are_bitwise_activity_posterior(self, lam):
+        a, b = (grid.ravel() for grid in np.meshgrid(self.PROBS, self.PROBS))
+        assert np.array_equal(self.bits(fuse(logit(a) + logit(b), lam)),
+                              self.bits(activity_posterior(a, b, lam)))
+        assert np.array_equal(self.bits(fuse(logit(a), lam)),
+                              self.bits(activity_posterior(a, 0.5, lam)))
+        zeros = np.zeros(a.size)  # the engine's neutral start: logit(0.5) is +0.0
+        assert np.array_equal(self.bits(logit(np.full(a.size, 0.5))), self.bits(zeros))
+        assert np.array_equal(self.bits(fuse(zeros, lam)),
+                              self.bits(activity_posterior(np.full(a.size, 0.5), 0.5, lam)))
+
+    def test_the_clamps_are_exercised(self):
+        assert {logit(p) for p in (0.0, 1e-20, 1e-300)} == {-40.0}
+        assert logit(1.0) == 40.0
 
 
 class TestDetect:

@@ -115,6 +115,28 @@ class TestBatchBehaviour:
                 bg_denoise_batch(np.zeros((2, 2, 1), dtype=complex), np.array(v), theta, lam)
 
 
+class TestInteriorPath:
+    @pytest.mark.parametrize("K", [7, 1000])
+    def test_all_interior_priors_match_the_masked_path(self, K):
+        """With every lambda_pri in (0, 1) the denoiser skips the masked gather and scatter; its
+        posteriors are bitwise those of the masked path, which one endpoint forces (log_ratio
+        does not depend on lambda_pri, so the other devices' inputs are the same)."""
+        rng = np.random.default_rng(K)
+        pri = rng.standard_normal((K, 4, 3)) + 1j * rng.standard_normal((K, 4, 3))
+        v = np.array([0.3, 1.0, 2.5])
+        lam = np.concatenate([[1e-300, 1.0 - 2**-53, 0.5], rng.uniform(0.0, 1.0, K - 3)])
+        fast = bg_denoise_batch(pri, v, 0.8, lam)
+        for endpoint in (0.0, 1.0):
+            masked = bg_denoise_batch(pri, v, 0.8, np.concatenate([lam[:-1], [endpoint]]))
+            assert masked.lambda_post[-1] == endpoint
+            assert np.array_equal(fast.lambda_post[:-1].view(np.int64),
+                                  masked.lambda_post[:-1].view(np.int64))
+            assert np.array_equal(fast.pi.view(np.int64), masked.pi.view(np.int64))
+        scalar = bg_denoise_batch(pri, v, 0.8, 0.05)  # a broadcast scalar prior takes it too
+        full = bg_denoise_batch(pri, v, 0.8, np.full(K, 0.05))
+        assert np.array_equal(scalar.lambda_post.view(np.int64), full.lambda_post.view(np.int64))
+
+
 class TestColumnVariance:
     def test_constant_variances(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,6 @@
 """Iteration schedule, equivariance, and convergence behaviour of the engine."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from turbomp import (
     ParameterError,
     PriorParams,
     TurboOptions,
+    activity_posterior,
     build_codebook,
     run_experiment,
     run_turbo_mp,
@@ -216,6 +218,68 @@ class TestFailureModes:
                     dict(threshold=1.0)):
             with pytest.raises(ParameterError):
                 TurboOptions(**bad)
+
+
+class TestFusedActivity:
+    def test_cross_priors_and_em_posterior_are_bitwise_activity_posterior(self, monkeypatch):
+        """The engine fuses logits taken once per denoiser output: each cross prior and EM's
+        activity posterior is bitwise the validating `activity_posterior` of the same pis."""
+        Y, cb, priors, *_ = make_instance(seed=4)
+        denoise, em_schedule, calls = engine.bg_denoise_batch, engine.em_schedule, []
+
+        def recorded_denoise(pri, v, theta, lambda_pri):
+            calls.append(("den", lambda_pri, denoise(pri, v, theta, lambda_pri)))
+            return calls[-1][2]
+
+        def recorded_em(priors, iteration, resid, moment, den_h, den_c, lambda_d_post, *args):
+            calls.append(("em", priors.lam, den_h.pi, den_c.pi, lambda_d_post))
+            return em_schedule(priors, iteration, resid, moment, den_h, den_c, lambda_d_post,
+                               *args)
+
+        monkeypatch.setattr(engine, "bg_denoise_batch", recorded_denoise)
+        monkeypatch.setattr(engine, "em_schedule", recorded_em)
+        result = run_turbo_mp(Y, cb, priors, TurboOptions(max_iters=7, em_enabled=True,
+                                                          rel_change_tol=1e-12))
+        assert len(calls) == 4 * result.iterations
+        pi_c = np.full(cb.K, 0.5)
+        for i in range(result.iterations):
+            (_, lam_h1, den_h1), (_, lam_h2, den_h), (_, lam_c, den_c), em = calls[4 * i:4 * i + 4]
+            lam = em[1]
+            want = activity_posterior(pi_c, 0.5, lam)
+            for got, want in ((lam_h1, want), (lam_h2, want),
+                              (lam_c, activity_posterior(den_h.pi, 0.5, lam)),
+                              (em[4], activity_posterior(den_h.pi, den_c.pi, lam))):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert em[2] is den_h.pi and em[3] is den_c.pi
+            pi_c = den_c.pi
+
+    @pytest.mark.parametrize("call, em, match", [
+        (2, False, "lambda_pri"),  # the last mean-branch pi feeds the slope denoiser's prior
+        (3, False, "lambda_pri"),  # the slope pi feeds the next iteration's mean denoisers
+        (3, True, "lambda_pri"),  # EM's noise-only refresh at iteration 1 leaves lam alone
+        (9, True, "theta_H must be"),  # iteration 3 weighs theta by the fused posterior
+    ])
+    def test_a_nan_activity_likelihood_still_aborts_the_frame(self, monkeypatch, call, em,
+                                                              match):
+        """The fused activity validates nothing, so a NaN in a denoiser's pi reaches the next
+        denoiser's lambda_pri check or, through EM's slow refresh, `PriorParams`; either
+        raises before a result is returned."""
+        Y, cb, priors, *_ = make_instance(seed=4)
+        denoise, calls = engine.bg_denoise_batch, []
+
+        def poisoned(*args):
+            den = denoise(*args)
+            calls.append(den)
+            if len(calls) == call:
+                pi = den.pi.copy()
+                pi[5] = np.nan
+                den = dataclasses.replace(den, pi=pi)
+            return den
+
+        monkeypatch.setattr(engine, "bg_denoise_batch", poisoned)
+        with pytest.raises(ParameterError, match=match):
+            run_turbo_mp(Y, cb, priors, TurboOptions(max_iters=5, em_enabled=em,
+                                                     rel_change_tol=1e-12))
 
 
 class TestForwardProducts:

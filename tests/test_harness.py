@@ -124,6 +124,9 @@ class TestConfigValidation:
         dict(snr_db=[float("nan")]), dict(snr_db=[10.0, float("inf")]),
         dict(pilot_power=float("inf")), dict(pilot_power=float("nan")),
         dict(delta_f=float("nan")), dict(rel_change_tol=float("inf")),
+        # integers beyond the float range, which every trial would fail to convert
+        dict(theta_H=10**400), dict(theta_C=10**400), dict(sigma_w2=10**400),
+        dict(delta_f=-10**400), dict(lam=10**400), dict(snr_db=[10**400]),
     ])
     def test_ill_typed_values_rejected_at_construction(self, bad):
         with pytest.raises(ConfigurationError, match="must"):
@@ -609,7 +612,8 @@ class TestCli:
     @pytest.mark.parametrize("bad", [
         dict(snr_db="10"), dict(em="false"), dict(K=200.5), dict(trials=2.5), dict(K="200"),
         dict(theta_H=-1.0), dict(theta_C=0.0), dict(sigma_w2=0.0), dict(min_error_events=0),
-        dict(rel_change_tol=float("inf")),
+        dict(rel_change_tol=float("inf")), dict(theta_H=10**400), dict(theta_C=10**400),
+        dict(sigma_w2=10**400), dict(delta_f=10**400),
     ])
     def test_run_rejects_ill_typed_and_out_of_range_values(self, tmp_path, capsys, bad):
         cfg = self._write_config(tmp_path, **bad)

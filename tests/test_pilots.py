@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import dense_A, dense_B, mix_subcarriers_fft, permutation
-from turbomp import ConfigurationError, DimensionError, PilotCodebook, build_codebook
+from turbomp import ConfigurationError, DimensionError, PilotCodebook, build_codebook, parallel
 
 
 def rand_complex(rng, *shape):
@@ -196,6 +196,57 @@ class TestOperatorAlgebra:
         cb = build_codebook(K=5000, N=72, T=8, Q=4, seed=11)
         with pytest.raises(ConfigurationError):
             dense_A(cb)
+
+
+def along_axis_A(cb, x):
+    """A @ x through `take_along_axis` and a transposing copy, the gather apply_A replaced."""
+    rows = x.reshape(cb.K, cb.Q, -1).transpose(1, 2, 0)
+    w = np.empty(rows.shape, dtype=complex)
+    for q in range(cb.Q):
+        np.fft.fft(rows[q], out=w[q])
+    y = np.take_along_axis(w, cb.selections[:, None, :], axis=-1)
+    return cb.scale * y.transpose(0, 2, 1).reshape(cb.rows, -1)
+
+
+def along_axis_A_adjoint(cb, y):
+    """A^H @ y as (K, Q, M) blocks through `put_along_axis`, the scatter the adjoint replaced."""
+    blocks = y.reshape(cb.Q, cb.rows_per_block, -1).transpose(0, 2, 1)
+    w = np.zeros((cb.Q, blocks.shape[1], cb.K), dtype=complex)
+    for q in range(cb.Q):
+        np.put_along_axis(w[q], cb.selections[q, None], cb.scale * blocks[q], axis=-1)
+        np.fft.ifft(w[q], norm="forward", out=w[q])
+    return w.transpose(2, 0, 1)
+
+
+class TestDirectIndex:
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("K, N, T, Q, strict", [(16, 8, 4, 2, False), (64, 8, 2, 2, True),
+                                                    (1000, 72, 8, 4, True)])
+    def test_gather_and_scatter_are_bitwise_the_along_axis_forms(self, monkeypatch, split, K, N,
+                                                                  T, Q, strict):
+        """Direct-index gathers and scatters give bitwise the `take_along_axis` and
+        `put_along_axis` products, whether or not the sub-blocks run as two halves, and match
+        the dense operators."""
+        if split:
+            monkeypatch.setattr(parallel, "MIN_SIZE", 0)
+        cb = build_codebook(K=K, N=N, T=T, Q=Q, seed=K, strict=strict)
+        rng = np.random.default_rng(K)
+        X, Y = rand_complex(rng, cb.cols, 3), rand_complex(rng, cb.rows, 3)
+        blocks = X.reshape(cb.K, cb.Q, 3)
+        assert np.array_equal(cb.apply_A(X), along_axis_A(cb, X))
+        assert np.array_equal(cb.apply_A(blocks), along_axis_A(cb, X))
+        assert np.array_equal(cb.apply_A(X[:, 0]), along_axis_A(cb, X[:, :1])[:, 0])
+        assert np.array_equal(cb.apply_B(X), cb.D_diag[:, None] * along_axis_A(cb, X))
+        assert np.array_equal(cb.apply_A_adjoint(Y), along_axis_A_adjoint(cb, Y))
+        assert np.array_equal(cb.apply_A_adjoint(Y[:, 0]),
+                              along_axis_A_adjoint(cb, Y[:, :1]).reshape(cb.cols))
+        assert np.array_equal(cb.apply_B_adjoint(Y),
+                              along_axis_A_adjoint(cb, cb.D_diag[:, None] * Y))
+        if K <= 64:
+            A = dense_A(cb)
+            np.testing.assert_allclose(cb.apply_A(X), A @ X, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cb.apply_A_adjoint(Y).reshape(cb.cols, 3),
+                                       A.conj().T @ Y, rtol=0, atol=1e-12)
 
 
 class TestPermutationAndMixing:

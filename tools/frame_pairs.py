@@ -1,0 +1,154 @@
+"""Paired frame timing of two source trees on identical captured frames.
+
+Usage, from the repository root:
+
+    python3 tools/frame_pairs.py PARENT_SRC CHANGE_SRC --pairs 10 --frames 20 --seed 1000
+
+Each path is a `src` directory holding a `turbomp` package.  The frames are `paper_point`'s:
+multipath, K=1000, N=72, T=8, Q=4, M=8, lambda K = 50, -15 dB, EM with the corrected noise
+update and at most 15 iterations; --K changes K and keeps 50 devices active.  PARENT_SRC draws
+the frames once, trials 0 to frames - 1 of `master_seed` --seed through
+`harness.run_single_trial`, and their inputs (Y, the pilot rows, the priors and options) are
+saved.  A run then times `run_turbo_mp` alone on every saved frame in a fresh interpreter with
+1 BLAS thread, after one untimed warm-up frame, and reports milliseconds per iteration: the
+summed frame time over the summed iterations.  A pair runs both trees, alternating which runs
+first.  One JSON line gives each side's median and quartiles over the pairs, the median of the
+per-pair ratios change / parent, the pairs the change won, and whether both trees returned
+bitwise-equal results (H, C, lambda_D_post, decisions, priors, iterations, stop flag).
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import hashlib
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+OPTIONS = ("max_iters", "rel_change_tol", "em_enabled", "em_sigma_correction", "threshold")
+PRIORS = ("theta_H", "theta_C", "sigma_w2", "lam")
+
+
+def capture(K: int, frames: int, seed: int, path: str) -> None:
+    """Save the inputs of the first `frames` frames that the harness hands `run_turbo_mp`."""
+    import numpy as np
+    from turbomp import ExperimentConfig, harness
+    from turbomp.channel import example_pdp_path
+
+    config = ExperimentConfig(
+        K=K, N=72, T=8, Q=4, M=8, lam=50 / K, snr_db=[-15.0], pdp_file=example_pdp_path(),
+        em_sigma_correction=True, max_iters=15, master_seed=seed)
+    saved, run = {}, harness.run_turbo_mp
+
+    def record(Y, cb, priors, opts, *args, **kwargs):
+        i = len(saved) // 3
+        saved[f"Y{i}"], saved[f"sel{i}"] = Y, cb.selections
+        saved[f"priors{i}"] = [getattr(priors, name) for name in PRIORS]
+        return run(Y, cb, priors, opts, *args, **kwargs)
+
+    harness.run_turbo_mp = record
+    try:
+        for trial in range(frames):
+            harness.run_single_trial(config, 0, config.snr_db[0], trial)
+    finally:
+        harness.run_turbo_mp = run
+    options = [getattr(config, name) for name in OPTIONS]
+    np.savez(path, dims=[K, config.N, config.T, config.Q], power=config.pilot_power,
+             options=np.array(options, dtype=float), **saved)
+
+
+def time_frames(path: str) -> dict:
+    """Milliseconds per iteration of `run_turbo_mp` over the saved frames, and a digest of
+    every output."""
+    import numpy as np
+    from turbomp import PilotCodebook, PriorParams, TurboOptions, run_turbo_mp
+
+    with np.load(path) as data:
+        doc = {key: data[key] for key in data.files}
+    K, N, T, Q = (int(v) for v in doc["dims"])
+    max_iters, tol, em, correction, threshold = doc["options"].tolist()
+    opts = TurboOptions(max_iters=int(max_iters), rel_change_tol=tol, em_enabled=bool(em),
+                        em_sigma_correction=bool(correction), threshold=threshold)
+    frames = []
+    for i in range(sum(key.startswith("Y") for key in doc)):
+        cb = PilotCodebook(K=K, N=N, T=T, Q=Q, power=float(doc["power"]), selections=doc[f"sel{i}"])
+        priors = PriorParams(**dict(zip(PRIORS, doc[f"priors{i}"].tolist())))
+        frames.append((doc[f"Y{i}"], cb, priors))
+    run_turbo_mp(*frames[0], opts)  # warm-up: FFT plans and first-call costs
+    digest, seconds, iterations = hashlib.sha256(), 0.0, 0
+    for Y, cb, priors in frames:
+        start = perf_counter()
+        result = run_turbo_mp(Y, cb, priors, opts)
+        seconds += perf_counter() - start
+        iterations += result.iterations
+        for array in (result.H, result.C, result.lambda_D_post, result.activity,
+                      [getattr(result.priors, name) for name in PRIORS]):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        digest.update(f"{result.iterations} {result.converged}".encode())
+    return {"ms_per_iter": 1000.0 * seconds / iterations, "iterations": iterations,
+            "digest": digest.hexdigest()}
+
+
+def worker(src: str, *args: str) -> dict:
+    """Run `args` in a fresh interpreter that imports turbomp from `src`; its last JSON line."""
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, __file__, "--worker", *args], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def summary(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="src directory of the baseline tree")
+    parser.add_argument("change", help="src directory of the changed tree")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--frames", type=int, default=20)
+    parser.add_argument("--seed", type=int, default=1000, help="master_seed of the frames")
+    parser.add_argument("--K", type=int, default=1000)
+    args = parser.parse_args(argv)
+    if args.pairs < 2 or args.frames < 1:
+        parser.error("quartiles need --pairs >= 2, and a run needs --frames >= 1")
+    sides = {"parent": str(Path(args.parent).resolve()), "change": str(Path(args.change).resolve())}
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = str(Path(tmp) / "frames.npz")
+        worker(sides["parent"], "capture", str(args.K), str(args.frames), str(args.seed), inputs)
+        runs = {side: [] for side in sides}
+        for pair in range(args.pairs):
+            for side in sorted(sides, reverse=pair % 2 == 1):
+                runs[side].append(worker(sides[side], "time", inputs))
+    ms = {side: [run["ms_per_iter"] for run in runs[side]] for side in sides}
+    ratios = [c / p for c, p in zip(ms["change"], ms["parent"])]
+    digests = {run["digest"] for side in sides for run in runs[side]}
+    print(json.dumps({
+        "K": args.K, "frames": args.frames, "seed": args.seed, "pairs": args.pairs,
+        "iterations": runs["parent"][0]["iterations"],
+        "parent_ms_per_iter": summary(ms["parent"]), "change_ms_per_iter": summary(ms["change"]),
+        "ratio": statistics.median(ratios), "change_wins": sum(r < 1 for r in ratios),
+        "bitwise_equal": len(digests) == 1, "runs": ms}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        mode, *rest = sys.argv[2:]
+        if mode == "capture":
+            capture(int(rest[0]), int(rest[1]), int(rest[2]), rest[3])
+            print("{}")
+        else:
+            print(json.dumps(time_frames(rest[0])))
+        sys.exit(0)
+    sys.exit(main())
