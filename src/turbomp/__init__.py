@@ -13,7 +13,7 @@ from .channel import (
     sample_channel,
 )
 from .denoiser import bg_denoise_batch
-from .em import PriorParams, em_initial_params, em_lambda, em_sigma_w, em_theta
+from .em import PriorParams, em_initial_params
 from .engine import TurboOptions, TurboResult, run_turbo_mp
 from .errors import ConfigurationError, DimensionError, NumericsError, ParameterError
 from .harness import (
@@ -48,9 +48,6 @@ __all__ = [
     "detect",
     "detection_metrics",
     "em_initial_params",
-    "em_lambda",
-    "em_sigma_w",
-    "em_theta",
     "emit_results",
     "emit_roc",
     "load_pdp",

@@ -198,6 +198,8 @@ def sample_channel(
     """
     if M < 1 or N < 1:
         raise ParameterError(f"M={M} and N={N} must be >= 1")
+    if not np.isfinite(delta_f):
+        raise ParameterError(f"delta_f must be finite, got {delta_f}")
     activity = np.asarray(activity)
     a = np.count_nonzero(activity)
     rng = np.random.default_rng(seed)
@@ -256,8 +258,8 @@ def sample_blockwise_exact(
     Intended for oracle tests where the estimator's prior is exact.  Allows
     lam = 1 (all devices active), unlike the physical activity sampler.
     """
-    if theta_H <= 0 or theta_C < 0:
-        raise ParameterError("prior variances must be positive (theta_C may be 0)")
+    if not (0 < theta_H < np.inf and 0 <= theta_C < np.inf):  # also false for NaN
+        raise ParameterError("prior variances must be positive and finite (theta_C may be 0)")
     if not 0.0 < lam <= 1.0:
         raise ParameterError(f"activity rate must be in (0, 1], got {lam}")
     rng = np.random.default_rng(seed)

@@ -55,10 +55,11 @@ def bg_denoise_batch(
 ) -> DenoiseBatch:
     """Denoise all devices: pri_mean (K, Q, M), noise variance per antenna.
 
-    lambda_pri may be scalar or per device.  Exact zeros and ones in
-    lambda_pri short-circuit to certainly-inactive / certainly-active
-    posteriors without evaluating the prior odds.  Every moment comes from
-    s_km = sum_q |pri_kqm|^2: with lambda = lambda_post, the column variance
+    lambda_pri may be scalar or per device.  Priors of exactly 0 and 1 have
+    log-odds -inf and +inf, at which `sigmoid` is exact, and give exactly 0
+    and 1, unless the device's log-likelihood ratio is not finite (from a
+    non-finite or overflowing pri_mean entry): then NaN.  Every moment comes
+    from s_km = sum_q |pri_kqm|^2: with lambda = lambda_post, the column variance
     is (gain^2 sum_k lambda_k (1 - lambda_k) s_k + phi Q sum_k lambda_k) / (K Q)
     and the energy is lambda_k (sum_m gain_m^2 s_km + Q sum_m phi_m).
     """
@@ -72,8 +73,7 @@ def bg_denoise_batch(
     if not 0 < theta < np.inf:
         raise ParameterError(f"theta must be positive and finite, got {theta}")
     lam = np.broadcast_to(np.asarray(lambda_pri, dtype=float), (K,))
-    interior = (lam > 0) & (lam < 1)
-    if not (interior.all() or np.all((lam >= 0) & (lam <= 1))):
+    if not np.all((lam >= 0) & (lam <= 1)):  # NaN fails both comparisons
         raise ParameterError("lambda_pri must lie in [0, 1]")
 
     gain = theta / (theta + v)  # (M,)
@@ -91,12 +91,8 @@ def bg_denoise_batch(
     # log CN(0; pri, V) - log CN(0; pri, V + theta I), accumulated per device
     log_ratio = Q * np.sum(np.log1p(theta / v)) - s @ (theta / (v * (v + theta)))
 
-    if interior.all():  # no masked gather and scatter (an engine cross prior can round to 1.0)
+    with np.errstate(divide="ignore"):  # the endpoints' prior log-odds are -inf and +inf
         lambda_post = sigmoid((np.log(lam) - np.log1p(-lam)) - log_ratio)
-    else:
-        lambda_post = lam.copy()  # endpoints carry through exactly
-        prior_odds = np.log(lam[interior]) - np.log1p(-lam[interior])
-        lambda_post[interior] = sigmoid(prior_odds - log_ratio[interior])
     pi = sigmoid(-log_ratio)
 
     gain2 = gain**2

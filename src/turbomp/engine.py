@@ -28,7 +28,7 @@ observation variance Sigma and activity cross prior, and builds no (K, Q, M) pos
 One iteration thus costs one adjoint and one forward operator call per branch.  The posterior
 means are built from the denoisers' last inputs only for the `TurboResult` and for the
 truth-traced NMSE.  Activity is fused in log-odds (`activity.fuse`) from one logit per denoiser
-output; only the frame's final posterior goes through the validating `activity_posterior`.
+output, the frame's final posterior too; `detect` rejects a NaN that reaches it.
 
 At large K each block pass runs as two halves on two threads (`parallel.halves`): x_und and the
 per-antenna sums of the step norms split on the antenna axis (as `lmmse` and `denoiser` do, and
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics as _metrics
-from .activity import activity_posterior, detect, fuse
+from .activity import detect, fuse
 from .denoiser import bg_denoise_batch
 from .em import PriorParams, em_schedule
 from .errors import DimensionError, NumericsError, ParameterError
@@ -234,7 +234,7 @@ def run_turbo_mp(
             converged = True
             break
 
-    lambda_post = activity_posterior(den_h.pi, den_c.pi, priors.lam)
+    lambda_post = fuse(logit_h + logit_c, priors.lam)
     H, C = (d.post_mean.reshape(codebook.cols, M) for d in (den_h, den_c))
     return TurboResult(H=H, C=C, lambda_D_post=lambda_post,
                        activity=detect(lambda_post, opts.threshold), priors=priors,

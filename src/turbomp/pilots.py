@@ -53,8 +53,8 @@ class PilotCodebook:
         if min(K, N, T, Q) < 1:
             raise ConfigurationError("K, N, T, Q must all be >= 1")
         check_pilot_rows(K, N, T, Q, self.strict)
-        if self.power <= 0:
-            raise ConfigurationError(f"pilot power must be positive, got {self.power}")
+        if not 0 < self.power < np.inf:  # also false for NaN
+            raise ConfigurationError(f"pilot power must be positive and finite, got {self.power}")
         sel = np.asarray(self.selections, dtype=np.int64)
         rpb = T * N // Q
         if sel.shape != (Q, rpb):

@@ -28,9 +28,6 @@ PUBLIC = [
     "detect",
     "detection_metrics",
     "em_initial_params",
-    "em_lambda",
-    "em_sigma_w",
-    "em_theta",
     "emit_results",
     "emit_roc",
     "load_pdp",
@@ -56,6 +53,9 @@ REMOVED = [
     "blockwise_basis",
     "combine",
     "cross_prior",
+    "em_lambda",
+    "em_sigma_w",
+    "em_theta",
     "extrinsic",
     "init_state",
     "lmmse_posterior_c",

@@ -149,6 +149,13 @@ class TestSampleChannel:
             sample_channel(flat_profile(), np.ones(2, dtype=np.int8), M=0, N=4,
                            delta_f=15e3, seed=0)
 
+    @pytest.mark.parametrize("delta_f", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_subcarrier_spacing_that_is_not_finite(self, delta_f):
+        """A NaN or infinite spacing would give non-finite responses."""
+        with pytest.raises(ParameterError, match="delta_f must be finite"):
+            sample_channel(flat_profile(), np.ones(2, dtype=np.int8), M=1, N=4,
+                           delta_f=delta_f, seed=0)
+
     def test_holds_the_active_rows_only(self):
         prof = load_pdp(example_pdp_path())
         alpha = np.array([0, 1, 0, 0, 1, 1], dtype=np.int8)
@@ -329,6 +336,14 @@ class TestSampleBlockwiseExact:
         basis = BlockwiseBasis(4, 2)
         with pytest.raises(ParameterError):
             sample_blockwise_exact(4, 1, basis, 0.5, -1.0, 0.1, seed=0)
+
+    @pytest.mark.parametrize("theta_H, theta_C", [
+        (np.nan, 0.1), (np.inf, 0.1), (-np.inf, 0.1), (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf),
+    ])
+    def test_rejects_a_variance_that_is_not_finite(self, theta_H, theta_C):
+        basis = BlockwiseBasis(4, 2)
+        with pytest.raises(ParameterError, match="positive and finite"):
+            sample_blockwise_exact(4, 1, basis, 0.5, theta_H, theta_C, seed=0)
 
     def test_rejects_a_rate_outside_the_unit_interval(self):
         basis = BlockwiseBasis(4, 2)

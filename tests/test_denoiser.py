@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import bg_scalar_reference
-from turbomp import ParameterError, bg_denoise_batch
+from turbomp import ParameterError, bg_denoise_batch, denoiser
+from turbomp.logodds import sigmoid
 
 
 def denoise_scalar(value, v, theta, lam):
@@ -115,12 +116,22 @@ class TestBatchBehaviour:
                 bg_denoise_batch(np.zeros((2, 2, 1), dtype=complex), np.array(v), theta, lam)
 
 
-class TestInteriorPath:
+def masked_lambda_post(lam, log_ratio):
+    """The former endpoint path: priors of exactly 0 or 1 copied through, the interior ones
+    gathered, fused with the likelihood ratio and scattered back."""
+    interior = (lam > 0) & (lam < 1)
+    out = lam.copy()
+    out[interior] = sigmoid((np.log(lam[interior]) - np.log1p(-lam[interior]))
+                            - log_ratio[interior])
+    return out
+
+
+class TestPriorLogOdds:
     @pytest.mark.parametrize("K", [7, 1000])
-    def test_all_interior_priors_match_the_masked_path(self, K):
-        """With every lambda_pri in (0, 1) the denoiser skips the masked gather and scatter; its
-        posteriors are bitwise those of the masked path, which one endpoint forces (log_ratio
-        does not depend on lambda_pri, so the other devices' inputs are the same)."""
+    def test_an_endpoint_prior_leaves_the_other_devices_bitwise_alone(self, K):
+        """Every lambda_pri goes through its log-odds: setting one prior to 0 or 1 gives that
+        device exactly 0 or 1 and leaves every other device's posteriors bitwise as they were
+        (log_ratio does not depend on lambda_pri, so their inputs are the same)."""
         rng = np.random.default_rng(K)
         pri = rng.standard_normal((K, 4, 3)) + 1j * rng.standard_normal((K, 4, 3))
         v = np.array([0.3, 1.0, 2.5])
@@ -135,6 +146,30 @@ class TestInteriorPath:
         scalar = bg_denoise_batch(pri, v, 0.8, 0.05)  # a broadcast scalar prior takes it too
         full = bg_denoise_batch(pri, v, 0.8, np.full(K, 0.05))
         assert np.array_equal(scalar.lambda_post.view(np.int64), full.lambda_post.view(np.int64))
+
+    @pytest.mark.parametrize("K", [7, 1000])
+    def test_mixed_priors_are_bitwise_the_masked_path(self, monkeypatch, K):
+        """Priors mixing 0, 1, the extreme interior values 1e-300 and 1 - 2^-53 and random
+        ones give exactly 0 and 1 at the endpoints and bitwise the masked path elsewhere."""
+        calls = []
+
+        def recorded(x):  # the last call is sigmoid(-log_ratio), the prior-free pi
+            calls.append(np.array(x, dtype=float))
+            return sigmoid(x)
+
+        monkeypatch.setattr(denoiser, "sigmoid", recorded)
+        rng = np.random.default_rng(K + 1)
+        pri = rng.standard_normal((K, 4, 3)) + 1j * rng.standard_normal((K, 4, 3))
+        lam = rng.uniform(0.0, 1.0, K)
+        lam[:6] = [0.0, 1.0, 1e-300, 1.0 - 2**-53, 0.0, 1.0]
+        lam[-1] = 0.0
+        den = bg_denoise_batch(pri, np.array([0.3, 1.0, 2.5]), 0.8, lam)
+        log_ratio = -calls[-1]
+        assert np.array_equal(sigmoid(-log_ratio), den.pi)
+        endpoint = (lam == 0) | (lam == 1)
+        assert np.array_equal(den.lambda_post[endpoint], lam[endpoint])
+        want = masked_lambda_post(lam, log_ratio)
+        assert np.array_equal(den.lambda_post.view(np.int64), want.view(np.int64))
 
 
 class TestColumnVariance:

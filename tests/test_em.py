@@ -10,14 +10,11 @@ from turbomp import (
     TurboOptions,
     build_codebook,
     em_initial_params,
-    em_lambda,
-    em_sigma_w,
-    em_theta,
     run_turbo_mp,
     sample_blockwise_exact,
 )
 from turbomp.denoiser import bg_denoise_batch
-from turbomp.em import em_schedule
+from turbomp.em import em_lambda, em_schedule, em_sigma_w, em_theta
 
 
 def em_theta_H(H, var, lam, previous):

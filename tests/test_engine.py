@@ -222,8 +222,9 @@ class TestFailureModes:
 
 class TestFusedActivity:
     def test_cross_priors_and_em_posterior_are_bitwise_activity_posterior(self, monkeypatch):
-        """The engine fuses logits taken once per denoiser output: each cross prior and EM's
-        activity posterior is bitwise the validating `activity_posterior` of the same pis."""
+        """The engine fuses logits taken once per denoiser output: each cross prior, EM's
+        activity posterior and the frame's final posterior is bitwise the validating
+        `activity_posterior` of the same pis."""
         Y, cb, priors, *_ = make_instance(seed=4)
         denoise, em_schedule, calls = engine.bg_denoise_batch, engine.em_schedule, []
 
@@ -252,18 +253,22 @@ class TestFusedActivity:
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
             assert em[2] is den_h.pi and em[3] is den_c.pi
             pi_c = den_c.pi
+        want = activity_posterior(den_h.pi, den_c.pi, result.priors.lam)  # after EM's last refresh
+        assert np.array_equal(result.lambda_D_post.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("call, em, match", [
         (2, False, "lambda_pri"),  # the last mean-branch pi feeds the slope denoiser's prior
         (3, False, "lambda_pri"),  # the slope pi feeds the next iteration's mean denoisers
         (3, True, "lambda_pri"),  # EM's noise-only refresh at iteration 1 leaves lam alone
         (9, True, "theta_H must be"),  # iteration 3 weighs theta by the fused posterior
+        (15, False, "lambda_d_post"),  # the last slope pi reaches only the final posterior
     ])
     def test_a_nan_activity_likelihood_still_aborts_the_frame(self, monkeypatch, call, em,
                                                               match):
         """The fused activity validates nothing, so a NaN in a denoiser's pi reaches the next
-        denoiser's lambda_pri check or, through EM's slow refresh, `PriorParams`; either
-        raises before a result is returned."""
+        denoiser's lambda_pri check, through EM's slow refresh `PriorParams` or, from the
+        frame's last denoiser, `detect`'s check of the final posterior; each raises before a
+        result is returned."""
         Y, cb, priors, *_ = make_instance(seed=4)
         denoise, calls = engine.bg_denoise_batch, []
 

@@ -47,6 +47,9 @@ class TestBuild:
         (lambda sel: dict(K=0), ">= 1"),
         (lambda sel: dict(power=0.0), "power"),
         (lambda sel: dict(power=-1.0), "power"),
+        (lambda sel: dict(power=np.nan), "power must be positive and finite"),
+        (lambda sel: dict(power=np.inf), "power must be positive and finite"),
+        (lambda sel: dict(power=-np.inf), "power must be positive and finite"),
         (lambda sel: dict(selections=sel[:, :-1]), "selections must be"),
         (lambda sel: dict(selections=np.where(sel == sel[0, 0], 16, sel)), r"\[0, K\)"),
         (lambda sel: dict(selections=np.where(sel == sel[0, 0], -1, sel)), r"\[0, K\)"),

@@ -14,7 +14,8 @@ saved.  A run then times `run_turbo_mp` alone on every saved frame in a fresh in
 summed frame time over the summed iterations.  A pair runs both trees, alternating which runs
 first.  One JSON line gives each side's median and quartiles over the pairs, the median of the
 per-pair ratios change / parent, the pairs the change won, and whether both trees returned
-bitwise-equal results (H, C, lambda_D_post, decisions, priors, iterations, stop flag).
+bitwise-equal results (H, C, lambda_D_post, decisions, priors, iterations, stop flag, and the
+diagnostics: every field of every per-iteration row and the clamp count).
 """
 
 from __future__ import annotations
@@ -90,9 +91,13 @@ def time_frames(path: str) -> dict:
         result = run_turbo_mp(Y, cb, priors, opts)
         seconds += perf_counter() - start
         iterations += result.iterations
+        rows = result.diagnostics.rows
         for array in (result.H, result.C, result.lambda_D_post, result.activity,
-                      [getattr(result.priors, name) for name in PRIORS]):
+                      [getattr(result.priors, name) for name in PRIORS],
+                      [[np.nan if value is None else value for value in row.values()]
+                       for row in rows]):
             digest.update(np.ascontiguousarray(array).tobytes())
+        digest.update(f"{list(rows[0])} {result.diagnostics.clamp_events}".encode())
         digest.update(f"{result.iterations} {result.converged}".encode())
     return {"ms_per_iter": 1000.0 * seconds / iterations, "iterations": iterations,
             "digest": digest.hexdigest()}
