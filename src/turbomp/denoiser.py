@@ -57,11 +57,12 @@ def bg_denoise_batch(
 
     lambda_pri may be scalar or per device.  Priors of exactly 0 and 1 have
     log-odds -inf and +inf, at which `sigmoid` is exact, and give exactly 0
-    and 1, unless the device's log-likelihood ratio is not finite (from a
-    non-finite or overflowing pri_mean entry): then NaN.  Every moment comes
-    from s_km = sum_q |pri_kqm|^2: with lambda = lambda_post, the column variance
-    is (gain^2 sum_k lambda_k (1 - lambda_k) s_k + phi Q sum_k lambda_k) / (K Q)
-    and the energy is lambda_k (sum_m gain_m^2 s_km + Q sum_m phi_m).
+    and 1.  Every moment comes from s_km = sum_q |pri_kqm|^2, so a pri_mean
+    with a non-finite or overflowing entry, whose s_km is not finite, raises
+    ParameterError instead of returning NaN.  With lambda = lambda_post, the
+    column variance is (gain^2 sum_k lambda_k (1 - lambda_k) s_k
+    + phi Q sum_k lambda_k) / (K Q) and the energy is
+    lambda_k (sum_m gain_m^2 s_km + Q sum_m phi_m).
     """
     pri = np.asarray(pri_mean, dtype=np.complex128)
     if pri.ndim != 3:
@@ -87,6 +88,8 @@ def bg_denoise_batch(
 
     halves(energies, M, pri.size)
     s = s[0].T
+    if not np.isfinite(s).all():
+        raise ParameterError("pri_mean must be finite, with finite energy sum_q |pri_kqm|^2")
 
     # log CN(0; pri, V) - log CN(0; pri, V + theta I), accumulated per device
     log_ratio = Q * np.sum(np.log1p(theta / v)) - s @ (theta / (v * (v + theta)))

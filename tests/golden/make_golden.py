@@ -15,7 +15,7 @@ engine before the closed-form linear extrinsic and the cached forward
 products, so ``tests/test_golden.py`` checks that the lean iteration
 reproduces it.  The exception is ``multipath_60db``, the one case that runs
 the default EM noise update: it was recomputed when that update became
-max(m, s) (see ``turbomp.em.em_sigma_w``).  The two clamp members of
+max(m, s) (see ``turbomp.em.em_schedule``).  The two clamp members of
 ``vmax_clamped``, ``clamp_events`` and ``rows_clamp_events``, were rewritten
 alone when ``clamp_events`` began to count the messages clamped at ``V_MAX``;
 the older engine counted a different event and stored 0.  The cases whose

@@ -65,6 +65,7 @@ REMOVED = [
 
 REMOVED_FROM_MODULES = {
     "activity": ["cross_prior"],
+    "em": ["em_lambda", "em_sigma_w", "em_theta"],
     "engine": ["TurboState", "_damp", "init_state"],
 }
 

@@ -115,6 +115,15 @@ class TestBatchBehaviour:
             with pytest.raises(ParameterError):
                 bg_denoise_batch(np.zeros((2, 2, 1), dtype=complex), np.array(v), theta, lam)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("value", [1e200, 1e155j, float("nan"), float("inf")])
+    def test_non_finite_energy_names_pri_mean(self, value, lam):
+        """An entry that is not finite, or whose |pri|^2 overflows, raises instead of
+        returning NaN moments."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ParameterError, match="pri_mean"):
+                denoise_scalar(value, 1.0, 1.0, lam)
+
 
 def masked_lambda_post(lam, log_ratio):
     """The former endpoint path: priors of exactly 0 or 1 copied through, the interior ones

@@ -1,31 +1,64 @@
 """Prior-parameter learning updates and their schedule."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from turbomp import (
     BlockwiseBasis,
+    ExperimentConfig,
     ParameterError,
     PriorParams,
     TurboOptions,
     build_codebook,
     em_initial_params,
+    run_experiment,
     run_turbo_mp,
     sample_blockwise_exact,
 )
+from turbomp.channel import example_pdp_path
 from turbomp.denoiser import bg_denoise_batch
-from turbomp.em import em_lambda, em_schedule, em_sigma_w, em_theta
+from turbomp.em import SLOW_PERIOD, em_schedule
+
+CB = build_codebook(K=16, N=4, T=1, Q=2, seed=0)
+PRIORS = PriorParams(theta_H=1.0, theta_C=1e-3, sigma_w2=0.5, lam=0.1)
 
 
-def em_theta_H(H, var, lam, previous):
+def stand_in(pri_mean, energy=None, column_var=(0.0,)):
+    """A denoiser output holding only the fields `em_schedule` reads."""
+    energy = np.zeros(len(pri_mean)) if energy is None else energy
+    return SimpleNamespace(pri_mean=pri_mean, energy=energy, column_var=np.asarray(column_var))
+
+
+def refresh(lam, den_h=None, den_c=None, resid=None, moment=-np.inf, iteration=SLOW_PERIOD,
+            priors=PRIORS, cb=CB, correction=False):
+    """The priors after one `em_schedule` call; by default a slow refresh with neutral
+    denoiser outputs, a zero residual and no moment estimate."""
+    lam = np.asarray(lam, dtype=float)
+    den_h = stand_in(np.zeros((lam.size, 1, 1))) if den_h is None else den_h
+    resid = np.zeros((cb.rows, 1), dtype=complex) if resid is None else resid
+    opts = TurboOptions(em_enabled=True, em_sigma_correction=correction)
+    return em_schedule(priors, iteration, resid, moment, den_h, den_h if den_c is None else den_c,
+                       lam, cb, opts)
+
+
+def theta_H_of(H, var, lam, previous):
     """The mean-block update from (K, Q, M) posterior means and variances."""
     energy = np.sum(np.abs(H) ** 2 + var, axis=(1, 2))
-    return em_theta(energy, lam, H[0].size, previous)
+    return refresh(lam, den_h=stand_in(H, energy), priors=replace(PRIORS, theta_H=previous)).theta_H
 
 
-def em_sigma_w_of(Y, H, C, cb, **kwargs):
+def residual_power(resid):
+    """The residual power s per entry, as the noise update forms it."""
+    return float(np.vdot(resid, resid).real) / resid.size
+
+
+def sigma_w2_of(Y, H, C, cb, **kwargs):
     """The noise update from posterior means, through the residual it takes."""
-    return em_sigma_w(Y - cb.apply_A(H) - cb.apply_B(C), cb, **kwargs)
+    return refresh(np.zeros(cb.K), resid=Y - cb.apply_A(H) - cb.apply_B(C), iteration=1, cb=cb,
+                   **kwargs).sigma_w2
 
 
 class TestThetaUpdates:
@@ -36,7 +69,7 @@ class TestThetaUpdates:
         H = np.full((K, Q, M), np.sqrt(c0), dtype=complex)
         var = np.zeros((K, Q, M))
         lam = np.ones(K)
-        assert em_theta_H(H, var, lam, previous=1.0) == pytest.approx(c0, rel=1e-12)
+        assert theta_H_of(H, var, lam, previous=1.0) == pytest.approx(c0, rel=1e-12)
 
     def test_single_dominating_device(self):
         K, Q, M = 4, 2, 2
@@ -45,17 +78,17 @@ class TestThetaUpdates:
         var = np.zeros((K, Q, M))
         lam = np.zeros(K)
         lam[2] = 1.0
-        assert em_theta_H(H, var, lam, previous=1.0) == pytest.approx(9.0, rel=1e-12)
+        assert theta_H_of(H, var, lam, previous=1.0) == pytest.approx(9.0, rel=1e-12)
 
     def test_zero_mass_keeps_previous(self):
         H = np.ones((3, 2, 2), dtype=complex)
         var = np.zeros((3, 2, 2))
-        assert em_theta_H(H, var, np.zeros(3), previous=0.42) == 0.42
+        assert theta_H_of(H, var, np.zeros(3), previous=0.42) == 0.42
 
     def test_variance_term_counts(self):
         H = np.zeros((2, 1, 1), dtype=complex)
         var = np.full((2, 1, 1), 0.25)
-        assert em_theta_H(H, var, np.ones(2), previous=1.0) == pytest.approx(0.25)
+        assert theta_H_of(H, var, np.ones(2), previous=1.0) == pytest.approx(0.25)
 
 
 class TestSigmaW:
@@ -65,7 +98,7 @@ class TestSigmaW:
         H = rng.standard_normal((cb.cols, 2)) + 0j
         C = rng.standard_normal((cb.cols, 2)) + 0j
         Y = cb.apply_A(H) + cb.apply_B(C)
-        assert em_sigma_w_of(Y, H, C, cb) == pytest.approx(1e-12)
+        assert sigma_w2_of(Y, H, C, cb) == pytest.approx(1e-12)
 
     def test_zero_estimates_give_observation_power(self):
         cb = build_codebook(K=16, N=4, T=1, Q=2, seed=1)
@@ -73,24 +106,38 @@ class TestSigmaW:
         Y = rng.standard_normal((cb.rows, 3)) + 1j * rng.standard_normal((cb.rows, 3))
         zero = np.zeros((cb.cols, 3), dtype=complex)
         expected = np.sum(np.abs(Y) ** 2) / (3 * cb.rows)
-        assert em_sigma_w_of(Y, zero, zero, cb) == pytest.approx(expected, rel=1e-12)
+        assert sigma_w2_of(Y, zero, zero, cb) == pytest.approx(expected, rel=1e-12)
         init = em_initial_params(Y, cb)
         assert init.sigma_w2 == pytest.approx(expected, rel=1e-12)
         assert (init.theta_H, init.theta_C, init.lam) == (1.0, 1e-3, 0.1)
 
-    def test_correction_term(self):
-        cb = build_codebook(K=16, N=4, T=1, Q=2, seed=2)
+    @pytest.mark.parametrize("P", [1.0, 4.0])
+    def test_correction_term(self, P):
+        """The trace term is (K P / M) sum_m (v_h,m + mean(D^2) v_c,m): each residual row
+        has variance K P (v_h + D^2 v_c)."""
+        cb = build_codebook(K=16, N=4, T=1, Q=2, P=P, seed=2)
         Y = np.zeros((cb.rows, 2), dtype=complex)
         zero = np.zeros((cb.cols, 2), dtype=complex)
         v_h = np.array([0.1, 0.3])
         v_c = np.array([0.01, 0.02])
-        got = em_sigma_w_of(Y, zero, zero, cb, v_h_post=v_h, v_c_post=v_c,
-                            include_correction=True)
+        got = sigma_w2_of(Y, zero, zero, cb, correction=True,
+                            den_h=stand_in(np.zeros((cb.K, 2, 2)), column_var=v_h),
+                            den_c=stand_in(np.zeros((cb.K, 2, 2)), column_var=v_c))
         d2 = np.mean(cb.D_diag**2)
-        expected = (cb.K / 2) * (v_h.sum() + d2 * v_c.sum())
+        expected = (cb.K * P / 2) * (v_h.sum() + d2 * v_c.sum())
         assert got == pytest.approx(expected, rel=1e-12)
-        with pytest.raises(ParameterError):
-            em_sigma_w_of(Y, zero, zero, cb, include_correction=True)
+
+    @pytest.mark.parametrize("P", [1.0, 1e6])
+    def test_bounds_scale_with_pilot_power(self, P):
+        """The noise variance is in pilot-power units, so its floor and ceiling are
+        P VAR_FLOOR and P VAR_CEIL, in the blind start too; theta keeps its bounds."""
+        cb = build_codebook(K=16, N=4, T=1, Q=2, P=P, seed=0)
+        zero = np.zeros((cb.rows, 2), dtype=complex)
+        assert refresh(np.ones(cb.K), resid=zero, cb=cb).sigma_w2 == 1e-12 * P
+        assert refresh(np.ones(cb.K), resid=zero, moment=1e9 * P, cb=cb).sigma_w2 == 1e6 * P
+        assert em_initial_params(zero, cb).sigma_w2 == 1e-12 * P
+        den = stand_in(np.zeros((cb.K, 1, 1)), np.full(cb.K, 1e8))
+        assert refresh(np.ones(cb.K), den_h=den, resid=zero, cb=cb).theta_H == 1e6
 
 
 class TestNoiseRule:
@@ -114,14 +161,14 @@ class TestNoiseRule:
                            opts).sigma_w2
 
     def test_residual_power_when_moment_below(self):
-        cb, resid, _, _ = self._inputs()
-        s = em_sigma_w(resid, cb)
+        _, resid, _, _ = self._inputs()
+        s = residual_power(resid)
         for moment in (0.5 * s, 0.0, -0.88, -1e9):
             assert self._sigma(moment) == s
 
     def test_moment_when_above(self):
-        cb, resid, _, _ = self._inputs()
-        s = em_sigma_w(resid, cb)
+        _, resid, _, _ = self._inputs()
+        s = residual_power(resid)
         assert self._sigma(3.0 * s) == 3.0 * s
 
     def test_both_clipped(self):
@@ -132,32 +179,53 @@ class TestNoiseRule:
 
     def test_correction_ignores_moment(self):
         cb, resid, den, _ = self._inputs()
-        expected = em_sigma_w(resid, cb, v_h_post=den.column_var, v_c_post=den.column_var,
-                              include_correction=True)
-        for moment in (-1.0, 0.0, expected * 10.0, 1e9):
-            assert self._sigma(moment, correction=True) == expected
+        d2 = np.mean(cb.D_diag**2)
+        expected = residual_power(resid) + (cb.K / 2) * (
+            den.column_var.sum() + d2 * den.column_var.sum())
+        got = {self._sigma(moment, correction=True)
+               for moment in (-1.0, 0.0, expected * 10.0, 1e9)}
+        assert len(got) == 1 and got.pop() == pytest.approx(expected, rel=1e-12)
 
 
 class TestLambda:
     def test_mean_identity(self):
         post = np.full(100, 0.05)
-        assert em_lambda(post) == pytest.approx(0.05)
+        assert refresh(post).lam == pytest.approx(0.05)
         rng = np.random.default_rng(3)
         post = rng.uniform(0, 1, 1000)
-        assert em_lambda(post) == np.clip(post.mean(), 1e-6, 1 - 1e-6)
+        assert refresh(post).lam == np.clip(post.mean(), 1e-6, 1 - 1e-6)
 
     def test_indicator_recovers_rate(self):
         post = np.zeros(100)
         post[:7] = 1.0
-        assert em_lambda(post) == pytest.approx(0.07)
+        assert refresh(post).lam == pytest.approx(0.07)
 
     def test_clamped_endpoints(self):
-        assert em_lambda(np.zeros(10)) == 1e-6
-        assert em_lambda(np.ones(10)) == 1 - 1e-6
+        assert refresh(np.zeros(10)).lam == 1e-6
+        assert refresh(np.ones(10)).lam == 1 - 1e-6
 
-    def test_empty_is_an_error(self):
-        with pytest.raises(ParameterError):
-            em_lambda(np.array([]))
+
+class TestPilotPowerUnits:
+    @pytest.mark.parametrize("correction", [False, True])
+    def test_pilot_power_changes_no_decision(self, correction):
+        """The noise variance is learned in pilot-power units, so scaling the pilot power
+        at a fixed SNR leaves every trial's decisions, iterations, sigma_w2 / P and NMSE
+        as at P = 1 (K=1000 multipath at -15 dB, where the learned sigma_w2 exceeds 1e6
+        at P = 1e6)."""
+        runs = []
+        for P in (1.0, 1e4, 1e6):
+            config = ExperimentConfig(K=1000, N=72, T=8, Q=4, M=8, lam=0.05, snr_db=[-15.0],
+                                      pdp_file=example_pdp_path(), trials=4, master_seed=3,
+                                      max_iters=15, pilot_power=P,
+                                      em_sigma_correction=correction)
+            runs.append((P, run_experiment(config).points[0].trials))
+        (_, base), *scaled = runs
+        for P, trials in scaled:
+            for a, b in zip(base, trials):
+                assert (b["miss"], b["false"], b["iterations"]) == (
+                    a["miss"], a["false"], a["iterations"]), P
+                assert b["nmse"] == pytest.approx(a["nmse"], rel=1e-6), P
+                assert b["sigma_w2_hat"] / P == pytest.approx(a["sigma_w2_hat"], rel=1e-6), P
 
 
 class TestScheduleCadence:
