@@ -55,13 +55,13 @@ def bg_denoise_batch(
 ) -> DenoiseBatch:
     """Denoise all devices: pri_mean (K, Q, M), noise variance per antenna.
 
-    lambda_pri may be scalar or per device.  Priors of exactly 0 and 1 have
-    log-odds -inf and +inf, at which `sigmoid` is exact, and give exactly 0
-    and 1.  Every moment comes from s_km = sum_q |pri_kqm|^2, so a pri_mean
-    with a non-finite or overflowing entry, whose s_km is not finite, raises
-    ParameterError instead of returning NaN.  With lambda = lambda_post, the
-    column variance is (gain^2 sum_k lambda_k (1 - lambda_k) s_k
-    + phi Q sum_k lambda_k) / (K Q) and the energy is
+    lambda_pri may be scalar or per device; priors of exactly 0 and 1 give
+    exactly 0 and 1, whatever the evidence.  Every moment comes from
+    s_km = sum_q |pri_kqm|^2, so a pri_mean with a non-finite or overflowing
+    entry, whose s_km is not finite, raises ParameterError instead of
+    returning NaN, as does an undefined (inf - inf) log-likelihood ratio.
+    With lambda = lambda_post, the column variance is (gain^2 sum_k lambda_k
+    (1 - lambda_k) s_k + phi Q sum_k lambda_k) / (K Q) and the energy is
     lambda_k (sum_m gain_m^2 s_km + Q sum_m phi_m).
     """
     pri = np.asarray(pri_mean, dtype=np.complex128)
@@ -93,9 +93,12 @@ def bg_denoise_batch(
 
     # log CN(0; pri, V) - log CN(0; pri, V + theta I), accumulated per device
     log_ratio = Q * np.sum(np.log1p(theta / v)) - s @ (theta / (v * (v + theta)))
+    if np.isnan(log_ratio).any():
+        raise ParameterError("theta and per_antenna_var give an undefined log-likelihood ratio")
 
-    with np.errstate(divide="ignore"):  # the endpoints' prior log-odds are -inf and +inf
-        lambda_post = sigmoid((np.log(lam) - np.log1p(-lam)) - log_ratio)
+    with np.errstate(divide="ignore", invalid="ignore"):  # endpoint log-odds are -inf and +inf
+        log_odds = np.log(lam) - np.log1p(-lam)
+        lambda_post = np.where(np.isinf(log_odds), lam, sigmoid(log_odds - log_ratio))
     pi = sigmoid(-log_ratio)
 
     gain2 = gain**2

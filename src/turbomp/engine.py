@@ -11,8 +11,8 @@ per-antenna and per-device statistics and the priors in locals, hands each branc
 observation variance Sigma and activity cross prior, and builds no (K, Q, M) posterior tensor:
 
 * the linear extrinsic is the closed form x_ext = x_pri + c A^H z with z = w r / Sigma and one
-  scalar c per antenna (see `lmmse`); since A A^H = K P I its forward product is
-  w A x_ext = w A x_pri + c K P w z;
+  scalar c per antenna (see `lmmse`, which alone bounds the message variances); since
+  A A^H = K P I its forward product is w A x_ext = w A x_pri + c K P w z;
 * the denoiser's posterior mean is lambda_post * theta / (theta + v) times its input, so its
   extrinsic x_und is a per-(device, antenna) scale of the input, and the only forward operator
   call of a branch is w A x_und;
@@ -43,12 +43,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics as _metrics
+from . import lmmse, metrics as _metrics
 from .activity import detect, fuse
 from .denoiser import bg_denoise_batch
 from .em import PriorParams, em_schedule
 from .errors import DimensionError, NumericsError, ParameterError
-from .lmmse import V_FLOOR, V_MAX, extrinsic, linear_extrinsic, observation_variance
+from .lmmse import extrinsic, linear_extrinsic, observation_variance
 from .logodds import logit
 from .parallel import halves
 from .pilots import PilotCodebook
@@ -72,22 +72,26 @@ class TurboOptions:
         self.validate()
 
     def validate(self) -> None:
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+        for name in ("em_enabled", "em_sigma_correction"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ParameterError(f"{name} must be True or False, got {getattr(self, name)!r}")
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
+                or self.max_iters < 1):
             raise ParameterError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not 0.0 < self.rel_change_tol < np.inf:
+        if not (isinstance(self.rel_change_tol, numbers.Real) and 0 < self.rel_change_tol < np.inf):
             raise ParameterError(
                 f"rel_change_tol must be positive and finite, got {self.rel_change_tol!r}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ParameterError("threshold must be in (0, 1)")
+        if not (isinstance(self.threshold, numbers.Real) and 0.0 < self.threshold < 1.0):
+            raise ParameterError(f"threshold must be in (0, 1), got {self.threshold!r}")
 
 
 @dataclass
 class TurboDiagnostics:
     """Per-iteration traces: variances, learned parameters, clamp events.
 
-    clamp_events counts the outgoing antenna messages whose variance was clamped at `V_MAX`
-    because they carried no information: the linear modules' and the denoisers' alike, summed
-    over every branch run so far.  Each row holds the count at the end of its iteration.
+    clamp_events counts the outgoing antenna messages whose variance `lmmse` clamped at its
+    `V_MAX` because they carried no information: the linear modules' and the denoisers' alike,
+    summed over every branch run so far.  Each row holds the count at the end of its iteration.
     """
 
     rows: list = field(default_factory=list)
@@ -139,20 +143,18 @@ def _branch(resid, sigma, x_pri, v_pri, fwd_pri, weight, theta, lambda_pri, cb, 
     outgoing message (mean, variance, forward product), the forward product
     weight * A @ post_mean of the denoiser's posterior mean and the denoiser's output.
     """
-    ext, v_ext, _, fwd_ext = linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight, cb,
-                                              V_MAX)
+    ext, v_ext, _, fwd_ext = linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight, cb)
     den = bg_denoise_batch(ext, v_ext, theta, lambda_pri)
-    v_post = np.maximum(den.column_var, V_FLOOR)
     # the denoiser's extrinsic message x_und = alpha post_mean - beta ext
-    v_out, alpha, beta = extrinsic(v_post, v_ext, V_MAX)
-    diag.clamp_events += int(np.count_nonzero(v_ext == V_MAX) + np.count_nonzero(v_out == V_MAX))
+    v_out, alpha, beta = extrinsic(den.column_var, v_ext)
+    diag.clamp_events += int(np.count_nonzero(np.concatenate((v_ext, v_out)) == lmmse.V_MAX))
     scale = (np.outer(alpha * den.gain, den.lambda_post) - beta[:, None]).T  # (K, M), like ext
     x_und = np.empty_like(x_pri)  # device-contiguous, as every message is
     halves(lambda m: np.multiply(ext[..., m], scale[:, None, m], out=x_und[..., m]),
            ext.shape[2], ext.size)
-    fwd_und = cb.apply_A(x_und) if np.isscalar(weight) else weight * cb.apply_A(x_und)
+    fwd_und = weight * cb.apply_A(x_und)
     fwd_post = (fwd_und + beta * fwd_ext) / alpha
-    return x_und, np.maximum(v_out, V_FLOOR), fwd_und, fwd_post, den
+    return x_und, v_out, fwd_und, fwd_post, den
 
 
 def run_turbo_mp(
@@ -170,8 +172,6 @@ def run_turbo_mp(
     """
     opts = opts or TurboOptions()
     Y = np.asarray(Y, dtype=np.complex128)
-    if Y.ndim == 1:
-        Y = Y[:, None]
     if Y.ndim != 2 or Y.shape[0] != codebook.rows or Y.shape[1] < 1:
         raise DimensionError(f"Y must be ({codebook.rows}, M) with M >= 1, got {Y.shape}")
     M, diag, converged = Y.shape[1], TurboDiagnostics(), False

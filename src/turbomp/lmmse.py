@@ -15,9 +15,10 @@ closed form (the Turbo-CS identity of Ma, Yuan and Ping, IEEE SPL 2015):
     x_ext = x + u / g,   v_ext = 1 / g - v,
 
 one scalar per antenna.  `linear_extrinsic` is that closed form; `extrinsic`
-divides any other posterior (the denoisers') by its prior message.  Means may
-be a single column (one antenna), a (n, M) matrix or (K, Q, M) blocks with
-one variance per antenna; all functions broadcast over the antenna axis, and
+divides any other posterior (the denoisers') by its prior message.  Both apply
+the message-variance bounds, which no other module applies.  Means may be a
+single column (one antenna), a (n, M) matrix or (K, Q, M) blocks with one
+variance per antenna; all functions broadcast over the antenna axis, and
 `linear_extrinsic` returns x_ext in x_pri's shape.
 """
 
@@ -39,26 +40,26 @@ def observation_variance(v_h, v_c, sigma_w2: float, codebook: PilotCodebook) -> 
     return kp * v_h + kp * np.multiply.outer(d2, v_c) + sigma_w2
 
 
-def linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight, codebook, v_max: float = V_MAX):
+def linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight, codebook):
     """Extrinsic message (x_ext, v_ext) of one linear branch, its posterior
     variance, and the forward product w A x_ext given fwd_pri = w A x_pri.
 
-    weight is 1 or D_diag.  Where 1/g - v reaches v_max the posterior adds
-    nothing to the prior: as in `extrinsic`, the variance is clamped to v_max
-    and the posterior mean x + v u passes through.  Variances are floored at
-    V_FLOOR.  x_ext = x_pri + c u with one c per antenna, and A A^H = K P I
-    gives w A x_ext = fwd_pri + c K P w z without an operator call.
+    weight is a scalar or one entry per row.  Where 1/g - v reaches V_MAX the
+    posterior adds nothing to the prior: as in `extrinsic`, the variance is
+    clamped to V_MAX and the posterior mean x + v u passes through.  v_pri
+    and both returned variances are floored at V_FLOOR.  x_ext = x_pri + c u
+    with one c per antenna, and A A^H = K P I gives w A x_ext = fwd_pri +
+    c K P w z without an operator call.
     """
     w = np.reshape(weight, (-1,) + (1,) * (sigma.ndim - 1))
-    unit = np.isscalar(weight) and weight == 1.0  # the means' weight multiplies nothing
-    z = resid / sigma if unit else w * (resid / sigma)
+    z = w * (resid / sigma)
     g = (codebook.power / codebook.Q) * np.sum(w**2 / sigma, axis=0)
     v = np.maximum(v_pri, V_FLOOR)
     v_ext = 1.0 / g - v
-    informative = v_ext < v_max
+    informative = v_ext < V_MAX
     coef = np.where(informative, 1.0 / g, v)  # one per antenna
-    v_ext = np.maximum(np.where(informative, v_ext, v_max), V_FLOOR)
-    fwd_ext = fwd_pri + (codebook.K * codebook.power * coef) * (z if unit else w * z)
+    v_ext = np.maximum(np.where(informative, v_ext, V_MAX), V_FLOOR)
+    fwd_ext = fwd_pri + (codebook.K * codebook.power * coef) * (w * z)
     x_ext = codebook.apply_A_adjoint(z).reshape(np.shape(x_pri))  # a new array, updated in place
     c = np.broadcast_to(coef, x_ext.shape[-1:])  # x_ext = c x_ext + x_pri, per antenna
     halves(lambda m: np.add(np.multiply(x_ext[..., m], c[m], out=x_ext[..., m]), x_pri[..., m],
@@ -66,19 +67,21 @@ def linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight, codebook, v_ma
     return x_ext, v_ext, np.maximum(v - v**2 * g, V_FLOOR), fwd_ext
 
 
-def extrinsic(v_post, v_pri, v_max: float = V_MAX):
+def extrinsic(v_post, v_pri):
     """Divide a posterior (x_post, v_post) by its prior message (x_pri, v_pri).
 
     Returns (v_ext, alpha, beta) with the extrinsic mean
     x_ext = alpha x_post - beta x_pri, where v_ext = (1/v_post - 1/v_pri)^-1,
     alpha = v_ext / v_post and beta = v_ext / v_pri.  Where the posterior
-    failed to sharpen by more than 1/v_max in precision the quotient carries
-    no information: v_ext is clamped to v_max, alpha = 1 and beta = 0, so the
-    posterior mean passes through unchanged.
+    failed to sharpen by more than 1/V_MAX in precision the quotient carries
+    no information: v_ext is clamped to V_MAX, alpha = 1 and beta = 0, so the
+    posterior mean passes through.  v_post and, after alpha and beta are
+    formed, v_ext are floored at V_FLOOR.
     """
+    v_post = np.maximum(v_post, V_FLOOR)
     inv_diff = 1.0 / v_post - 1.0 / v_pri
-    informative = inv_diff > 1.0 / v_max
-    v_ext = np.where(informative, 1.0 / np.maximum(inv_diff, 1.0 / v_max), v_max)
+    informative = inv_diff > 1.0 / V_MAX
+    v_ext = np.where(informative, 1.0 / np.maximum(inv_diff, 1.0 / V_MAX), V_MAX)
     alpha = np.where(informative, v_ext / v_post, 1.0)
     beta = np.where(informative, v_ext / v_pri, 0.0)
-    return v_ext, alpha, beta
+    return np.maximum(v_ext, V_FLOOR), alpha, beta

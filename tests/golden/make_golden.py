@@ -17,11 +17,12 @@ reproduces it.  The exception is ``multipath_60db``, the one case that runs
 the default EM noise update: it was recomputed when that update became
 max(m, s) (see ``turbomp.em.em_schedule``).  The two clamp members of
 ``vmax_clamped``, ``clamp_events`` and ``rows_clamp_events``, were rewritten
-alone when ``clamp_events`` began to count the messages clamped at ``V_MAX``;
-the older engine counted a different event and stored 0.  The cases whose
-frames stop on the tolerance pin ``rel_change_tol`` at 1e-6, the default they
-were recorded with.  The test replays the stored inputs (observation, pilot rows, priors,
-options) and never rewrites the file.
+alone when ``clamp_events`` began to count the messages clamped at
+``turbomp.lmmse.V_MAX``; the older engine counted a different event and
+stored 0.  The cases whose frames stop on the tolerance pin
+``rel_change_tol`` at 1e-6, the default they were recorded with.  The test
+replays the stored inputs (observation, pilot rows, priors, options) and
+never rewrites the file.
 
 This script drives only trees whose ``ChannelRealization`` holds
 ``activity`` and ``G_active`` and whose ``mix_subcarriers`` takes the active
@@ -35,7 +36,7 @@ Each case stores, under ``<case>__<key>``:
   ``Y``, ``priors`` (theta_H, theta_C, sigma_w2, lam), ``options`` (JSON of
   the ``TurboOptions`` fields that differ from the defaults, plus the message
   clamp ``v_max`` of ``vmax_clamped``, which ``replay`` sets as
-  ``turbomp.engine.V_MAX`` for the duration of the run) and, for the
+  ``turbomp.lmmse.V_MAX`` for the duration of the run) and, for the
   truth-traced case, the dense (K, N, M) ``G`` and ``activity``;
 * outputs: ``H``/``C`` rows of the devices in ``devices`` (all devices
   except in the K=1000 frame, where the record keeps the active devices and
@@ -139,12 +140,12 @@ def replay(tm, doc):
         activity = doc["activity"]
         real = tm.ChannelRealization(activity=activity, G_active=doc["G"][np.flatnonzero(activity)])
         truth = (real, tm.BlockwiseBasis(N, Q))
-    saved = tm.engine.V_MAX
-    tm.engine.V_MAX = options.pop("v_max", saved)  # the message clamp is an engine constant
+    saved = tm.lmmse.V_MAX
+    tm.lmmse.V_MAX = options.pop("v_max", saved)  # the message clamp is a constant of lmmse
     try:
         return tm.run_turbo_mp(doc["Y"], cb, priors, tm.TurboOptions(**options), truth=truth)
     finally:
-        tm.engine.V_MAX = saved
+        tm.lmmse.V_MAX = saved
 
 
 def recorded_devices(K, lambda_post):

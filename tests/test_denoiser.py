@@ -124,6 +124,22 @@ class TestBatchBehaviour:
             with pytest.raises(ParameterError, match="pri_mean"):
                 denoise_scalar(value, 1.0, 1.0, lam)
 
+    @pytest.mark.parametrize("value, theta, lam, undefined", [
+        (1e150, 1.0, 0.0, False), (0.0, 1e300, 1.0, False), (1e150, 1e300, 0.0, True),
+        (1e150, 1e300, 0.5, True), (1e150, 1e300, 1.0, True)])
+    def test_infinite_log_ratio(self, value, theta, lam, undefined):
+        """At v = 1e-10 these inputs make the log-likelihood ratio -inf, +inf or inf - inf.  A
+        prior of exactly 0 or 1 gives exactly that posterior with finite moments, and an
+        undefined ratio raises, naming theta and per_antenna_var, instead of returning NaN."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if undefined:
+                with pytest.raises(ParameterError, match="theta and per_antenna_var"):
+                    denoise_scalar(value, 1e-10, theta, lam)
+                return
+            den = denoise_scalar(value, 1e-10, theta, lam)
+        assert den.lambda_post[0] == lam
+        assert np.all(np.isfinite(np.concatenate([den.pi, den.column_var, den.energy])))
+
 
 def masked_lambda_post(lam, log_ratio):
     """The former endpoint path: priors of exactly 0 or 1 copied through, the interior ones

@@ -211,13 +211,17 @@ class TestFailureModes:
         Y, cb, priors, *_ = make_instance(seed=9)
         with pytest.raises(DimensionError):
             run_turbo_mp(Y[:-1], cb, priors)
+        with pytest.raises(DimensionError):  # one antenna is a (T*N, 1) matrix, not a vector
+            run_turbo_mp(Y[:, 0], cb, priors)
 
     def test_option_validation(self):
         for bad in (dict(max_iters=0), dict(max_iters=2.5), dict(rel_change_tol=0.0),
                     dict(rel_change_tol=float("inf")), dict(rel_change_tol=float("nan")),
-                    dict(threshold=1.0)):
+                    dict(threshold=1.0), dict(em_enabled="no"), dict(em_sigma_correction=1),
+                    dict(max_iters=True), dict(rel_change_tol="1e-3"), dict(threshold=None)):
             with pytest.raises(ParameterError):
                 TurboOptions(**bad)
+        assert TurboOptions(em_enabled=np.True_, max_iters=np.int64(3)).em_enabled
 
 
 class TestFusedActivity:

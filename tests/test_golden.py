@@ -4,7 +4,8 @@ The record holds the inputs and outputs of six frames run by the engine
 before the closed-form linear extrinsic and the cached forward products
 (``multipath_60db`` was recomputed when the default EM noise update changed,
 and the clamp counts of ``vmax_clamped`` when they began to count the
-messages clamped at ``V_MAX``; see make_golden.py).
+messages clamped at ``turbomp.lmmse.V_MAX``, the one clamp that ``replay``
+sets for ``vmax_clamped``; see make_golden.py).
 Learned priors and the per-row traces agree to 1e-10 relative, entry by
 entry.  So do the estimates and activity posteriors, except that entries far
 below an array's largest one are held to 1e-10 of that largest entry.

@@ -13,6 +13,7 @@ from turbomp import (
     build_codebook,
     run_turbo_mp,
 )
+from turbomp import engine, lmmse
 from turbomp.lmmse import V_FLOOR, V_MAX, extrinsic, linear_extrinsic, observation_variance
 
 
@@ -35,9 +36,9 @@ def posterior(y, h_pri, c_pri, v_h, v_c, sigma_w2, cb, slopes=False):
     return mean, v_post
 
 
-def extrinsic_message(x_post, v_post, x_pri, v_pri, v_max=V_MAX):
+def extrinsic_message(x_post, v_post, x_pri, v_pri):
     """(mean, variance) of the posterior divided by the prior, in extrinsic's alpha/beta form."""
-    v_ext, alpha, beta = extrinsic(v_post, v_pri, v_max)
+    v_ext, alpha, beta = extrinsic(v_post, v_pri)
     return alpha * x_post - beta * x_pri, v_ext
 
 
@@ -152,15 +153,18 @@ class TestLinearExtrinsic:
         self.resid = self.Y - self.cb.apply_A(self.h) - self.cb.apply_B(self.c)
 
     def _check(self, v_max):
+        """Both branches against the reference with the message clamp lmmse.V_MAX = v_max."""
         cb, sigma = self.cb, self.sigma
         for x, v, weight, slopes in [(self.h, self.v_h, 1.0, False),
                                      (self.c, self.v_c, cb.D_diag[:, None], True)]:
             post_mean, post_var = lmmse_posterior(self.Y, self.h, self.c, self.v_h, self.v_c,
                                                   sigma, cb, slopes)
-            ref_mean, ref_var = extrinsic_message(post_mean, post_var, x, v, v_max)
             fwd_pri = weight * cb.apply_A(x)
-            x_ext, v_ext, v_post, fwd_ext = linear_extrinsic(x, v, fwd_pri, self.resid, sigma,
-                                                             weight, cb, v_max)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(lmmse, "V_MAX", v_max)
+                ref_mean, ref_var = extrinsic_message(post_mean, post_var, x, v)
+                x_ext, v_ext, v_post, fwd_ext = linear_extrinsic(x, v, fwd_pri, self.resid,
+                                                                 sigma, weight, cb)
             np.testing.assert_allclose(v_post, post_var, rtol=1e-12)
             np.testing.assert_allclose(v_ext, ref_var, rtol=1e-12)
             err = np.max(np.abs(x_ext - ref_mean)) / np.max(np.abs(ref_mean))
@@ -178,6 +182,33 @@ class TestLinearExtrinsic:
         v_max = float(np.sqrt(v_ext[0] * v_ext[1]))
         clamped = self._check(v_max)
         assert np.any(clamped == v_max) and np.any(clamped < v_max)
+
+    def test_scalar_unit_weight_is_the_row_weight_path(self):
+        """The means' scalar weight 1.0 and an all-ones (T*N, 1) row weight give bitwise-equal
+        outputs, from linear_extrinsic and from the engine's branch alike.  K, Q and P are not
+        powers of two, so a scalar-only product taken in another order rounds differently."""
+        cb, rng = build_codebook(K=96, N=12, T=4, Q=3, P=1.3, seed=4), np.random.default_rng(13)
+        x = rand_complex(rng, cb.Q, self.v_h.size, cb.K).transpose(2, 0, 1)  # (K, Q, M) blocks
+        fwd, weights = cb.apply_A(x), (1.0, np.ones((cb.rows, 1)))
+        sigma = observation_variance(self.v_h, self.v_c, 0.07, cb)
+        resid = rand_complex(rng, cb.rows, self.v_h.size)
+
+        def same(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+        scalar, rows = (linear_extrinsic(x, self.v_h, fwd, resid, sigma, w, cb) for w in weights)
+        for a, b in zip(scalar, rows):
+            same(a, b)
+        diags = [engine.TurboDiagnostics() for _ in weights]
+        scalar, rows = (engine._branch(resid, sigma, x, self.v_h, fwd, w, 1.0, 0.2, cb, diag)
+                        for w, diag in zip(weights, diags))
+        for a, b in zip(scalar[:4], rows[:4]):
+            same(a, b)
+        for name in ("lambda_post", "pi", "gain", "phi", "column_var", "energy"):
+            same(getattr(scalar[4], name), getattr(rows[4], name))
+        assert diags[0].clamp_events == diags[1].clamp_events
 
 
 class TestExtrinsic:
@@ -205,6 +236,12 @@ class TestExtrinsic:
         mean, var = extrinsic_message(post, 2.0, np.array([0.5 + 0j]), 1.0)
         assert var == V_MAX
         assert mean[0] == post[0]
+
+    def test_zero_posterior_variance_is_floored(self):
+        """A zero posterior variance enters as V_FLOOR: a finite quotient, floored at V_FLOOR."""
+        v_ext, alpha, beta = extrinsic(0.0, 1.0)
+        assert np.all(np.isfinite([v_ext, alpha, beta]))
+        assert v_ext >= V_FLOOR
 
     def test_mixed_antenna_clamping(self):
         mean, var = extrinsic_message(np.ones((4, 2), dtype=complex), np.array([0.5, 2.0]),

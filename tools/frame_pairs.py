@@ -2,11 +2,14 @@
 
 Usage, from the repository root:
 
-    python3 tools/frame_pairs.py PARENT_SRC CHANGE_SRC --pairs 10 --frames 20 --seed 1000
+    python3 tools/frame_pairs.py PARENT_SRC CHANGE_SRC --pairs 10 --frames 20 --seed 1000 \
+        [--workload {paper_point,high_snr}] [--K 16000]
 
-Each path is a `src` directory holding a `turbomp` package.  The frames are `paper_point`'s:
-multipath, K=1000, N=72, T=8, Q=4, M=8, lambda K = 50, -15 dB, EM with the corrected noise
-update and at most 15 iterations; --K changes K and keeps 50 devices active.  PARENT_SRC draws
+Each path is a `src` directory holding a `turbomp` package.  The frames are those of the
+benchmark workload --workload: multipath, K=1000, N=72, T=8, Q=4, M=8, lambda K = 50 and EM,
+with `paper_point` (the default) at -15 dB with the corrected noise update and at most 15
+iterations, and `high_snr` at 60 dB with the default options (the max(m, s) noise update and
+at most 50 iterations); --K changes K and keeps 50 devices active.  PARENT_SRC draws
 the frames once, trials 0 to frames - 1 of `master_seed` --seed through
 `harness.run_single_trial`, and their inputs (Y, the pilot rows, the priors and options) are
 saved.  A run then times `run_turbo_mp` alone on every saved frame in a fresh interpreter with
@@ -37,17 +40,21 @@ from time import perf_counter
 
 OPTIONS = ("max_iters", "rel_change_tol", "em_enabled", "em_sigma_correction", "threshold")
 PRIORS = ("theta_H", "theta_C", "sigma_w2", "lam")
+WORKLOADS = {  # ExperimentConfig fields of each workload beyond the shared ones
+    "paper_point": {"snr_db": [-15.0], "em_sigma_correction": True, "max_iters": 15},
+    "high_snr": {"snr_db": [60.0]},
+}
 
 
-def capture(K: int, frames: int, seed: int, path: str) -> None:
-    """Save the inputs of the first `frames` frames that the harness hands `run_turbo_mp`."""
+def capture(workload: str, K: int, frames: int, seed: int, path: str) -> None:
+    """Save the inputs of the first `frames` frames of `workload` that the harness hands
+    `run_turbo_mp`."""
     import numpy as np
     from turbomp import ExperimentConfig, harness
     from turbomp.channel import example_pdp_path
 
-    config = ExperimentConfig(
-        K=K, N=72, T=8, Q=4, M=8, lam=50 / K, snr_db=[-15.0], pdp_file=example_pdp_path(),
-        em_sigma_correction=True, max_iters=15, master_seed=seed)
+    config = ExperimentConfig(K=K, N=72, T=8, Q=4, M=8, lam=50 / K, pdp_file=example_pdp_path(),
+                              master_seed=seed, **WORKLOADS[workload])
     saved, run = {}, harness.run_turbo_mp
 
     def record(Y, cb, priors, opts, *args, **kwargs):
@@ -124,13 +131,15 @@ def main(argv=None) -> int:
     parser.add_argument("--frames", type=int, default=20)
     parser.add_argument("--seed", type=int, default=1000, help="master_seed of the frames")
     parser.add_argument("--K", type=int, default=1000)
+    parser.add_argument("--workload", choices=list(WORKLOADS), default="paper_point")
     args = parser.parse_args(argv)
     if args.pairs < 2 or args.frames < 1:
         parser.error("quartiles need --pairs >= 2, and a run needs --frames >= 1")
     sides = {"parent": str(Path(args.parent).resolve()), "change": str(Path(args.change).resolve())}
     with tempfile.TemporaryDirectory() as tmp:
         inputs = str(Path(tmp) / "frames.npz")
-        worker(sides["parent"], "capture", str(args.K), str(args.frames), str(args.seed), inputs)
+        worker(sides["parent"], "capture", args.workload, str(args.K), str(args.frames),
+               str(args.seed), inputs)
         runs = {side: [] for side in sides}
         for pair in range(args.pairs):
             for side in sorted(sides, reverse=pair % 2 == 1):
@@ -139,8 +148,8 @@ def main(argv=None) -> int:
     ratios = [c / p for c, p in zip(ms["change"], ms["parent"])]
     digests = {run["digest"] for side in sides for run in runs[side]}
     print(json.dumps({
-        "K": args.K, "frames": args.frames, "seed": args.seed, "pairs": args.pairs,
-        "iterations": runs["parent"][0]["iterations"],
+        "workload": args.workload, "K": args.K, "frames": args.frames, "seed": args.seed,
+        "pairs": args.pairs, "iterations": runs["parent"][0]["iterations"],
         "parent_ms_per_iter": summary(ms["parent"]), "change_ms_per_iter": summary(ms["change"]),
         "ratio": statistics.median(ratios), "change_wins": sum(r < 1 for r in ratios),
         "bitwise_equal": len(digests) == 1, "runs": ms}), flush=True)
@@ -151,7 +160,7 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["--worker"]:
         mode, *rest = sys.argv[2:]
         if mode == "capture":
-            capture(int(rest[0]), int(rest[1]), int(rest[2]), rest[3])
+            capture(rest[0], int(rest[1]), int(rest[2]), int(rest[3]), rest[4])
             print("{}")
         else:
             print(json.dumps(time_frames(rest[0])))
