@@ -30,6 +30,17 @@ means are built from the denoisers' last inputs only for the `TurboResult` and f
 truth-traced NMSE.  Activity is fused in log-odds (`activity.fuse`) from one logit per denoiser
 output, the frame's final posterior too; `detect` rejects a NaN that reaches it.
 
+A frame writes its (K, Q, M) blocks into one workspace, a (7, Q, M, K) array allocated by
+`run_turbo_mp` and freed when it returns; each slot is a device-contiguous view.  Per branch,
+two slots hold the current message and its iteration-start copy, which swap roles every
+iteration: the first mean pass and the slope pass write over the copy, the second mean pass
+over its own input (read by `linear_extrinsic` before), and `_step_norms` turns each copy into
+the step.  Only the two starting messages are zeroed.  Two slots hold each branch's x_ext,
+which its denoiser keeps as `pri_mean` until the branch runs again: a `DenoiseBatch` of the
+first mean pass reads the slot that the second overwrites, so only each branch's last one is
+read.  The seventh is `PilotCodebook.apply_A`'s DFT scratch.  H and C are built into fresh
+arrays, so no result aliases the workspace.
+
 At large K each block pass runs as two halves on two threads (`parallel.halves`): x_und and the
 per-antenna sums of the step norms split on the antenna axis (as `lmmse` and `denoiser` do, and
 `pilots` on the sub-block axis).  Each element and each partial sum is computed alike in either
@@ -135,24 +146,28 @@ def _step_norms(new, old):
     return np.sqrt(sums.sum(axis=1))
 
 
-def _branch(resid, sigma, x_pri, v_pri, fwd_pri, weight, theta, lambda_pri, cb, diag):
+def _branch(resid, sigma, x_pri, v_pri, fwd_pri, weight, theta, lambda_pri, cb, diag,
+            ext, x_und, scratch):
     """Linear module then denoiser, for the means (weight 1.0) or slopes (weight D).
 
     resid is Y - A h_pri - B c_pri, sigma the observation variance Sigma, fwd_pri is
-    weight * A @ x_pri and lambda_pri the denoiser's cross prior on activity.  Returns the
-    outgoing message (mean, variance, forward product), the forward product
+    weight * A @ x_pri and lambda_pri the denoiser's cross prior on activity.  ext, x_und
+    and scratch are workspace slots: the linear extrinsic message, which the denoiser keeps
+    as its input, the outgoing message, which may be x_pri itself, and the forward DFTs.
+    Returns the outgoing message (mean, variance, forward product), the forward product
     weight * A @ post_mean of the denoiser's posterior mean and the denoiser's output.
     """
-    ext, v_ext, _, fwd_ext = linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight, cb)
+    ext, v_ext, _, fwd_ext = linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight, cb,
+                                              out=ext)
     den = bg_denoise_batch(ext, v_ext, theta, lambda_pri)
     # the denoiser's extrinsic message x_und = alpha post_mean - beta ext
     v_out, alpha, beta = extrinsic(den.column_var, v_ext)
     diag.clamp_events += int(np.count_nonzero(np.concatenate((v_ext, v_out)) == lmmse.V_MAX))
     scale = (np.outer(alpha * den.gain, den.lambda_post) - beta[:, None]).T  # (K, M), like ext
-    x_und = np.empty_like(x_pri)  # device-contiguous, as every message is
     halves(lambda m: np.multiply(ext[..., m], scale[:, None, m], out=x_und[..., m]),
            ext.shape[2], ext.size)
-    fwd_und = weight * cb.apply_A(x_und)
+    fwd_und = cb.apply_A(x_und, scratch)
+    fwd_und *= weight
     fwd_post = (fwd_und + beta * fwd_ext) / alpha
     return x_und, v_out, fwd_und, fwd_post, den
 
@@ -175,10 +190,13 @@ def run_turbo_mp(
     if Y.ndim != 2 or Y.shape[0] != codebook.rows or Y.shape[1] < 1:
         raise DimensionError(f"Y must be ({codebook.rows}, M) with M >= 1, got {Y.shape}")
     M, diag, converged = Y.shape[1], TurboDiagnostics(), False
+    # one array, not seven: past glibc's mmap threshold (57 MB at K=16000, M=8) it is a mapping
+    # of its own, returned when the frame ends, where separate blocks stayed in the malloc arena
+    workspace = np.empty((7, codebook.Q, M, codebook.K), dtype=np.complex128)
+    h_pri, h_spare, c_pri, c_spare, h_ext, c_ext, scratch = workspace.transpose(0, 3, 1, 2)
     # uninformed start: zero means with zero forward products, prior-matched variances, and
     # neutral slope evidence, so the first cross prior is lam
-    h_pri, c_pri = (np.zeros((codebook.Q, M, codebook.K), dtype=np.complex128).transpose(2, 0, 1)
-                    for _ in range(2))
+    h_pri[...] = c_pri[...] = 0
     fwd_h = fwd_c = np.zeros_like(Y)
     v_h = np.full(M, priors.lam * priors.theta_H)
     v_c = np.full(M, priors.lam * priors.theta_C)
@@ -191,18 +209,19 @@ def run_turbo_mp(
             resid = _residual(Y, fwd_h, fwd_c, diag)
             sigma = observation_variance(v_h, v_c, priors.sigma_w2, codebook)
             h_pri, v_h, fwd_h, post_fwd_h, den_h = _branch(
-                resid, sigma, h_pri, v_h, fwd_h, 1.0, priors.theta_H, lambda_h, codebook, diag)
+                resid, sigma, h_pri, v_h, fwd_h, 1.0, priors.theta_H, lambda_h, codebook, diag,
+                h_ext, h_spare, scratch)
         logit_h = logit(den_h.pi)
         lambda_c = fuse(logit_h, priors.lam)
         resid = _residual(Y, fwd_h, fwd_c, diag)
         sigma = observation_variance(v_h, v_c, priors.sigma_w2, codebook)
         c_pri, v_c, fwd_c, post_fwd_c, den_c = _branch(
             resid, sigma, c_pri, v_c, fwd_c, codebook.D_diag[:, None], priors.theta_C, lambda_c,
-            codebook, diag)
+            codebook, diag, c_ext, c_spare, scratch)
         logit_c = logit(den_c.pi)
         # a NaN or inf makes a message's step or a variance's sum non-finite; checked before EM
         (step_h, norm_h), (step_c, norm_c) = _step_norms(h_pri, h_prev), _step_norms(c_pri, c_prev)
-        del h_prev, c_prev  # now the steps: two blocks freed before EM and the result
+        h_spare, c_spare = h_prev, c_prev  # the steps' slots take the next iteration's messages
         for branch, value in (("mean branch (h_pri, v_h)", step_h + v_h.sum()),
                               ("slope branch (c_pri, v_c)", step_c + v_c.sum())):
             if not np.isfinite(value):

@@ -40,7 +40,7 @@ def observation_variance(v_h, v_c, sigma_w2: float, codebook: PilotCodebook) -> 
     return kp * v_h + kp * np.multiply.outer(d2, v_c) + sigma_w2
 
 
-def linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight, codebook):
+def linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight, codebook, out=None):
     """Extrinsic message (x_ext, v_ext) of one linear branch, its posterior
     variance, and the forward product w A x_ext given fwd_pri = w A x_pri.
 
@@ -49,22 +49,27 @@ def linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight, codebook):
     clamped to V_MAX and the posterior mean x + v u passes through.  v_pri
     and both returned variances are floored at V_FLOOR.  x_ext = x_pri + c u
     with one c per antenna, and A A^H = K P I gives w A x_ext = fwd_pri +
-    c K P w z without an operator call.
+    c K P w z without an operator call.  x_ext is written into out, a block
+    as `PilotCodebook.apply_A_adjoint` takes it, when given; x_pri may not
+    share out's memory.
     """
     w = np.reshape(weight, (-1,) + (1,) * (sigma.ndim - 1))
-    z = w * (resid / sigma)
+    z = np.divide(resid, sigma)
+    z *= w
     g = (codebook.power / codebook.Q) * np.sum(w**2 / sigma, axis=0)
     v = np.maximum(v_pri, V_FLOOR)
     v_ext = 1.0 / g - v
     informative = v_ext < V_MAX
     coef = np.where(informative, 1.0 / g, v)  # one per antenna
     v_ext = np.maximum(np.where(informative, v_ext, V_MAX), V_FLOOR)
-    fwd_ext = fwd_pri + (codebook.K * codebook.power * coef) * (w * z)
-    x_ext = codebook.apply_A_adjoint(z).reshape(np.shape(x_pri))  # a new array, updated in place
+    x_ext = codebook.apply_A_adjoint(z, out=out).reshape(np.shape(x_pri))  # updated in place
     c = np.broadcast_to(coef, x_ext.shape[-1:])  # x_ext = c x_ext + x_pri, per antenna
     halves(lambda m: np.add(np.multiply(x_ext[..., m], c[m], out=x_ext[..., m]), x_pri[..., m],
                             out=x_ext[..., m]), c.size, x_ext.size)
-    return x_ext, v_ext, np.maximum(v - v**2 * g, V_FLOOR), fwd_ext
+    z *= w  # z's buffer becomes fwd_ext = fwd_pri + c K P w z
+    z *= codebook.K * codebook.power * coef
+    z += fwd_pri
+    return x_ext, v_ext, np.maximum(v - v**2 * g, V_FLOOR), z
 
 
 def extrinsic(v_post, v_pri):

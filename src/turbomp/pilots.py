@@ -11,10 +11,14 @@ Coefficients enter as (Q*K,) vectors, device-major (Q*K, M) matrices or (K, Q, M
 adjoints return a matrix as (K, Q, M) blocks with the strides of a C-ordered (Q, M, K) array
 ("device-contiguous").  Every DFT runs along the device axis, which such blocks hold
 contiguously, so pocketfft reads it without a copy: bitwise the values of a C-ordered input in
-about half the time at K=16000.  At large K both operators split their Q sub-blocks into two
-halves on two threads (`parallel.halves`): the forward DFTs, and the adjoint's zeroing, scatter
-and inverse DFTs.  Each sub-block is transformed alike in either half, so outputs are bitwise
-independent of the split; pool workers never split.
+about half the time at K=16000.  Each operator's (Q, M, K) block can come from the caller, as
+numpy's out= does: `apply_A_adjoint(y, out)` writes A^H y into out and returns a view of it,
+and `apply_A(x, scratch)` runs its forward DFTs in scratch.  Either block must be what the
+adjoint returns, a device-contiguous (K, Q, M) view of a C-ordered (Q, M, K) complex128 array;
+the default None allocates a fresh one.  At large K both operators split their Q sub-blocks
+into two halves on two threads (`parallel.halves`): the forward DFTs, and the adjoint's
+zeroing, scatter and inverse DFTs.  Each sub-block is transformed alike in either half, so
+outputs are bitwise independent of the split; pool workers never split.
 """
 
 from __future__ import annotations
@@ -55,7 +59,11 @@ class PilotCodebook:
         check_pilot_rows(K, N, T, Q, self.strict)
         if not 0 < self.power < np.inf:  # also false for NaN
             raise ConfigurationError(f"pilot power must be positive and finite, got {self.power}")
-        sel = np.asarray(self.selections, dtype=np.int64)
+        sel = np.asarray(self.selections)
+        if not (sel.dtype.kind in "iu" or sel.dtype.kind == "f"
+                and np.all(np.isfinite(sel) & (sel == np.trunc(sel)))):  # NaN and inf fail too
+            raise ConfigurationError(f"selections must hold integers, got dtype {sel.dtype}")
+        sel = sel.astype(np.int64)
         rpb = T * N // Q
         if sel.shape != (Q, rpb):
             raise ConfigurationError(f"selections must be (Q, {rpb}), got {sel.shape}")
@@ -96,31 +104,35 @@ class PilotCodebook:
         if v.shape[0] != expected:
             raise DimensionError(f"{name} has leading dim {v.shape[0]}, expected {expected}")
 
-    def apply_A(self, x: np.ndarray) -> np.ndarray:
+    def apply_A(self, x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
         """A @ x for x of shape (Q*K,), (Q*K, M) or (K, Q, M); returns (T*N,) or (T*N, M).
-        The DFT runs along the device axis, which device-contiguous blocks hold contiguously."""
+        The DFT runs along the device axis, which device-contiguous blocks hold contiguously,
+        into scratch when given (see the module docstring)."""
         x = np.asarray(x)
         if (x.shape[:2] != (self.K, self.Q)) if x.ndim == 3 else (x.shape[0] != self.cols):
             raise DimensionError(f"x must be ({self.cols},), ({self.cols}, M) or "
                                  f"({self.K}, {self.Q}, M), got {x.shape}")
         rows = x.reshape(self.K, self.Q, -1).transpose(1, 2, 0)  # (Q, M, K)
-        w = np.empty(rows.shape, dtype=np.result_type(x.dtype, 1j))
+        w = (np.empty(rows.shape, dtype=np.result_type(x.dtype, 1j)) if scratch is None
+             else scratch.transpose(1, 2, 0))
         halves(lambda q: np.fft.fft(rows[q], out=w[q]), self.Q, w.size)
         y = w[np.arange(self.Q)[:, None], :, self.selections]  # (Q, rpb, M), in row order
         y = self.scale * y.reshape(self.rows, -1)
         return y[:, 0] if x.ndim == 1 else y
 
-    def apply_A_adjoint(self, y: np.ndarray) -> np.ndarray:
+    def apply_A_adjoint(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A^H @ y for y of shape (T*N,) or (T*N, M); returns (Q*K,) or (K, Q, M) blocks.
 
         The rows are scattered into a zeroed (Q, M, K) array and the inverse DFT runs in
         place along its contiguous last axis (a separate output array nearly doubled the
-        time at K=16000); a matrix y gets the device-contiguous (K, Q, M) transpose view.
+        time at K=16000), out's when given (see the module docstring); a matrix y gets the
+        device-contiguous (K, Q, M) transpose view.
         """
         y = np.asarray(y)
         self._check_len(y, self.rows, "y")
         blocks = y.reshape(self.Q, self.rows_per_block, -1)  # (Q, rpb, M), in row order
-        w = np.empty((self.Q, blocks.shape[2], self.K), dtype=np.complex128)
+        w = (np.empty((self.Q, blocks.shape[2], self.K), dtype=np.complex128) if out is None
+             else out.transpose(1, 2, 0))
 
         def scatter_ifft(q):
             w[q] = 0

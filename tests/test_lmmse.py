@@ -202,8 +202,10 @@ class TestLinearExtrinsic:
         for a, b in zip(scalar, rows):
             same(a, b)
         diags = [engine.TurboDiagnostics() for _ in weights]
-        scalar, rows = (engine._branch(resid, sigma, x, self.v_h, fwd, w, 1.0, 0.2, cb, diag)
-                        for w, diag in zip(weights, diags))
+        slots = [np.empty((3, cb.Q, self.v_h.size, cb.K), complex).transpose(0, 3, 1, 2)
+                 for _ in weights]  # each call's own ext, x_und and scratch workspace slots
+        scalar, rows = (engine._branch(resid, sigma, x, self.v_h, fwd, w, 1.0, 0.2, cb, diag, *ws)
+                        for w, diag, ws in zip(weights, diags, slots))
         for a, b in zip(scalar[:4], rows[:4]):
             same(a, b)
         for name in ("lambda_post", "pi", "gain", "phi", "column_var", "energy"):

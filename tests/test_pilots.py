@@ -51,6 +51,9 @@ class TestBuild:
         (lambda sel: dict(power=np.inf), "power must be positive and finite"),
         (lambda sel: dict(power=-np.inf), "power must be positive and finite"),
         (lambda sel: dict(selections=sel[:, :-1]), "selections must be"),
+        (lambda sel: dict(selections=sel + 0.7), "selections must hold integers"),
+        (lambda sel: dict(selections=np.where(sel == sel[0, 0], np.nan, sel)),
+         "selections must hold integers"),
         (lambda sel: dict(selections=np.where(sel == sel[0, 0], 16, sel)), r"\[0, K\)"),
         (lambda sel: dict(selections=np.where(sel == sel[0, 0], -1, sel)), r"\[0, K\)"),
         (lambda sel: dict(selections=np.where(sel == sel[0, 1], sel[0, 0], sel)), "repeats"),

@@ -18,7 +18,9 @@ summed frame time over the summed iterations.  A pair runs both trees, alternati
 first.  One JSON line gives each side's median and quartiles over the pairs, the median of the
 per-pair ratios change / parent, the pairs the change won, and whether both trees returned
 bitwise-equal results (H, C, lambda_D_post, decisions, priors, iterations, stop flag, and the
-diagnostics: every field of every per-iteration row and the clamp count).
+diagnostics: every field of every per-iteration row and the clamp count).  It also gives each
+side's median and quartiles of the minor page faults per iteration (the `ru_minflt` deltas of
+`getrusage(RUSAGE_SELF)` around the timed calls) and of the run's peak RSS (`ru_maxrss`).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import hashlib
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -92,11 +95,13 @@ def time_frames(path: str) -> dict:
         priors = PriorParams(**dict(zip(PRIORS, doc[f"priors{i}"].tolist())))
         frames.append((doc[f"Y{i}"], cb, priors))
     run_turbo_mp(*frames[0], opts)  # warm-up: FFT plans and first-call costs
-    digest, seconds, iterations = hashlib.sha256(), 0.0, 0
+    digest, seconds, faults, iterations = hashlib.sha256(), 0.0, 0, 0
     for Y, cb, priors in frames:
+        faults -= resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = perf_counter()
         result = run_turbo_mp(Y, cb, priors, opts)
         seconds += perf_counter() - start
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         iterations += result.iterations
         rows = result.diagnostics.rows
         for array in (result.H, result.C, result.lambda_D_post, result.activity,
@@ -107,6 +112,8 @@ def time_frames(path: str) -> dict:
         digest.update(f"{list(rows[0])} {result.diagnostics.clamp_events}".encode())
         digest.update(f"{result.iterations} {result.converged}".encode())
     return {"ms_per_iter": 1000.0 * seconds / iterations, "iterations": iterations,
+            "faults_per_iter": faults / iterations,
+            "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "digest": digest.hexdigest()}
 
 
@@ -147,12 +154,14 @@ def main(argv=None) -> int:
     ms = {side: [run["ms_per_iter"] for run in runs[side]] for side in sides}
     ratios = [c / p for c, p in zip(ms["change"], ms["parent"])]
     digests = {run["digest"] for side in sides for run in runs[side]}
+    memory = {f"{side}_{key}": summary([run[key] for run in runs[side]])
+              for side in sides for key in ("faults_per_iter", "maxrss_mb")}
     print(json.dumps({
         "workload": args.workload, "K": args.K, "frames": args.frames, "seed": args.seed,
         "pairs": args.pairs, "iterations": runs["parent"][0]["iterations"],
         "parent_ms_per_iter": summary(ms["parent"]), "change_ms_per_iter": summary(ms["change"]),
         "ratio": statistics.median(ratios), "change_wins": sum(r < 1 for r in ratios),
-        "bitwise_equal": len(digests) == 1, "runs": ms}), flush=True)
+        "bitwise_equal": len(digests) == 1, **memory, "runs": ms}), flush=True)
     return 0
 
 
