@@ -1,7 +1,7 @@
 """Joint activity detection and block-wise linear channel estimation for
 MIMO-OFDM grant-free random access."""
 
-from .activity import activity_posterior, detect
+from .activity import detect
 from .channel import (
     BlockwiseBasis,
     ChannelRealization,
@@ -42,7 +42,6 @@ __all__ = [
     "PriorParams",
     "TurboOptions",
     "TurboResult",
-    "activity_posterior",
     "bg_denoise_batch",
     "build_codebook",
     "detect",

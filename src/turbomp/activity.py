@@ -1,10 +1,9 @@
 """Bernoulli evidence fusion and threshold detection of device activity.
 
-All products of activity probabilities are formed as clamped log-odds sums,
-which resolves the 0/0 corner cases that exact certainties would create.
-A zero net evidence term returns the prior untouched, making the
-uninformative identities exact.  `fuse` is that step on unchecked log-odds
-evidence, which the engine takes once per denoiser output.
+Activity evidence is a log-likelihood ratio (log-odds), which each denoiser reports as
+`DenoiseBatch.evidence` and may be -inf or +inf where it is certain.  `fuse` adds a prior's
+log-odds to one or two such terms and returns the posterior activity; evidence that cancels
+returns the prior untouched, which makes the uninformative identities exact.
 """
 
 from __future__ import annotations
@@ -15,36 +14,23 @@ from .errors import ParameterError
 from .logodds import logit, sigmoid
 
 
-def _check_prob(name, p):
-    p = np.asarray(p, dtype=float)
-    if not np.all((p >= 0) & (p <= 1)):  # NaN fails both comparisons
-        raise ParameterError(f"{name} must lie in [0, 1]")
-    return p
+def fuse(lam, e_a, e_b=0.0):
+    """Posterior activity sigmoid(logit(lam) + e_a + e_b) of log-odds evidence under prior lam.
 
-
-def activity_posterior(pi_b, pi_c, lam):
-    """Fuse both denoisers' likelihoods with the prior.
-
-    Returns lam*pi_b*pi_c / (lam*pi_b*pi_c + (1-lam)*(1-pi_b)*(1-pi_c)).
-    A neutral pi_c = 0.5 (log-odds exactly 0) gives one denoiser's cross prior
-    lam*pi_b / (lam*pi_b + (1-lam)*(1-pi_b)) bit for bit.
+    Where the evidence cancels, e_a == -e_b, the result is lam itself, bit for bit: for zero
+    evidence and for opposing certainties alike.  One denoiser certain that a device is active
+    (+inf) and the other certain that it is not (-inf) is zero net evidence.  A NaN term gives
+    NaN, which the next denoiser's prior check or `detect` rejects.  lam lies in (0, 1).
     """
-    pi_b = _check_prob("pi_b", pi_b)
-    pi_c = _check_prob("pi_c", pi_c)
-    lam = _check_prob("lam", lam)
-    out = fuse(logit(pi_b) + logit(pi_c), lam)
-    scalar = not (np.ndim(pi_b) or np.ndim(pi_c) or np.ndim(lam))
-    return float(out) if scalar else out
-
-
-def fuse(evidence, lam):
-    """The posterior of log-odds evidence under prior lam: lam itself where it is exactly 0."""
-    return np.where(evidence == 0.0, lam, sigmoid(evidence + logit(lam)))
+    with np.errstate(invalid="ignore"):  # inf - inf, where the result is lam
+        return np.where(e_a == -e_b, lam, sigmoid(e_a + e_b + logit(lam)))
 
 
 def detect(lambda_d_post, threshold: float) -> np.ndarray:
     """Hard activity decisions: active iff posterior >= threshold (inclusive)."""
     if not 0.0 < threshold < 1.0:
         raise ParameterError(f"threshold must be in (0, 1), got {threshold}")
-    post = _check_prob("lambda_d_post", lambda_d_post)
+    post = np.asarray(lambda_d_post, dtype=float)
+    if not np.all((post >= 0) & (post <= 1)):  # NaN fails both comparisons
+        raise ParameterError("lambda_d_post must lie in [0, 1]")
     return (post >= threshold).astype(np.int8)

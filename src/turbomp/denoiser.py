@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .logodds import sigmoid
+from .logodds import logit, sigmoid
 from .parallel import halves
 
 
@@ -29,7 +29,7 @@ class DenoiseBatch:
 
     pri_mean: np.ndarray  # (K, Q, M) input message, in any memory layout and never copied
     lambda_post: np.ndarray  # (K,)
-    pi: np.ndarray  # (K,)
+    evidence: np.ndarray  # (K,) log CN(0; pri, V + theta I) - log CN(0; pri, V), maybe +-inf
     gain: np.ndarray  # (M,) theta / (theta + v); post_mean = lambda_post * gain * pri_mean
     phi: np.ndarray  # (M,) gain * v, the active branch's posterior variance
     column_var: np.ndarray  # (M,) average of post_var_elem over devices and sub-blocks
@@ -37,7 +37,10 @@ class DenoiseBatch:
 
     @property
     def post_mean(self) -> np.ndarray:
-        return self.lambda_post[:, None, None] * (self.pri_mean * self.gain)
+        """lambda_post * gain * pri_mean, a C-ordered (K, Q, M) array built in two passes."""
+        out = np.multiply(self.pri_mean, self.gain, order="C")
+        out *= self.lambda_post[:, None, None]
+        return out
 
     @property
     def post_var_elem(self) -> np.ndarray:
@@ -59,7 +62,8 @@ def bg_denoise_batch(
     exactly 0 and 1, whatever the evidence.  Every moment comes from
     s_km = sum_q |pri_kqm|^2, so a pri_mean with a non-finite or overflowing
     entry, whose s_km is not finite, raises ParameterError instead of
-    returning NaN, as does an undefined (inf - inf) log-likelihood ratio.
+    returning NaN, as does an undefined (inf - inf) log-likelihood ratio; a
+    ratio that overflows gives evidence of -inf or +inf and finite moments.
     With lambda = lambda_post, the column variance is (gain^2 sum_k lambda_k
     (1 - lambda_k) s_k + phi Q sum_k lambda_k) / (K Q) and the energy is
     lambda_k (sum_m gain_m^2 s_km + Q sum_m phi_m).
@@ -91,19 +95,18 @@ def bg_denoise_batch(
     if not np.isfinite(s).all():
         raise ParameterError("pri_mean must be finite, with finite energy sum_q |pri_kqm|^2")
 
-    # log CN(0; pri, V) - log CN(0; pri, V + theta I), accumulated per device
-    log_ratio = Q * np.sum(np.log1p(theta / v)) - s @ (theta / (v * (v + theta)))
-    if np.isnan(log_ratio).any():
+    # log CN(0; pri, V + theta I) - log CN(0; pri, V), accumulated per device
+    evidence = s @ (theta / (v * (v + theta))) - Q * np.sum(np.log1p(theta / v))
+    if np.isnan(evidence).any():
         raise ParameterError("theta and per_antenna_var give an undefined log-likelihood ratio")
 
-    with np.errstate(divide="ignore", invalid="ignore"):  # endpoint log-odds are -inf and +inf
-        log_odds = np.log(lam) - np.log1p(-lam)
-        lambda_post = np.where(np.isinf(log_odds), lam, sigmoid(log_odds - log_ratio))
-    pi = sigmoid(-log_ratio)
+    log_odds = logit(lam)  # -inf and +inf at the endpoint priors, which the posterior keeps
+    with np.errstate(invalid="ignore"):
+        lambda_post = np.where(np.isinf(log_odds), lam, sigmoid(log_odds + evidence))
 
     gain2 = gain**2
     column_var = (gain2 * ((lambda_post * (1.0 - lambda_post)) @ s)
                   + phi * (Q * lambda_post.sum())) / (K * Q)
     energy = lambda_post * (s @ gain2 + Q * phi.sum())
-    return DenoiseBatch(pri_mean=pri, lambda_post=lambda_post, pi=pi, gain=gain, phi=phi,
-                        column_var=column_var, energy=energy)
+    return DenoiseBatch(pri_mean=pri, lambda_post=lambda_post, evidence=evidence, gain=gain,
+                        phi=phi, column_var=column_var, energy=energy)

@@ -27,8 +27,9 @@ observation variance Sigma and activity cross prior, and builds no (K, Q, M) pos
 
 One iteration thus costs one adjoint and one forward operator call per branch.  The posterior
 means are built from the denoisers' last inputs only for the `TurboResult` and for the
-truth-traced NMSE.  Activity is fused in log-odds (`activity.fuse`) from one logit per denoiser
-output, the frame's final posterior too; `detect` rejects a NaN that reaches it.
+truth-traced NMSE.  Activity is fused in log-odds (`activity.fuse`) from the denoisers'
+prior-free evidence as reported, +-inf included, into each cross prior, EM's activity posterior
+and the frame's final posterior; `detect` rejects a NaN that reaches it.
 
 A frame writes its (K, Q, M) blocks into one workspace, a (7, Q, M, K) array allocated by
 `run_turbo_mp` and freed when it returns; each slot is a device-contiguous view.  Per branch,
@@ -60,7 +61,6 @@ from .denoiser import bg_denoise_batch
 from .em import PriorParams, em_schedule
 from .errors import DimensionError, NumericsError, ParameterError
 from .lmmse import extrinsic, linear_extrinsic, observation_variance
-from .logodds import logit
 from .parallel import halves
 from .pilots import PilotCodebook
 
@@ -200,25 +200,25 @@ def run_turbo_mp(
     fwd_h = fwd_c = np.zeros_like(Y)
     v_h = np.full(M, priors.lam * priors.theta_H)
     v_c = np.full(M, priors.lam * priors.theta_C)
-    logit_c = np.zeros(codebook.K)
+    evidence_c = np.zeros(codebook.K)
 
     for iteration in range(1, opts.max_iters + 1):
         h_prev, c_prev = h_pri, c_pri
-        lambda_h = fuse(logit_c, priors.lam)
+        lambda_h = fuse(priors.lam, evidence_c)
         for _ in range(2):
             resid = _residual(Y, fwd_h, fwd_c, diag)
             sigma = observation_variance(v_h, v_c, priors.sigma_w2, codebook)
             h_pri, v_h, fwd_h, post_fwd_h, den_h = _branch(
                 resid, sigma, h_pri, v_h, fwd_h, 1.0, priors.theta_H, lambda_h, codebook, diag,
                 h_ext, h_spare, scratch)
-        logit_h = logit(den_h.pi)
-        lambda_c = fuse(logit_h, priors.lam)
+        evidence_h = den_h.evidence
+        lambda_c = fuse(priors.lam, evidence_h)
         resid = _residual(Y, fwd_h, fwd_c, diag)
         sigma = observation_variance(v_h, v_c, priors.sigma_w2, codebook)
         c_pri, v_c, fwd_c, post_fwd_c, den_c = _branch(
             resid, sigma, c_pri, v_c, fwd_c, codebook.D_diag[:, None], priors.theta_C, lambda_c,
             codebook, diag, c_ext, c_spare, scratch)
-        logit_c = logit(den_c.pi)
+        evidence_c = den_c.evidence
         # a NaN or inf makes a message's step or a variance's sum non-finite; checked before EM
         (step_h, norm_h), (step_c, norm_c) = _step_norms(h_pri, h_prev), _step_norms(c_pri, c_prev)
         h_spare, c_spare = h_prev, c_prev  # the steps' slots take the next iteration's messages
@@ -232,8 +232,8 @@ def run_turbo_mp(
             # the moment estimate mean(|r|^2 - (Sigma - sigma_w2)) of the slope branch's inputs
             moment = np.vdot(resid, resid).real / resid.size - np.mean(sigma) + priors.sigma_w2
             priors = em_schedule(priors, iteration, Y - post_fwd_h - post_fwd_c, float(moment),
-                                 den_h, den_c, fuse(logit_h + logit_c, priors.lam), codebook,
-                                 opts)
+                                 den_h, den_c, fuse(priors.lam, evidence_h, evidence_c),
+                                 codebook, opts)
 
         denom = np.hypot(norm_h, norm_c)
         rel_change = float(change / denom) if denom > 0 else np.inf
@@ -253,7 +253,7 @@ def run_turbo_mp(
             converged = True
             break
 
-    lambda_post = fuse(logit_h + logit_c, priors.lam)
+    lambda_post = fuse(priors.lam, evidence_h, evidence_c)
     H, C = (d.post_mean.reshape(codebook.cols, M) for d in (den_h, den_c))
     return TurboResult(H=H, C=C, lambda_D_post=lambda_post,
                        activity=detect(lambda_post, opts.threshold), priors=priors,

@@ -1,10 +1,8 @@
-"""Numerically safe probability/log-odds conversions shared by the modules."""
+"""Probability/log-odds conversions shared by the modules, exact at the endpoints."""
 
 from __future__ import annotations
 
 import numpy as np
-
-LOG_ODDS_CLAMP = 40.0
 
 
 def sigmoid(x):
@@ -17,12 +15,8 @@ def sigmoid(x):
 
 
 def logit(p):
-    """log(p / (1-p)) with the result clipped to [-LOG_ODDS_CLAMP, LOG_ODDS_CLAMP].
-
-    The clip resolves the 0/0 forms that exact-zero or exact-one
-    probabilities would otherwise produce downstream.
-    """
+    """log(p / (1-p)): -inf at p = 0 and +inf at p = 1."""
     p = np.asarray(p, dtype=float)
     with np.errstate(divide="ignore"):
-        out = np.clip(np.log(p) - np.log1p(-p), -LOG_ODDS_CLAMP, LOG_ODDS_CLAMP)
+        out = np.log(p) - np.log1p(-p)
     return out if out.ndim else float(out)

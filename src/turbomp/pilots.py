@@ -5,7 +5,8 @@ device-major) to T*N observation rows.  It factors as a permutation into Q devic
 blocks, a scaled K-point DFT per block, and a row gather (one direct index, in row order), which
 keeps every matrix-vector product at O(Q*K*log K).  Each implied pilot symbol has squared
 magnitude P, and the row structure gives the partial orthogonality A @ A^H = K*P*I that the
-linear estimator relies on.  B shares the factorization through the real diagonal D: B = D @ A.
+linear estimator relies on.  B shares the factorization through the real diagonal D: B = D @ A,
+which is applied as the row weight D_diag times A's product (and A^H of D_diag times y).
 
 Coefficients enter as (Q*K,) vectors, device-major (Q*K, M) matrices or (K, Q, M) blocks; the
 adjoints return a matrix as (K, Q, M) blocks with the strides of a C-ordered (Q, M, K) array
@@ -100,10 +101,6 @@ class PilotCodebook:
 
     # -- fast operator applications ---------------------------------------
 
-    def _check_len(self, v, expected, name):
-        if v.shape[0] != expected:
-            raise DimensionError(f"{name} has leading dim {v.shape[0]}, expected {expected}")
-
     def apply_A(self, x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
         """A @ x for x of shape (Q*K,), (Q*K, M) or (K, Q, M); returns (T*N,) or (T*N, M).
         The DFT runs along the device axis, which device-contiguous blocks hold contiguously,
@@ -129,7 +126,8 @@ class PilotCodebook:
         device-contiguous (K, Q, M) transpose view.
         """
         y = np.asarray(y)
-        self._check_len(y, self.rows, "y")
+        if y.shape[0] != self.rows:
+            raise DimensionError(f"y has leading dim {y.shape[0]}, expected {self.rows}")
         blocks = y.reshape(self.Q, self.rows_per_block, -1)  # (Q, rpb, M), in row order
         w = (np.empty((self.Q, blocks.shape[2], self.K), dtype=np.complex128) if out is None
              else out.transpose(1, 2, 0))
@@ -143,24 +141,13 @@ class PilotCodebook:
         x = w.transpose(2, 0, 1)  # (K, Q, M)
         return x.reshape(self.cols) if y.ndim == 1 else x
 
-    def apply_B(self, x: np.ndarray) -> np.ndarray:
-        """B @ x, with B = D @ A."""
-        y = self.apply_A(x)
-        return y * (self.D_diag if y.ndim == 1 else self.D_diag[:, None])
-
-    def apply_B_adjoint(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y)
-        self._check_len(y, self.rows, "y")
-        scaled = y * (self.D_diag if y.ndim == 1 else self.D_diag[:, None])
-        return self.apply_A_adjoint(scaled)
-
     # -- physical pilot mixing --------------------------------------------
 
     def mix_subcarriers(self, X_active: np.ndarray, active: np.ndarray) -> np.ndarray:
         """The noiseless observation sum_k Lambda_k X_k over the devices `active`, integer
         indices in [0, K); X_active is (a, N) or (a, N, M), row i device active[i]'s signal, and
-        the result (T*N,) or (T*N, M).  Fed the expanded block-wise responses it reproduces
-        apply_A/apply_B.  Device k's symbol on DFT row s is scale * roots[(s k) mod K]."""
+        the result (T*N,) or (T*N, M).  Fed the expanded block-wise responses H and C it
+        reproduces A H + D A C.  Device k's symbol on DFT row s is scale * roots[(s k) mod K]."""
         X, active = np.asarray(X_active), np.asarray(active)
         if X.ndim not in (2, 3) or active.ndim != 1 or X.shape[:2] != (active.size, self.N):
             raise DimensionError(f"X_active must be ({active.size}, {self.N}, ...) for "

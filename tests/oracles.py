@@ -68,8 +68,10 @@ def lmmse_posterior(y, h_pri, c_pri, v_h, v_c, sigma, codebook, slopes=False):
     mean is x + v u and the variance max(v - v^2 g, 0).
     """
     x, v, w = (c_pri, v_c, codebook.D_diag) if slopes else (h_pri, v_h, np.ones(codebook.rows))
-    resid = np.asarray(y, dtype=np.complex128) - codebook.apply_A(h_pri) - codebook.apply_B(c_pri)
     w = w.reshape((-1,) + (1,) * (sigma.ndim - 1))
+    d = codebook.D_diag.reshape(w.shape)  # B = D A
+    resid = (np.asarray(y, dtype=np.complex128) - codebook.apply_A(h_pri)
+             - d * codebook.apply_A(c_pri))
     u = codebook.apply_A_adjoint(w * (resid / sigma)).reshape(x.shape)  # (K, Q, M) for matrices
     g = (codebook.power / codebook.Q) * np.sum(w**2 / sigma, axis=0)
     return x + v * u, np.maximum(v - v**2 * g, 0.0)

@@ -23,7 +23,6 @@ from turbomp import (
     ExperimentConfig,
     PriorParams,
     TurboOptions,
-    activity_posterior,
     bg_denoise_batch,
     build_codebook,
     detect,
@@ -36,8 +35,10 @@ from turbomp import (
     sample_blockwise_exact,
     sample_channel,
 )
+from turbomp.activity import fuse
 from turbomp.channel import example_pdp_path, load_pdp
 from turbomp.lmmse import extrinsic, linear_extrinsic, observation_variance
+from turbomp.logodds import logit
 
 
 def rand_complex(rng, *shape):
@@ -56,11 +57,13 @@ def test_criterion_01_operator_algebra():
     rng = np.random.default_rng(1)
     x = rand_complex(rng, cb.cols)
     y = rand_complex(rng, cb.rows)
+    # the engine applies B = D A as the row weight D_diag[:, None] on (rows, M) products
+    X, Y = x[:, None], y[:, None]
     pairs = [
         (cb.apply_A(x), A @ x),
         (cb.apply_A_adjoint(y), A.conj().T @ y),
-        (cb.apply_B(x), B @ x),
-        (cb.apply_B_adjoint(y), B.conj().T @ y),
+        (cb.D_diag[:, None] * cb.apply_A(X), B @ X),
+        (cb.apply_A_adjoint(cb.D_diag[:, None] * Y).reshape(cb.cols, 1), B.conj().T @ Y),
     ]
     worst = max(np.linalg.norm(f - d) / np.linalg.norm(d) for f, d in pairs)
     assert worst < 1e-12
@@ -88,10 +91,11 @@ def test_criterion_02_linear_module_exactness():
     # the posterior variance comes from the linear module; the posterior mean is
     # its extrinsic message combined with the prior message
     sigma = observation_variance(v_h, v_c, sw2, cb)
-    resid = y - cb.apply_A(h_pri) - cb.apply_B(c_pri)
+    fwd_c = cb.D_diag * cb.apply_A(c_pri)  # B c_pri
+    resid = y - cb.apply_A(h_pri) - fwd_c
     posts = []
     for x, v, weight, fwd in [(h_pri, v_h, 1.0, cb.apply_A(h_pri)),
-                              (c_pri, v_c, cb.D_diag, cb.apply_B(c_pri))]:
+                              (c_pri, v_c, cb.D_diag, fwd_c)]:
         x_ext, v_ext, v_post, _ = linear_extrinsic(x, v, fwd, resid, sigma, weight, cb)
         posts.append((combine(x_ext, v_ext, x, v)[0], v_post))
     (mean_h, var_h), (mean_c, var_c) = posts
@@ -163,18 +167,18 @@ def test_criterion_04_message_algebra():
         )
     assert worst < 1e-12
 
+    # the denoisers' log-odds evidence of likelihoods a and b, fused as the engine does
     lam = rng.uniform(0.01, 0.99, 10_000)
     a = rng.uniform(0.0, 1.0, 10_000)
     b = rng.uniform(0.0, 1.0, 10_000)
-    np.testing.assert_array_equal(activity_posterior(np.full_like(lam, 0.5),
-                                                     np.full_like(lam, 0.5), lam), lam)
-    np.testing.assert_array_equal(activity_posterior(a, b, lam),
-                                  activity_posterior(b, a, lam))
+    e_a, e_b, zero = logit(a), logit(b), np.zeros_like(lam)
+    np.testing.assert_array_equal(fuse(lam, zero, zero), lam)
+    np.testing.assert_array_equal(fuse(lam, e_a, e_b), fuse(lam, e_b, e_a))
     bump = 0.004
-    base = activity_posterior(a, b, lam)
-    assert np.all(activity_posterior(np.minimum(a + bump, 1.0), b, lam) >= base)
-    assert np.all(activity_posterior(a, np.minimum(b + bump, 1.0), lam) >= base)
-    assert np.all(activity_posterior(a, b, np.minimum(lam + bump, 0.99)) >= base)
+    base = fuse(lam, e_a, e_b)
+    assert np.all(fuse(lam, logit(np.minimum(a + bump, 1.0)), e_b) >= base)
+    assert np.all(fuse(lam, e_a, logit(np.minimum(b + bump, 1.0))) >= base)
+    assert np.all(fuse(np.minimum(lam + bump, 0.99), e_a, e_b) >= base)
     print(f"\n[criterion 04] message algebra: PASS (round trip {worst:.1e}, "
           f"fusion identities on 10000 triples)")
 
@@ -191,7 +195,8 @@ def test_criterion_05_decomposition_consistency():
             truth = project_blockwise(real, BlockwiseBasis(72, q))
             direct = cb.mix_subcarriers(real.G_active, real.active)
             decomposed = (
-                cb.apply_A(truth.H) + cb.apply_B(truth.C) + cb.mix_subcarriers(truth.Delta, real.active)
+                cb.apply_A(truth.H) + cb.D_diag[:, None] * cb.apply_A(truth.C)
+                + cb.mix_subcarriers(truth.Delta, real.active)
             )
             denom = np.linalg.norm(direct)
             if denom > 0:

@@ -4,38 +4,38 @@ import numpy as np
 import pytest
 
 from oracles import sigmoid_masked
-from turbomp import ParameterError, activity_posterior, detect
+from turbomp import ParameterError, detect
 from turbomp.activity import fuse
 from turbomp.logodds import logit, sigmoid
 
 
 class TestCrossPrior:
-    """A denoiser's cross prior is `activity_posterior` with a neutral (0.5) second evidence."""
+    """A denoiser's cross prior is `fuse` of the other denoiser's evidence alone."""
 
     def test_uninformative_returns_prior_exactly(self):
         for lam in (0.05, 0.31, 0.9):
-            assert activity_posterior(0.5, 0.5, lam) == lam
+            assert fuse(lam, 0.0) == lam
 
     def test_certain_evidence(self):
-        assert activity_posterior(1.0, 0.5, 0.05) == pytest.approx(1.0, abs=1e-12)
-        assert activity_posterior(0.0, 0.5, 0.95) == pytest.approx(0.0, abs=1e-12)
+        assert fuse(0.05, np.inf) == pytest.approx(1.0, abs=1e-12)
+        assert fuse(0.95, -np.inf) == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_substitution(self):
-        assert activity_posterior(0.9, 0.5, 0.05) == pytest.approx(0.045 / 0.14, rel=1e-12)
+        assert fuse(0.05, logit(0.9)) == pytest.approx(0.045 / 0.14, rel=1e-12)
 
     def test_vectorized(self):
-        out = activity_posterior(np.array([0.5, 0.9]), 0.5, 0.05)
+        out = fuse(0.05, np.array([0.0, logit(0.9)]))
         assert out[0] == 0.05
         assert out[1] == pytest.approx(0.045 / 0.14, rel=1e-12)
 
-    def test_rejects_out_of_range(self):
-        for bad in (1.2, -0.1, np.nan, np.inf, -np.inf):
+    def test_nan_evidence_reaches_detect_as_nan(self):
+        """`fuse` validates nothing: a NaN term gives NaN, whatever the other term, and
+        `detect` rejects it."""
+        for other in (0.0, 3.0, np.inf, -np.inf):
+            out = fuse(0.1, np.array([0.5, np.nan]), other)
+            assert np.isfinite(out[0]) and np.isnan(out[1])
             with pytest.raises(ParameterError):
-                activity_posterior(bad, 0.5, 0.5)
-            with pytest.raises(ParameterError):
-                activity_posterior(0.9, 0.5, bad)
-            with pytest.raises(ParameterError):
-                activity_posterior(np.array([0.5, bad]), 0.5, 0.1)
+                detect(out, 0.5)
 
 
 class TestSigmoid:
@@ -52,66 +52,88 @@ class TestSigmoid:
             assert isinstance(sigmoid(x), float)
             assert np.float64(sigmoid(x)).view(np.int64) == sigmoid_masked(x).view(np.int64)
 
+    def test_logit_is_exact_at_the_endpoints(self):
+        assert logit(0.0) == -np.inf and logit(1.0) == np.inf and logit(0.5) == 0.0
+        assert logit(1e-300) < -690.0 and logit(5e-324) < -744.0
+        assert np.array_equal(logit(np.array([0.0, 1.0])), [-np.inf, np.inf])
 
-class TestActivityPosterior:
+
+class TestTwoEvidenceTerms:
     def test_both_uninformative_returns_prior_exactly(self):
         for lam in (0.05, 0.5, 0.77):
-            assert activity_posterior(0.5, 0.5, lam) == lam
+            assert fuse(lam, 0.0, 0.0) == lam
 
     def test_direct_substitution(self):
-        assert activity_posterior(0.9, 0.9, 0.05) == pytest.approx(0.81, rel=1e-12)
+        assert fuse(0.05, logit(0.9), logit(0.9)) == pytest.approx(0.81, rel=1e-12)
 
     def test_vetoing_evidence(self):
-        assert activity_posterior(0.0, 0.9, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert fuse(0.5, -np.inf, logit(0.9)) == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            a, b, lam = rng.uniform(0.0, 1.0, 3)
-            assert activity_posterior(a, b, lam) == activity_posterior(b, a, lam)
+            a, b = rng.normal(0.0, 10.0, 2)
+            lam = rng.uniform(0.0, 1.0)
+            assert fuse(lam, a, b) == fuse(lam, b, a)
 
     def test_monotone_in_every_argument(self):
         rng = np.random.default_rng(1)
-        a, b, lam = rng.uniform(0.01, 0.99, (3, 10_000))
+        a, b = rng.normal(0.0, 5.0, (2, 10_000))
+        lam = rng.uniform(0.01, 0.99, 10_000)
         bump = 0.005
-        base = activity_posterior(a, b, lam)
-        assert np.all(activity_posterior(np.minimum(a + bump, 1.0), b, lam) >= base)
-        assert np.all(activity_posterior(a, np.minimum(b + bump, 1.0), lam) >= base)
-        assert np.all(activity_posterior(a, b, np.minimum(lam + bump, 1.0)) >= base)
+        base = fuse(lam, a, b)
+        assert np.all(fuse(lam, a + bump, b) >= base)
+        assert np.all(fuse(lam, a, b + bump) >= base)
+        assert np.all(fuse(np.minimum(lam + bump, 0.999), a, b) >= base)
 
     def test_extreme_inputs_stay_finite(self):
-        out = activity_posterior(np.array([1.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), 0.5)
+        """Certain agreement gives a certain posterior; opposing certainties give the prior."""
+        out = fuse(0.5, np.array([np.inf, -np.inf, np.inf]), np.array([np.inf, -np.inf, -np.inf]))
         assert np.all(np.isfinite(out))
         assert out[0] > 0.999 and out[1] < 1e-12
+        assert out[2] == 0.5
 
 
 class TestFuse:
-    """The engine fuses logits taken once per denoiser output; `activity_posterior` takes them
-    per call.  Both give the same bits, at the clamps and the neutral 0.5 as elsewhere."""
+    """The engine fuses each denoiser's evidence as reported, with no probability round trip:
+    exact at zero net evidence and at +-inf, and the probability-domain product elsewhere."""
 
-    PROBS = np.concatenate([np.random.default_rng(7).uniform(0.0, 1.0, 40),
-                            [0.0, 1.0, 0.5, 1e-20, 1e-300, 5e-324, 1.0 - 2**-53, 2**-53]])
-    LAMS = [0.0, 1.0, 0.5, 0.05, 1e-20, 1e-6, 1.0 - 1e-6, 0.123456789]
+    EVIDENCE = np.concatenate([np.random.default_rng(7).normal(0.0, 20.0, 40),
+                               [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 40.0, -40.0, 1e-300]])
+    LAMS = [0.5, 0.05, 1e-20, 1e-6, 1.0 - 1e-6, 0.123456789]
 
     @staticmethod
     def bits(x):
         return np.asarray(x, dtype=float).view(np.int64)
 
     @pytest.mark.parametrize("lam", LAMS)
-    def test_fused_sums_are_bitwise_activity_posterior(self, lam):
-        a, b = (grid.ravel() for grid in np.meshgrid(self.PROBS, self.PROBS))
-        assert np.array_equal(self.bits(fuse(logit(a) + logit(b), lam)),
-                              self.bits(activity_posterior(a, b, lam)))
-        assert np.array_equal(self.bits(fuse(logit(a), lam)),
-                              self.bits(activity_posterior(a, 0.5, lam)))
-        zeros = np.zeros(a.size)  # the engine's neutral start: logit(0.5) is +0.0
-        assert np.array_equal(self.bits(logit(np.full(a.size, 0.5))), self.bits(zeros))
-        assert np.array_equal(self.bits(fuse(zeros, lam)),
-                              self.bits(activity_posterior(np.full(a.size, 0.5), 0.5, lam)))
+    def test_one_term_is_bitwise_two_terms_with_zero(self, lam):
+        e = self.EVIDENCE
+        for zero in (0.0, -0.0, np.zeros(e.size)):
+            assert np.array_equal(self.bits(fuse(lam, e)), self.bits(fuse(lam, e, zero)))
+            assert np.array_equal(self.bits(fuse(lam, e)), self.bits(fuse(lam, zero, e)))
 
-    def test_the_clamps_are_exercised(self):
-        assert {logit(p) for p in (0.0, 1e-20, 1e-300)} == {-40.0}
-        assert logit(1.0) == 40.0
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_cancelling_evidence_returns_the_prior_bitwise(self, lam):
+        """Zero net evidence, opposing certainties included, is the prior bit for bit."""
+        e = self.EVIDENCE
+        assert np.array_equal(self.bits(fuse(lam, e, -e)), self.bits(np.full(e.size, lam)))
+        assert np.array_equal(self.bits(fuse(lam, np.zeros(e.size))),
+                              self.bits(np.full(e.size, lam)))
+        assert fuse(lam, np.inf, -np.inf) == lam and fuse(lam, -np.inf, np.inf) == lam
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_matches_the_probability_product(self, lam):
+        """lam pa pb / (lam pa pb + (1 - lam)(1 - pa)(1 - pb)) with pa = sigmoid(e_a) and
+        1 - pa = sigmoid(-e_a), where no probability underflows (|e| <= 40)."""
+        a, b = (grid.ravel() for grid in np.meshgrid(self.EVIDENCE, self.EVIDENCE))
+        keep = (np.abs(a) <= 40) & (np.abs(b) <= 40)
+        a, b = a[keep], b[keep]
+        pa, pb, qa, qb = sigmoid(a), sigmoid(b), sigmoid(-a), sigmoid(-b)
+        on, off = lam * pa * pb, (1 - lam) * qa * qb
+        np.testing.assert_allclose(fuse(lam, a, b), on / (on + off), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fuse(lam, a), lam * pa / (lam * pa + (1 - lam) * qa),
+                                   rtol=1e-12, atol=0)
 
 
 class TestDetect:

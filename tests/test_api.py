@@ -22,7 +22,6 @@ PUBLIC = [
     "PriorParams",
     "TurboOptions",
     "TurboResult",
-    "activity_posterior",
     "bg_denoise_batch",
     "build_codebook",
     "detect",
@@ -49,6 +48,7 @@ REMOVED = [
     "DeviceBlockPrior",
     "GaussianMessage",
     "SigmaDiag",
+    "activity_posterior",
     "bg_denoise",
     "blockwise_basis",
     "combine",
@@ -64,9 +64,10 @@ REMOVED = [
 ]
 
 REMOVED_FROM_MODULES = {
-    "activity": ["cross_prior"],
+    "activity": ["activity_posterior", "cross_prior"],
     "em": ["em_lambda", "em_sigma_w", "em_theta"],
     "engine": ["TurboState", "_damp", "init_state"],
+    "logodds": ["LOG_ODDS_CLAMP"],
 }
 
 REMOVED_CONFIG_KEYS = [
@@ -131,7 +132,9 @@ def test_removed_names_are_gone():
             assert not hasattr(getattr(turbomp, module), name), (module, name)
     assert not hasattr(turbomp.harness, "load_results_json")
     assert not hasattr(turbomp.PilotCodebook, "to_json")
-    assert not hasattr(turbomp.PilotCodebook, "dense_A")
+    for name in ("dense_A", "apply_B", "apply_B_adjoint"):
+        assert not hasattr(turbomp.PilotCodebook, name), name
+    assert "pi" not in {f.name for f in fields(turbomp.denoiser.DenoiseBatch)}
     assert not hasattr(turbomp.BlockwiseBasis(8, 2), "e1")
     assert not hasattr(turbomp.ExperimentConfig, "turbo_options")
     assert not hasattr(turbomp.ExperimentConfig, "to_dict")

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import bg_scalar_reference
-from turbomp import ParameterError, bg_denoise_batch, denoiser
-from turbomp.logodds import sigmoid
+from turbomp import ParameterError, bg_denoise_batch, denoiser, detect
+from turbomp.activity import fuse
+from turbomp.logodds import logit, sigmoid
 
 
 def denoise_scalar(value, v, theta, lam):
@@ -63,7 +64,7 @@ class TestBatchBehaviour:
             single = bg_denoise_batch(pri[k][None], v, 0.8, np.array([lam[k]]))
             np.testing.assert_allclose(single.post_mean[0], batch.post_mean[k])
             assert single.lambda_post[0] == pytest.approx(batch.lambda_post[k])
-            assert single.pi[0] == pytest.approx(batch.pi[k])
+            assert single.evidence[0] == pytest.approx(batch.evidence[k])
 
     def test_lambda_post_monotone_in_prior(self):
         """Sweeping the prior activity up never lowers the posterior."""
@@ -76,13 +77,13 @@ class TestBatchBehaviour:
         ]
         assert np.all(np.diff(values) >= 0)
 
-    def test_pi_is_prior_free(self):
+    def test_evidence_is_prior_free(self):
         rng = np.random.default_rng(2)
         pri = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         v = np.array([0.7, 0.7])
         a = bg_denoise_batch(pri, v, 1.0, np.full(3, 0.05))
         b = bg_denoise_batch(pri, v, 1.0, np.full(3, 0.95))
-        np.testing.assert_allclose(a.pi, b.pi)
+        np.testing.assert_allclose(a.evidence, b.evidence)
 
     def test_mmse_shrinkage_bound(self):
         """post mean never exceeds the linear-shrinkage image of the input."""
@@ -124,21 +125,35 @@ class TestBatchBehaviour:
             with pytest.raises(ParameterError, match="pri_mean"):
                 denoise_scalar(value, 1.0, 1.0, lam)
 
-    @pytest.mark.parametrize("value, theta, lam, undefined", [
-        (1e150, 1.0, 0.0, False), (0.0, 1e300, 1.0, False), (1e150, 1e300, 0.0, True),
-        (1e150, 1e300, 0.5, True), (1e150, 1e300, 1.0, True)])
-    def test_infinite_log_ratio(self, value, theta, lam, undefined):
-        """At v = 1e-10 these inputs make the log-likelihood ratio -inf, +inf or inf - inf.  A
-        prior of exactly 0 or 1 gives exactly that posterior with finite moments, and an
-        undefined ratio raises, naming theta and per_antenna_var, instead of returning NaN."""
+    @pytest.mark.parametrize("value, theta, lam, evidence", [
+        (1e150, 1.0, 0.0, np.inf), (0.0, 1e300, 1.0, -np.inf), (1e150, 1e300, 0.0, None),
+        (1e150, 1e300, 0.5, None), (1e150, 1e300, 1.0, None)])
+    def test_infinite_log_ratio(self, value, theta, lam, evidence):
+        """At v = 1e-10 these inputs make the log-likelihood ratio of activity +inf, -inf or
+        inf - inf.  The evidence is reported as +inf or -inf, a prior of exactly 0 or 1 gives
+        exactly that posterior with finite moments, and an undefined ratio raises, naming theta
+        and per_antenna_var, instead of returning NaN."""
         with np.errstate(over="ignore", invalid="ignore"):
-            if undefined:
+            if evidence is None:
                 with pytest.raises(ParameterError, match="theta and per_antenna_var"):
                     denoise_scalar(value, 1e-10, theta, lam)
                 return
             den = denoise_scalar(value, 1e-10, theta, lam)
         assert den.lambda_post[0] == lam
-        assert np.all(np.isfinite(np.concatenate([den.pi, den.column_var, den.energy])))
+        assert den.evidence[0] == evidence
+        assert np.all(np.isfinite(np.concatenate([den.column_var, den.energy])))
+
+    def test_opposing_certainties_fuse_to_the_prior(self):
+        """The two infinite cases above, one denoiser certain a device is active and the other
+        certain it is not, are zero net evidence: the fused posterior is the prior."""
+        with np.errstate(over="ignore"):
+            sure_on = denoise_scalar(1e150, 1e-10, 1.0, 0.05).evidence
+            sure_off = denoise_scalar(0.0, 1e-10, 1e300, 0.05).evidence
+        assert sure_on[0] == np.inf and sure_off[0] == -np.inf
+        for lam in (0.05, 0.5, 0.9):
+            assert fuse(lam, sure_on, sure_off)[0] == lam
+            assert fuse(lam, sure_off, sure_on)[0] == lam
+        assert detect(fuse(0.05, sure_on, sure_off), 0.5)[0] == 0
 
 
 def masked_lambda_post(lam, log_ratio):
@@ -167,7 +182,7 @@ class TestPriorLogOdds:
             assert masked.lambda_post[-1] == endpoint
             assert np.array_equal(fast.lambda_post[:-1].view(np.int64),
                                   masked.lambda_post[:-1].view(np.int64))
-            assert np.array_equal(fast.pi.view(np.int64), masked.pi.view(np.int64))
+            assert np.array_equal(fast.evidence.view(np.int64), masked.evidence.view(np.int64))
         scalar = bg_denoise_batch(pri, v, 0.8, 0.05)  # a broadcast scalar prior takes it too
         full = bg_denoise_batch(pri, v, 0.8, np.full(K, 0.05))
         assert np.array_equal(scalar.lambda_post.view(np.int64), full.lambda_post.view(np.int64))
@@ -178,7 +193,7 @@ class TestPriorLogOdds:
         ones give exactly 0 and 1 at the endpoints and bitwise the masked path elsewhere."""
         calls = []
 
-        def recorded(x):  # the last call is sigmoid(-log_ratio), the prior-free pi
+        def recorded(x):  # the last call is sigmoid(log_odds + evidence), the posterior's
             calls.append(np.array(x, dtype=float))
             return sigmoid(x)
 
@@ -189,9 +204,9 @@ class TestPriorLogOdds:
         lam[:6] = [0.0, 1.0, 1e-300, 1.0 - 2**-53, 0.0, 1.0]
         lam[-1] = 0.0
         den = bg_denoise_batch(pri, np.array([0.3, 1.0, 2.5]), 0.8, lam)
-        log_ratio = -calls[-1]
-        assert np.array_equal(sigmoid(-log_ratio), den.pi)
+        log_ratio = -den.evidence
         endpoint = (lam == 0) | (lam == 1)
+        assert np.array_equal(calls[-1][~endpoint], logit(lam[~endpoint]) + den.evidence[~endpoint])
         assert np.array_equal(den.lambda_post[endpoint], lam[endpoint])
         want = masked_lambda_post(lam, log_ratio)
         assert np.array_equal(den.lambda_post.view(np.int64), want.view(np.int64))
@@ -235,7 +250,7 @@ class TestLayout:
         v, lam = np.array([0.3, 1.1, 0.05]), rng.uniform(0.0, 1.0, 300)
         a = bg_denoise_batch(pri, v, 0.8, lam)
         b = bg_denoise_batch(device_contiguous, v, 0.8, lam)
-        for name in ("lambda_post", "pi", "column_var", "energy"):
+        for name in ("lambda_post", "evidence", "column_var", "energy"):
             np.testing.assert_allclose(getattr(b, name), getattr(a, name), rtol=1e-14, atol=0)
         assert np.shares_memory(b.pri_mean, device_contiguous)
 

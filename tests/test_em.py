@@ -57,7 +57,7 @@ def residual_power(resid):
 
 def sigma_w2_of(Y, H, C, cb, **kwargs):
     """The noise update from posterior means, through the residual it takes."""
-    return refresh(np.zeros(cb.K), resid=Y - cb.apply_A(H) - cb.apply_B(C), iteration=1, cb=cb,
+    return refresh(np.zeros(cb.K), resid=Y - cb.apply_A(H) - cb.D_diag[:, None] * cb.apply_A(C), iteration=1, cb=cb,
                    **kwargs).sigma_w2
 
 
@@ -97,7 +97,7 @@ class TestSigmaW:
         rng = np.random.default_rng(0)
         H = rng.standard_normal((cb.cols, 2)) + 0j
         C = rng.standard_normal((cb.cols, 2)) + 0j
-        Y = cb.apply_A(H) + cb.apply_B(C)
+        Y = cb.apply_A(H) + cb.D_diag[:, None] * cb.apply_A(C)
         assert sigma_w2_of(Y, H, C, cb) == pytest.approx(1e-12)
 
     def test_zero_estimates_give_observation_power(self):

@@ -18,12 +18,12 @@ from turbomp import (
     ParameterError,
     PriorParams,
     TurboOptions,
-    activity_posterior,
     build_codebook,
     run_experiment,
     run_turbo_mp,
     sample_blockwise_exact,
 )
+from turbomp.activity import fuse
 from turbomp.channel import example_pdp_path
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -226,10 +226,10 @@ class TestFailureModes:
 
 
 class TestFusedActivity:
-    def test_cross_priors_and_em_posterior_are_bitwise_activity_posterior(self, monkeypatch):
-        """The engine fuses logits taken once per denoiser output: each cross prior, EM's
-        activity posterior and the frame's final posterior is bitwise the validating
-        `activity_posterior` of the same pis."""
+    def test_cross_priors_and_em_posterior_are_bitwise_fused_evidence(self, monkeypatch):
+        """The engine fuses each denoiser's evidence as reported: each cross prior, EM's
+        activity posterior and the frame's final posterior is bitwise `fuse` of the same
+        evidence, and EM is handed the very arrays."""
         Y, cb, priors, *_ = make_instance(seed=4)
         denoise, em_schedule, calls = engine.bg_denoise_batch, engine.em_schedule, []
 
@@ -238,7 +238,7 @@ class TestFusedActivity:
             return calls[-1][2]
 
         def recorded_em(priors, iteration, resid, moment, den_h, den_c, lambda_d_post, *args):
-            calls.append(("em", priors.lam, den_h.pi, den_c.pi, lambda_d_post))
+            calls.append(("em", priors.lam, den_h.evidence, den_c.evidence, lambda_d_post))
             return em_schedule(priors, iteration, resid, moment, den_h, den_c, lambda_d_post,
                                *args)
 
@@ -247,31 +247,31 @@ class TestFusedActivity:
         result = run_turbo_mp(Y, cb, priors, TurboOptions(max_iters=7, em_enabled=True,
                                                           rel_change_tol=1e-12))
         assert len(calls) == 4 * result.iterations
-        pi_c = np.full(cb.K, 0.5)
+        evidence_c = np.zeros(cb.K)
         for i in range(result.iterations):
             (_, lam_h1, den_h1), (_, lam_h2, den_h), (_, lam_c, den_c), em = calls[4 * i:4 * i + 4]
             lam = em[1]
-            want = activity_posterior(pi_c, 0.5, lam)
+            want = fuse(lam, evidence_c)
             for got, want in ((lam_h1, want), (lam_h2, want),
-                              (lam_c, activity_posterior(den_h.pi, 0.5, lam)),
-                              (em[4], activity_posterior(den_h.pi, den_c.pi, lam))):
+                              (lam_c, fuse(lam, den_h.evidence)),
+                              (em[4], fuse(lam, den_h.evidence, den_c.evidence))):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            assert em[2] is den_h.pi and em[3] is den_c.pi
-            pi_c = den_c.pi
-        want = activity_posterior(den_h.pi, den_c.pi, result.priors.lam)  # after EM's last refresh
+            assert em[2] is den_h.evidence and em[3] is den_c.evidence
+            evidence_c = den_c.evidence
+        want = fuse(result.priors.lam, den_h.evidence, den_c.evidence)  # after EM's last refresh
         assert np.array_equal(result.lambda_D_post.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("call, em, match", [
-        (2, False, "lambda_pri"),  # the last mean-branch pi feeds the slope denoiser's prior
-        (3, False, "lambda_pri"),  # the slope pi feeds the next iteration's mean denoisers
+        (2, False, "lambda_pri"),  # the last mean-branch evidence feeds the slope prior
+        (3, False, "lambda_pri"),  # the slope evidence feeds the next iteration's mean priors
         (3, True, "lambda_pri"),  # EM's noise-only refresh at iteration 1 leaves lam alone
         (9, True, "theta_H must be"),  # iteration 3 weighs theta by the fused posterior
-        (15, False, "lambda_d_post"),  # the last slope pi reaches only the final posterior
+        (15, False, "lambda_d_post"),  # the last slope evidence reaches only the final one
     ])
     def test_a_nan_activity_likelihood_still_aborts_the_frame(self, monkeypatch, call, em,
                                                               match):
-        """The fused activity validates nothing, so a NaN in a denoiser's pi reaches the next
-        denoiser's lambda_pri check, through EM's slow refresh `PriorParams` or, from the
+        """The fused activity validates nothing, so a NaN in a denoiser's evidence reaches the
+        next denoiser's lambda_pri check, through EM's slow refresh `PriorParams` or, from the
         frame's last denoiser, `detect`'s check of the final posterior; each raises before a
         result is returned."""
         Y, cb, priors, *_ = make_instance(seed=4)
@@ -281,9 +281,9 @@ class TestFusedActivity:
             den = denoise(*args)
             calls.append(den)
             if len(calls) == call:
-                pi = den.pi.copy()
-                pi[5] = np.nan
-                den = dataclasses.replace(den, pi=pi)
+                evidence = den.evidence.copy()
+                evidence[5] = np.nan
+                den = dataclasses.replace(den, evidence=evidence)
             return den
 
         monkeypatch.setattr(engine, "bg_denoise_batch", poisoned)
@@ -418,15 +418,9 @@ class _DevicePermutedCodebook:
     def apply_A(self, x, scratch=None):
         return self._cb.apply_A(self._scatter(x), scratch)
 
-    def apply_B(self, x):
-        return self._cb.apply_B(self._scatter(x))
-
     def apply_A_adjoint(self, y, out=None):
         x = self._gather(self._cb.apply_A_adjoint(y))
         if out is None:
             return x
         out[...] = x
         return out
-
-    def apply_B_adjoint(self, y):
-        return self._gather(self._cb.apply_B_adjoint(y))

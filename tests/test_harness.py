@@ -169,7 +169,7 @@ class TestObservationEquivalence:
             real = sample_channel(prof, alpha, M=2, N=72, delta_f=15e3, seed=q + 20)
             truth = project_blockwise(real, basis)
             via_model = cb.mix_subcarriers(real.G_active, real.active)
-            via_parts = (cb.apply_A(truth.H) + cb.apply_B(truth.C)
+            via_parts = (cb.apply_A(truth.H) + cb.D_diag[:, None] * cb.apply_A(truth.C)
                          + cb.mix_subcarriers(truth.Delta, real.active))
             scale = np.linalg.norm(via_model)
             assert np.linalg.norm(via_model - via_parts) / scale < 1e-10

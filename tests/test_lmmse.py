@@ -26,9 +26,10 @@ def posterior(y, h_pri, c_pri, v_h, v_c, sigma_w2, cb, slopes=False):
     linear_extrinsic and the mean as the precision combination of the extrinsic
     message with the prior message, whose variance is floored at V_FLOOR."""
     sigma = observation_variance(v_h, v_c, sigma_w2, cb)
-    resid = y - cb.apply_A(h_pri) - cb.apply_B(c_pri)
+    fwd_c = cb.D_diag.reshape((-1,) + (1,) * (np.ndim(y) - 1)) * cb.apply_A(c_pri)  # B = D A
+    resid = y - cb.apply_A(h_pri) - fwd_c
     if slopes:
-        x, v, weight, fwd = c_pri, v_c, cb.D_diag, cb.apply_B(c_pri)
+        x, v, weight, fwd = c_pri, v_c, cb.D_diag, fwd_c
     else:
         x, v, weight, fwd = h_pri, v_h, 1.0, cb.apply_A(h_pri)
     x_ext, v_ext, v_post, _ = linear_extrinsic(x, v, fwd, resid, sigma, weight, cb)
@@ -85,7 +86,7 @@ class TestPosteriors:
 
     def test_zero_residual_returns_prior_mean(self):
         h, c = self._means()
-        y = self.cb.apply_A(h) + self.cb.apply_B(c)
+        y = self.cb.apply_A(h) + self.cb.D_diag * self.cb.apply_A(c)
         mean_h, _ = posterior(y, h, c, 0.4, 0.2, 0.01, self.cb)
         np.testing.assert_allclose(mean_h, h, atol=1e-12)
         mean_c, _ = posterior(y, h, c, 0.4, 0.2, 0.01, self.cb, slopes=True)
@@ -150,7 +151,8 @@ class TestLinearExtrinsic:
         self.c, self.v_c = rand_complex(rng, self.cb.cols, M), np.array([0.1, 0.05, 0.3])
         self.Y = rand_complex(rng, self.cb.rows, M)
         self.sigma = observation_variance(self.v_h, self.v_c, 0.07, self.cb)
-        self.resid = self.Y - self.cb.apply_A(self.h) - self.cb.apply_B(self.c)
+        self.resid = (self.Y - self.cb.apply_A(self.h)
+                      - self.cb.D_diag[:, None] * self.cb.apply_A(self.c))
 
     def _check(self, v_max):
         """Both branches against the reference with the message clamp lmmse.V_MAX = v_max."""
@@ -208,7 +210,7 @@ class TestLinearExtrinsic:
                         for w, diag, ws in zip(weights, diags, slots))
         for a, b in zip(scalar[:4], rows[:4]):
             same(a, b)
-        for name in ("lambda_post", "pi", "gain", "phi", "column_var", "energy"):
+        for name in ("lambda_post", "evidence", "gain", "phi", "column_var", "energy"):
             same(getattr(scalar[4], name), getattr(rows[4], name))
         assert diags[0].clamp_events == diags[1].clamp_events
 

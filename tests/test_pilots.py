@@ -118,8 +118,8 @@ class TestOperatorAlgebra:
         for fast, ref in [
             (cb.apply_A(x), A @ x),
             (cb.apply_A_adjoint(y), A.conj().T @ y),
-            (cb.apply_B(x), B @ x),
-            (cb.apply_B_adjoint(y), B.conj().T @ y),
+            (cb.D_diag * cb.apply_A(x), B @ x),
+            (cb.apply_A_adjoint(cb.D_diag * y), B.conj().T @ y),
         ]:
             assert np.linalg.norm(fast - ref) / np.linalg.norm(ref) < 1e-12
 
@@ -131,12 +131,14 @@ class TestOperatorAlgebra:
         assert np.linalg.norm(cb.apply_A(X) - A @ X) / np.linalg.norm(A @ X) < 1e-12
 
     def test_adjoint_matrix_input_equals_dense(self):
-        """A matrix y gives (K, Q, M) blocks equal to the dense adjoints' (Q*K, M) products."""
+        """A matrix y gives (K, Q, M) blocks equal to the dense adjoints' (Q*K, M) products,
+        B^H y as A^H (D y) with the engine's row weight D_diag[:, None]."""
         cb = build_codebook(K=64, N=8, T=2, Q=2, seed=6)
         A, B = dense_A(cb), dense_B(cb)
         Y = rand_complex(np.random.default_rng(4), cb.rows, 3)
-        for fast, dense in [(cb.apply_A_adjoint, A), (cb.apply_B_adjoint, B)]:
-            got, ref = fast(Y), dense.conj().T @ Y
+        for got, dense in [(cb.apply_A_adjoint(Y), A),
+                           (cb.apply_A_adjoint(cb.D_diag[:, None] * Y), B)]:
+            ref = dense.conj().T @ Y
             assert got.shape == (cb.K, cb.Q, 3)
             assert np.linalg.norm(got.reshape(ref.shape) - ref) / np.linalg.norm(ref) < 1e-12
 
@@ -158,10 +160,14 @@ class TestOperatorAlgebra:
         assert np.all(cb.apply_A(np.zeros(cb.cols)) == 0)
 
     def test_b_is_diagonal_times_a(self):
+        """The row weight times A's product is the dense B = D A, on vectors and matrices."""
         cb = build_codebook(K=32, N=8, T=2, Q=2, seed=8)
         rng = np.random.default_rng(2)
-        x = rand_complex(rng, cb.cols)
-        np.testing.assert_allclose(cb.apply_B(x), cb.D_diag * cb.apply_A(x), rtol=1e-14)
+        x, X = rand_complex(rng, cb.cols), rand_complex(rng, cb.cols, 3)
+        B = dense_B(cb)
+        for fast, ref in [(cb.D_diag * cb.apply_A(x), B @ x),
+                          (cb.D_diag[:, None] * cb.apply_A(X), B @ X)]:
+            assert np.linalg.norm(fast - ref) / np.linalg.norm(ref) < 1e-12
 
     def test_adjoint_inner_product_identity(self):
         """<y, A x> = <A^H y, x> on vectors and, at K=16000, on (n, M) matrices."""
@@ -174,8 +180,9 @@ class TestOperatorAlgebra:
                 lhs = np.vdot(y, cb.apply_A(x))
                 rhs = np.vdot(cb.apply_A_adjoint(y), x)
                 assert abs(lhs - rhs) / abs(lhs) < 1e-12
-                lhs_b = np.vdot(y, cb.apply_B(x))
-                rhs_b = np.vdot(cb.apply_B_adjoint(y), x)
+                d = cb.D_diag.reshape((-1,) + (1,) * len(shape))  # B = D A
+                lhs_b = np.vdot(y, d * cb.apply_A(x))
+                rhs_b = np.vdot(cb.apply_A_adjoint(d * y), x)
                 assert abs(lhs_b - rhs_b) / abs(lhs_b) < 1e-12
 
     def test_partial_orthogonality_on_probes_at_scale(self):
@@ -242,12 +249,9 @@ class TestDirectIndex:
         assert np.array_equal(cb.apply_A(X), along_axis_A(cb, X))
         assert np.array_equal(cb.apply_A(blocks), along_axis_A(cb, X))
         assert np.array_equal(cb.apply_A(X[:, 0]), along_axis_A(cb, X[:, :1])[:, 0])
-        assert np.array_equal(cb.apply_B(X), cb.D_diag[:, None] * along_axis_A(cb, X))
         assert np.array_equal(cb.apply_A_adjoint(Y), along_axis_A_adjoint(cb, Y))
         assert np.array_equal(cb.apply_A_adjoint(Y[:, 0]),
                               along_axis_A_adjoint(cb, Y[:, :1]).reshape(cb.cols))
-        assert np.array_equal(cb.apply_B_adjoint(Y),
-                              along_axis_A_adjoint(cb, cb.D_diag[:, None] * Y))
         if K <= 64:
             A = dense_A(cb)
             np.testing.assert_allclose(cb.apply_A(X), A @ X, rtol=0, atol=1e-12)
@@ -272,7 +276,7 @@ class TestPermutationAndMixing:
         H = rand_complex(rng, cb.cols, 3)
         C = rand_complex(rng, cb.cols, 3)
         X = basis.expand(H, C)  # (K, N, M)
-        direct = cb.apply_A(H) + cb.apply_B(C)
+        direct = cb.apply_A(H) + cb.D_diag[:, None] * cb.apply_A(C)
         mixed = cb.mix_subcarriers(X, np.arange(cb.K))
         assert np.linalg.norm(mixed - direct) / np.linalg.norm(direct) < 1e-12
 

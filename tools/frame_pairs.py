@@ -16,11 +16,13 @@ saved.  A run then times `run_turbo_mp` alone on every saved frame in a fresh in
 1 BLAS thread, after one untimed warm-up frame, and reports milliseconds per iteration: the
 summed frame time over the summed iterations.  A pair runs both trees, alternating which runs
 first.  One JSON line gives each side's median and quartiles over the pairs, the median of the
-per-pair ratios change / parent, the pairs the change won, and whether both trees returned
+per-pair ratios change / parent, the pairs the change won, whether both trees returned
 bitwise-equal results (H, C, lambda_D_post, decisions, priors, iterations, stop flag, and the
-diagnostics: every field of every per-iteration row and the clamp count).  It also gives each
-side's median and quartiles of the minor page faults per iteration (the `ru_minflt` deltas of
-`getrusage(RUSAGE_SELF)` around the timed calls) and of the run's peak RSS (`ru_maxrss`).
+diagnostics: every field of every per-iteration row and the clamp count), and whether they
+returned equal decisions (each frame's activity decisions, iterations and stop flag), which
+can hold where the outputs differ in rounding.  It also gives each side's median and quartiles
+of the minor page faults per iteration (the `ru_minflt` deltas of `getrusage(RUSAGE_SELF)`
+around the timed calls) and of the run's peak RSS (`ru_maxrss`).
 """
 
 from __future__ import annotations
@@ -95,7 +97,8 @@ def time_frames(path: str) -> dict:
         priors = PriorParams(**dict(zip(PRIORS, doc[f"priors{i}"].tolist())))
         frames.append((doc[f"Y{i}"], cb, priors))
     run_turbo_mp(*frames[0], opts)  # warm-up: FFT plans and first-call costs
-    digest, seconds, faults, iterations = hashlib.sha256(), 0.0, 0, 0
+    digest, decisions = hashlib.sha256(), hashlib.sha256()
+    seconds, faults, iterations = 0.0, 0, 0
     for Y, cb, priors in frames:
         faults -= resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = perf_counter()
@@ -110,11 +113,13 @@ def time_frames(path: str) -> dict:
                        for row in rows]):
             digest.update(np.ascontiguousarray(array).tobytes())
         digest.update(f"{list(rows[0])} {result.diagnostics.clamp_events}".encode())
-        digest.update(f"{result.iterations} {result.converged}".encode())
+        for d in (digest, decisions):
+            d.update(f"{result.iterations} {result.converged}".encode())
+        decisions.update(np.ascontiguousarray(result.activity).tobytes())
     return {"ms_per_iter": 1000.0 * seconds / iterations, "iterations": iterations,
             "faults_per_iter": faults / iterations,
             "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "digest": digest.hexdigest()}
+            "digest": digest.hexdigest(), "decisions": decisions.hexdigest()}
 
 
 def worker(src: str, *args: str) -> dict:
@@ -153,7 +158,8 @@ def main(argv=None) -> int:
                 runs[side].append(worker(sides[side], "time", inputs))
     ms = {side: [run["ms_per_iter"] for run in runs[side]] for side in sides}
     ratios = [c / p for c, p in zip(ms["change"], ms["parent"])]
-    digests = {run["digest"] for side in sides for run in runs[side]}
+    digests, decided = ({run[key] for side in sides for run in runs[side]}
+                        for key in ("digest", "decisions"))
     memory = {f"{side}_{key}": summary([run[key] for run in runs[side]])
               for side in sides for key in ("faults_per_iter", "maxrss_mb")}
     print(json.dumps({
@@ -161,7 +167,8 @@ def main(argv=None) -> int:
         "pairs": args.pairs, "iterations": runs["parent"][0]["iterations"],
         "parent_ms_per_iter": summary(ms["parent"]), "change_ms_per_iter": summary(ms["change"]),
         "ratio": statistics.median(ratios), "change_wins": sum(r < 1 for r in ratios),
-        "bitwise_equal": len(digests) == 1, **memory, "runs": ms}), flush=True)
+        "bitwise_equal": len(digests) == 1, "decisions_equal": len(decided) == 1, **memory,
+        "runs": ms}), flush=True)
     return 0
 
 
