@@ -37,9 +37,16 @@ class DenoiseBatch:
 
     @property
     def post_mean(self) -> np.ndarray:
-        """lambda_post * gain * pri_mean, a C-ordered (K, Q, M) array built in two passes."""
-        out = np.multiply(self.pri_mean, self.gain, order="C")
-        out *= self.lambda_post[:, None, None]
+        """lambda_post * gain * pri_mean, a C-ordered (K, Q, M) array built in two passes, split
+        over devices as `parallel.halves` splits a block pass."""
+        out = np.empty(self.pri_mean.shape, dtype=complex)
+        lam = self.lambda_post[:, None, None]
+
+        def devices(k):
+            np.multiply(self.pri_mean[k], self.gain, out=out[k])
+            np.multiply(out[k], lam[k], out=out[k])
+
+        halves(devices, len(out), out.size)
         return out
 
     @property
@@ -83,7 +90,8 @@ def bg_denoise_batch(
 
     gain = theta / (theta + v)  # (M,)
     phi = gain * v  # (M,)
-    s = np.zeros((3, M, K))  # s.T (einsum's layout: C order moves `@ s` by 1 ulp), 2 scratch rows
+    s = np.empty((3, M, K))  # s.T (einsum's layout: C order moves `@ s` by 1 ulp), 2 scratch rows
+    s[0] = 0  # the accumulator; np.square writes the scratch rows before they are read
 
     def energies(m):  # s_km summed over q in order
         for rows in pri.transpose(1, 2, 0)[:, m]:

@@ -10,9 +10,12 @@ means (A) or D for the slopes (B = D A).  `run_turbo_mp` keeps messages, their f
 per-antenna and per-device statistics and the priors in locals, hands each branch its residual,
 observation variance Sigma and activity cross prior, and builds no (K, Q, M) posterior tensor:
 
+* each message is carried as its device-axis DFT, the spectrum `PilotCodebook.apply_A` leaves
+  in place of the message it transforms, and the codebook alone reads it;
 * the linear extrinsic is the closed form x_ext = x_pri + c A^H z with z = w r / Sigma and one
-  scalar c per antenna (see `lmmse`, which alone bounds the message variances); since
-  A A^H = K P I its forward product is w A x_ext = w A x_pri + c K P w z;
+  scalar c per antenna (see `lmmse`, which alone bounds the message variances), one inverse DFT
+  of x_pri's spectrum with c K sqrt(P) z added to its pilot rows; since A A^H = K P I its
+  forward product is w A x_ext = w A x_pri + c K P w z;
 * the denoiser's posterior mean is lambda_post * theta / (theta + v) times its input, so its
   extrinsic x_und is a per-(device, antenna) scale of the input, and the only forward operator
   call of a branch is w A x_und;
@@ -21,7 +24,7 @@ observation variance Sigma and activity cross prior, and builds no (K, Q, M) pos
   uninformative) with x_und = alpha post_mean - beta x_ext, so
   w A post_mean = (w A x_und + beta w A x_ext) / alpha (beta is not formed as alpha - 1, whose
   rounding near alpha = 1 the far larger w A x_ext amplifies);
-* each branch returns its outgoing message with that message's forward product, so
+* each branch returns its outgoing message's spectrum with that message's forward product, so
   fwd_h = A h_pri and fwd_c = B c_pri hold at every branch entry and the residual
   Y - fwd_h - fwd_c needs no operator call; nor does EM's residual Y - A H_post - B C_post.
 
@@ -31,20 +34,20 @@ truth-traced NMSE.  Activity is fused in log-odds (`activity.fuse`) from the den
 prior-free evidence as reported, +-inf included, into each cross prior, EM's activity posterior
 and the frame's final posterior; `detect` rejects a NaN that reaches it.
 
-A frame writes its (K, Q, M) blocks into one workspace, a (7, Q, M, K) array allocated by
-`run_turbo_mp` and freed when it returns; each slot is a device-contiguous view.  Per branch,
-two slots hold the current message and its iteration-start copy, which swap roles every
-iteration: the first mean pass and the slope pass write over the copy, the second mean pass
-over its own input (read by `linear_extrinsic` before), and `_step_norms` turns each copy into
-the step.  Only the two starting messages are zeroed.  Two slots hold each branch's x_ext,
-which its denoiser keeps as `pri_mean` until the branch runs again: a `DenoiseBatch` of the
-first mean pass reads the slot that the second overwrites, so only each branch's last one is
-read.  The seventh is `PilotCodebook.apply_A`'s DFT scratch.  H and C are built into fresh
+A frame writes its (K, Q, M) blocks into one workspace, a (5, Q, M, K) array allocated by
+`run_turbo_mp` and freed when it returns; each slot is a device-contiguous view.  Two slots hold
+the iteration-start spectra of h and c, zeroed (the zero message's) only at the start, and a
+spare slot takes each pass's outgoing message, whose DFT runs in place; the second mean pass
+writes over its own input, which the adjoint has read.  `_step_norms` then turns each start slot
+into its step, on the spectra (by Parseval `rel_change` is the messages'), and the freed slot is
+the next spare.  Two slots hold each branch's x_ext, which its denoiser keeps as `pri_mean`
+until the branch runs again: a `DenoiseBatch` of the first mean pass reads the slot that the
+second overwrites, so only each branch's last one is read.  H and C are built into fresh
 arrays, so no result aliases the workspace.
 
 At large K each block pass runs as two halves on two threads (`parallel.halves`): x_und and the
-per-antenna sums of the step norms split on the antenna axis (as `lmmse` and `denoiser` do, and
-`pilots` on the sub-block axis).  Each element and each partial sum is computed alike in either
+per-antenna sums of the step norms split on the antenna axis (as `denoiser` does, and `pilots`
+on the sub-block axis).  Each element and each partial sum is computed alike in either
 half, so outputs are bitwise independent of the split; pool workers never split.
 """
 
@@ -63,6 +66,11 @@ from .errors import DimensionError, NumericsError, ParameterError
 from .lmmse import extrinsic, linear_extrinsic, observation_variance
 from .parallel import halves
 from .pilots import PilotCodebook
+
+
+def _number(value, kind=numbers.Real) -> bool:
+    """value is a `kind` number and not a bool, which numbers counts as the integers 0 and 1."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -86,13 +94,12 @@ class TurboOptions:
         for name in ("em_enabled", "em_sigma_correction"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ParameterError(f"{name} must be True or False, got {getattr(self, name)!r}")
-        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
-                or self.max_iters < 1):
+        if not (_number(self.max_iters, numbers.Integral) and self.max_iters >= 1):
             raise ParameterError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not (isinstance(self.rel_change_tol, numbers.Real) and 0 < self.rel_change_tol < np.inf):
+        if not (_number(self.rel_change_tol) and 0 < self.rel_change_tol < np.inf):
             raise ParameterError(
                 f"rel_change_tol must be positive and finite, got {self.rel_change_tol!r}")
-        if not (isinstance(self.threshold, numbers.Real) and 0.0 < self.threshold < 1.0):
+        if not (_number(self.threshold) and 0.0 < self.threshold < 1.0):
             raise ParameterError(f"threshold must be in (0, 1), got {self.threshold!r}")
 
 
@@ -132,7 +139,7 @@ def _residual(Y, fwd_h, fwd_c, diag):
 
 
 def _step_norms(new, old):
-    """||new - old|| and ||old|| of device-contiguous (K, Q, M) blocks, from per-antenna sums of
+    """||new - old|| and ||old|| of device-contiguous (K, Q, M) spectra, from per-antenna sums of
     squares added in a fixed order; old is overwritten with new - old, so nothing allocates."""
     sums, new_m, old_m = np.empty((2, new.shape[2])), new.transpose(2, 1, 0), old.transpose(2, 1, 0)
 
@@ -146,30 +153,30 @@ def _step_norms(new, old):
     return np.sqrt(sums.sum(axis=1))
 
 
-def _branch(resid, sigma, x_pri, v_pri, fwd_pri, weight, theta, lambda_pri, cb, diag,
-            ext, x_und, scratch):
+def _branch(resid, sigma, spectrum, v_pri, fwd_pri, weight, theta, lambda_pri, cb, diag, ext,
+            out):
     """Linear module then denoiser, for the means (weight 1.0) or slopes (weight D).
 
-    resid is Y - A h_pri - B c_pri, sigma the observation variance Sigma, fwd_pri is
-    weight * A @ x_pri and lambda_pri the denoiser's cross prior on activity.  ext, x_und
-    and scratch are workspace slots: the linear extrinsic message, which the denoiser keeps
-    as its input, the outgoing message, which may be x_pri itself, and the forward DFTs.
-    Returns the outgoing message (mean, variance, forward product), the forward product
-    weight * A @ post_mean of the denoiser's posterior mean and the denoiser's output.
+    resid is Y - A h_pri - B c_pri, sigma the observation variance Sigma, spectrum x_pri's
+    spectrum, fwd_pri is weight * A @ x_pri and lambda_pri the denoiser's cross prior on
+    activity.  ext and out are workspace slots: the linear extrinsic message, which the
+    denoiser keeps as its input, and the outgoing message's spectrum, which may be spectrum
+    itself.  Returns the outgoing message (spectrum, variance, forward product), the forward
+    product weight * A @ post_mean of the denoiser's posterior mean and the denoiser's output.
     """
-    ext, v_ext, _, fwd_ext = linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight, cb,
+    ext, v_ext, _, fwd_ext = linear_extrinsic(spectrum, v_pri, fwd_pri, resid, sigma, weight, cb,
                                               out=ext)
     den = bg_denoise_batch(ext, v_ext, theta, lambda_pri)
     # the denoiser's extrinsic message x_und = alpha post_mean - beta ext
     v_out, alpha, beta = extrinsic(den.column_var, v_ext)
     diag.clamp_events += int(np.count_nonzero(np.concatenate((v_ext, v_out)) == lmmse.V_MAX))
     scale = (np.outer(alpha * den.gain, den.lambda_post) - beta[:, None]).T  # (K, M), like ext
-    halves(lambda m: np.multiply(ext[..., m], scale[:, None, m], out=x_und[..., m]),
+    halves(lambda m: np.multiply(ext[..., m], scale[:, None, m], out=out[..., m]),
            ext.shape[2], ext.size)
-    fwd_und = cb.apply_A(x_und, scratch)
+    fwd_und = cb.apply_A(out, out)  # leaves x_und's spectrum in out
     fwd_und *= weight
     fwd_post = (fwd_und + beta * fwd_ext) / alpha
-    return x_und, v_out, fwd_und, fwd_post, den
+    return out, v_out, fwd_und, fwd_post, den
 
 
 def run_turbo_mp(
@@ -190,12 +197,12 @@ def run_turbo_mp(
     if Y.ndim != 2 or Y.shape[0] != codebook.rows or Y.shape[1] < 1:
         raise DimensionError(f"Y must be ({codebook.rows}, M) with M >= 1, got {Y.shape}")
     M, diag, converged = Y.shape[1], TurboDiagnostics(), False
-    # one array, not seven: past glibc's mmap threshold (57 MB at K=16000, M=8) it is a mapping
+    # one array, not five: past glibc's mmap threshold (41 MB at K=16000, M=8) it is a mapping
     # of its own, returned when the frame ends, where separate blocks stayed in the malloc arena
-    workspace = np.empty((7, codebook.Q, M, codebook.K), dtype=np.complex128)
-    h_pri, h_spare, c_pri, c_spare, h_ext, c_ext, scratch = workspace.transpose(0, 3, 1, 2)
-    # uninformed start: zero means with zero forward products, prior-matched variances, and
-    # neutral slope evidence, so the first cross prior is lam
+    workspace = np.empty((5, codebook.Q, M, codebook.K), dtype=np.complex128)
+    h_pri, c_pri, spare, h_ext, c_ext = workspace.transpose(0, 3, 1, 2)
+    # uninformed start: zero means (whose spectra are zero) with zero forward products,
+    # prior-matched variances, and neutral slope evidence, so the first cross prior is lam
     h_pri[...] = c_pri[...] = 0
     fwd_h = fwd_c = np.zeros_like(Y)
     v_h = np.full(M, priors.lam * priors.theta_H)
@@ -203,25 +210,25 @@ def run_turbo_mp(
     evidence_c = np.zeros(codebook.K)
 
     for iteration in range(1, opts.max_iters + 1):
-        h_prev, c_prev = h_pri, c_pri
         lambda_h = fuse(priors.lam, evidence_c)
-        for _ in range(2):
+        h_new = h_pri
+        for _ in range(2):  # the first pass writes into the spare slot, the second over its input
             resid = _residual(Y, fwd_h, fwd_c, diag)
             sigma = observation_variance(v_h, v_c, priors.sigma_w2, codebook)
-            h_pri, v_h, fwd_h, post_fwd_h, den_h = _branch(
-                resid, sigma, h_pri, v_h, fwd_h, 1.0, priors.theta_H, lambda_h, codebook, diag,
-                h_ext, h_spare, scratch)
+            h_new, v_h, fwd_h, post_fwd_h, den_h = _branch(
+                resid, sigma, h_new, v_h, fwd_h, 1.0, priors.theta_H, lambda_h, codebook, diag,
+                h_ext, spare)
+        # a NaN or inf makes a message's step or a variance's sum non-finite; checked before EM
+        (step_h, norm_h), spare, h_pri = _step_norms(h_new, h_pri), h_pri, h_new
         evidence_h = den_h.evidence
         lambda_c = fuse(priors.lam, evidence_h)
         resid = _residual(Y, fwd_h, fwd_c, diag)
         sigma = observation_variance(v_h, v_c, priors.sigma_w2, codebook)
-        c_pri, v_c, fwd_c, post_fwd_c, den_c = _branch(
+        c_new, v_c, fwd_c, post_fwd_c, den_c = _branch(
             resid, sigma, c_pri, v_c, fwd_c, codebook.D_diag[:, None], priors.theta_C, lambda_c,
-            codebook, diag, c_ext, c_spare, scratch)
+            codebook, diag, c_ext, spare)
+        (step_c, norm_c), spare, c_pri = _step_norms(c_new, c_pri), c_pri, c_new
         evidence_c = den_c.evidence
-        # a NaN or inf makes a message's step or a variance's sum non-finite; checked before EM
-        (step_h, norm_h), (step_c, norm_c) = _step_norms(h_pri, h_prev), _step_norms(c_pri, c_prev)
-        h_spare, c_spare = h_prev, c_prev  # the steps' slots take the next iteration's messages
         for branch, value in (("mean branch (h_pri, v_h)", step_h + v_h.sum()),
                               ("slope branch (c_pri, v_c)", step_c + v_c.sum())):
             if not np.isfinite(value):

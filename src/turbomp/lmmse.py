@@ -14,19 +14,22 @@ closed form (the Turbo-CS identity of Ma, Yuan and Ping, IEEE SPL 2015):
 
     x_ext = x + u / g,   v_ext = 1 / g - v,
 
-one scalar per antenna.  `linear_extrinsic` is that closed form; `extrinsic`
+one scalar per antenna.  `linear_extrinsic` is that closed form, with the
+prior mean x given as its spectrum: since 1 / g is one scalar per antenna,
+u / g = A^H (z / g) with z = w r / Sigma, and the pilot adjoint forms
+x + A^H (z / g) from x's spectrum in one inverse DFT (see `pilots`).  `extrinsic`
 divides any other posterior (the denoisers') by its prior message.  Both apply
 the message-variance bounds, which no other module applies.  Means may be a
 single column (one antenna), a (n, M) matrix or (K, Q, M) blocks with one
 variance per antenna; all functions broadcast over the antenna axis, and
-`linear_extrinsic` returns x_ext in x_pri's shape.
+`linear_extrinsic` returns x_ext as the adjoint does: (Q*K,) for a residual
+vector, else (K, Q, M) blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .parallel import halves
 from .pilots import PilotCodebook
 
 V_FLOOR = 1e-12
@@ -40,18 +43,19 @@ def observation_variance(v_h, v_c, sigma_w2: float, codebook: PilotCodebook) -> 
     return kp * v_h + kp * np.multiply.outer(d2, v_c) + sigma_w2
 
 
-def linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight, codebook, out=None):
+def linear_extrinsic(spectrum, v_pri, fwd_pri, resid, sigma, weight, codebook, out=None):
     """Extrinsic message (x_ext, v_ext) of one linear branch, its posterior
     variance, and the forward product w A x_ext given fwd_pri = w A x_pri.
 
-    weight is a scalar or one entry per row.  Where 1/g - v reaches V_MAX the
-    posterior adds nothing to the prior: as in `extrinsic`, the variance is
-    clamped to V_MAX and the posterior mean x + v u passes through.  v_pri
-    and both returned variances are floored at V_FLOOR.  x_ext = x_pri + c u
-    with one c per antenna, and A A^H = K P I gives w A x_ext = fwd_pri +
-    c K P w z without an operator call.  x_ext is written into out, a block
-    as `PilotCodebook.apply_A_adjoint` takes it, when given; x_pri may not
-    share out's memory.
+    spectrum is x_pri's spectrum as `PilotCodebook.apply_A` leaves it, None
+    for x_pri = 0.  weight is a scalar or one entry per row.  Where 1/g - v
+    reaches V_MAX the posterior adds nothing to the prior: as in `extrinsic`,
+    the variance is clamped to V_MAX and the posterior mean x + v u passes
+    through.  v_pri and both returned variances are floored at V_FLOOR.
+    x_ext = x_pri + A^H (c z) with one c per antenna, formed by the adjoint
+    from spectrum, which it leaves unchanged, into out when given (a block as
+    the adjoint takes it, not sharing spectrum's memory); A A^H = K P I gives
+    w A x_ext = fwd_pri + c K P w z without an operator call.
     """
     w = np.reshape(weight, (-1,) + (1,) * (sigma.ndim - 1))
     z = np.divide(resid, sigma)
@@ -62,10 +66,7 @@ def linear_extrinsic(x_pri, v_pri, fwd_pri, resid, sigma, weight, codebook, out=
     informative = v_ext < V_MAX
     coef = np.where(informative, 1.0 / g, v)  # one per antenna
     v_ext = np.maximum(np.where(informative, v_ext, V_MAX), V_FLOOR)
-    x_ext = codebook.apply_A_adjoint(z, out=out).reshape(np.shape(x_pri))  # updated in place
-    c = np.broadcast_to(coef, x_ext.shape[-1:])  # x_ext = c x_ext + x_pri, per antenna
-    halves(lambda m: np.add(np.multiply(x_ext[..., m], c[m], out=x_ext[..., m]), x_pri[..., m],
-                            out=x_ext[..., m]), c.size, x_ext.size)
+    x_ext = codebook.apply_A_adjoint(z * coef, out=out, spectrum=spectrum)
     z *= w  # z's buffer becomes fwd_ext = fwd_pri + c K P w z
     z *= codebook.K * codebook.power * coef
     z += fwd_pri

@@ -9,17 +9,20 @@ linear estimator relies on.  B shares the factorization through the real diagona
 which is applied as the row weight D_diag times A's product (and A^H of D_diag times y).
 
 Coefficients enter as (Q*K,) vectors, device-major (Q*K, M) matrices or (K, Q, M) blocks; the
-adjoints return a matrix as (K, Q, M) blocks with the strides of a C-ordered (Q, M, K) array
+adjoint returns a matrix as (K, Q, M) blocks with the strides of a C-ordered (Q, M, K) array
 ("device-contiguous").  Every DFT runs along the device axis, which such blocks hold
 contiguously, so pocketfft reads it without a copy: bitwise the values of a C-ordered input in
 about half the time at K=16000.  Each operator's (Q, M, K) block can come from the caller, as
-numpy's out= does: `apply_A_adjoint(y, out)` writes A^H y into out and returns a view of it,
-and `apply_A(x, scratch)` runs its forward DFTs in scratch.  Either block must be what the
-adjoint returns, a device-contiguous (K, Q, M) view of a C-ordered (Q, M, K) complex128 array;
-the default None allocates a fresh one.  At large K both operators split their Q sub-blocks
-into two halves on two threads (`parallel.halves`): the forward DFTs, and the adjoint's
-zeroing, scatter and inverse DFTs.  Each sub-block is transformed alike in either half, so
-outputs are bitwise independent of the split; pool workers never split.
+numpy's out= does: `apply_A(x, scratch)` runs its forward DFTs in scratch, and with scratch = x
+in place, which leaves x's spectrum F x in x; `apply_A_adjoint(y, out, spectrum)` writes
+x + A^H y into out from that spectrum, as one inverse DFT of F x + K sqrt(P) S y with S the
+row scatter (A^H = sqrt(P) F^H S, and F^H = K F^-1), and leaves spectrum as it found it.
+Every such block must be a device-contiguous (K, Q, M) view of a C-ordered (Q, M, K) complex128
+array; the default None allocates a fresh one, and spectrum=None is the zero message.  At large
+K both operators split their Q sub-blocks into two halves on two threads (`parallel.halves`):
+the forward DFTs, and the adjoint's row updates and inverse DFTs.  Each sub-block is
+transformed alike in either half, so outputs are bitwise independent of the split; pool workers
+never split.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ class PilotCodebook:
     def apply_A(self, x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
         """A @ x for x of shape (Q*K,), (Q*K, M) or (K, Q, M); returns (T*N,) or (T*N, M).
         The DFT runs along the device axis, which device-contiguous blocks hold contiguously,
-        into scratch when given (see the module docstring)."""
+        into scratch when given, which may be x itself (see the module docstring)."""
         x = np.asarray(x)
         if (x.shape[:2] != (self.K, self.Q)) if x.ndim == 3 else (x.shape[0] != self.cols):
             raise DimensionError(f"x must be ({self.cols},), ({self.cols}, M) or "
@@ -117,27 +120,32 @@ class PilotCodebook:
         y = self.scale * y.reshape(self.rows, -1)
         return y[:, 0] if x.ndim == 1 else y
 
-    def apply_A_adjoint(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """A^H @ y for y of shape (T*N,) or (T*N, M); returns (Q*K,) or (K, Q, M) blocks.
+    def apply_A_adjoint(self, y: np.ndarray, out: np.ndarray | None = None,
+                        spectrum: np.ndarray | None = None) -> np.ndarray:
+        """x + A^H @ y for y of shape (T*N,) or (T*N, M), where spectrum is the block that
+        `apply_A(x, x)` left (None for x = 0); returns (Q*K,) or (K, Q, M) blocks.
 
-        The rows are scattered into a zeroed (Q, M, K) array and the inverse DFT runs in
-        place along its contiguous last axis (a separate output array nearly doubled the
-        time at K=16000), out's when given (see the module docstring); a matrix y gets the
-        device-contiguous (K, Q, M) transpose view.
+        K sqrt(P) y is added to spectrum's selected rows, the inverse DFT runs from spectrum
+        into out's block when given (see the module docstring), and the saved rows are written
+        back, so spectrum is left byte-equal; out may not share its memory.  A matrix y gets
+        the device-contiguous (K, Q, M) transpose view.
         """
         y = np.asarray(y)
         if y.shape[0] != self.rows:
             raise DimensionError(f"y has leading dim {y.shape[0]}, expected {self.rows}")
         blocks = y.reshape(self.Q, self.rows_per_block, -1)  # (Q, rpb, M), in row order
-        w = (np.empty((self.Q, blocks.shape[2], self.K), dtype=np.complex128) if out is None
-             else out.transpose(1, 2, 0))
+        shape = (self.Q, blocks.shape[2], self.K)
+        w = np.empty(shape, dtype=complex) if out is None else out.transpose(1, 2, 0)
+        s = np.zeros(shape, dtype=complex) if spectrum is None else spectrum.transpose(1, 2, 0)
 
-        def scatter_ifft(q):
-            w[q] = 0
-            w[np.arange(self.Q)[q, None], :, self.selections[q]] = self.scale * blocks[q]
-            np.fft.ifft(w[q], norm="forward", out=w[q])
+        def update_ifft(q):
+            rows = np.arange(self.Q)[q, None], slice(None), self.selections[q]
+            saved = s[rows]
+            s[rows] = saved + self.K * self.scale * blocks[q]
+            np.fft.ifft(s[q], out=w[q])
+            s[rows] = saved
 
-        halves(scatter_ifft, self.Q, w.size)
+        halves(update_ifft, self.Q, w.size)
         x = w.transpose(2, 0, 1)  # (K, Q, M)
         return x.reshape(self.cols) if y.ndim == 1 else x
 

@@ -35,6 +35,17 @@ def dense_B(codebook):
     return codebook.D_diag[:, None] * dense_A(codebook)
 
 
+def spectrum(codebook, x):
+    """Not an oracle: the spectrum that `PilotCodebook.apply_A` leaves in a block it transforms
+    in place, the form in which the engine carries a message x ((Q*K,), (Q*K, M) or (K, Q, M);
+    one antenna for a vector) and `lmmse.linear_extrinsic` takes the prior mean."""
+    blocks = np.empty((codebook.Q, np.size(x) // codebook.cols, codebook.K),
+                      dtype=np.complex128).transpose(2, 0, 1)  # device-contiguous (K, Q, M)
+    blocks[...] = np.reshape(x, blocks.shape)
+    codebook.apply_A(blocks, blocks)
+    return blocks
+
+
 def permutation(codebook):
     """Index map p with (P x)[i] = x[p[i]], reordering device-major
     coefficients into Q contiguous device-indexed blocks of length K."""

@@ -17,6 +17,7 @@ from oracles import (
     dense_B,
     dense_joint_lmmse,
     genie_support_lmmse,
+    spectrum,
 )
 from turbomp import (
     BlockwiseBasis,
@@ -96,7 +97,8 @@ def test_criterion_02_linear_module_exactness():
     posts = []
     for x, v, weight, fwd in [(h_pri, v_h, 1.0, cb.apply_A(h_pri)),
                               (c_pri, v_c, cb.D_diag, fwd_c)]:
-        x_ext, v_ext, v_post, _ = linear_extrinsic(x, v, fwd, resid, sigma, weight, cb)
+        x_ext, v_ext, v_post, _ = linear_extrinsic(spectrum(cb, x), v, fwd, resid, sigma,
+                                                   weight, cb)
         posts.append((combine(x_ext, v_ext, x, v)[0], v_post))
     (mean_h, var_h), (mean_c, var_c) = posts
     h_ref, c_ref, vh_ref, vc_ref = dense_joint_lmmse(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import bg_scalar_reference
-from turbomp import ParameterError, bg_denoise_batch, denoiser, detect
+from turbomp import ParameterError, bg_denoise_batch, denoiser, detect, parallel
 from turbomp.activity import fuse
 from turbomp.logodds import logit, sigmoid
 
@@ -253,6 +253,22 @@ class TestLayout:
         for name in ("lambda_post", "evidence", "column_var", "energy"):
             np.testing.assert_allclose(getattr(b, name), getattr(a, name), rtol=1e-14, atol=0)
         assert np.shares_memory(b.pri_mean, device_contiguous)
+
+    @pytest.mark.parametrize("size", [0, parallel.MIN_SIZE])
+    def test_post_mean_is_c_ordered_and_bitwise_split_or_not(self, monkeypatch, size):
+        """post_mean of a device-contiguous K=16000 input is the C-ordered product
+        lambda_post * (gain * pri_mean), bitwise, whether its passes split over devices
+        (MIN_SIZE 0) or not (the default, which a 100-device input does not reach)."""
+        monkeypatch.setattr(parallel, "MIN_SIZE", size)
+        rng = np.random.default_rng(9)
+        for K in (16000, 100):
+            pri = rng.standard_normal((4, 8, K)) + 1j * rng.standard_normal((4, 8, K))
+            den = bg_denoise_batch(pri.transpose(2, 0, 1), rng.uniform(0.1, 2.0, 8), 0.8,
+                                   rng.uniform(0.0, 1.0, K))
+            want = np.multiply(den.pri_mean, den.gain, order="C")
+            want *= den.lambda_post[:, None, None]
+            got = den.post_mean
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
 class TestClosedFormMoments:

@@ -219,7 +219,8 @@ class TestFailureModes:
         for bad in (dict(max_iters=0), dict(max_iters=2.5), dict(rel_change_tol=0.0),
                     dict(rel_change_tol=float("inf")), dict(rel_change_tol=float("nan")),
                     dict(threshold=1.0), dict(em_enabled="no"), dict(em_sigma_correction=1),
-                    dict(max_iters=True), dict(rel_change_tol="1e-3"), dict(threshold=None)):
+                    dict(max_iters=True), dict(rel_change_tol="1e-3"), dict(threshold=None),
+                    dict(rel_change_tol=True), dict(threshold=False)):
             with pytest.raises(ParameterError):
                 TurboOptions(**bad)
         assert TurboOptions(em_enabled=np.True_, max_iters=np.int64(3)).em_enabled
@@ -296,18 +297,22 @@ class TestForwardProducts:
     @pytest.mark.parametrize("case", list(CASES))
     def test_closed_form_products_match_operators(self, monkeypatch, case):
         """On each golden frame's inputs, every branch's outgoing forward product and
-        posterior forward product equal the operator applied to the outgoing message
-        and to the denoiser's posterior mean, to 1e-12 relative."""
+        posterior forward product equal the operator applied to the outgoing message (read
+        back from its spectrum by the adjoint of zero) and to the denoiser's posterior mean,
+        to 1e-12 relative."""
         with np.load(GOLDEN / "engine_golden.npz") as data:
             doc = {key.split("__", 1)[1]: data[key] for key in data.files
                    if key.startswith(case + "__")}
         branch, errors = engine._branch, []
 
-        def checked(resid, sigma, x_pri, v_pri, fwd_pri, weight, theta, lambda_pri, cb, *args):
-            out = branch(resid, sigma, x_pri, v_pri, fwd_pri, weight, theta, lambda_pri, cb, *args)
+        def checked(resid, sigma, spectrum, v_pri, fwd_pri, weight, theta, lambda_pri, cb,
+                    *args):
+            out = branch(resid, sigma, spectrum, v_pri, fwd_pri, weight, theta, lambda_pri, cb,
+                         *args)
             x_new, _, fwd_new, fwd_post, den = out
-            for got, x in ((fwd_new, x_new), (fwd_post, den.post_mean)):
-                want = weight * cb.apply_A(x.reshape(x_pri.shape))
+            message = cb.apply_A_adjoint(np.zeros_like(resid), spectrum=x_new)
+            for got, x in ((fwd_new, message), (fwd_post, den.post_mean)):
+                want = weight * cb.apply_A(x)
                 errors.append(np.max(np.abs(got - want)) - 1e-12 * np.max(np.abs(want)))
             return out
 
@@ -373,12 +378,11 @@ class TestWorkspace:
         assert arrays <= held <= arrays + 64 * 1024
 
     def test_traced_peak_is_the_workspace_and_the_result(self):
-        """The peak is the 7-block workspace, the 2 blocks of H and C and the 2 temporaries
-        that build them, plus small arrays: 10.44 blocks on 5 seeds (8.64 before the
-        workspace, whose freed blocks the malloc arena held instead).  One more block
-        fails."""
+        """The peak is the 5-block workspace and the 2 blocks of H and C, plus small arrays:
+        7.60 blocks on seeds 0-9 (9.47 with a 7-block workspace; 8.64 before the workspace,
+        whose freed blocks the malloc arena held instead).  One more block fails."""
         _, _, peak = self.traced_frame(seed=3)
-        assert peak <= 11 * self.BLOCK
+        assert peak <= 8 * self.BLOCK
 
     def test_a_result_outlives_the_next_frame(self):
         """A second frame of the same shape, on the same codebook, leaves the first frame's
@@ -416,10 +420,16 @@ class _DevicePermutedCodebook:
         return blocks[self._perm].reshape(x.shape)
 
     def apply_A(self, x, scratch=None):
-        return self._cb.apply_A(self._scatter(x), scratch)
+        """A @ x; a given scratch receives the spectrum of the wrapped codebook's device order,
+        which only this codebook's adjoint reads."""
+        permuted = self._scatter(x)
+        y = self._cb.apply_A(permuted, permuted)
+        if scratch is not None:
+            scratch[...] = permuted
+        return y
 
-    def apply_A_adjoint(self, y, out=None):
-        x = self._gather(self._cb.apply_A_adjoint(y))
+    def apply_A_adjoint(self, y, out=None, spectrum=None):
+        x = self._gather(self._cb.apply_A_adjoint(y, spectrum=spectrum))
         if out is None:
             return x
         out[...] = x

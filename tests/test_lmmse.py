@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import combine, dense_A, dense_B, dense_joint_lmmse, lmmse_posterior
+from oracles import combine, dense_A, dense_B, dense_joint_lmmse, lmmse_posterior, spectrum
 from turbomp import (
     NumericsError,
     ParameterError,
@@ -32,8 +32,8 @@ def posterior(y, h_pri, c_pri, v_h, v_c, sigma_w2, cb, slopes=False):
         x, v, weight, fwd = c_pri, v_c, cb.D_diag, fwd_c
     else:
         x, v, weight, fwd = h_pri, v_h, 1.0, cb.apply_A(h_pri)
-    x_ext, v_ext, v_post, _ = linear_extrinsic(x, v, fwd, resid, sigma, weight, cb)
-    mean, _ = combine(x_ext, v_ext, x, np.maximum(v, V_FLOOR))
+    x_ext, v_ext, v_post, _ = linear_extrinsic(spectrum(cb, x), v, fwd, resid, sigma, weight, cb)
+    mean, _ = combine(x_ext.reshape(x.shape), v_ext, x, np.maximum(v, V_FLOOR))
     return mean, v_post
 
 
@@ -165,8 +165,9 @@ class TestLinearExtrinsic:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(lmmse, "V_MAX", v_max)
                 ref_mean, ref_var = extrinsic_message(post_mean, post_var, x, v)
-                x_ext, v_ext, v_post, fwd_ext = linear_extrinsic(x, v, fwd_pri, self.resid,
-                                                                 sigma, weight, cb)
+                x_ext, v_ext, v_post, fwd_ext = linear_extrinsic(spectrum(cb, x), v, fwd_pri,
+                                                                 self.resid, sigma, weight, cb)
+            x_ext = x_ext.reshape(x.shape)
             np.testing.assert_allclose(v_post, post_var, rtol=1e-12)
             np.testing.assert_allclose(v_ext, ref_var, rtol=1e-12)
             err = np.max(np.abs(x_ext - ref_mean)) / np.max(np.abs(ref_mean))
@@ -204,8 +205,8 @@ class TestLinearExtrinsic:
         for a, b in zip(scalar, rows):
             same(a, b)
         diags = [engine.TurboDiagnostics() for _ in weights]
-        slots = [np.empty((3, cb.Q, self.v_h.size, cb.K), complex).transpose(0, 3, 1, 2)
-                 for _ in weights]  # each call's own ext, x_und and scratch workspace slots
+        slots = [np.empty((2, cb.Q, self.v_h.size, cb.K), complex).transpose(0, 3, 1, 2)
+                 for _ in weights]  # each call's own ext and outgoing spectrum workspace slots
         scalar, rows = (engine._branch(resid, sigma, x, self.v_h, fwd, w, 1.0, 0.2, cb, diag, *ws)
                         for w, diag, ws in zip(weights, diags, slots))
         for a, b in zip(scalar[:4], rows[:4]):
@@ -265,8 +266,7 @@ class TestGaussianMessage:
         cb = build_codebook(K=8, N=4, T=2, Q=2, seed=0)
         zeros = np.zeros(cb.rows, dtype=complex)
         sigma = observation_variance(0.0, 0.0, 0.25, cb)
-        _, v_ext, v_post, _ = linear_extrinsic(np.zeros(cb.cols, dtype=complex), 0.0, zeros,
-                                               zeros, sigma, 1.0, cb)
+        _, v_ext, v_post, _ = linear_extrinsic(None, 0.0, zeros, zeros, sigma, 1.0, cb)
         assert v_post == V_FLOOR
         assert v_ext >= V_FLOOR
 

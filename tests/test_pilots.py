@@ -222,12 +222,13 @@ def along_axis_A(cb, x):
 
 
 def along_axis_A_adjoint(cb, y):
-    """A^H @ y as (K, Q, M) blocks through `put_along_axis`, the scatter the adjoint replaced."""
+    """A^H @ y as (K, Q, M) blocks through `put_along_axis`, the scatter the adjoint replaced:
+    K sqrt(P) y in the selected rows of the zero message's spectrum, then the inverse DFT."""
     blocks = y.reshape(cb.Q, cb.rows_per_block, -1).transpose(0, 2, 1)
     w = np.zeros((cb.Q, blocks.shape[1], cb.K), dtype=complex)
     for q in range(cb.Q):
-        np.put_along_axis(w[q], cb.selections[q, None], cb.scale * blocks[q], axis=-1)
-        np.fft.ifft(w[q], norm="forward", out=w[q])
+        np.put_along_axis(w[q], cb.selections[q, None], cb.K * cb.scale * blocks[q], axis=-1)
+        np.fft.ifft(w[q], out=w[q])
     return w.transpose(2, 0, 1)
 
 
@@ -257,6 +258,63 @@ class TestDirectIndex:
             np.testing.assert_allclose(cb.apply_A(X), A @ X, rtol=0, atol=1e-12)
             np.testing.assert_allclose(cb.apply_A_adjoint(Y).reshape(cb.cols, 3),
                                        A.conj().T @ Y, rtol=0, atol=1e-12)
+
+
+def device_contiguous(x, cb):
+    """A copy of the (Q*K, M) matrix x as the device-contiguous (K, Q, M) blocks of a C-ordered
+    (Q, M, K) array, the operators' block layout."""
+    blocks = np.empty((cb.Q, x.shape[1], cb.K), dtype=complex).transpose(2, 0, 1)
+    blocks[...] = x.reshape(blocks.shape)
+    return blocks
+
+
+class TestAdjointFromSpectrum:
+    """apply_A(x, x) leaves x's spectrum in x, and apply_A_adjoint(y, out, spectrum) returns
+    x + A^H y from it, as the engine carries its messages."""
+
+    def test_in_place_forward_is_the_forward_and_leaves_the_spectrum(self):
+        cb = build_codebook(K=64, N=8, T=2, Q=2, P=1.7, seed=21)
+        X = rand_complex(np.random.default_rng(21), cb.cols, 3)
+        blocks = device_contiguous(X, cb)
+        assert np.array_equal(cb.apply_A(blocks, blocks), cb.apply_A(X))
+        assert np.array_equal(blocks, np.fft.fft(X.reshape(cb.K, cb.Q, 3), axis=0))
+
+    @pytest.mark.parametrize("K, N, T, Q, strict", [(64, 8, 4, 2, True), (16, 8, 4, 2, False)])
+    def test_adjoint_from_a_spectrum_equals_dense(self, K, N, T, Q, strict):
+        """x + A^H y and x + B^H y (as A^H of D y) equal the dense products to criterion 01's
+        tolerance, for the zero message (spectrum None) and for the spectrum apply_A left."""
+        cb = build_codebook(K=K, N=N, T=T, Q=Q, P=1.3, seed=K, strict=strict)
+        A, rng = dense_A(cb), np.random.default_rng(K)
+        X, Y = rand_complex(rng, cb.cols, 3), rand_complex(rng, cb.rows, 3)
+        blocks = device_contiguous(X, cb)
+        cb.apply_A(blocks, blocks)
+        for y in (Y, cb.D_diag[:, None] * Y):
+            for x, spectrum in ((np.zeros_like(X), None), (X, blocks)):
+                want = x + A.conj().T @ y
+                got = cb.apply_A_adjoint(y, spectrum=spectrum).reshape(want.shape)
+                assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
+        want = X[:, 0] + A.conj().T @ Y[:, 0]
+        got = cb.apply_A_adjoint(Y[:, 0], spectrum=blocks[..., :1])
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
+
+    @pytest.mark.parametrize("K", [1000, 16000])
+    def test_spectrum_is_left_byte_equal_and_the_split_changes_nothing(self, monkeypatch, K):
+        """The adjoint writes into out and leaves spectrum byte-equal, and its output is
+        bitwise the same whether or not the sub-blocks run as two halves."""
+        cb = build_codebook(K=K, N=72, T=8, Q=4, seed=K)
+        rng = np.random.default_rng(K)
+        spectrum = device_contiguous(rand_complex(rng, cb.cols, 8), cb)
+        cb.apply_A(spectrum, spectrum)
+        saved, Y = spectrum.tobytes(), rand_complex(rng, cb.rows, 8)
+        outputs = []
+        for size in (0, 10**12):
+            monkeypatch.setattr(parallel, "MIN_SIZE", size)
+            out = device_contiguous(np.zeros((cb.cols, 8)), cb)
+            assert cb.apply_A_adjoint(Y, out, spectrum).base is out.base
+            assert spectrum.tobytes() == saved
+            outputs.append(out.tobytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestPermutationAndMixing:

@@ -18,11 +18,13 @@ summed frame time over the summed iterations.  A pair runs both trees, alternati
 first.  One JSON line gives each side's median and quartiles over the pairs, the median of the
 per-pair ratios change / parent, the pairs the change won, whether both trees returned
 bitwise-equal results (H, C, lambda_D_post, decisions, priors, iterations, stop flag, and the
-diagnostics: every field of every per-iteration row and the clamp count), and whether they
+diagnostics: every field of every per-iteration row and the clamp count), whether they
 returned equal decisions (each frame's activity decisions, iterations and stop flag), which
-can hold where the outputs differ in rounding.  It also gives each side's median and quartiles
-of the minor page faults per iteration (the `ru_minflt` deltas of `getrusage(RUSAGE_SELF)`
-around the timed calls) and of the run's peak RSS (`ru_maxrss`).
+can hold where the outputs differ in rounding, and `max_rel_diff`, which sizes such a
+difference: the largest over frames and over H, C and lambda_D_post of max |a - b| over the
+larger max |a| or max |b| of the two trees' arrays, from the first pair.  It also gives each
+side's median and quartiles of the minor page faults per iteration (the `ru_minflt` deltas of
+`getrusage(RUSAGE_SELF)` around the timed calls) and of the run's peak RSS (`ru_maxrss`).
 """
 
 from __future__ import annotations
@@ -79,9 +81,10 @@ def capture(workload: str, K: int, frames: int, seed: int, path: str) -> None:
              options=np.array(options, dtype=float), **saved)
 
 
-def time_frames(path: str) -> dict:
+def time_frames(path: str, outputs: str | None = None) -> dict:
     """Milliseconds per iteration of `run_turbo_mp` over the saved frames, and a digest of
-    every output."""
+    every output.  With an `outputs` directory, each frame's H, C and lambda_D_post are saved
+    there, or compared with those another run saved there (`max_rel_diff`)."""
     import numpy as np
     from turbomp import PilotCodebook, PriorParams, TurboOptions, run_turbo_mp
 
@@ -98,8 +101,8 @@ def time_frames(path: str) -> dict:
         frames.append((doc[f"Y{i}"], cb, priors))
     run_turbo_mp(*frames[0], opts)  # warm-up: FFT plans and first-call costs
     digest, decisions = hashlib.sha256(), hashlib.sha256()
-    seconds, faults, iterations = 0.0, 0, 0
-    for Y, cb, priors in frames:
+    seconds, faults, iterations, max_rel_diff = 0.0, 0, 0, 0.0
+    for i, (Y, cb, priors) in enumerate(frames):
         faults -= resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = perf_counter()
         result = run_turbo_mp(Y, cb, priors, opts)
@@ -116,10 +119,32 @@ def time_frames(path: str) -> dict:
         for d in (digest, decisions):
             d.update(f"{result.iterations} {result.converged}".encode())
         decisions.update(np.ascontiguousarray(result.activity).tobytes())
+        if outputs is not None:
+            max_rel_diff = max(max_rel_diff, compare_or_save(result, Path(outputs) / f"{i}.npz"))
     return {"ms_per_iter": 1000.0 * seconds / iterations, "iterations": iterations,
+            "max_rel_diff": max_rel_diff,
             "faults_per_iter": faults / iterations,
             "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "digest": digest.hexdigest(), "decisions": decisions.hexdigest()}
+
+
+def compare_or_save(result, path: Path) -> float:
+    """Save the frame's H, C and lambda_D_post to `path` and return 0, or, where another run
+    saved them there, return their largest relative difference."""
+    import numpy as np
+
+    arrays = {name: getattr(result, name) for name in ("H", "C", "lambda_D_post")}
+    if not path.exists():
+        np.savez(path, **arrays)
+        return 0.0
+    worst = 0.0
+    with np.load(path) as saved:
+        for name, a in arrays.items():
+            b = saved[name]
+            scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+            if scale > 0:
+                worst = max(worst, float(np.max(np.abs(a - b)) / scale))
+    return worst
 
 
 def worker(src: str, *args: str) -> dict:
@@ -155,7 +180,8 @@ def main(argv=None) -> int:
         runs = {side: [] for side in sides}
         for pair in range(args.pairs):
             for side in sorted(sides, reverse=pair % 2 == 1):
-                runs[side].append(worker(sides[side], "time", inputs))
+                outputs = [tmp] if pair == 0 else []  # the first pair's second run compares
+                runs[side].append(worker(sides[side], "time", inputs, *outputs))
     ms = {side: [run["ms_per_iter"] for run in runs[side]] for side in sides}
     ratios = [c / p for c, p in zip(ms["change"], ms["parent"])]
     digests, decided = ({run[key] for side in sides for run in runs[side]}
@@ -167,7 +193,8 @@ def main(argv=None) -> int:
         "pairs": args.pairs, "iterations": runs["parent"][0]["iterations"],
         "parent_ms_per_iter": summary(ms["parent"]), "change_ms_per_iter": summary(ms["change"]),
         "ratio": statistics.median(ratios), "change_wins": sum(r < 1 for r in ratios),
-        "bitwise_equal": len(digests) == 1, "decisions_equal": len(decided) == 1, **memory,
+        "bitwise_equal": len(digests) == 1, "decisions_equal": len(decided) == 1,
+        "max_rel_diff": max(runs[side][0]["max_rel_diff"] for side in sides), **memory,
         "runs": ms}), flush=True)
     return 0
 
@@ -179,6 +206,6 @@ if __name__ == "__main__":
             capture(rest[0], int(rest[1]), int(rest[2]), int(rest[3]), rest[4])
             print("{}")
         else:
-            print(json.dumps(time_frames(rest[0])))
+            print(json.dumps(time_frames(*rest)))
         sys.exit(0)
     sys.exit(main())
