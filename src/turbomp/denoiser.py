@@ -5,7 +5,9 @@ Gaussian with variance theta (active).  Given a Gaussian observation of the
 block with one noise variance per antenna, the posterior activity weight,
 block mean, and elementwise variances are all closed form.  The Gaussian
 likelihood ratio is evaluated strictly in the log domain; at realistic
-operating points the linear-domain ratio overflows.
+operating points the linear-domain ratio overflows.  The prior on activity
+arrives as a rate plus log-odds evidence, so a caller holding another
+denoiser's evidence hands it over with no probability round trip.
 """
 
 from __future__ import annotations
@@ -24,16 +26,23 @@ class DenoiseBatch:
     """Vectorized posteriors for all K devices at once.
 
     The per-antenna and per-device moments are closed form; the (K, Q, M)
-    posterior tensors are built from the input each time they are read.
+    posterior tensors and the per-device energy are built from the input each
+    time they are read.
     """
 
-    pri_mean: np.ndarray  # (K, Q, M) input message, in any memory layout and never copied
+    pri_mean: np.ndarray  # (K, Q, M) input message, device-contiguous; never copied if given so
     lambda_post: np.ndarray  # (K,)
     evidence: np.ndarray  # (K,) log CN(0; pri, V + theta I) - log CN(0; pri, V), maybe +-inf
     gain: np.ndarray  # (M,) theta / (theta + v); post_mean = lambda_post * gain * pri_mean
     phi: np.ndarray  # (M,) gain * v, the active branch's posterior variance
     column_var: np.ndarray  # (M,) average of post_var_elem over devices and sub-blocks
-    energy: np.ndarray  # (K,) sum of |post_mean|^2 + post_var_elem over sub-blocks and antennas
+    s: np.ndarray  # (K, M) s_km = sum_q |pri_kqm|^2
+
+    @property
+    def energy(self) -> np.ndarray:
+        """(K,) sum of |post_mean|^2 + post_var_elem over sub-blocks and antennas,
+        lambda_post (s @ gain^2 + Q sum phi)."""
+        return self.lambda_post * (self.s @ self.gain**2 + self.pri_mean.shape[1] * self.phi.sum())
 
     @property
     def post_mean(self) -> np.ndarray:
@@ -57,20 +66,36 @@ class DenoiseBatch:
         return np.maximum(post_var, 0.0, out=post_var)
 
 
+def _per_device(value, K: int, name: str) -> np.ndarray:
+    """value as floats, a scalar or one value per device (or (1,), which broadcasts)."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape not in ((), (1,), (K,)):
+        raise ParameterError(f"{name} must be a scalar or hold one value per device, "
+                             f"K={K}, got shape {arr.shape}")
+    return arr
+
+
 def bg_denoise_batch(
     pri_mean: np.ndarray,
     per_antenna_var: np.ndarray,
     theta: float,
     lambda_pri: np.ndarray,
+    evidence: np.ndarray = 0.0,
 ) -> DenoiseBatch:
     """Denoise all devices: pri_mean (K, Q, M), noise variance per antenna.
 
-    lambda_pri may be scalar or per device; priors of exactly 0 and 1 give
-    exactly 0 and 1, whatever the evidence.  Every moment comes from
-    s_km = sum_q |pri_kqm|^2, so a pri_mean with a non-finite or overflowing
-    entry, whose s_km is not finite, raises ParameterError instead of
-    returning NaN, as does an undefined (inf - inf) log-likelihood ratio; a
-    ratio that overflows gives evidence of -inf or +inf and finite moments.
+    The prior on activity has log-odds logit(lambda_pri) + evidence, each a scalar or per
+    device.  Prior log-odds of -inf or +inf (a lambda_pri of exactly 0 or 1, or infinite
+    evidence) are a certain prior: the posterior is exactly 0 or 1, whatever the data say.  NaN
+    evidence, and a certain lambda_pri against opposing infinite evidence, raise
+    ParameterError.  With evidence 0 the posterior is that of the prior lambda_pri alone.
+
+    Every moment comes from s_km = sum_q |pri_kqm|^2, formed from the float view (interleaved
+    re/im values) of the device-contiguous block: one sum over q of the squares, then one add
+    of each re/im pair; an input in another layout is first copied into that form.  So a
+    pri_mean with a non-finite or overflowing entry, whose s_km is not finite, raises
+    ParameterError instead of returning NaN, as does an undefined (inf - inf) log-likelihood
+    ratio; a ratio that overflows gives evidence of -inf or +inf and finite moments.
     With lambda = lambda_post, the column variance is (gain^2 sum_k lambda_k
     (1 - lambda_k) s_k + phi Q sum_k lambda_k) / (K Q) and the energy is
     lambda_k (sum_m gain_m^2 s_km + Q sum_m phi_m).
@@ -84,37 +109,42 @@ def bg_denoise_batch(
         raise ParameterError("per_antenna_var must be positive and finite with length M")
     if not 0 < theta < np.inf:
         raise ParameterError(f"theta must be positive and finite, got {theta}")
-    lam = np.broadcast_to(np.asarray(lambda_pri, dtype=float), (K,))
+    lam = _per_device(lambda_pri, K, "lambda_pri")
     if not np.all((lam >= 0) & (lam <= 1)):  # NaN fails both comparisons
         raise ParameterError("lambda_pri must lie in [0, 1]")
+    with np.errstate(invalid="ignore"):  # inf - inf, which raises below
+        log_odds = np.broadcast_to(logit(lam) + _per_device(evidence, K, "evidence"), (K,))
+    if np.isnan(log_odds).any():
+        raise ParameterError("lambda_pri and evidence must give defined prior log-odds: "
+                             "evidence is NaN, or infinite against a certain lambda_pri")
 
+    blocks = pri.transpose(1, 2, 0)  # (Q, M, K)
+    if not blocks.flags.c_contiguous:
+        blocks = np.ascontiguousarray(blocks)
+        pri = blocks.transpose(2, 0, 1)
     gain = theta / (theta + v)  # (M,)
     phi = gain * v  # (M,)
-    s = np.empty((3, M, K))  # s.T (einsum's layout: C order moves `@ s` by 1 ulp), 2 scratch rows
-    s[0] = 0  # the accumulator; np.square writes the scratch rows before they are read
+    sums, s = np.empty((M, 2 * K)), np.empty((M, K))  # s.T (C order moves `@ s` by 1 ulp)
 
-    def energies(m):  # s_km summed over q in order
-        for rows in pri.transpose(1, 2, 0)[:, m]:
-            re2, im2 = np.square(rows.real, out=s[1, m]), np.square(rows.imag, out=s[2, m])
-            s[0, m] += np.add(re2, im2, out=re2)
+    def energies(m):  # per antenna: sum_q of each re and im square, then each pair's sum
+        x = blocks[:, m].view(float)  # (Q, antennas, 2K)
+        np.einsum("qmj,qmj->mj", x, x, out=sums[m])
+        np.add(sums[m, 0::2], sums[m, 1::2], out=s[m])
 
     halves(energies, M, pri.size)
-    s = s[0].T
+    s = s.T
     if not np.isfinite(s).all():
         raise ParameterError("pri_mean must be finite, with finite energy sum_q |pri_kqm|^2")
 
     # log CN(0; pri, V + theta I) - log CN(0; pri, V), accumulated per device
-    evidence = s @ (theta / (v * (v + theta))) - Q * np.sum(np.log1p(theta / v))
-    if np.isnan(evidence).any():
+    llr = s @ (theta / (v * (v + theta))) - Q * np.sum(np.log1p(theta / v))
+    if np.isnan(llr).any():
         raise ParameterError("theta and per_antenna_var give an undefined log-likelihood ratio")
 
-    log_odds = logit(lam)  # -inf and +inf at the endpoint priors, which the posterior keeps
-    with np.errstate(invalid="ignore"):
-        lambda_post = np.where(np.isinf(log_odds), lam, sigmoid(log_odds + evidence))
+    with np.errstate(invalid="ignore"):  # a certain prior keeps its 0 or 1
+        lambda_post = np.where(np.isinf(log_odds), log_odds > 0, sigmoid(log_odds + llr))
 
-    gain2 = gain**2
-    column_var = (gain2 * ((lambda_post * (1.0 - lambda_post)) @ s)
+    column_var = (gain**2 * ((lambda_post * (1.0 - lambda_post)) @ s)
                   + phi * (Q * lambda_post.sum())) / (K * Q)
-    energy = lambda_post * (s @ gain2 + Q * phi.sum())
-    return DenoiseBatch(pri_mean=pri, lambda_post=lambda_post, evidence=evidence, gain=gain,
-                        phi=phi, column_var=column_var, energy=energy)
+    return DenoiseBatch(pri_mean=pri, lambda_post=lambda_post, evidence=llr, gain=gain,
+                        phi=phi, column_var=column_var, s=s)

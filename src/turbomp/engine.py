@@ -1,7 +1,7 @@
 """Iteration schedule and message bookkeeping of the turbo estimator.
 
 One engine iteration runs the linear estimator and the mean-block denoiser twice, then the
-linear estimator and the slope-block denoiser once, then fuses activity evidence and optionally
+linear estimator and the slope-block denoiser once, then optionally fuses activity evidence and
 refreshes the prior parameters.  Messages are device-contiguous (K, Q, M) blocks (the strides of
 a C-ordered (Q, M, K) array, so every DFT and elementwise pass runs along contiguous memory)
 with one variance per antenna; the `TurboResult` holds C-ordered (QK, M) matrices, converted
@@ -30,9 +30,11 @@ observation variance Sigma and activity cross prior, and builds no (K, Q, M) pos
 
 One iteration thus costs one adjoint and one forward operator call per branch.  The posterior
 means are built from the denoisers' last inputs only for the `TurboResult` and for the
-truth-traced NMSE.  Activity is fused in log-odds (`activity.fuse`) from the denoisers'
-prior-free evidence as reported, +-inf included, into each cross prior, EM's activity posterior
-and the frame's final posterior; `detect` rejects a NaN that reaches it.
+truth-traced NMSE.  Activity is carried in log-odds: each denoiser reports its prior-free
+evidence, +-inf included, and the other branch's denoiser takes it as it is, with the rate
+lambda, as its cross prior (a (lambda, evidence) pair, whose log-odds the denoiser forms and
+checks); `activity.fuse` forms only EM's activity posterior and the frame's final posterior
+from both evidence arrays, and `detect` rejects a NaN that reaches the final one.
 
 A frame writes its (K, Q, M) blocks into one workspace, a (5, Q, M, K) array allocated by
 `run_turbo_mp` and freed when it returns; each slot is a device-contiguous view.  Two slots hold
@@ -153,20 +155,20 @@ def _step_norms(new, old):
     return np.sqrt(sums.sum(axis=1))
 
 
-def _branch(resid, sigma, spectrum, v_pri, fwd_pri, weight, theta, lambda_pri, cb, diag, ext,
-            out):
+def _branch(resid, sigma, spectrum, v_pri, fwd_pri, weight, theta, prior, cb, diag, ext, out):
     """Linear module then denoiser, for the means (weight 1.0) or slopes (weight D).
 
     resid is Y - A h_pri - B c_pri, sigma the observation variance Sigma, spectrum x_pri's
-    spectrum, fwd_pri is weight * A @ x_pri and lambda_pri the denoiser's cross prior on
-    activity.  ext and out are workspace slots: the linear extrinsic message, which the
-    denoiser keeps as its input, and the outgoing message's spectrum, which may be spectrum
-    itself.  Returns the outgoing message (spectrum, variance, forward product), the forward
-    product weight * A @ post_mean of the denoiser's posterior mean and the denoiser's output.
+    spectrum, fwd_pri is weight * A @ x_pri and prior the denoiser's cross prior on activity,
+    a (lambda, evidence) pair (see `bg_denoise_batch`).  ext and out are workspace slots: the
+    linear extrinsic message, which the denoiser keeps as its input, and the outgoing message's
+    spectrum, which may be spectrum itself.  Returns the outgoing message (spectrum, variance,
+    forward product), the forward product weight * A @ post_mean of the denoiser's posterior
+    mean and the denoiser's output.
     """
     ext, v_ext, _, fwd_ext = linear_extrinsic(spectrum, v_pri, fwd_pri, resid, sigma, weight, cb,
                                               out=ext)
-    den = bg_denoise_batch(ext, v_ext, theta, lambda_pri)
+    den = bg_denoise_batch(ext, v_ext, theta, *prior)
     # the denoiser's extrinsic message x_und = alpha post_mean - beta ext
     v_out, alpha, beta = extrinsic(den.column_var, v_ext)
     diag.clamp_events += int(np.count_nonzero(np.concatenate((v_ext, v_out)) == lmmse.V_MAX))
@@ -207,26 +209,24 @@ def run_turbo_mp(
     fwd_h = fwd_c = np.zeros_like(Y)
     v_h = np.full(M, priors.lam * priors.theta_H)
     v_c = np.full(M, priors.lam * priors.theta_C)
-    evidence_c = np.zeros(codebook.K)
+    evidence_c = 0.0
 
     for iteration in range(1, opts.max_iters + 1):
-        lambda_h = fuse(priors.lam, evidence_c)
         h_new = h_pri
         for _ in range(2):  # the first pass writes into the spare slot, the second over its input
             resid = _residual(Y, fwd_h, fwd_c, diag)
             sigma = observation_variance(v_h, v_c, priors.sigma_w2, codebook)
             h_new, v_h, fwd_h, post_fwd_h, den_h = _branch(
-                resid, sigma, h_new, v_h, fwd_h, 1.0, priors.theta_H, lambda_h, codebook, diag,
-                h_ext, spare)
+                resid, sigma, h_new, v_h, fwd_h, 1.0, priors.theta_H, (priors.lam, evidence_c),
+                codebook, diag, h_ext, spare)
         # a NaN or inf makes a message's step or a variance's sum non-finite; checked before EM
         (step_h, norm_h), spare, h_pri = _step_norms(h_new, h_pri), h_pri, h_new
         evidence_h = den_h.evidence
-        lambda_c = fuse(priors.lam, evidence_h)
         resid = _residual(Y, fwd_h, fwd_c, diag)
         sigma = observation_variance(v_h, v_c, priors.sigma_w2, codebook)
         c_new, v_c, fwd_c, post_fwd_c, den_c = _branch(
-            resid, sigma, c_pri, v_c, fwd_c, codebook.D_diag[:, None], priors.theta_C, lambda_c,
-            codebook, diag, c_ext, spare)
+            resid, sigma, c_pri, v_c, fwd_c, codebook.D_diag[:, None], priors.theta_C,
+            (priors.lam, evidence_h), codebook, diag, c_ext, spare)
         (step_c, norm_c), spare, c_pri = _step_norms(c_new, c_pri), c_pri, c_new
         evidence_c = den_c.evidence
         for branch, value in (("mean branch (h_pri, v_h)", step_h + v_h.sum()),

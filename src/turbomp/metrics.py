@@ -59,13 +59,14 @@ def nmse(
     active, inactive = realization.active, realization.activity == 0
     recon = basis.expand(h[active].reshape(-1, M), c[active].reshape(-1, M))
     err = float(np.sum(np.abs(g - recon) ** 2))
-    h0, c0 = h[inactive], c[inactive]
+    # per-device sums over the float views (re/im values), where Re(c* h) is one dot, masked to
+    # the inactive devices with no copy of their rows
+    hf, cf = (np.ascontiguousarray(x, dtype=np.complex128).view(float).reshape(K, -1)
+              for x in (H_est, C_est))
+    hh, ch, cc = (np.einsum("kj,kj->k", a, b)[inactive].sum()
+                  for a, b in ((hf, hf), (cf, hf), (cf, cf)))
     d = basis.offsets
-    err += float(
-        basis.block_size * np.vdot(h0, h0).real
-        + 2.0 * d.sum() * np.vdot(c0, h0).real
-        + (d @ d) * np.vdot(c0, c0).real
-    )
+    err += float(basis.block_size * hh + 2.0 * d.sum() * ch + (d @ d) * cc)
     return err / float(np.sum(np.abs(g) ** 2))
 
 

@@ -114,7 +114,7 @@ class PilotCodebook:
                                  f"({self.K}, {self.Q}, M), got {x.shape}")
         rows = x.reshape(self.K, self.Q, -1).transpose(1, 2, 0)  # (Q, M, K)
         w = (np.empty(rows.shape, dtype=np.result_type(x.dtype, 1j)) if scratch is None
-             else scratch.transpose(1, 2, 0))
+             else self._block("scratch", scratch, rows.shape[1]))
         halves(lambda q: np.fft.fft(rows[q], out=w[q]), self.Q, w.size)
         y = w[np.arange(self.Q)[:, None], :, self.selections]  # (Q, rpb, M), in row order
         y = self.scale * y.reshape(self.rows, -1)
@@ -135,8 +135,9 @@ class PilotCodebook:
             raise DimensionError(f"y has leading dim {y.shape[0]}, expected {self.rows}")
         blocks = y.reshape(self.Q, self.rows_per_block, -1)  # (Q, rpb, M), in row order
         shape = (self.Q, blocks.shape[2], self.K)
-        w = np.empty(shape, dtype=complex) if out is None else out.transpose(1, 2, 0)
-        s = np.zeros(shape, dtype=complex) if spectrum is None else spectrum.transpose(1, 2, 0)
+        w = np.empty(shape, dtype=complex) if out is None else self._block("out", out, shape[1])
+        s = (np.zeros(shape, dtype=complex) if spectrum is None
+             else self._block("spectrum", spectrum, shape[1]))
 
         def update_ifft(q):
             rows = np.arange(self.Q)[q, None], slice(None), self.selections[q]
@@ -148,6 +149,13 @@ class PilotCodebook:
         halves(update_ifft, self.Q, w.size)
         x = w.transpose(2, 0, 1)  # (K, Q, M)
         return x.reshape(self.cols) if y.ndim == 1 else x
+
+    def _block(self, name: str, block: np.ndarray, M: int) -> np.ndarray:
+        """The (Q, M, K) transpose of a caller's (K, Q, M) block, checked for its shape."""
+        if np.shape(block) != (self.K, self.Q, M):
+            raise DimensionError(f"{name} must be a ({self.K}, {self.Q}, {M}) block, "
+                                 f"got shape {np.shape(block)}")
+        return block.transpose(1, 2, 0)
 
     # -- physical pilot mixing --------------------------------------------
 

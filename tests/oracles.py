@@ -113,6 +113,16 @@ def dense_joint_lmmse(y, A, B, h_pri, c_pri, v_h, v_c, sigma_w2):
     return x_post[:n], x_post[n:], post_diag[:n].mean(), post_diag[n:].mean()
 
 
+def block_energy(x):
+    """s_km = sum_q |x_kqm|^2 of a (K, Q, M) block, one device and antenna at a time."""
+    K, Q, M = x.shape
+    s = np.zeros((K, M))
+    for k in range(K):
+        for m in range(M):
+            s[k, m] = sum(abs(complex(x[k, q, m])) ** 2 for q in range(Q))
+    return s
+
+
 def bg_scalar_reference(r, v, theta, lam, n_grid=20001):
     """Brute-force posterior of a scalar spike-and-slab variable.
 

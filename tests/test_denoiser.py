@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from oracles import bg_scalar_reference
+from oracles import bg_scalar_reference, block_energy
 from turbomp import ParameterError, bg_denoise_batch, denoiser, detect, parallel
 from turbomp.activity import fuse
 from turbomp.logodds import logit, sigmoid
 
 
-def denoise_scalar(value, v, theta, lam):
+def denoise_scalar(value, v, theta, lam, evidence=0.0):
     """One device with one sub-block and one antenna."""
     return bg_denoise_batch(np.array([[[value]]], dtype=complex), np.array([v]), theta,
-                            np.array([lam]))
+                            np.array([lam]), evidence)
 
 
 class TestScalarCases:
@@ -210,6 +210,123 @@ class TestPriorLogOdds:
         assert np.array_equal(den.lambda_post[endpoint], lam[endpoint])
         want = masked_lambda_post(lam, log_ratio)
         assert np.array_equal(den.lambda_post.view(np.int64), want.view(np.int64))
+
+
+class TestPriorEvidence:
+    """The prior arrives as rate plus evidence, prior log-odds logit(lambda_pri) + evidence."""
+
+    @staticmethod
+    def inputs(K=200, seed=10):
+        rng = np.random.default_rng(seed)
+        pri = rng.standard_normal((K, 4, 3)) + 1j * rng.standard_normal((K, 4, 3))
+        lam = rng.uniform(0.0, 1.0, K)
+        lam[:4] = [0.0, 1.0, 1e-300, 1.0 - 2**-53]
+        return pri, np.array([0.3, 1.0, 2.5]), lam, rng.normal(0.0, 5.0, K)
+
+    def test_zero_evidence_is_bitwise_the_probability_path(self):
+        """evidence 0, scalar or per device, gives bitwise the posterior of the prior lambda
+        alone: sigmoid(logit(lambda) + the data's evidence), and lambda where it is 0 or 1."""
+        pri, v, lam, _ = self.inputs()
+        base = bg_denoise_batch(pri, v, 0.8, lam)
+        log_odds = logit(lam)
+        with np.errstate(invalid="ignore"):
+            want = np.where(np.isinf(log_odds), lam, sigmoid(log_odds + base.evidence))
+        for evidence in (0.0, np.zeros(lam.size)):
+            den = bg_denoise_batch(pri, v, 0.8, lam, evidence)
+            for got in (base.lambda_post, den.lambda_post):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            for name in ("evidence", "column_var", "energy"):
+                assert getattr(den, name).tobytes() == getattr(base, name).tobytes()
+
+    def test_rate_plus_evidence_is_the_fused_prior(self):
+        """Handing over (lambda, e) gives the posterior of the fused prior fuse(lambda, e), to
+        the rounding of the probability round trip it skips."""
+        pri, v, lam, evidence = self.inputs()
+        lam = lam[4:]  # interior rates, which fuse takes
+        pri, evidence = pri[4:], evidence[4:]
+        a = bg_denoise_batch(pri, v, 0.8, lam, evidence)
+        b = bg_denoise_batch(pri, v, 0.8, fuse(lam, evidence))
+        np.testing.assert_allclose(a.lambda_post, b.lambda_post, rtol=1e-12, atol=1e-300)
+        assert np.array_equal(a.evidence, b.evidence)
+
+    @pytest.mark.parametrize("evidence, want", [(np.inf, 1.0), (-np.inf, 0.0)])
+    def test_infinite_evidence_is_a_certain_prior(self, evidence, want):
+        """With an interior lambda, evidence of +inf or -inf gives exactly 1 or 0 whatever the
+        data say, infinite data evidence the other way included."""
+        pri, v, lam, _ = self.inputs()
+        den = bg_denoise_batch(pri[4:], v, 0.8, lam[4:], evidence)
+        assert np.all(den.lambda_post == want)
+        with np.errstate(over="ignore"):
+            for value, theta in ((1e150, 1.0), (0.0, 1e300)):  # data evidence +inf, then -inf
+                assert denoise_scalar(value, 1e-10, theta, 0.5, evidence).lambda_post[0] == want
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_a_certain_rate_stays_certain(self, lam):
+        """A lambda of exactly 0 or 1 keeps its posterior whatever both evidences, finite or
+        infinite in its own direction, and the data's of either sign."""
+        pri, v, _, evidence = self.inputs()
+        same_way = np.inf if lam == 1.0 else -np.inf
+        for e in (evidence, 700.0, -700.0, same_way):
+            assert np.all(bg_denoise_batch(pri, v, 0.8, lam, e).lambda_post == lam)
+        with np.errstate(over="ignore"):
+            for value, theta in ((1e150, 1.0), (0.0, 1e300)):
+                for e in (-5.0, 5.0, same_way):
+                    assert denoise_scalar(value, 1e-10, theta, lam, e).lambda_post[0] == lam
+
+    @pytest.mark.parametrize("lam, evidence", [
+        (0.5, np.nan), (0.0, np.nan), (1.0, np.nan), (0.0, np.inf), (1.0, -np.inf)])
+    def test_undefined_prior_log_odds_raise(self, lam, evidence):
+        """NaN evidence, and a certain lambda against opposing infinite evidence, have no prior
+        log-odds and raise ParameterError naming both arguments."""
+        pri, v, _, _ = self.inputs(K=5)
+        e = np.zeros(5)
+        e[3] = evidence
+        with pytest.raises(ParameterError, match="lambda_pri and evidence"):
+            bg_denoise_batch(pri, v, 0.8, lam, e)
+
+    @pytest.mark.parametrize("name", ["lambda_pri", "evidence"])
+    @pytest.mark.parametrize("length", [4, 6])
+    def test_a_per_device_argument_of_another_length_raises(self, name, length):
+        """A per-device lambda_pri or evidence whose length is not K raises ParameterError
+        naming it, in place of numpy's broadcast ValueError."""
+        pri, v, _, _ = self.inputs(K=5)
+        args = {"lambda_pri": 0.5, "evidence": 0.0, name: np.full(length, 0.5)}
+        with pytest.raises(ParameterError, match=name):
+            bg_denoise_batch(pri, v, 0.8, **args)
+
+
+class TestEnergyReduction:
+    """s_km = sum_q |pri_kqm|^2, reduced over the float view of the device-contiguous block."""
+
+    @pytest.mark.parametrize("layout", ["device_contiguous", "c_ordered"])
+    def test_matches_the_dense_sum(self, layout):
+        rng = np.random.default_rng(11)
+        pri = 3.0 * (rng.standard_normal((4, 3, 150)) + 1j * rng.standard_normal((4, 3, 150)))
+        pri = pri.transpose(2, 0, 1)
+        if layout == "c_ordered":
+            pri = np.ascontiguousarray(pri)
+        den = bg_denoise_batch(pri, np.array([0.3, 1.1, 0.05]), 0.8, 0.3)
+        want = block_energy(pri)
+        assert np.max(np.abs(den.s - want) / want) <= 1e-14
+        assert np.shares_memory(den.pri_mean, pri) == (layout == "device_contiguous")
+        assert den.pri_mean.transpose(1, 2, 0).flags.c_contiguous
+
+    @pytest.mark.parametrize("M", [8, 5])
+    def test_bitwise_split_or_not(self, monkeypatch, M):
+        """At K=16000 the reduction and every moment are bitwise the same whether the antennas
+        run as two halves (MIN_SIZE 0, as the default splits such a block) or whole (MIN_SIZE
+        above the block's size), odd antenna counts included."""
+        rng = np.random.default_rng(12 + M)
+        K = 16000
+        pri = (rng.standard_normal((4, M, K)) + 1j * rng.standard_normal((4, M, K)))
+        v, lam = rng.uniform(0.1, 2.0, M), rng.uniform(0.0, 1.0, K)
+        outputs = []
+        for size in (0, 4 * M * K + 1):
+            monkeypatch.setattr(parallel, "MIN_SIZE", size)
+            den = bg_denoise_batch(pri.transpose(2, 0, 1), v, 0.8, lam)
+            outputs.append(b"".join(np.ascontiguousarray(getattr(den, name)).tobytes() for name in
+                                    ("s", "lambda_post", "evidence", "column_var", "energy")))
+        assert outputs[0] == outputs[1]
 
 
 class TestColumnVariance:

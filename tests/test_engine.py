@@ -227,16 +227,18 @@ class TestFailureModes:
 
 
 class TestFusedActivity:
-    def test_cross_priors_and_em_posterior_are_bitwise_fused_evidence(self, monkeypatch):
-        """The engine fuses each denoiser's evidence as reported: each cross prior, EM's
-        activity posterior and the frame's final posterior is bitwise `fuse` of the same
+    def test_cross_priors_are_the_evidence_and_em_posterior_is_bitwise_fused(self, monkeypatch):
+        """The engine hands each denoiser the rate priors.lam and the other branch's evidence
+        array itself as its cross prior (neutral zero evidence before the first slope pass);
+        EM's activity posterior and the frame's final posterior are bitwise `fuse` of the same
         evidence, and EM is handed the very arrays."""
         Y, cb, priors, *_ = make_instance(seed=4)
         denoise, em_schedule, calls = engine.bg_denoise_batch, engine.em_schedule, []
 
-        def recorded_denoise(pri, v, theta, lambda_pri):
-            calls.append(("den", lambda_pri, denoise(pri, v, theta, lambda_pri)))
-            return calls[-1][2]
+        def recorded_denoise(pri, v, theta, lambda_pri, evidence):
+            calls.append(("den", lambda_pri, evidence, denoise(pri, v, theta, lambda_pri,
+                                                                evidence)))
+            return calls[-1][3]
 
         def recorded_em(priors, iteration, resid, moment, den_h, den_c, lambda_d_post, *args):
             calls.append(("em", priors.lam, den_h.evidence, den_c.evidence, lambda_d_post))
@@ -248,17 +250,20 @@ class TestFusedActivity:
         result = run_turbo_mp(Y, cb, priors, TurboOptions(max_iters=7, em_enabled=True,
                                                           rel_change_tol=1e-12))
         assert len(calls) == 4 * result.iterations
-        evidence_c = np.zeros(cb.K)
+        den_c = None
         for i in range(result.iterations):
-            (_, lam_h1, den_h1), (_, lam_h2, den_h), (_, lam_c, den_c), em = calls[4 * i:4 * i + 4]
-            lam = em[1]
-            want = fuse(lam, evidence_c)
-            for got, want in ((lam_h1, want), (lam_h2, want),
-                              (lam_c, fuse(lam, den_h.evidence)),
-                              (em[4], fuse(lam, den_h.evidence, den_c.evidence))):
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            (_, lam_h1, ev_h1, _), (_, lam_h2, ev_h2, den_h), (_, lam_c, ev_c, den_c_next), em = (
+                calls[4 * i:4 * i + 4])
+            assert lam_h1 is em[1] and lam_h2 is em[1] and lam_c is em[1]
+            if den_c is None:
+                assert np.all(np.asarray(ev_h1) == 0) and ev_h2 is ev_h1
+            else:
+                assert ev_h1 is den_c.evidence and ev_h2 is den_c.evidence
+            assert ev_c is den_h.evidence
+            den_c = den_c_next
+            want = fuse(em[1], den_h.evidence, den_c.evidence)
+            assert np.array_equal(em[4].view(np.int64), want.view(np.int64))
             assert em[2] is den_h.evidence and em[3] is den_c.evidence
-            evidence_c = den_c.evidence
         want = fuse(result.priors.lam, den_h.evidence, den_c.evidence)  # after EM's last refresh
         assert np.array_equal(result.lambda_D_post.view(np.int64), want.view(np.int64))
 
@@ -271,10 +276,10 @@ class TestFusedActivity:
     ])
     def test_a_nan_activity_likelihood_still_aborts_the_frame(self, monkeypatch, call, em,
                                                               match):
-        """The fused activity validates nothing, so a NaN in a denoiser's evidence reaches the
-        next denoiser's lambda_pri check, through EM's slow refresh `PriorParams` or, from the
-        frame's last denoiser, `detect`'s check of the final posterior; each raises before a
-        result is returned."""
+        """Nothing between the denoisers validates activity, so a NaN in a denoiser's evidence
+        reaches the next denoiser's check of its prior log-odds (which names lambda_pri), EM's
+        slow refresh `PriorParams` or, from the frame's last denoiser, `detect`'s check of the
+        final posterior; each raises before a result is returned."""
         Y, cb, priors, *_ = make_instance(seed=4)
         denoise, calls = engine.bg_denoise_batch, []
 

@@ -207,7 +207,8 @@ class TestLinearExtrinsic:
         diags = [engine.TurboDiagnostics() for _ in weights]
         slots = [np.empty((2, cb.Q, self.v_h.size, cb.K), complex).transpose(0, 3, 1, 2)
                  for _ in weights]  # each call's own ext and outgoing spectrum workspace slots
-        scalar, rows = (engine._branch(resid, sigma, x, self.v_h, fwd, w, 1.0, 0.2, cb, diag, *ws)
+        scalar, rows = (engine._branch(resid, sigma, x, self.v_h, fwd, w, 1.0, (0.2, 0.0), cb, diag,
+                                       *ws)
                         for w, diag, ws in zip(weights, diags, slots))
         for a, b in zip(scalar[:4], rows[:4]):
             same(a, b)

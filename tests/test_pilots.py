@@ -316,6 +316,22 @@ class TestAdjointFromSpectrum:
             outputs.append(out.tobytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("name", ["scratch", "out", "spectrum"])
+    @pytest.mark.parametrize("shape", [(64, 2, 2), (64, 2), (32, 2, 3), (64, 3, 3)])
+    def test_a_block_of_another_shape_raises_naming_it(self, name, shape):
+        """A caller's block whose shape is not the input's (K, Q, M) raises DimensionError
+        naming the argument, in place of numpy's ValueError."""
+        cb = build_codebook(K=64, N=8, T=2, Q=2, seed=22)
+        rng = np.random.default_rng(22)
+        X, Y = rand_complex(rng, cb.cols, 3), rand_complex(rng, cb.rows, 3)
+        block = device_contiguous(rand_complex(rng, cb.cols, 3), cb)
+        bad = np.zeros(shape, dtype=complex)
+        with pytest.raises(DimensionError, match=name):
+            if name == "scratch":
+                cb.apply_A(X, bad)
+            else:
+                cb.apply_A_adjoint(Y, **{"out": block, "spectrum": block, name: bad})
+
 
 class TestPermutationAndMixing:
     def test_permutation_reorders_device_major_to_block_major(self):

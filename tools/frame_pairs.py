@@ -3,7 +3,7 @@
 Usage, from the repository root:
 
     python3 tools/frame_pairs.py PARENT_SRC CHANGE_SRC --pairs 10 --frames 20 --seed 1000 \
-        [--workload {paper_point,high_snr}] [--K 16000]
+        [--workload {paper_point,high_snr}] [--K 16000] [--no-split]
 
 Each path is a `src` directory holding a `turbomp` package.  The frames are those of the
 benchmark workload --workload: multipath, K=1000, N=72, T=8, Q=4, M=8, lambda K = 50 and EM,
@@ -14,17 +14,19 @@ the frames once, trials 0 to frames - 1 of `master_seed` --seed through
 `harness.run_single_trial`, and their inputs (Y, the pilot rows, the priors and options) are
 saved.  A run then times `run_turbo_mp` alone on every saved frame in a fresh interpreter with
 1 BLAS thread, after one untimed warm-up frame, and reports milliseconds per iteration: the
-summed frame time over the summed iterations.  A pair runs both trees, alternating which runs
-first.  One JSON line gives each side's median and quartiles over the pairs, the median of the
-per-pair ratios change / parent, the pairs the change won, whether both trees returned
-bitwise-equal results (H, C, lambda_D_post, decisions, priors, iterations, stop flag, and the
-diagnostics: every field of every per-iteration row and the clamp count), whether they
-returned equal decisions (each frame's activity decisions, iterations and stop flag), which
-can hold where the outputs differ in rounding, and `max_rel_diff`, which sizes such a
-difference: the largest over frames and over H, C and lambda_D_post of max |a - b| over the
-larger max |a| or max |b| of the two trees' arrays, from the first pair.  It also gives each
-side's median and quartiles of the minor page faults per iteration (the `ru_minflt` deltas of
-`getrusage(RUSAGE_SELF)` around the timed calls) and of the run's peak RSS (`ru_maxrss`).
+summed frame time over the summed iterations; with --no-split both trees run after
+`parallel.disable()`, the one-thread path of the harness's pool workers, at any K.  A pair runs
+both trees, alternating which runs first.  One JSON line gives the split setting, each side's
+median and quartiles over the pairs, the median of the per-pair ratios change / parent, the
+pairs the change won, whether both trees returned bitwise-equal results (H, C, lambda_D_post,
+decisions, priors, iterations, stop flag, and the diagnostics: every field of every
+per-iteration row and the clamp count), whether they returned equal decisions (each frame's
+activity decisions, iterations and stop flag), which can hold where the outputs differ in
+rounding, and `max_rel_diff`, which sizes such a difference: the largest over frames and over
+H, C and lambda_D_post of max |a - b| over the larger max |a| or max |b| of the two trees'
+arrays, from the first pair.  It also gives each side's median and quartiles of the minor page
+faults per iteration (the `ru_minflt` deltas of `getrusage(RUSAGE_SELF)` around the timed
+calls) and of the run's peak RSS (`ru_maxrss`).
 """
 
 from __future__ import annotations
@@ -81,12 +83,16 @@ def capture(workload: str, K: int, frames: int, seed: int, path: str) -> None:
              options=np.array(options, dtype=float), **saved)
 
 
-def time_frames(path: str, outputs: str | None = None) -> dict:
+def time_frames(path: str, split: str, outputs: str | None = None) -> dict:
     """Milliseconds per iteration of `run_turbo_mp` over the saved frames, and a digest of
-    every output.  With an `outputs` directory, each frame's H, C and lambda_D_post are saved
-    there, or compared with those another run saved there (`max_rel_diff`)."""
+    every output; with split "whole", after `parallel.disable()`.  With an `outputs`
+    directory, each frame's H, C and lambda_D_post are saved there, or compared with those
+    another run saved there (`max_rel_diff`)."""
     import numpy as np
-    from turbomp import PilotCodebook, PriorParams, TurboOptions, run_turbo_mp
+    from turbomp import PilotCodebook, PriorParams, TurboOptions, parallel, run_turbo_mp
+
+    if split == "whole":
+        parallel.disable()
 
     with np.load(path) as data:
         doc = {key: data[key] for key in data.files}
@@ -169,6 +175,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1000, help="master_seed of the frames")
     parser.add_argument("--K", type=int, default=1000)
     parser.add_argument("--workload", choices=list(WORKLOADS), default="paper_point")
+    parser.add_argument("--no-split", action="store_true",
+                        help="run every block pass whole, as the harness's pool workers do")
     args = parser.parse_args(argv)
     if args.pairs < 2 or args.frames < 1:
         parser.error("quartiles need --pairs >= 2, and a run needs --frames >= 1")
@@ -177,11 +185,11 @@ def main(argv=None) -> int:
         inputs = str(Path(tmp) / "frames.npz")
         worker(sides["parent"], "capture", args.workload, str(args.K), str(args.frames),
                str(args.seed), inputs)
-        runs = {side: [] for side in sides}
+        runs, split = {side: [] for side in sides}, "whole" if args.no_split else "split"
         for pair in range(args.pairs):
             for side in sorted(sides, reverse=pair % 2 == 1):
                 outputs = [tmp] if pair == 0 else []  # the first pair's second run compares
-                runs[side].append(worker(sides[side], "time", inputs, *outputs))
+                runs[side].append(worker(sides[side], "time", inputs, split, *outputs))
     ms = {side: [run["ms_per_iter"] for run in runs[side]] for side in sides}
     ratios = [c / p for c, p in zip(ms["change"], ms["parent"])]
     digests, decided = ({run[key] for side in sides for run in runs[side]}
@@ -190,7 +198,8 @@ def main(argv=None) -> int:
               for side in sides for key in ("faults_per_iter", "maxrss_mb")}
     print(json.dumps({
         "workload": args.workload, "K": args.K, "frames": args.frames, "seed": args.seed,
-        "pairs": args.pairs, "iterations": runs["parent"][0]["iterations"],
+        "split": not args.no_split, "pairs": args.pairs,
+        "iterations": runs["parent"][0]["iterations"],
         "parent_ms_per_iter": summary(ms["parent"]), "change_ms_per_iter": summary(ms["change"]),
         "ratio": statistics.median(ratios), "change_wins": sum(r < 1 for r in ratios),
         "bitwise_equal": len(digests) == 1, "decisions_equal": len(decided) == 1,
