@@ -1,9 +1,10 @@
-"""Bernoulli evidence fusion and threshold detection of device activity.
+"""Activity log-odds: probability conversions, Bernoulli evidence fusion and detection.
 
 Activity evidence is a log-likelihood ratio (log-odds), which each denoiser reports as
-`DenoiseBatch.evidence` and may be -inf or +inf where it is certain.  `fuse` adds a prior's
-log-odds to one or two such terms and returns the posterior activity; evidence that cancels
-returns the prior untouched, which makes the uninformative identities exact.
+`DenoiseBatch.evidence` and may be -inf or +inf where it is certain.  `logit` and `sigmoid`
+convert between probabilities and log-odds, exactly at the endpoints; `fuse` adds a prior's
+log-odds to two such terms and returns the posterior activity; evidence that cancels returns
+the prior untouched, which makes the uninformative identities exact.
 """
 
 from __future__ import annotations
@@ -11,10 +12,26 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .logodds import logit, sigmoid
 
 
-def fuse(lam, e_a, e_b=0.0):
+def sigmoid(x):
+    """Stable logistic function, exact at +/-inf: 1/(1 + e^-x) for x >= 0 and
+    e^x/(1 + e^x) below, both written with e = exp(-|x|)."""
+    arr = np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
+    return float(out) if out.ndim == 0 else out
+
+
+def logit(p):
+    """log(p / (1-p)): -inf at p = 0 and +inf at p = 1."""
+    p = np.asarray(p, dtype=float)
+    with np.errstate(divide="ignore"):
+        out = np.log(p) - np.log1p(-p)
+    return out if out.ndim else float(out)
+
+
+def fuse(lam, e_a, e_b):
     """Posterior activity sigmoid(logit(lam) + e_a + e_b) of log-odds evidence under prior lam.
 
     Where the evidence cancels, e_a == -e_b, the result is lam itself, bit for bit: for zero

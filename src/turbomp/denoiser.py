@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import activity  # through the module: bench's tracer times imported functions apart
 from .errors import ParameterError
-from .logodds import logit, sigmoid
 from .parallel import halves
 
 
@@ -26,8 +26,10 @@ class DenoiseBatch:
     """Vectorized posteriors for all K devices at once.
 
     The per-antenna and per-device moments are closed form; the (K, Q, M)
-    posterior tensors and the per-device energy are built from the input each
-    time they are read.
+    posterior mean and the per-device energy are built from the input each
+    time they are read.  The elementwise posterior variance, which no caller
+    needs as a tensor, is lambda_k ((1 - lambda_k) |gain_m pri_kqm|^2 + phi_m)
+    with lambda = lambda_post.
     """
 
     pri_mean: np.ndarray  # (K, Q, M) input message, device-contiguous; never copied if given so
@@ -35,12 +37,12 @@ class DenoiseBatch:
     evidence: np.ndarray  # (K,) log CN(0; pri, V + theta I) - log CN(0; pri, V), maybe +-inf
     gain: np.ndarray  # (M,) theta / (theta + v); post_mean = lambda_post * gain * pri_mean
     phi: np.ndarray  # (M,) gain * v, the active branch's posterior variance
-    column_var: np.ndarray  # (M,) average of post_var_elem over devices and sub-blocks
+    column_var: np.ndarray  # (M,) the elementwise variance averaged over devices and sub-blocks
     s: np.ndarray  # (K, M) s_km = sum_q |pri_kqm|^2
 
     @property
     def energy(self) -> np.ndarray:
-        """(K,) sum of |post_mean|^2 + post_var_elem over sub-blocks and antennas,
+        """(K,) sum of |post_mean|^2 + the elementwise variance over sub-blocks and antennas,
         lambda_post (s @ gain^2 + Q sum phi)."""
         return self.lambda_post * (self.s @ self.gain**2 + self.pri_mean.shape[1] * self.phi.sum())
 
@@ -57,13 +59,6 @@ class DenoiseBatch:
 
         halves(devices, len(out), out.size)
         return out
-
-    @property
-    def post_var_elem(self) -> np.ndarray:
-        lp = self.lambda_post[:, None, None]
-        mu = self.pri_mean * self.gain
-        post_var = lp * ((1.0 - lp) * (mu.real**2 + mu.imag**2) + self.phi)
-        return np.maximum(post_var, 0.0, out=post_var)
 
 
 def _per_device(value, K: int, name: str) -> np.ndarray:
@@ -113,7 +108,7 @@ def bg_denoise_batch(
     if not np.all((lam >= 0) & (lam <= 1)):  # NaN fails both comparisons
         raise ParameterError("lambda_pri must lie in [0, 1]")
     with np.errstate(invalid="ignore"):  # inf - inf, which raises below
-        log_odds = np.broadcast_to(logit(lam) + _per_device(evidence, K, "evidence"), (K,))
+        log_odds = np.broadcast_to(activity.logit(lam) + _per_device(evidence, K, "evidence"), (K,))
     if np.isnan(log_odds).any():
         raise ParameterError("lambda_pri and evidence must give defined prior log-odds: "
                              "evidence is NaN, or infinite against a certain lambda_pri")
@@ -142,7 +137,7 @@ def bg_denoise_batch(
         raise ParameterError("theta and per_antenna_var give an undefined log-likelihood ratio")
 
     with np.errstate(invalid="ignore"):  # a certain prior keeps its 0 or 1
-        lambda_post = np.where(np.isinf(log_odds), log_odds > 0, sigmoid(log_odds + llr))
+        lambda_post = np.where(np.isinf(log_odds), log_odds > 0, activity.sigmoid(log_odds + llr))
 
     column_var = (gain**2 * ((lambda_post * (1.0 - lambda_post)) @ s)
                   + phi * (Q * lambda_post.sum())) / (K * Q)

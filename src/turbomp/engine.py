@@ -192,9 +192,11 @@ def run_turbo_mp(
 
     Y has shape (T*N, M).  `truth` may be a (ChannelRealization, BlockwiseBasis)
     pair; when given, a reconstruction-error trace is added to the diagnostics.
-    Inputs plus options determine the output exactly (no internal randomness).
+    Inputs plus options determine the output exactly (no internal randomness).  The options
+    are checked again here, as they may have been edited since they were built.
     """
     opts = opts or TurboOptions()
+    TurboOptions.validate(opts)  # the engine's fields only, also for an `ExperimentConfig`
     Y = np.asarray(Y, dtype=np.complex128)
     if Y.ndim != 2 or Y.shape[0] != codebook.rows or Y.shape[1] < 1:
         raise DimensionError(f"Y must be ({codebook.rows}, M) with M >= 1, got {Y.shape}")

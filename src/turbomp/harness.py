@@ -37,7 +37,7 @@ from .channel import (
     sample_channel,
 )
 from .em import PriorParams, em_initial_params
-from .engine import TurboOptions, run_turbo_mp
+from .engine import TurboOptions, _number, run_turbo_mp
 from .errors import ConfigurationError
 from .metrics import check_thresholds, detection_metrics, nmse, nmse_db, roc_sweep
 from .pilots import build_codebook, check_pilot_rows
@@ -45,19 +45,15 @@ from .pilots import build_codebook, check_pilot_rows
 CHANNEL_MODES = ("multipath", "exact")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _is_finite(value) -> bool:
     try:  # float() also rejects an int beyond the float range, which every trial would fail on
-        return _is_number(value) and math.isfinite(float(value))
+        return _number(value) and math.isfinite(float(value))
     except OverflowError:
         return False
 
 
 _KINDS = {  # field annotation -> (check, description)
-    "int": (lambda v: _is_number(v) and isinstance(v, numbers.Integral), "an integer"),
+    "int": (lambda v: _number(v, numbers.Integral), "an integer"),
     "float": (_is_finite, "a finite number"),
     "bool": (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
@@ -102,7 +98,7 @@ class ExperimentConfig(TurboOptions):
     workers: int = 1
 
     def __post_init__(self):
-        if _is_number(self.snr_db):
+        if _number(self.snr_db):
             self.snr_db = [self.snr_db]
         self.validate()
         self.snr_db = [float(s) for s in self.snr_db]

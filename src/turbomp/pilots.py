@@ -40,10 +40,11 @@ from .parallel import halves
 class PilotCodebook:
     """Immutable pilot operator pair (A, B) plus construction metadata.
 
-    selections holds Q rows of T*N/Q DFT-row indices; they are pairwise
-    disjoint across blocks when built in strict mode.  D_diag is the
-    diagonal of D, the per-row sub-block offset; scale is sqrt(P); roots[i]
-    is exp(-2j pi i / K).
+    selections holds Q rows of T*N/Q DFT-row indices, distinct within each
+    block; blocks may share rows (see `build_codebook`), since each block
+    reaches its own columns and A @ A^H = K*P*I holds either way.  D_diag is
+    the diagonal of D, the per-row sub-block offset; scale is sqrt(P);
+    roots[i] is exp(-2j pi i / K).
     """
 
     K: int
@@ -52,7 +53,6 @@ class PilotCodebook:
     Q: int
     power: float
     selections: np.ndarray
-    strict: bool = True
     D_diag: np.ndarray = field(init=False, repr=False)
     roots: np.ndarray = field(init=False, repr=False)
 
@@ -60,7 +60,7 @@ class PilotCodebook:
         K, N, T, Q = self.K, self.N, self.T, self.Q
         if min(K, N, T, Q) < 1:
             raise ConfigurationError("K, N, T, Q must all be >= 1")
-        check_pilot_rows(K, N, T, Q, self.strict)
+        check_pilot_rows(K, N, T, Q, strict=False)
         if not 0 < self.power < np.inf:  # also false for NaN
             raise ConfigurationError(f"pilot power must be positive and finite, got {self.power}")
         sel = np.asarray(self.selections)
@@ -76,8 +76,6 @@ class PilotCodebook:
         for q in range(Q):
             if np.unique(sel[q]).size != rpb:
                 raise ConfigurationError(f"block {q} repeats a DFT row")
-        if self.strict and np.unique(sel).size != Q * rpb:
-            raise ConfigurationError("strict mode requires globally disjoint row selections")
         object.__setattr__(self, "selections", sel)
 
         offsets = subblock_offsets(N // Q)
@@ -211,4 +209,4 @@ def build_codebook(
         sel = rng.choice(K, size=T * N, replace=False).reshape(Q, rpb)
     else:
         sel = np.stack([rng.choice(K, size=rpb, replace=False) for _ in range(Q)])
-    return PilotCodebook(K=K, N=N, T=T, Q=Q, power=P, selections=sel, strict=strict)
+    return PilotCodebook(K=K, N=N, T=T, Q=Q, power=P, selections=sel)

@@ -32,8 +32,8 @@ run the script as it stood in that tree's own history.
 
 Each case stores, under ``<case>__<key>``:
 
-* inputs: ``dims`` (K, N, T, Q), ``power``, ``selections``, ``strict``,
-  ``Y``, ``priors`` (theta_H, theta_C, sigma_w2, lam), ``options`` (JSON of
+* inputs: ``dims`` (K, N, T, Q), ``power``, ``selections``, ``Y``,
+  ``priors`` (theta_H, theta_C, sigma_w2, lam), ``options`` (JSON of
   the ``TurboOptions`` fields that differ from the defaults, plus the message
   clamp ``v_max`` of ``vmax_clamped``, which ``replay`` sets as
   ``turbomp.lmmse.V_MAX`` for the duration of the run) and, for the
@@ -48,7 +48,9 @@ Each case stores, under ``<case>__<key>``:
 The committed cases also hold ``module_trace``, the order of the module calls
 as the recording tree logged it.  The engine runs one fixed schedule and no
 longer logs it, so this script does not write that key and the test does not
-read it.
+read it.  They also hold ``strict``, the codebook flag of the recording tree;
+a ``PilotCodebook`` accepts every selection its operators are exact for and
+has no such flag, so that key goes unread too.
 """
 
 from __future__ import annotations
@@ -118,7 +120,6 @@ def case_inputs(tm, name):
         "dims": np.array([K, N, T, Q]),
         "power": np.array(cb.power),
         "selections": cb.selections,
-        "strict": np.array(cb.strict),
         "Y": Y,
         "priors": np.array(priors),
         "options": np.array(json.dumps(options)),
@@ -132,7 +133,7 @@ def replay(tm, doc):
     """Run the engine on stored inputs; returns the TurboResult."""
     K, N, T, Q = (int(v) for v in doc["dims"])
     cb = tm.PilotCodebook(K=K, N=N, T=T, Q=Q, power=float(doc["power"]),
-                          selections=doc["selections"], strict=bool(doc["strict"]))
+                          selections=doc["selections"])
     priors = tm.PriorParams(*(float(v) for v in doc["priors"]))
     options = json.loads(str(doc["options"]))
     truth = None

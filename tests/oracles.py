@@ -123,6 +123,15 @@ def block_energy(x):
     return s
 
 
+def post_var_elem(batch):
+    """The dense (K, Q, M) elementwise posterior variance of a `DenoiseBatch`,
+    lambda ((1 - lambda) |gain pri_mean|^2 + phi) with lambda = lambda_post."""
+    lp = batch.lambda_post[:, None, None]
+    mu = batch.pri_mean * batch.gain
+    post_var = lp * ((1.0 - lp) * (mu.real**2 + mu.imag**2) + batch.phi)
+    return np.maximum(post_var, 0.0, out=post_var)
+
+
 def bg_scalar_reference(r, v, theta, lam, n_grid=20001):
     """Brute-force posterior of a scalar spike-and-slab variable.
 

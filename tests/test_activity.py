@@ -5,26 +5,26 @@ import pytest
 
 from oracles import sigmoid_masked
 from turbomp import ParameterError, detect
-from turbomp.activity import fuse
-from turbomp.logodds import logit, sigmoid
+from turbomp.activity import fuse, logit, sigmoid
 
 
 class TestCrossPrior:
-    """A denoiser's cross prior is `fuse` of the other denoiser's evidence alone."""
+    """One denoiser's evidence against a zero second term: the activity that the other
+    denoiser's prior (lam, evidence) stands for."""
 
     def test_uninformative_returns_prior_exactly(self):
         for lam in (0.05, 0.31, 0.9):
-            assert fuse(lam, 0.0) == lam
+            assert fuse(lam, 0.0, 0.0) == lam
 
     def test_certain_evidence(self):
-        assert fuse(0.05, np.inf) == pytest.approx(1.0, abs=1e-12)
-        assert fuse(0.95, -np.inf) == pytest.approx(0.0, abs=1e-12)
+        assert fuse(0.05, np.inf, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert fuse(0.95, -np.inf, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_substitution(self):
-        assert fuse(0.05, logit(0.9)) == pytest.approx(0.045 / 0.14, rel=1e-12)
+        assert fuse(0.05, logit(0.9), 0.0) == pytest.approx(0.045 / 0.14, rel=1e-12)
 
     def test_vectorized(self):
-        out = fuse(0.05, np.array([0.0, logit(0.9)]))
+        out = fuse(0.05, np.array([0.0, logit(0.9)]), 0.0)
         assert out[0] == 0.05
         assert out[1] == pytest.approx(0.045 / 0.14, rel=1e-12)
 
@@ -107,18 +107,18 @@ class TestFuse:
         return np.asarray(x, dtype=float).view(np.int64)
 
     @pytest.mark.parametrize("lam", LAMS)
-    def test_one_term_is_bitwise_two_terms_with_zero(self, lam):
+    def test_a_zero_term_is_bitwise_the_same_in_either_place(self, lam):
         e = self.EVIDENCE
         for zero in (0.0, -0.0, np.zeros(e.size)):
-            assert np.array_equal(self.bits(fuse(lam, e)), self.bits(fuse(lam, e, zero)))
-            assert np.array_equal(self.bits(fuse(lam, e)), self.bits(fuse(lam, zero, e)))
+            assert np.array_equal(self.bits(fuse(lam, e, 0.0)), self.bits(fuse(lam, e, zero)))
+            assert np.array_equal(self.bits(fuse(lam, e, 0.0)), self.bits(fuse(lam, zero, e)))
 
     @pytest.mark.parametrize("lam", LAMS)
     def test_cancelling_evidence_returns_the_prior_bitwise(self, lam):
         """Zero net evidence, opposing certainties included, is the prior bit for bit."""
         e = self.EVIDENCE
         assert np.array_equal(self.bits(fuse(lam, e, -e)), self.bits(np.full(e.size, lam)))
-        assert np.array_equal(self.bits(fuse(lam, np.zeros(e.size))),
+        assert np.array_equal(self.bits(fuse(lam, np.zeros(e.size), 0.0)),
                               self.bits(np.full(e.size, lam)))
         assert fuse(lam, np.inf, -np.inf) == lam and fuse(lam, -np.inf, np.inf) == lam
 
@@ -132,7 +132,7 @@ class TestFuse:
         pa, pb, qa, qb = sigmoid(a), sigmoid(b), sigmoid(-a), sigmoid(-b)
         on, off = lam * pa * pb, (1 - lam) * qa * qb
         np.testing.assert_allclose(fuse(lam, a, b), on / (on + off), rtol=1e-12, atol=0)
-        np.testing.assert_allclose(fuse(lam, a), lam * pa / (lam * pa + (1 - lam) * qa),
+        np.testing.assert_allclose(fuse(lam, a, 0.0), lam * pa / (lam * pa + (1 - lam) * qa),
                                    rtol=1e-12, atol=0)
 
 

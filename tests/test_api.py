@@ -2,6 +2,7 @@
 the removed names; and the harness surface the benchmark drives."""
 
 import concurrent.futures
+import importlib
 import inspect
 from dataclasses import asdict, fields
 
@@ -64,10 +65,10 @@ REMOVED = [
 ]
 
 REMOVED_FROM_MODULES = {
-    "activity": ["activity_posterior", "cross_prior"],
+    "activity": ["LOG_ODDS_CLAMP", "activity_posterior", "cross_prior"],
     "em": ["em_lambda", "em_sigma_w", "em_theta"],
     "engine": ["TurboState", "_damp", "init_state"],
-    "logodds": ["LOG_ODDS_CLAMP"],
+    "harness": ["_is_number"],
 }
 
 REMOVED_CONFIG_KEYS = [
@@ -135,11 +136,25 @@ def test_removed_names_are_gone():
     for name in ("dense_A", "apply_B", "apply_B_adjoint"):
         assert not hasattr(turbomp.PilotCodebook, name), name
     assert "pi" not in {f.name for f in fields(turbomp.denoiser.DenoiseBatch)}
+    assert not hasattr(turbomp.denoiser.DenoiseBatch, "post_var_elem")
+    assert "strict" not in {f.name for f in fields(turbomp.PilotCodebook)}
     assert not hasattr(turbomp.BlockwiseBasis(8, 2), "e1")
     assert not hasattr(turbomp.ExperimentConfig, "turbo_options")
     assert not hasattr(turbomp.ExperimentConfig, "to_dict")
     assert not hasattr(turbomp.engine.TurboDiagnostics(), "module_trace")
     assert not hasattr(turbomp.MultipathProfile, "num_taps")
+
+
+def test_activity_holds_the_log_odds_rules():
+    """`logit`, `sigmoid`, `fuse` and `detect` live in `activity`, the former `logodds` module
+    is gone, and `fuse` takes both evidence terms, with no default for the second."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("turbomp.logodds")
+    for name in ("logit", "sigmoid", "fuse", "detect"):
+        assert getattr(turbomp.activity, name).__module__ == "turbomp.activity", name
+    params = inspect.signature(turbomp.activity.fuse).parameters
+    assert list(params) == ["lam", "e_a", "e_b"]
+    assert params["e_b"].default is inspect.Parameter.empty
 
 
 def test_config_keys_are_pinned():

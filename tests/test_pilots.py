@@ -57,16 +57,27 @@ class TestBuild:
         (lambda sel: dict(selections=np.where(sel == sel[0, 0], 16, sel)), r"\[0, K\)"),
         (lambda sel: dict(selections=np.where(sel == sel[0, 0], -1, sel)), r"\[0, K\)"),
         (lambda sel: dict(selections=np.where(sel == sel[0, 1], sel[0, 0], sel)), "repeats"),
-        (lambda sel: dict(selections=np.where(sel == sel[1, 0], sel[0, 0], sel)), "disjoint"),
     ])
     def test_direct_construction_is_validated(self, edit, match):
-        """Each check of a codebook built from its fields, one edit away from valid strict
-        pilots (whose rows are distinct across blocks)."""
+        """Each check of a codebook built from its fields, one edit away from valid pilots."""
         sel = build_codebook(K=16, N=8, T=2, Q=2, seed=0).selections
-        doc = dict(K=16, N=8, T=2, Q=2, power=1.0, selections=sel, strict=True)
+        doc = dict(K=16, N=8, T=2, Q=2, power=1.0, selections=sel)
         PilotCodebook(**doc)
         with pytest.raises(ConfigurationError, match=match):
             PilotCodebook(**{**doc, **edit(sel)})
+
+    def test_a_row_shared_across_blocks_keeps_the_operators_exact(self):
+        """Each block reaches its own columns, so a DFT row that two blocks share still gives
+        A A^H = K P I, and the fast operator equals the dense one."""
+        sel = build_codebook(K=16, N=8, T=2, Q=2, seed=0).selections
+        shared = np.where(sel == sel[1, 0], sel[0, 0], sel)
+        assert np.intersect1d(shared[0], shared[1]).size == 1
+        cb = PilotCodebook(K=16, N=8, T=2, Q=2, power=1.3, selections=shared)
+        A = dense_A(cb)
+        kp_eye = cb.K * cb.power * np.eye(cb.rows)
+        assert np.linalg.norm(A @ A.conj().T - kp_eye) / np.linalg.norm(kp_eye) < 1e-10
+        x = rand_complex(np.random.default_rng(0), cb.cols)
+        np.testing.assert_allclose(cb.apply_A(x), A @ x, rtol=1e-10, atol=1e-10)
 
     def test_deterministic_given_seed(self):
         a = build_codebook(K=64, N=8, T=2, Q=2, seed=9)

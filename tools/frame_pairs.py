@@ -37,6 +37,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import resource
@@ -47,7 +48,6 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-OPTIONS = ("max_iters", "rel_change_tol", "em_enabled", "em_sigma_correction", "threshold")
 PRIORS = ("theta_H", "theta_C", "sigma_w2", "lam")
 WORKLOADS = {  # ExperimentConfig fields of each workload beyond the shared ones
     "paper_point": {"snr_db": [-15.0], "em_sigma_correction": True, "max_iters": 15},
@@ -59,7 +59,7 @@ def capture(workload: str, K: int, frames: int, seed: int, path: str) -> None:
     """Save the inputs of the first `frames` frames of `workload` that the harness hands
     `run_turbo_mp`."""
     import numpy as np
-    from turbomp import ExperimentConfig, harness
+    from turbomp import ExperimentConfig, TurboOptions, harness
     from turbomp.channel import example_pdp_path
 
     config = ExperimentConfig(K=K, N=72, T=8, Q=4, M=8, lam=50 / K, pdp_file=example_pdp_path(),
@@ -78,9 +78,10 @@ def capture(workload: str, K: int, frames: int, seed: int, path: str) -> None:
             harness.run_single_trial(config, 0, config.snr_db[0], trial)
     finally:
         harness.run_turbo_mp = run
-    options = [getattr(config, name) for name in OPTIONS]
+    options = {f.name: getattr(config, f.name) for f in dataclasses.fields(TurboOptions)
+               if getattr(config, f.name) != f.default}
     np.savez(path, dims=[K, config.N, config.T, config.Q], power=config.pilot_power,
-             options=np.array(options, dtype=float), **saved)
+             options=json.dumps(options), **saved)
 
 
 def time_frames(path: str, split: str, outputs: str | None = None) -> dict:
@@ -97,9 +98,7 @@ def time_frames(path: str, split: str, outputs: str | None = None) -> dict:
     with np.load(path) as data:
         doc = {key: data[key] for key in data.files}
     K, N, T, Q = (int(v) for v in doc["dims"])
-    max_iters, tol, em, correction, threshold = doc["options"].tolist()
-    opts = TurboOptions(max_iters=int(max_iters), rel_change_tol=tol, em_enabled=bool(em),
-                        em_sigma_correction=bool(correction), threshold=threshold)
+    opts = TurboOptions(**json.loads(str(doc["options"])))
     frames = []
     for i in range(sum(key.startswith("Y") for key in doc)):
         cb = PilotCodebook(K=K, N=N, T=T, Q=Q, power=float(doc["power"]), selections=doc[f"sel{i}"])
