@@ -6,6 +6,7 @@ import argparse
 import itertools
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +38,14 @@ def _load_config(args, values=(), **overrides) -> ExperimentConfig:
     return ExperimentConfig.from_dict(doc)
 
 
+def _make_out(args) -> None:
+    """Create --out before the first trial, so a run is not lost for want of a directory."""
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create --out: {exc}") from None
+
+
 def _parse_value(text: str):
     try:
         return json.loads(text)
@@ -46,6 +55,7 @@ def _parse_value(text: str):
 
 def _cmd_run(args) -> int:
     config = _load_config(args, workers=args.workers)
+    _make_out(args)
     result = run_experiment(config, progress=print)
     paths = emit_results(result, args.out, stem=args.stem)
     print(f"wrote {paths['csv']} and {paths['json']}")
@@ -66,6 +76,7 @@ def _cmd_sweep(args) -> int:
          _load_config(args, zip(keys, combo)))
         for combo in itertools.product(*(grid[k] for k in keys))
     ]
+    _make_out(args)
     for idx, (label, config) in enumerate(runs):
         print(f"[sweep {idx + 1}/{len(runs)}] {label}")
         result = run_experiment(config, progress=print)
@@ -85,6 +96,7 @@ def _cmd_roc(args) -> int:
         raise ConfigurationError(f"--points must be >= 1, got {args.points}")
     else:
         thresholds = np.linspace(0.02, 0.98, args.points).tolist()
+    _make_out(args)
     rows = run_roc(config, thresholds, progress=print)
     path = emit_roc(rows, args.out, stem=args.stem)
     print(f"wrote {path}")

@@ -75,12 +75,12 @@ def _number(value, kind=numbers.Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TurboOptions:
     """Stopping rule, EM switches and detection threshold of one fixed schedule.
 
-    Each iteration runs the mean branch twice, then the slope branch, then activity
-    fusion and, with em_enabled, the EM refresh of `em.em_schedule`.
+    Each iteration runs the mean branch twice, then the slope branch, then activity fusion
+    and, with em_enabled, the EM refresh of `em.em_schedule`.  Frozen, and checked when built.
     """
 
     max_iters: int = 50
@@ -166,8 +166,8 @@ def _branch(resid, sigma, spectrum, v_pri, fwd_pri, weight, theta, prior, cb, di
     forward product), the forward product weight * A @ post_mean of the denoiser's posterior
     mean and the denoiser's output.
     """
-    ext, v_ext, _, fwd_ext = linear_extrinsic(spectrum, v_pri, fwd_pri, resid, sigma, weight, cb,
-                                              out=ext)
+    ext, v_ext, fwd_ext = linear_extrinsic(spectrum, v_pri, fwd_pri, resid, sigma, weight, cb,
+                                           out=ext)
     den = bg_denoise_batch(ext, v_ext, theta, *prior)
     # the denoiser's extrinsic message x_und = alpha post_mean - beta ext
     v_out, alpha, beta = extrinsic(den.column_var, v_ext)
@@ -192,11 +192,9 @@ def run_turbo_mp(
 
     Y has shape (T*N, M).  `truth` may be a (ChannelRealization, BlockwiseBasis)
     pair; when given, a reconstruction-error trace is added to the diagnostics.
-    Inputs plus options determine the output exactly (no internal randomness).  The options
-    are checked again here, as they may have been edited since they were built.
+    Inputs plus options determine the output exactly (no internal randomness).
     """
     opts = opts or TurboOptions()
-    TurboOptions.validate(opts)  # the engine's fields only, also for an `ExperimentConfig`
     Y = np.asarray(Y, dtype=np.complex128)
     if Y.ndim != 2 or Y.shape[0] != codebook.rows or Y.shape[1] < 1:
         raise DimensionError(f"Y must be ({codebook.rows}, M) with M >= 1, got {Y.shape}")

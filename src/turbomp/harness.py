@@ -62,19 +62,20 @@ _KINDS = {  # field annotation -> (check, description)
 }
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig(TurboOptions):
     """One experiment: system dimensions, SNR sweep, estimator options.
 
     The estimator options are the inherited `TurboOptions` fields: max_iters, rel_change_tol,
     em_enabled, em_sigma_correction and threshold.  "lambda" and "em" are read as lam,
     em_enabled.
-    Every field must hold a value of its annotated type, a float a finite one; an optional one
-    may also be None.  master_seed must be >= 0, and each SNR must give a positive, finite
-    noise variance.  Each trial draws its own strict pilots (T*N <= K).  A multipath config
+    A config is frozen and checked once, when built (by `dataclasses.replace` too).  Every
+    field must hold a value of its annotated type, a float a finite one; an optional one may
+    also be None.  master_seed must be >= 0, and each SNR must give a positive, finite noise
+    variance.  Each trial draws its own pilots, T*N distinct DFT rows of K.  A multipath config
     reads its power delay profile once per process, when it is built, so a pdp_file that cannot
-    be read or parsed fails before any trial runs.  With workers > 1 the trials run on a
-    process pool capped at the CPUs this process may use.
+    be read or parsed fails before any trial runs.  The trials run on a process pool of
+    min(workers, CPUs this process may use) processes where that is above 1.
     """
 
     K: int
@@ -99,9 +100,9 @@ class ExperimentConfig(TurboOptions):
 
     def __post_init__(self):
         if _number(self.snr_db):
-            self.snr_db = [self.snr_db]
+            object.__setattr__(self, "snr_db", [self.snr_db])
         self.validate()
-        self.snr_db = [float(s) for s in self.snr_db]
+        object.__setattr__(self, "snr_db", [float(s) for s in self.snr_db])
 
     def validate(self) -> None:
         for f in fields(self):
@@ -116,7 +117,7 @@ class ExperimentConfig(TurboOptions):
             if value is not None and value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
         BlockwiseBasis(N=self.N, Q=self.Q)  # raises unless Q divides N into blocks of >= 2
-        check_pilot_rows(self.K, self.N, self.T, self.Q, strict=True)
+        check_pilot_rows(self.K, self.N, self.T, self.Q)
         if not 0.0 < self.lam < 1.0:
             raise ConfigurationError(f"lambda must be in (0, 1), got {self.lam}")
         if not self.snr_db:
@@ -281,11 +282,11 @@ def _roc_job(args):
 
 @contextmanager
 def _mapper(workers: int):
-    """`map`, or with workers > 1 the `map` of one process pool for every call, of at most
-    as many processes as this process has CPUs; pool workers run every block pass unsplit."""
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, parallel.cpus()),
-                                 initializer=parallel.disable) as pool:
+    """`map`, or the `map` of one pool of min(workers, CPUs this process may use) processes
+    for every call where that is above 1; pool workers run every block pass unsplit."""
+    processes = min(workers, parallel.cpus())
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes, initializer=parallel.disable) as pool:
             yield pool.map
     else:
         yield map
@@ -326,7 +327,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     With min_error_events set, each point keeps running (in chunks, up to
     config.trials) until that many detection errors have accumulated.
     """
-    config.validate()
     points = []
     for point_idx, snr in enumerate(config.snr_db):
         start = time.perf_counter()

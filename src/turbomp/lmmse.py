@@ -14,9 +14,10 @@ closed form (the Turbo-CS identity of Ma, Yuan and Ping, IEEE SPL 2015):
 
     x_ext = x + u / g,   v_ext = 1 / g - v,
 
-one scalar per antenna.  `linear_extrinsic` is that closed form, with the
-prior mean x given as its spectrum: since 1 / g is one scalar per antenna,
-u / g = A^H (z / g) with z = w r / Sigma, and the pilot adjoint forms
+one scalar per antenna.  Only this message leaves the module (the posterior is
+its precision combination with the prior).  `linear_extrinsic` is that closed
+form, with the prior mean x given as its spectrum: since 1 / g is one scalar per
+antenna, u / g = A^H (z / g) with z = w r / Sigma, and the pilot adjoint forms
 x + A^H (z / g) from x's spectrum in one inverse DFT (see `pilots`).  `extrinsic`
 divides any other posterior (the denoisers') by its prior message.  Both apply
 the message-variance bounds, which no other module applies.  Means may be a
@@ -44,14 +45,14 @@ def observation_variance(v_h, v_c, sigma_w2: float, codebook: PilotCodebook) -> 
 
 
 def linear_extrinsic(spectrum, v_pri, fwd_pri, resid, sigma, weight, codebook, out=None):
-    """Extrinsic message (x_ext, v_ext) of one linear branch, its posterior
-    variance, and the forward product w A x_ext given fwd_pri = w A x_pri.
+    """Extrinsic message (x_ext, v_ext) of one linear branch and its forward
+    product w A x_ext given fwd_pri = w A x_pri.
 
     spectrum is x_pri's spectrum as `PilotCodebook.apply_A` leaves it, None
     for x_pri = 0.  weight is a scalar or one entry per row.  Where 1/g - v
     reaches V_MAX the posterior adds nothing to the prior: as in `extrinsic`,
     the variance is clamped to V_MAX and the posterior mean x + v u passes
-    through.  v_pri and both returned variances are floored at V_FLOOR.
+    through.  v_pri and v_ext are floored at V_FLOOR.
     x_ext = x_pri + A^H (c z) with one c per antenna, formed by the adjoint
     from spectrum, which it leaves unchanged, into out when given (a block as
     the adjoint takes it, not sharing spectrum's memory); A A^H = K P I gives
@@ -70,7 +71,7 @@ def linear_extrinsic(spectrum, v_pri, fwd_pri, resid, sigma, weight, codebook, o
     z *= w  # z's buffer becomes fwd_ext = fwd_pri + c K P w z
     z *= codebook.K * codebook.power * coef
     z += fwd_pri
-    return x_ext, v_ext, np.maximum(v - v**2 * g, V_FLOOR), z
+    return x_ext, v_ext, z
 
 
 def extrinsic(v_post, v_pri):

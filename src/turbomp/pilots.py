@@ -40,11 +40,11 @@ from .parallel import halves
 class PilotCodebook:
     """Immutable pilot operator pair (A, B) plus construction metadata.
 
-    selections holds Q rows of T*N/Q DFT-row indices, distinct within each
-    block; blocks may share rows (see `build_codebook`), since each block
-    reaches its own columns and A @ A^H = K*P*I holds either way.  D_diag is
-    the diagonal of D, the per-row sub-block offset; scale is sqrt(P);
-    roots[i] is exp(-2j pi i / K).
+    selections holds Q rows of T*N/Q DFT-row indices, distinct within each block.
+    `build_codebook` draws T*N distinct rows, but blocks may share rows, since each
+    block reaches its own columns and A @ A^H = K*P*I holds either way.  D_diag is
+    the diagonal of D, the per-row sub-block offset; scale is sqrt(P); roots[i] is
+    exp(-2j pi i / K).
     """
 
     K: int
@@ -60,7 +60,8 @@ class PilotCodebook:
         K, N, T, Q = self.K, self.N, self.T, self.Q
         if min(K, N, T, Q) < 1:
             raise ConfigurationError("K, N, T, Q must all be >= 1")
-        check_pilot_rows(K, N, T, Q, strict=False)
+        if N % Q != 0:
+            raise ConfigurationError(f"Q={Q} must divide N={N}")
         if not 0 < self.power < np.inf:  # also false for NaN
             raise ConfigurationError(f"pilot power must be positive and finite, got {self.power}")
         sel = np.asarray(self.selections)
@@ -176,37 +177,16 @@ class PilotCodebook:
         return y[:, 0] if X.ndim == 2 else y
 
 
-def check_pilot_rows(K: int, N: int, T: int, Q: int, strict: bool) -> None:
-    """Raise `ConfigurationError` unless Q divides N and selections of K rows can exist."""
+def check_pilot_rows(K: int, N: int, T: int, Q: int) -> None:
+    """Raise `ConfigurationError` unless Q divides N and K holds T*N distinct DFT rows."""
     if N % Q != 0:
         raise ConfigurationError(f"Q={Q} must divide N={N}")
-    if strict and T * N > K:
-        raise ConfigurationError(f"strict pilots need T*N <= K, got T*N={T * N} > K={K}")
-    if T * N // Q > K:
-        raise ConfigurationError(f"pilots need T*N/Q <= K, got T*N/Q={T * N // Q} > K={K}")
+    if T * N > K:
+        raise ConfigurationError(f"pilots need T*N <= K, got T*N={T * N} > K={K}")
 
 
-def build_codebook(
-    K: int,
-    N: int,
-    T: int,
-    Q: int,
-    P: float = 1.0,
-    seed=0,
-    strict: bool = True,
-) -> PilotCodebook:
-    """Draw the random row selections and assemble the pilot operators.
-
-    Strict mode (default) requires T*N <= K and draws all selections without
-    replacement globally, so no DFT row is reused anywhere.  Relaxed mode
-    only keeps rows distinct within each block, which admits T*N > K at the
-    cost of reusing rows across sub-blocks.
-    """
-    check_pilot_rows(K, N, T, Q, strict)
-    rpb = T * N // Q
-    rng = np.random.default_rng(seed)
-    if strict:
-        sel = rng.choice(K, size=T * N, replace=False).reshape(Q, rpb)
-    else:
-        sel = np.stack([rng.choice(K, size=rpb, replace=False) for _ in range(Q)])
-    return PilotCodebook(K=K, N=N, T=T, Q=Q, power=P, selections=sel)
+def build_codebook(K: int, N: int, T: int, Q: int, P: float = 1.0, seed=0) -> PilotCodebook:
+    """Draw T*N distinct DFT rows, T*N/Q per block, and assemble the pilot operators."""
+    check_pilot_rows(K, N, T, Q)
+    sel = np.random.default_rng(seed).choice(K, size=T * N, replace=False)
+    return PilotCodebook(K=K, N=N, T=T, Q=Q, power=P, selections=sel.reshape(Q, -1))

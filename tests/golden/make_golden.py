@@ -49,8 +49,9 @@ The committed cases also hold ``module_trace``, the order of the module calls
 as the recording tree logged it.  The engine runs one fixed schedule and no
 longer logs it, so this script does not write that key and the test does not
 read it.  They also hold ``strict``, the codebook flag of the recording tree;
-a ``PilotCodebook`` accepts every selection its operators are exact for and
-has no such flag, so that key goes unread too.
+neither ``PilotCodebook`` nor ``build_codebook`` has such a flag (a codebook
+accepts every selection its operators are exact for, and ``build_codebook``
+always draws T*N distinct rows), so that key goes unread too.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ closed form, and statistics derived straight from the model definitions.
 
 import numpy as np
 
-from turbomp import ConfigurationError
+from turbomp import ConfigurationError, PilotCodebook
 
 DENSE_ENTRY_GUARD = 10**7
 
@@ -28,6 +28,14 @@ def dense_A(codebook):
         block = cb.scale * np.exp(-2j * np.pi * np.outer(cb.selections[q], k) / cb.K)
         A[np.ix_(rows, k * cb.Q + q)] = block
     return A
+
+
+def shared_row_codebook(K, N, T, Q, P=1.0, seed=0):
+    """Not an oracle: a codebook whose Q blocks draw their T*N/Q rows each on their own, so
+    blocks may share DFT rows and T*N may exceed K (the block of a row is its own columns')."""
+    rng = np.random.default_rng(seed)
+    sel = np.stack([rng.choice(K, size=T * N // Q, replace=False) for _ in range(Q)])
+    return PilotCodebook(K=K, N=N, T=T, Q=Q, power=P, selections=sel)
 
 
 def dense_B(codebook):

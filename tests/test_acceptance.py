@@ -18,6 +18,7 @@ from oracles import (
     dense_joint_lmmse,
     genie_support_lmmse,
     post_var_elem,
+    shared_row_codebook,
     spectrum,
 )
 from turbomp import (
@@ -82,24 +83,23 @@ def test_criterion_01_operator_algebra():
 def test_criterion_02_linear_module_exactness():
     """Posterior mean and trace-averaged variance match dense joint LMMSE."""
     start = time.perf_counter()
-    cb = build_codebook(K=16, N=8, T=4, Q=2, seed=2, strict=False)
+    cb = shared_row_codebook(K=16, N=8, T=4, Q=2, seed=2)
     rng = np.random.default_rng(3)
     v_h, v_c, sw2 = 0.31, 0.12, 0.05
     h_pri = rand_complex(rng, cb.cols)
     c_pri = rand_complex(rng, cb.cols)
     y = rand_complex(rng, cb.rows)
 
-    # the posterior variance comes from the linear module; the posterior mean is
-    # its extrinsic message combined with the prior message
+    # the posterior is the linear module's extrinsic message combined with the
+    # prior message, as the message the engine passes implies it
     sigma = observation_variance(v_h, v_c, sw2, cb)
     fwd_c = cb.D_diag * cb.apply_A(c_pri)  # B c_pri
     resid = y - cb.apply_A(h_pri) - fwd_c
     posts = []
     for x, v, weight, fwd in [(h_pri, v_h, 1.0, cb.apply_A(h_pri)),
                               (c_pri, v_c, cb.D_diag, fwd_c)]:
-        x_ext, v_ext, v_post, _ = linear_extrinsic(spectrum(cb, x), v, fwd, resid, sigma,
-                                                   weight, cb)
-        posts.append((combine(x_ext, v_ext, x, v)[0], v_post))
+        x_ext, v_ext, _ = linear_extrinsic(spectrum(cb, x), v, fwd, resid, sigma, weight, cb)
+        posts.append(combine(x_ext, v_ext, x, v))
     (mean_h, var_h), (mean_c, var_c) = posts
     h_ref, c_ref, vh_ref, vc_ref = dense_joint_lmmse(
         y, dense_A(cb), dense_B(cb), h_pri, c_pri, v_h, v_c, sw2

@@ -6,6 +6,7 @@ import importlib
 import inspect
 from dataclasses import asdict, fields
 
+import numpy as np
 import pytest
 
 import turbomp
@@ -155,6 +156,19 @@ def test_activity_holds_the_log_odds_rules():
     params = inspect.signature(turbomp.activity.fuse).parameters
     assert list(params) == ["lam", "e_a", "e_b"]
     assert params["e_b"].default is inspect.Parameter.empty
+
+
+def test_one_pilot_row_rule_and_frozen_options():
+    """Pilots are T*N distinct DFT rows, with no flag; the linear module hands back only its
+    extrinsic message and that message's forward product; the options are frozen."""
+    for fn in (turbomp.build_codebook, turbomp.pilots.check_pilot_rows):
+        assert "strict" not in inspect.signature(fn).parameters, fn.__name__
+    cb = turbomp.build_codebook(K=16, N=4, T=2, Q=2, seed=0)
+    sigma = turbomp.lmmse.observation_variance(1.0, 0.1, 0.1, cb)
+    zeros = np.zeros(cb.rows, dtype=complex)
+    assert len(turbomp.lmmse.linear_extrinsic(None, 1.0, zeros, zeros, sigma, 1.0, cb)) == 3
+    for cls in (turbomp.TurboOptions, turbomp.ExperimentConfig):
+        assert cls.__dataclass_params__.frozen, cls.__name__
 
 
 def test_config_keys_are_pinned():

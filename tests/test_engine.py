@@ -12,6 +12,7 @@ import turbomp
 from turbomp import engine
 from turbomp import (
     BlockwiseBasis,
+    ConfigurationError,
     DimensionError,
     ExperimentConfig,
     NumericsError,
@@ -29,6 +30,12 @@ from turbomp.channel import example_pdp_path
 GOLDEN = Path(__file__).parent / "golden"
 sys.path.insert(0, str(GOLDEN))
 from make_golden import CASES, replay  # noqa: E402
+
+
+def small_config(**overrides):
+    """A valid exact-channel experiment config, K=64."""
+    return ExperimentConfig(**{**dict(K=64, N=8, T=2, Q=2, M=2, snr_db=[10.0], lam=0.2,
+                                      channel="exact", theta_H=1.0, theta_C=0.05), **overrides})
 
 
 def make_instance(seed=0, K=64, N=8, T=2, Q=2, M=2, lam=0.2, theta_H=1.0,
@@ -225,32 +232,23 @@ class TestFailureModes:
                 TurboOptions(**bad)
         assert TurboOptions(em_enabled=np.True_, max_iters=np.int64(3)).em_enabled
 
-    @pytest.mark.parametrize("name, value", [
-        ("max_iters", 0), ("max_iters", 2.5), ("rel_change_tol", float("nan")),
-        ("rel_change_tol", 0.0), ("threshold", 1.0), ("em_enabled", "no"),
-        ("em_sigma_correction", 1)])
-    def test_options_edited_after_construction_are_checked_on_entry(self, name, value):
-        """The options are a mutable dataclass: run_turbo_mp checks them again, and raises
-        before any iteration (max_iters = 0 used to fail on an unbound local, and a NaN
-        tolerance ran to the cap unnoticed)."""
-        Y, cb, priors, *_ = make_instance(seed=9)
-        opts = TurboOptions(max_iters=3)
-        setattr(opts, name, value)
-        with pytest.raises(ParameterError, match=name):
-            run_turbo_mp(Y, cb, priors, opts)
+    @pytest.mark.parametrize("opts", [TurboOptions(max_iters=3), small_config(max_iters=3)],
+                             ids=["TurboOptions", "ExperimentConfig"])
+    def test_options_are_frozen(self, opts):
+        """No field of the options or of a config can be edited after it was checked."""
+        for f in dataclasses.fields(opts):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(opts, f.name, getattr(opts, f.name))
 
-    def test_entry_check_reads_only_the_engine_fields_of_a_config(self):
-        """An `ExperimentConfig` handed over as options is checked for the five engine fields
-        only; its own fields are `run_experiment`'s to check."""
-        Y, cb, priors, *_ = make_instance(seed=9)
-        config = ExperimentConfig(K=cb.K, N=cb.N, T=cb.T, Q=cb.Q, M=Y.shape[1], snr_db=[10.0],
-                                  lam=0.2, channel="exact", theta_H=1.0, theta_C=0.05,
-                                  max_iters=3)
-        config.trials = 0  # no longer valid as an experiment
-        assert run_turbo_mp(Y, cb, priors, config).iterations <= 3
-        config.max_iters = 0
-        with pytest.raises(ParameterError, match="max_iters"):
-            run_turbo_mp(Y, cb, priors, config)
+    @pytest.mark.parametrize("opts, name, error", [
+        (TurboOptions(), "max_iters", ParameterError),
+        (small_config(snr_db=10.0), "trials", ConfigurationError)],
+        ids=["TurboOptions", "ExperimentConfig"])
+    def test_replace_checks_again(self, opts, name, error):
+        """`dataclasses.replace` builds a new object, which is checked as any other."""
+        assert dataclasses.replace(opts) == opts
+        with pytest.raises(error, match=name):
+            dataclasses.replace(opts, **{name: 0})
 
 
 class TestFusedActivity:

@@ -63,7 +63,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             exact_config(Q=3)  # does not divide N
         with pytest.raises(ConfigurationError):
-            exact_config(K=10)  # T*N > K in strict mode
+            exact_config(K=10)  # T*N > K: fewer DFT rows than pilot rows
         with pytest.raises(ConfigurationError):
             exact_config(lam=1.0)
         with pytest.raises(ConfigurationError):
@@ -141,7 +141,7 @@ class TestConfigValidation:
         dict(theta_H=float("inf")), dict(theta_C=-0.1), dict(theta_C=0.0),
         dict(theta_C=-0.1, em=True), dict(sigma_w2=0.0), dict(sigma_w2=-1.0),
         dict(sigma_w2=-1.0, em=True), dict(min_error_events=0), dict(min_error_events=-3),
-        dict(K=15),  # strict pilots need T*N = 16 distinct rows
+        dict(K=15),  # pilots need T*N = 16 distinct rows
         dict(snr_db=[]), dict(pilot_power=0.0), dict(pilot_power=-1.0),
         dict(master_seed=-1), dict(snr_db=[-4000.0]), dict(snr_db=[4000.0]),
         dict(snr_db=[10.0, 4000.0], em=True), dict(snr_db=[-3000.0], pilot_power=1e10),
@@ -288,10 +288,30 @@ class TestTrialsAndAggregation:
             run_experiment(exact_config(trials=3, workers=workers))
         run_roc(exact_config(trials=3, workers=500), [0.5])
         monkeypatch.delattr(parallel.os, "sched_getaffinity")
-        for cpus in (2, None):  # os.cpu_count() may not know
+        for cpus in (2, None):  # os.cpu_count() may not know, and one CPU starts no pool
             monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
             run_roc(exact_config(trials=1, workers=500), [0.5])
-        assert sizes == [3, 2, 3, 2, 1]
+        assert sizes == [3, 2, 3, 2]
+
+    @pytest.mark.parametrize("roc", [False, True])
+    def test_one_cpu_runs_in_this_process(self, monkeypatch, roc):
+        """Where this process may use one CPU, workers > 1 starts no pool, which would only
+        pickle every trial into a child, and gives the serial records."""
+        import turbomp.harness as harness
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        def run(workers):
+            config = exact_config(trials=3, workers=workers)
+            if roc:
+                return run_roc(config, [0.2, 0.5])
+            return [strip(t) for t in run_experiment(config).points[0].trials]
+
+        serial = run(1)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(parallel, "cpus", lambda: 1)
+        assert run(2) == serial
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="only forked workers inherit a patched module global")
@@ -576,12 +596,23 @@ class TestCli:
             assert err.startswith("error:") and "bad.pdp" in err
             assert not out.exists()
 
-    def test_output_errors_are_not_config_errors(self, tmp_path):
-        """Only reading the config turns an OSError into a usage error."""
+    @pytest.mark.parametrize("command, runner", [
+        (["run"], "run_experiment"), (["sweep", "--param", "M=1,2"], "run_experiment"),
+        (["roc"], "run_roc")])
+    def test_an_out_that_cannot_be_created_is_an_error_before_any_trial(
+            self, tmp_path, capsys, monkeypatch, command, runner):
+        """--out is created once the config has loaded, so a path under a regular file exits
+        2 with one error line before the first trial, not after the last."""
+        import turbomp.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, runner, lambda *args, **kwargs: calls.append(args))
         cfg = self._write_config(tmp_path)
         (tmp_path / "blocker").write_text("")
-        with pytest.raises(NotADirectoryError):
-            cli_main(["run", "--config", cfg, "--out", str(tmp_path / "blocker" / "res")])
+        code = cli_main([*command, "--config", cfg, "--out", str(tmp_path / "blocker" / "res")])
+        assert code == 2 and calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "blocker" in err
 
     def test_sweep_override_wins_whichever_spelling(self, tmp_path):
         """A --param beats the file's key when one names the field and the other its alias."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import dense_A, dense_B, mix_subcarriers_fft, permutation
+from oracles import dense_A, dense_B, mix_subcarriers_fft, permutation, shared_row_codebook
 from turbomp import ConfigurationError, DimensionError, PilotCodebook, build_codebook, parallel
 
 
@@ -27,7 +27,7 @@ class TestBuild:
     def test_strict_requires_enough_rows(self):
         with pytest.raises(ConfigurationError):
             build_codebook(K=16, N=8, T=4, Q=2, seed=0)  # T*N = 32 > K
-        cb = build_codebook(K=16, N=8, T=4, Q=2, seed=0, strict=False)
+        cb = shared_row_codebook(K=16, N=8, T=4, Q=2, seed=0)
         assert cb.selections.shape == (2, 16)
 
     def test_strict_selections_globally_disjoint(self):
@@ -35,7 +35,7 @@ class TestBuild:
         assert np.unique(cb.selections).size == cb.rows
 
     def test_relaxed_selections_distinct_per_block(self):
-        cb = build_codebook(K=16, N=8, T=4, Q=2, seed=3, strict=False)
+        cb = shared_row_codebook(K=16, N=8, T=4, Q=2, seed=3)
         for q in range(2):
             assert np.unique(cb.selections[q]).size == cb.rows_per_block
 
@@ -121,7 +121,7 @@ class TestOperatorAlgebra:
                 assert np.all(other == 0)
 
     def test_fast_equals_dense(self):
-        cb = build_codebook(K=16, N=8, T=4, Q=2, seed=5, strict=False)
+        cb = shared_row_codebook(K=16, N=8, T=4, Q=2, seed=5)
         A, B = dense_A(cb), dense_B(cb)
         rng = np.random.default_rng(0)
         x = rand_complex(rng, cb.cols)
@@ -245,16 +245,17 @@ def along_axis_A_adjoint(cb, y):
 
 class TestDirectIndex:
     @pytest.mark.parametrize("split", [False, True])
-    @pytest.mark.parametrize("K, N, T, Q, strict", [(16, 8, 4, 2, False), (64, 8, 2, 2, True),
-                                                    (1000, 72, 8, 4, True)])
+    @pytest.mark.parametrize("K, N, T, Q, build", [(16, 8, 4, 2, shared_row_codebook),
+                                                   (64, 8, 2, 2, build_codebook),
+                                                   (1000, 72, 8, 4, build_codebook)])
     def test_gather_and_scatter_are_bitwise_the_along_axis_forms(self, monkeypatch, split, K, N,
-                                                                  T, Q, strict):
+                                                                  T, Q, build):
         """Direct-index gathers and scatters give bitwise the `take_along_axis` and
         `put_along_axis` products, whether or not the sub-blocks run as two halves, and match
         the dense operators."""
         if split:
             monkeypatch.setattr(parallel, "MIN_SIZE", 0)
-        cb = build_codebook(K=K, N=N, T=T, Q=Q, seed=K, strict=strict)
+        cb = build(K=K, N=N, T=T, Q=Q, seed=K)
         rng = np.random.default_rng(K)
         X, Y = rand_complex(rng, cb.cols, 3), rand_complex(rng, cb.rows, 3)
         blocks = X.reshape(cb.K, cb.Q, 3)
@@ -290,11 +291,12 @@ class TestAdjointFromSpectrum:
         assert np.array_equal(cb.apply_A(blocks, blocks), cb.apply_A(X))
         assert np.array_equal(blocks, np.fft.fft(X.reshape(cb.K, cb.Q, 3), axis=0))
 
-    @pytest.mark.parametrize("K, N, T, Q, strict", [(64, 8, 4, 2, True), (16, 8, 4, 2, False)])
-    def test_adjoint_from_a_spectrum_equals_dense(self, K, N, T, Q, strict):
+    @pytest.mark.parametrize("K, N, T, Q, build", [(64, 8, 4, 2, build_codebook),
+                                                   (16, 8, 4, 2, shared_row_codebook)])
+    def test_adjoint_from_a_spectrum_equals_dense(self, K, N, T, Q, build):
         """x + A^H y and x + B^H y (as A^H of D y) equal the dense products to criterion 01's
         tolerance, for the zero message (spectrum None) and for the spectrum apply_A left."""
-        cb = build_codebook(K=K, N=N, T=T, Q=Q, P=1.3, seed=K, strict=strict)
+        cb = build(K=K, N=N, T=T, Q=Q, P=1.3, seed=K)
         A, rng = dense_A(cb), np.random.default_rng(K)
         X, Y = rand_complex(rng, cb.cols, 3), rand_complex(rng, cb.rows, 3)
         blocks = device_contiguous(X, cb)
@@ -346,7 +348,7 @@ class TestAdjointFromSpectrum:
 
 class TestPermutationAndMixing:
     def test_permutation_reorders_device_major_to_block_major(self):
-        cb = build_codebook(K=6, N=4, T=1, Q=2, seed=0, strict=False)
+        cb = shared_row_codebook(K=6, N=4, T=1, Q=2, seed=0)
         x = np.arange(cb.cols, dtype=float)
         via_perm = x[permutation(cb)].reshape(cb.Q, cb.K)
         via_reshape = x.reshape(cb.K, cb.Q).T
@@ -369,9 +371,9 @@ class TestPermutationAndMixing:
         """Summing over the active device rows equals the K-point FFT over all rows,
         for sparse, all-active and all-zero inputs, with and without an antenna axis."""
         rng = np.random.default_rng(6)
-        for K, N, T, Q, strict in [(64, 8, 2, 2, True), (1000, 72, 8, 4, True),
-                                   (16, 8, 4, 2, False)]:
-            cb = build_codebook(K=K, N=N, T=T, Q=Q, seed=K, strict=strict)
+        for K, N, T, Q, build in [(64, 8, 2, 2, build_codebook), (1000, 72, 8, 4, build_codebook),
+                                  (16, 8, 4, 2, shared_row_codebook)]:
+            cb = build(K=K, N=N, T=T, Q=Q, seed=K)
             for active in (rng.random(K) < 0.1, np.ones(K, bool), np.zeros(K, bool)):
                 X = np.zeros((K, N, 3), dtype=complex)
                 X[active] = rand_complex(rng, int(active.sum()), N, 3)
