@@ -68,6 +68,8 @@ def _cmd_sweep(args) -> int:
         key, _, values = spec.partition("=")
         if "" in values.split(","):
             raise ConfigurationError(f"--param needs KEY=V1,V2,... without empty values: {spec!r}")
+        if key in grid:
+            raise ConfigurationError(f"--param sets {key!r} more than once")
         grid[key] = [_parse_value(v) for v in values.split(",")]
 
     keys = sorted(grid)
@@ -76,6 +78,9 @@ def _cmd_sweep(args) -> int:
          _load_config(args, zip(keys, combo)))
         for combo in itertools.product(*(grid[k] for k in keys))
     ]
+    labels = [label for label, _ in runs]
+    if len(set(labels)) < len(labels):  # a later run would overwrite an earlier one's files
+        raise ConfigurationError(f"sweep points share an output stem: {labels}")
     _make_out(args)
     for idx, (label, config) in enumerate(runs):
         print(f"[sweep {idx + 1}/{len(runs)}] {label}")

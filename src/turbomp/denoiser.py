@@ -7,7 +7,8 @@ block mean, and elementwise variances are all closed form.  The Gaussian
 likelihood ratio is evaluated strictly in the log domain; at realistic
 operating points the linear-domain ratio overflows.  The prior on activity
 arrives as a rate plus log-odds evidence, so a caller holding another
-denoiser's evidence hands it over with no probability round trip.
+denoiser's evidence hands it over with no probability round trip.  The engine
+calls the core `_denoise` on inputs it has bounded, skipping `bg_denoise_batch`'s checks.
 """
 
 from __future__ import annotations
@@ -107,16 +108,21 @@ def bg_denoise_batch(
     lam = _per_device(lambda_pri, K, "lambda_pri")
     if not np.all((lam >= 0) & (lam <= 1)):  # NaN fails both comparisons
         raise ParameterError("lambda_pri must lie in [0, 1]")
+    evidence = _per_device(evidence, K, "evidence")
     with np.errstate(invalid="ignore"):  # inf - inf, which raises below
-        log_odds = np.broadcast_to(activity.logit(lam) + _per_device(evidence, K, "evidence"), (K,))
-    if np.isnan(log_odds).any():
-        raise ParameterError("lambda_pri and evidence must give defined prior log-odds: "
-                             "evidence is NaN, or infinite against a certain lambda_pri")
+        if np.isnan(activity.logit(lam) + evidence).any():
+            raise ParameterError("lambda_pri and evidence must give defined prior log-odds: "
+                                 "evidence is NaN, or infinite against a certain lambda_pri")
+    if not pri.transpose(1, 2, 0).flags.c_contiguous:  # not device-contiguous
+        pri = np.ascontiguousarray(pri.transpose(1, 2, 0)).transpose(2, 0, 1)
+    return _denoise(pri, v, theta, lam, evidence)
 
-    blocks = pri.transpose(1, 2, 0)  # (Q, M, K)
-    if not blocks.flags.c_contiguous:
-        blocks = np.ascontiguousarray(blocks)
-        pri = blocks.transpose(2, 0, 1)
+
+def _denoise(pri, v, theta, lambda_pri, evidence) -> DenoiseBatch:
+    """`bg_denoise_batch` on inputs its checks pass (a device-contiguous complex block, and
+    float or per-device rate and evidence); it keeps the checks that bounded inputs cannot
+    settle: a non-finite s_km or a NaN log-likelihood ratio raises ParameterError."""
+    (K, Q, M), blocks = pri.shape, pri.transpose(1, 2, 0)  # blocks (Q, M, K) is C-ordered
     gain = theta / (theta + v)  # (M,)
     phi = gain * v  # (M,)
     sums, s = np.empty((M, 2 * K)), np.empty((M, K))  # s.T (C order moves `@ s` by 1 ulp)
@@ -136,6 +142,7 @@ def bg_denoise_batch(
     if np.isnan(llr).any():
         raise ParameterError("theta and per_antenna_var give an undefined log-likelihood ratio")
 
+    log_odds = activity.logit(lambda_pri) + evidence
     with np.errstate(invalid="ignore"):  # a certain prior keeps its 0 or 1
         lambda_post = np.where(np.isinf(log_odds), log_odds > 0, activity.sigmoid(log_odds + llr))
 

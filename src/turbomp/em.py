@@ -59,7 +59,7 @@ def em_schedule(priors, iteration, resid, moment, den_h, den_c, lambda_d_post, c
     resid is the (T*N, M) residual Y - A H_post - B C_post, moment the moment estimate
     m = mean(|r|^2 - (Sigma - sigma_w2)) of a linear branch's input r, den_h and den_c the
     last mean-block and slope-block denoiser outputs and lambda_d_post the fused activity
-    posterior of the K >= 1 devices.
+    posterior of the K >= 1 devices, read only on the slow refreshes (None may stand between).
 
     The noise variance is refreshed every iteration.  The residual power s per entry
     underestimates it by the power the posterior means fit, and m falls below zero where
@@ -78,7 +78,7 @@ def em_schedule(priors, iteration, resid, moment, den_h, den_c, lambda_d_post, c
     P = codebook.power
     sigma_w2 = float(np.vdot(resid, resid).real) / resid.size
     if opts.em_sigma_correction:
-        d2_mean = float(np.mean(codebook.D_diag**2))
+        d2_mean = float(np.mean(codebook.D2_diag))
         sigma_w2 += (codebook.K * P / resid.shape[1]) * float(
             np.sum(den_h.column_var) + d2_mean * np.sum(den_c.column_var))
     else:

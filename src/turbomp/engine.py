@@ -28,13 +28,15 @@ observation variance Sigma and activity cross prior, and builds no (K, Q, M) pos
   fwd_h = A h_pri and fwd_c = B c_pri hold at every branch entry and the residual
   Y - fwd_h - fwd_c needs no operator call; nor does EM's residual Y - A H_post - B C_post.
 
-One iteration thus costs one adjoint and one forward operator call per branch.  The posterior
-means are built from the denoisers' last inputs only for the `TurboResult` and for the
-truth-traced NMSE.  Activity is carried in log-odds: each denoiser reports its prior-free
-evidence, +-inf included, and the other branch's denoiser takes it as it is, with the rate
-lambda, as its cross prior (a (lambda, evidence) pair, whose log-odds the denoiser forms and
-checks); `activity.fuse` forms only EM's activity posterior and the frame's final posterior
-from both evidence arrays, and `detect` rejects a NaN that reaches the final one.
+One iteration thus costs one adjoint and one forward operator call per branch; sqrt(P), D^2 and the
+pilot-row index are built once per codebook.  Each branch calls `denoiser._denoise` without
+`bg_denoise_batch`'s input checks: `lmmse` bounds v_ext, `PriorParams` theta and lambda, and the
+cross evidence is the other denoiser's NaN-checked llr.  The posterior forward products are formed
+only for EM's residual, and the posterior means only for the `TurboResult` and the truth-traced
+NMSE.  Activity is carried in log-odds: each denoiser reports its prior-free evidence, +-inf
+included, and the other branch's denoiser takes it, with the rate lambda, as its cross prior;
+`activity.fuse` forms only EM's activity posterior, on its slow refreshes, and the frame's final
+posterior, and `detect` rejects a NaN that reaches the final one.
 
 A frame writes its (K, Q, M) blocks into one workspace, a (5, Q, M, K) array allocated by
 `run_turbo_mp` and freed when it returns; each slot is a device-contiguous view.  Two slots hold
@@ -62,8 +64,8 @@ import numpy as np
 
 from . import lmmse, metrics as _metrics
 from .activity import detect, fuse
-from .denoiser import bg_denoise_batch
-from .em import PriorParams, em_schedule
+from .denoiser import _denoise
+from .em import SLOW_PERIOD, PriorParams, em_schedule
 from .errors import DimensionError, NumericsError, ParameterError
 from .lmmse import extrinsic, linear_extrinsic, observation_variance
 from .parallel import halves
@@ -163,12 +165,12 @@ def _branch(resid, sigma, spectrum, v_pri, fwd_pri, weight, theta, prior, cb, di
     a (lambda, evidence) pair (see `bg_denoise_batch`).  ext and out are workspace slots: the
     linear extrinsic message, which the denoiser keeps as its input, and the outgoing message's
     spectrum, which may be spectrum itself.  Returns the outgoing message (spectrum, variance,
-    forward product), the forward product weight * A @ post_mean of the denoiser's posterior
-    mean and the denoiser's output.
+    forward product), the forward product weight * A @ x_ext, the denoiser's output, and the
+    per-antenna alpha and beta, which give weight * A @ post_mean (see the module docstring).
     """
     ext, v_ext, fwd_ext = linear_extrinsic(spectrum, v_pri, fwd_pri, resid, sigma, weight, cb,
                                            out=ext)
-    den = bg_denoise_batch(ext, v_ext, theta, *prior)
+    den = _denoise(ext, v_ext, theta, *prior)
     # the denoiser's extrinsic message x_und = alpha post_mean - beta ext
     v_out, alpha, beta = extrinsic(den.column_var, v_ext)
     diag.clamp_events += int(np.count_nonzero(np.concatenate((v_ext, v_out)) == lmmse.V_MAX))
@@ -177,8 +179,7 @@ def _branch(resid, sigma, spectrum, v_pri, fwd_pri, weight, theta, prior, cb, di
            ext.shape[2], ext.size)
     fwd_und = cb.apply_A(out, out)  # leaves x_und's spectrum in out
     fwd_und *= weight
-    fwd_post = (fwd_und + beta * fwd_ext) / alpha
-    return out, v_out, fwd_und, fwd_post, den
+    return out, v_out, fwd_und, fwd_ext, den, alpha, beta
 
 
 def run_turbo_mp(
@@ -216,7 +217,7 @@ def run_turbo_mp(
         for _ in range(2):  # the first pass writes into the spare slot, the second over its input
             resid = _residual(Y, fwd_h, fwd_c, diag)
             sigma = observation_variance(v_h, v_c, priors.sigma_w2, codebook)
-            h_new, v_h, fwd_h, post_fwd_h, den_h = _branch(
+            h_new, v_h, fwd_h, fwd_ext_h, den_h, alpha_h, beta_h = _branch(
                 resid, sigma, h_new, v_h, fwd_h, 1.0, priors.theta_H, (priors.lam, evidence_c),
                 codebook, diag, h_ext, spare)
         # a NaN or inf makes a message's step or a variance's sum non-finite; checked before EM
@@ -224,7 +225,7 @@ def run_turbo_mp(
         evidence_h = den_h.evidence
         resid = _residual(Y, fwd_h, fwd_c, diag)
         sigma = observation_variance(v_h, v_c, priors.sigma_w2, codebook)
-        c_new, v_c, fwd_c, post_fwd_c, den_c = _branch(
+        c_new, v_c, fwd_c, fwd_ext_c, den_c, alpha_c, beta_c = _branch(
             resid, sigma, c_pri, v_c, fwd_c, codebook.D_diag[:, None], priors.theta_C,
             (priors.lam, evidence_h), codebook, diag, c_ext, spare)
         (step_c, norm_c), spare, c_pri = _step_norms(c_new, c_pri), c_pri, c_new
@@ -238,9 +239,13 @@ def run_turbo_mp(
         if opts.em_enabled:
             # the moment estimate mean(|r|^2 - (Sigma - sigma_w2)) of the slope branch's inputs
             moment = np.vdot(resid, resid).real / resid.size - np.mean(sigma) + priors.sigma_w2
-            priors = em_schedule(priors, iteration, Y - post_fwd_h - post_fwd_c, float(moment),
-                                 den_h, den_c, fuse(priors.lam, evidence_h, evidence_c),
-                                 codebook, opts)
+            # Y - A H_post - B C_post; the activity posterior only for the slow refreshes
+            post_resid = (Y - (fwd_h + beta_h * fwd_ext_h) / alpha_h
+                          - (fwd_c + beta_c * fwd_ext_c) / alpha_c)
+            lambda_d_post = None if iteration % SLOW_PERIOD else fuse(priors.lam, evidence_h,
+                                                                      evidence_c)
+            priors = em_schedule(priors, iteration, post_resid, float(moment), den_h, den_c,
+                                 lambda_d_post, codebook, opts)
 
         denom = np.hypot(norm_h, norm_c)
         rel_change = float(change / denom) if denom > 0 else np.inf

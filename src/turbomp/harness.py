@@ -57,7 +57,7 @@ _KINDS = {  # field annotation -> (check, description)
     "float": (_is_finite, "a finite number"),
     "bool": (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "list[float]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_finite, v)),
+    "tuple[float, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_finite, v)),
                     "a finite number or a list of finite numbers"),
 }
 
@@ -71,11 +71,12 @@ class ExperimentConfig(TurboOptions):
     em_enabled.
     A config is frozen and checked once, when built (by `dataclasses.replace` too).  Every
     field must hold a value of its annotated type, a float a finite one; an optional one may
-    also be None.  master_seed must be >= 0, and each SNR must give a positive, finite noise
-    variance.  Each trial draws its own pilots, T*N distinct DFT rows of K.  A multipath config
-    reads its power delay profile once per process, when it is built, so a pdp_file that cannot
-    be read or parsed fails before any trial runs.  The trials run on a process pool of
-    min(workers, CPUs this process may use) processes where that is above 1.
+    also be None; snr_db, a number or a list, is kept as a tuple.  master_seed must be >= 0,
+    and each SNR must give a positive, finite noise variance.  Each trial draws its own pilots,
+    T*N distinct DFT rows of K.  A multipath config reads its power delay profile once per
+    process, when it is built, so a pdp_file that cannot be read or parsed fails before any
+    trial runs.  The trials run on a process pool of min(workers, CPUs this process may use)
+    processes where that is above 1.
     """
 
     K: int
@@ -83,7 +84,7 @@ class ExperimentConfig(TurboOptions):
     T: int
     Q: int
     M: int
-    snr_db: list[float]
+    snr_db: tuple[float, ...]
     lam: float
     delta_f: float = 15e3
     pilot_power: float = 1.0
@@ -102,7 +103,7 @@ class ExperimentConfig(TurboOptions):
         if _number(self.snr_db):
             object.__setattr__(self, "snr_db", [self.snr_db])
         self.validate()
-        object.__setattr__(self, "snr_db", [float(s) for s in self.snr_db])
+        object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
 
     def validate(self) -> None:
         for f in fields(self):

@@ -40,8 +40,7 @@ V_MAX = 1e6
 def observation_variance(v_h, v_c, sigma_w2: float, codebook: PilotCodebook) -> np.ndarray:
     """K*P*v_h + K*P*v_c*D^2 + sigma_w2: (T*N,) for scalar variances, else (T*N, M)."""
     kp = codebook.K * codebook.power
-    d2 = codebook.D_diag**2
-    return kp * v_h + kp * np.multiply.outer(d2, v_c) + sigma_w2
+    return kp * v_h + kp * np.multiply.outer(codebook.D2_diag, v_c) + sigma_w2
 
 
 def linear_extrinsic(spectrum, v_pri, fwd_pri, resid, sigma, weight, codebook, out=None):

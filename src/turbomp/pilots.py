@@ -2,7 +2,7 @@
 
 The wide pilot matrix A maps stacked per-device sub-block coefficients (length Q*K,
 device-major) to T*N observation rows.  It factors as a permutation into Q device-indexed
-blocks, a scaled K-point DFT per block, and a row gather (one direct index, in row order), which
+blocks, a scaled K-point DFT per block, and a row gather (one flat index, built once), which
 keeps every matrix-vector product at O(Q*K*log K).  Each implied pilot symbol has squared
 magnitude P, and the row structure gives the partial orthogonality A @ A^H = K*P*I that the
 linear estimator relies on.  B shares the factorization through the real diagonal D: B = D @ A,
@@ -43,8 +43,8 @@ class PilotCodebook:
     selections holds Q rows of T*N/Q DFT-row indices, distinct within each block.
     `build_codebook` draws T*N distinct rows, but blocks may share rows, since each
     block reaches its own columns and A @ A^H = K*P*I holds either way.  D_diag is
-    the diagonal of D, the per-row sub-block offset; scale is sqrt(P); roots[i] is
-    exp(-2j pi i / K).
+    the diagonal of D, the per-row sub-block offset, and D2_diag its square; scale is sqrt(P);
+    roots[i] is exp(-2j pi i / K).  All, and a pilot-row index per M, are built once.
     """
 
     K: int
@@ -54,7 +54,10 @@ class PilotCodebook:
     power: float
     selections: np.ndarray
     D_diag: np.ndarray = field(init=False, repr=False)
+    D2_diag: np.ndarray = field(init=False, repr=False)
+    scale: float = field(init=False, repr=False)
     roots: np.ndarray = field(init=False, repr=False)
+    _row_index: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         K, N, T, Q = self.K, self.N, self.T, self.Q
@@ -81,6 +84,8 @@ class PilotCodebook:
 
         offsets = subblock_offsets(N // Q)
         object.__setattr__(self, "D_diag", np.tile(np.repeat(offsets, T), Q))
+        object.__setattr__(self, "D2_diag", self.D_diag**2)
+        object.__setattr__(self, "scale", float(np.sqrt(self.power)))
         object.__setattr__(self, "roots", np.exp(-2j * np.pi * np.arange(K) / K))
 
     # -- shapes -----------------------------------------------------------
@@ -97,9 +102,12 @@ class PilotCodebook:
     def rows_per_block(self) -> int:
         return self.T * self.N // self.Q
 
-    @property
-    def scale(self) -> float:
-        return float(np.sqrt(self.power))
+    def _rows(self, M: int) -> np.ndarray:
+        """Flat indices (q M + m) K + selections[q, r] of a (Q, M, K) block's pilot rows, by M."""
+        if M not in self._row_index:
+            q_m = np.arange(self.Q)[:, None, None] * M + np.arange(M)
+            self._row_index[M] = q_m * self.K + self.selections[:, :, None]
+        return self._row_index[M]
 
     # -- fast operator applications ---------------------------------------
 
@@ -115,8 +123,8 @@ class PilotCodebook:
         w = (np.empty(rows.shape, dtype=np.result_type(x.dtype, 1j)) if scratch is None
              else self._block("scratch", scratch, rows.shape[1]))
         halves(lambda q: np.fft.fft(rows[q], out=w[q]), self.Q, w.size)
-        y = w[np.arange(self.Q)[:, None], :, self.selections]  # (Q, rpb, M), in row order
-        y = self.scale * y.reshape(self.rows, -1)
+        y = np.take(w, self._rows(rows.shape[1])).reshape(self.rows, -1)  # a copy, in row order
+        y *= self.scale
         return y[:, 0] if x.ndim == 1 else y
 
     def apply_A_adjoint(self, y: np.ndarray, out: np.ndarray | None = None,
@@ -135,15 +143,15 @@ class PilotCodebook:
         blocks = y.reshape(self.Q, self.rows_per_block, -1)  # (Q, rpb, M), in row order
         shape = (self.Q, blocks.shape[2], self.K)
         w = np.empty(shape, dtype=complex) if out is None else self._block("out", out, shape[1])
-        s = (np.zeros(shape, dtype=complex) if spectrum is None
-             else self._block("spectrum", spectrum, shape[1]))
+        s = (np.zeros(shape, dtype=complex) if spectrum is None  # a copy only in another layout
+             else np.ascontiguousarray(self._block("spectrum", spectrum, shape[1])))
+        s_flat, index = s.reshape(-1), self._rows(shape[1])
 
         def update_ifft(q):
-            rows = np.arange(self.Q)[q, None], slice(None), self.selections[q]
-            saved = s[rows]
-            s[rows] = saved + self.K * self.scale * blocks[q]
+            saved = s_flat[index[q]]
+            s_flat[index[q]] = saved + self.K * self.scale * blocks[q]
             np.fft.ifft(s[q], out=w[q])
-            s[rows] = saved
+            s_flat[index[q]] = saved
 
         halves(update_ifft, self.Q, w.size)
         x = w.transpose(2, 0, 1)  # (K, Q, M)

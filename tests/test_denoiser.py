@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import bg_scalar_reference, block_energy, post_var_elem
-from turbomp import ParameterError, activity, bg_denoise_batch, detect, parallel
+from turbomp import ParameterError, activity, bg_denoise_batch, denoiser, detect, parallel
 from turbomp.activity import fuse, logit, sigmoid
 
 
@@ -292,6 +292,41 @@ class TestPriorEvidence:
         args = {"lambda_pri": 0.5, "evidence": 0.0, name: np.full(length, 0.5)}
         with pytest.raises(ParameterError, match=name):
             bg_denoise_batch(pri, v, 0.8, **args)
+
+
+class TestFrameCall:
+    """The frame calls `denoiser._denoise` with inputs it has bounded; `bg_denoise_batch` checks
+    its inputs and then runs the same computation."""
+
+    @pytest.mark.parametrize("K, M", [(7, 1), (1000, 4), (1000, 8)])
+    def test_frame_call_is_bitwise_the_public_call(self, K, M):
+        """On device-contiguous blocks with a rate in (0, 1) and evidence that is zero or per
+        device with -inf and +inf entries, every field and moment is bitwise equal."""
+        rng = np.random.default_rng(K + M)
+        blocks = rng.standard_normal((4, M, K)) + 1j * rng.standard_normal((4, M, K))
+        pri, v = blocks.transpose(2, 0, 1), rng.uniform(0.05, 2.0, M)
+        evidence = 3.0 * rng.standard_normal(K)
+        evidence[:2] = [np.inf, -np.inf]
+        for lam, e in ((0.05, 0.0), (0.05, evidence), (0.9, evidence)):
+            got = denoiser._denoise(pri, v, 0.8, lam, e)
+            want = bg_denoise_batch(pri, v, 0.8, lam, e)
+            for name in ("pri_mean", "lambda_post", "evidence", "gain", "phi", "column_var",
+                         "s", "energy", "post_mean"):
+                a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            assert got.pri_mean is pri
+
+    @pytest.mark.parametrize("value, theta, match", [
+        (np.nan, 1.0, "pri_mean"), (np.inf, 1.0, "pri_mean"),
+        (1e150, 1e300, "theta and per_antenna_var")])
+    def test_frame_call_keeps_the_numerics_guards(self, value, theta, match):
+        """A non-finite s_km and an undefined log-likelihood ratio raise on the frame's call
+        too, which its bounded inputs cannot rule out."""
+        pri = np.zeros((1, 1, 3), dtype=complex).transpose(2, 0, 1)
+        pri[1, 0, 0] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ParameterError, match=match):
+                denoiser._denoise(pri, np.array([1e-10]), theta, 0.5, 0.0)
 
 
 class TestEnergyReduction:

@@ -26,6 +26,7 @@ from turbomp import (
 )
 from turbomp.activity import fuse
 from turbomp.channel import example_pdp_path
+from turbomp.em import SLOW_PERIOD
 
 GOLDEN = Path(__file__).parent / "golden"
 sys.path.insert(0, str(GOLDEN))
@@ -201,7 +202,7 @@ class TestFailureModes:
         branch, slope_calls = engine._branch, []
 
         def poisoned(*args):
-            out = list(branch(*args))  # x_new, v_new, fwd_new, fwd_post, den
+            out = list(branch(*args))  # x_new, v_new, fwd_new, fwd_ext, den, alpha, beta
             slope_calls.append(not np.isscalar(args[5]))  # weight D: the slope branch
             if sum(slope_calls) == 2 and slope_calls[-1]:
                 for i in ((0, 2, 3) if target == "mean" else (1,)):
@@ -255,10 +256,11 @@ class TestFusedActivity:
     def test_cross_priors_are_the_evidence_and_em_posterior_is_bitwise_fused(self, monkeypatch):
         """The engine hands each denoiser the rate priors.lam and the other branch's evidence
         array itself as its cross prior (neutral zero evidence before the first slope pass);
-        EM's activity posterior and the frame's final posterior are bitwise `fuse` of the same
-        evidence, and EM is handed the very arrays."""
+        EM's activity posterior, formed only for its slow refreshes (None between them), and the
+        frame's final posterior are bitwise `fuse` of the same evidence, and EM is handed the
+        very arrays."""
         Y, cb, priors, *_ = make_instance(seed=4)
-        denoise, em_schedule, calls = engine.bg_denoise_batch, engine.em_schedule, []
+        denoise, em_schedule, calls = engine._denoise, engine.em_schedule, []
 
         def recorded_denoise(pri, v, theta, lambda_pri, evidence):
             calls.append(("den", lambda_pri, evidence, denoise(pri, v, theta, lambda_pri,
@@ -270,10 +272,11 @@ class TestFusedActivity:
             return em_schedule(priors, iteration, resid, moment, den_h, den_c, lambda_d_post,
                                *args)
 
-        monkeypatch.setattr(engine, "bg_denoise_batch", recorded_denoise)
+        monkeypatch.setattr(engine, "_denoise", recorded_denoise)
         monkeypatch.setattr(engine, "em_schedule", recorded_em)
         result = run_turbo_mp(Y, cb, priors, TurboOptions(max_iters=7, em_enabled=True,
                                                           rel_change_tol=1e-12))
+        assert result.iterations == 7
         assert len(calls) == 4 * result.iterations
         den_c = None
         for i in range(result.iterations):
@@ -286,27 +289,53 @@ class TestFusedActivity:
                 assert ev_h1 is den_c.evidence and ev_h2 is den_c.evidence
             assert ev_c is den_h.evidence
             den_c = den_c_next
-            want = fuse(em[1], den_h.evidence, den_c.evidence)
-            assert np.array_equal(em[4].view(np.int64), want.view(np.int64))
+            if (i + 1) % SLOW_PERIOD:
+                assert em[4] is None
+            else:
+                want = fuse(em[1], den_h.evidence, den_c.evidence)
+                assert np.array_equal(em[4].view(np.int64), want.view(np.int64))
             assert em[2] is den_h.evidence and em[3] is den_c.evidence
         want = fuse(result.priors.lam, den_h.evidence, den_c.evidence)  # after EM's last refresh
         assert np.array_equal(result.lambda_D_post.view(np.int64), want.view(np.int64))
 
-    @pytest.mark.parametrize("call, em, match", [
-        (2, False, "lambda_pri"),  # the last mean-branch evidence feeds the slope prior
-        (3, False, "lambda_pri"),  # the slope evidence feeds the next iteration's mean priors
-        (3, True, "lambda_pri"),  # EM's noise-only refresh at iteration 1 leaves lam alone
-        (9, True, "theta_H must be"),  # iteration 3 weighs theta by the fused posterior
-        (15, False, "lambda_d_post"),  # the last slope evidence reaches only the final one
-    ])
-    def test_a_nan_activity_likelihood_still_aborts_the_frame(self, monkeypatch, call, em,
-                                                              match):
-        """Nothing between the denoisers validates activity, so a NaN in a denoiser's evidence
-        reaches the next denoiser's check of its prior log-odds (which names lambda_pri), EM's
-        slow refresh `PriorParams` or, from the frame's last denoiser, `detect`'s check of the
-        final posterior; each raises before a result is returned."""
+    @pytest.mark.parametrize("em", [False, True])
+    @pytest.mark.parametrize("max_iters", [1, 3, 7])
+    def test_activity_is_fused_only_where_it_is_read(self, monkeypatch, em, max_iters):
+        """`activity.fuse` runs once per EM slow refresh and once for the final posterior,
+        not once per iteration."""
         Y, cb, priors, *_ = make_instance(seed=4)
-        denoise, calls = engine.bg_denoise_batch, []
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fuse(*args)
+
+        monkeypatch.setattr(engine, "fuse", counted)
+        result = run_turbo_mp(Y, cb, priors, TurboOptions(max_iters=max_iters, em_enabled=em,
+                                                          rel_change_tol=1e-300))
+        assert result.iterations == max_iters
+        assert len(calls) == em * (max_iters // SLOW_PERIOD) + 1
+
+    @pytest.mark.parametrize("call, em, error, match", [
+        # the last mean-branch evidence feeds the slope prior, and the slope message goes NaN
+        (2, False, NumericsError, "slope branch"),
+        # the slope evidence feeds the next iteration's mean prior, whose forward product then
+        # fails the second mean pass's residual check
+        (3, False, NumericsError, "residual"),
+        (3, True, NumericsError, "residual"),  # EM's noise-only refresh at iteration 1 reads none
+        (9, True, ParameterError, "theta_H must be"),  # iteration 3 weighs theta by the posterior
+        (15, False, ParameterError, "lambda_d_post"),  # the last slope evidence reaches the final
+    ], ids=["2-False-slope branch", "3-False-residual", "3-True-residual",
+            "9-True-theta_H must be", "15-False-lambda_d_post"])
+    def test_a_nan_activity_likelihood_still_aborts_the_frame(self, monkeypatch, call, em, error,
+                                                              match):
+        """A frame's denoiser calls take their prior unchecked (its evidence is another call's
+        NaN-checked log-likelihood ratio), so a NaN forced into a denoiser's evidence makes the
+        next branch's message NaN, which the engine's message or residual check rejects, or
+        reaches EM's slow refresh `PriorParams` or, from the frame's last denoiser, `detect`'s
+        check of the final posterior; each raises before a result is returned."""
+        Y, cb, priors, *_ = make_instance(seed=4)
+        denoise, calls = engine._denoise, []
 
         def poisoned(*args):
             den = denoise(*args)
@@ -317,8 +346,8 @@ class TestFusedActivity:
                 den = dataclasses.replace(den, evidence=evidence)
             return den
 
-        monkeypatch.setattr(engine, "bg_denoise_batch", poisoned)
-        with pytest.raises(ParameterError, match=match):
+        monkeypatch.setattr(engine, "_denoise", poisoned)
+        with pytest.raises(error, match=match):
             run_turbo_mp(Y, cb, priors, TurboOptions(max_iters=5, em_enabled=em,
                                                      rel_change_tol=1e-12))
 
@@ -339,7 +368,8 @@ class TestForwardProducts:
                     *args):
             out = branch(resid, sigma, spectrum, v_pri, fwd_pri, weight, theta, lambda_pri, cb,
                          *args)
-            x_new, _, fwd_new, fwd_post, den = out
+            x_new, _, fwd_new, fwd_ext, den, alpha, beta = out
+            fwd_post = (fwd_new + beta * fwd_ext) / alpha
             message = cb.apply_A_adjoint(np.zeros_like(resid), spectrum=x_new)
             for got, x in ((fwd_new, message), (fwd_post, den.post_mean)):
                 want = weight * cb.apply_A(x)
@@ -431,7 +461,8 @@ class TestWorkspace:
 class _DevicePermutedCodebook:
     """Duck-typed codebook whose device j uses the wrapped device perm[j]."""
 
-    _fields = ("K", "N", "T", "Q", "power", "D_diag", "rows", "cols", "rows_per_block")
+    _fields = ("K", "N", "T", "Q", "power", "D_diag", "D2_diag", "rows", "cols",
+               "rows_per_block")
 
     def __init__(self, cb, perm):
         self._cb = cb

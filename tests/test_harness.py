@@ -112,9 +112,17 @@ class TestConfigValidation:
             with pytest.raises(ConfigurationError, match="unknown"):
                 exact_config(**{key: 1})
 
-    def test_scalar_snr_promoted_to_list(self):
+    def test_scalar_snr_promoted_to_a_tuple(self):
         cfg = exact_config(snr_db=5)
-        assert cfg.snr_db == [5.0]
+        assert cfg.snr_db == (5.0,)
+
+    def test_snrs_cannot_be_edited_after_the_check(self):
+        """snr_db is a tuple, so a checked config's SNRs cannot be edited in place, and a
+        config hashes as a frozen dataclass should."""
+        cfg = exact_config(snr_db=[5.0, 10.0])
+        with pytest.raises(TypeError):
+            cfg.snr_db[0] = float("nan")
+        assert hash(cfg) == hash(exact_config(snr_db=(5, 10)))
 
     @pytest.mark.parametrize("bad", [
         dict(snr_db="10"), dict(snr_db=["10"]), dict(snr_db=True),
@@ -134,7 +142,7 @@ class TestConfigValidation:
 
     def test_any_numeric_type_is_a_number(self):
         cfg = exact_config(K=np.int64(64), theta_H=1, lam=np.float64(0.2), snr_db=(5, 10.5))
-        assert cfg.snr_db == [5.0, 10.5] and all(type(s) is float for s in cfg.snr_db)
+        assert cfg.snr_db == (5.0, 10.5) and all(type(s) is float for s in cfg.snr_db)
 
     @pytest.mark.parametrize("bad", [
         dict(theta_H=0.0), dict(theta_H=-1.0), dict(theta_H=float("nan")),
@@ -524,6 +532,26 @@ class TestCli:
         assert code == 0
         names = {p.name for p in (tmp_path / "sweep").glob("*.csv")}
         assert names == {"sweep_M1.csv", "sweep_M2.csv"}
+
+    @pytest.mark.parametrize("params", [
+        ["--param", "M=1", "--param", "M=2"],  # the first M was dropped
+        ["--param", "lambda=0.05,5e-2"],  # both runs wrote sweep_lambda0.05
+    ], ids=["repeated_key", "shared_stem"])
+    def test_sweep_that_would_lose_a_run_is_an_error_before_any_trial(
+            self, tmp_path, capsys, monkeypatch, params):
+        """A key given twice, or two grid points with one output stem, exits 2 with one error
+        line before the first trial."""
+        import turbomp.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: calls.append(args))
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "sweep"
+        code = cli_main(["sweep", "--config", cfg, *params, "--out", str(out)])
+        assert code == 2 and calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_roc_rejects_empty_grid(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)

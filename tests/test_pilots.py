@@ -1,5 +1,8 @@
 """Pilot operator construction and fast-path equivalence."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -270,6 +273,22 @@ class TestDirectIndex:
             np.testing.assert_allclose(cb.apply_A(X), A @ X, rtol=0, atol=1e-12)
             np.testing.assert_allclose(cb.apply_A_adjoint(Y).reshape(cb.cols, 3),
                                        A.conj().T @ Y, rtol=0, atol=1e-12)
+
+
+    def test_row_index_is_built_once_per_antenna_count_and_freed_with_its_codebook(self):
+        """Both operators read one flat index per antenna count, built at its first use and
+        held by the codebook alone, so it is freed with the codebook."""
+        cb = build_codebook(K=64, N=8, T=2, Q=2, seed=3)
+        rng = np.random.default_rng(3)
+        cb.apply_A(rand_complex(rng, cb.cols, 3))
+        index = cb._rows(3)
+        cb.apply_A_adjoint(rand_complex(rng, cb.rows, 3))
+        cb.apply_A(rand_complex(rng, cb.cols))
+        assert cb._rows(3) is index and sorted(cb._row_index) == [1, 3]
+        codebook, index = weakref.ref(cb), weakref.ref(index)
+        del cb
+        gc.collect()
+        assert codebook() is None and index() is None
 
 
 def device_contiguous(x, cb):

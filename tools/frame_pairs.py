@@ -3,13 +3,14 @@
 Usage, from the repository root:
 
     python3 tools/frame_pairs.py PARENT_SRC CHANGE_SRC --pairs 10 --frames 20 --seed 1000 \
-        [--workload {paper_point,high_snr}] [--K 16000] [--no-split]
+        [--workload {paper_point,high_snr,pooled_sweep}] [--K 16000] [--no-split]
 
 Each path is a `src` directory holding a `turbomp` package.  The frames are those of the
 benchmark workload --workload: multipath, K=1000, N=72, T=8, Q=4, M=8, lambda K = 50 and EM,
 with `paper_point` (the default) at -15 dB with the corrected noise update and at most 15
-iterations, and `high_snr` at 60 dB with the default options (the max(m, s) noise update and
-at most 50 iterations); --K changes K and keeps 50 devices active.  PARENT_SRC draws
+iterations, `high_snr` at 60 dB with the default options (the max(m, s) noise update and
+at most 50 iterations), and `pooled_sweep` as `paper_point` but with M=4 (its frames run in
+pool workers, so time them with --no-split); --K changes K and keeps 50 devices active.  PARENT_SRC draws
 the frames once, trials 0 to frames - 1 of `master_seed` --seed through
 `harness.run_single_trial`, and their inputs (Y, the pilot rows, the priors and options) are
 saved.  A run then times `run_turbo_mp` alone on every saved frame in a fresh interpreter with
@@ -52,6 +53,7 @@ PRIORS = ("theta_H", "theta_C", "sigma_w2", "lam")
 WORKLOADS = {  # ExperimentConfig fields of each workload beyond the shared ones
     "paper_point": {"snr_db": [-15.0], "em_sigma_correction": True, "max_iters": 15},
     "high_snr": {"snr_db": [60.0]},
+    "pooled_sweep": {"M": 4, "snr_db": [-15.0], "em_sigma_correction": True, "max_iters": 15},
 }
 
 
@@ -62,8 +64,9 @@ def capture(workload: str, K: int, frames: int, seed: int, path: str) -> None:
     from turbomp import ExperimentConfig, TurboOptions, harness
     from turbomp.channel import example_pdp_path
 
-    config = ExperimentConfig(K=K, N=72, T=8, Q=4, M=8, lam=50 / K, pdp_file=example_pdp_path(),
-                              master_seed=seed, **WORKLOADS[workload])
+    config = ExperimentConfig(**{"K": K, "N": 72, "T": 8, "Q": 4, "M": 8, "lam": 50 / K,
+                                 "pdp_file": example_pdp_path(), "master_seed": seed,
+                                 **WORKLOADS[workload]})
     saved, run = {}, harness.run_turbo_mp
 
     def record(Y, cb, priors, opts, *args, **kwargs):
