@@ -12,7 +12,6 @@ from .channel import (
     sample_blockwise_exact,
     sample_channel,
 )
-from .denoiser import bg_denoise_batch
 from .em import PriorParams, em_initial_params
 from .engine import TurboOptions, TurboResult, run_turbo_mp
 from .errors import ConfigurationError, DimensionError, NumericsError, ParameterError
@@ -42,7 +41,6 @@ __all__ = [
     "PriorParams",
     "TurboOptions",
     "TurboResult",
-    "bg_denoise_batch",
     "build_codebook",
     "detect",
     "detection_metrics",

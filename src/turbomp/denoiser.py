@@ -7,8 +7,12 @@ block mean, and elementwise variances are all closed form.  The Gaussian
 likelihood ratio is evaluated strictly in the log domain; at realistic
 operating points the linear-domain ratio overflows.  The prior on activity
 arrives as a rate plus log-odds evidence, so a caller holding another
-denoiser's evidence hands it over with no probability round trip.  The engine
-calls the core `_denoise` on inputs it has bounded, skipping `bg_denoise_batch`'s checks.
+denoiser's evidence hands it over with no probability round trip.
+
+As in `lmmse`, `bg_denoise_batch` checks none of its inputs: its one caller, the engine,
+bounds them.  `lmmse` keeps the variances in [V_FLOOR, V_MAX], `PriorParams` keeps theta > 0
+and the rate in (0, 1), and the cross evidence is the other call's NaN-checked log-likelihood
+ratio.  The function keeps the two guards that bounded inputs cannot settle.
 """
 
 from __future__ import annotations
@@ -62,67 +66,28 @@ class DenoiseBatch:
         return out
 
 
-def _per_device(value, K: int, name: str) -> np.ndarray:
-    """value as floats, a scalar or one value per device (or (1,), which broadcasts)."""
-    arr = np.asarray(value, dtype=float)
-    if arr.shape not in ((), (1,), (K,)):
-        raise ParameterError(f"{name} must be a scalar or hold one value per device, "
-                             f"K={K}, got shape {arr.shape}")
-    return arr
-
-
-def bg_denoise_batch(
-    pri_mean: np.ndarray,
-    per_antenna_var: np.ndarray,
-    theta: float,
-    lambda_pri: np.ndarray,
-    evidence: np.ndarray = 0.0,
-) -> DenoiseBatch:
-    """Denoise all devices: pri_mean (K, Q, M), noise variance per antenna.
+def bg_denoise_batch(pri_mean, per_antenna_var, theta, lambda_pri, evidence=0.0) -> DenoiseBatch:
+    """Denoise all devices: pri_mean (K, Q, M), one noise variance per antenna (M,).
 
     The prior on activity has log-odds logit(lambda_pri) + evidence, each a scalar or per
     device.  Prior log-odds of -inf or +inf (a lambda_pri of exactly 0 or 1, or infinite
-    evidence) are a certain prior: the posterior is exactly 0 or 1, whatever the data say.  NaN
-    evidence, and a certain lambda_pri against opposing infinite evidence, raise
-    ParameterError.  With evidence 0 the posterior is that of the prior lambda_pri alone.
+    evidence) are a certain prior: the posterior is exactly 0 or 1, whatever the data say.
+    With evidence 0 the posterior is that of the prior lambda_pri alone.
 
     Every moment comes from s_km = sum_q |pri_kqm|^2, formed from the float view (interleaved
     re/im values) of the device-contiguous block: one sum over q of the squares, then one add
-    of each re/im pair; an input in another layout is first copied into that form.  So a
-    pri_mean with a non-finite or overflowing entry, whose s_km is not finite, raises
-    ParameterError instead of returning NaN, as does an undefined (inf - inf) log-likelihood
-    ratio; a ratio that overflows gives evidence of -inf or +inf and finite moments.
-    With lambda = lambda_post, the column variance is (gain^2 sum_k lambda_k
-    (1 - lambda_k) s_k + phi Q sum_k lambda_k) / (K Q) and the energy is
+    of each re/im pair.  A block in that layout, as the engine's are, is read in place; any
+    other is copied into it once.  A pri_mean whose s_km is not finite (a non-finite or
+    overflowing entry) raises ParameterError instead of returning NaN, as does an undefined
+    (inf - inf) log-likelihood ratio; a ratio that overflows gives evidence of -inf or +inf
+    and finite moments.  With lambda = lambda_post, the column variance is (gain^2 sum_k
+    lambda_k (1 - lambda_k) s_k + phi Q sum_k lambda_k) / (K Q) and the energy is
     lambda_k (sum_m gain_m^2 s_km + Q sum_m phi_m).
     """
-    pri = np.asarray(pri_mean, dtype=np.complex128)
-    if pri.ndim != 3:
-        raise ParameterError(f"pri_mean must be (K, Q, M), got shape {pri.shape}")
+    blocks = np.ascontiguousarray(np.asarray(pri_mean, dtype=np.complex128).transpose(1, 2, 0))
+    pri = blocks.transpose(2, 0, 1)  # (K, Q, M), device-contiguous: blocks (Q, M, K) is C-ordered
     K, Q, M = pri.shape
-    v = np.asarray(per_antenna_var, dtype=float)
-    if v.shape != (M,) or not np.all((v > 0) & (v < np.inf)):  # also false for NaN
-        raise ParameterError("per_antenna_var must be positive and finite with length M")
-    if not 0 < theta < np.inf:
-        raise ParameterError(f"theta must be positive and finite, got {theta}")
-    lam = _per_device(lambda_pri, K, "lambda_pri")
-    if not np.all((lam >= 0) & (lam <= 1)):  # NaN fails both comparisons
-        raise ParameterError("lambda_pri must lie in [0, 1]")
-    evidence = _per_device(evidence, K, "evidence")
-    with np.errstate(invalid="ignore"):  # inf - inf, which raises below
-        if np.isnan(activity.logit(lam) + evidence).any():
-            raise ParameterError("lambda_pri and evidence must give defined prior log-odds: "
-                                 "evidence is NaN, or infinite against a certain lambda_pri")
-    if not pri.transpose(1, 2, 0).flags.c_contiguous:  # not device-contiguous
-        pri = np.ascontiguousarray(pri.transpose(1, 2, 0)).transpose(2, 0, 1)
-    return _denoise(pri, v, theta, lam, evidence)
-
-
-def _denoise(pri, v, theta, lambda_pri, evidence) -> DenoiseBatch:
-    """`bg_denoise_batch` on inputs its checks pass (a device-contiguous complex block, and
-    float or per-device rate and evidence); it keeps the checks that bounded inputs cannot
-    settle: a non-finite s_km or a NaN log-likelihood ratio raises ParameterError."""
-    (K, Q, M), blocks = pri.shape, pri.transpose(1, 2, 0)  # blocks (Q, M, K) is C-ordered
+    v = per_antenna_var
     gain = theta / (theta + v)  # (M,)
     phi = gain * v  # (M,)
     sums, s = np.empty((M, 2 * K)), np.empty((M, K))  # s.T (C order moves `@ s` by 1 ulp)

@@ -29,12 +29,10 @@ observation variance Sigma and activity cross prior, and builds no (K, Q, M) pos
   Y - fwd_h - fwd_c needs no operator call; nor does EM's residual Y - A H_post - B C_post.
 
 One iteration thus costs one adjoint and one forward operator call per branch; sqrt(P), D^2 and the
-pilot-row index are built once per codebook.  Each branch calls `denoiser._denoise` without
-`bg_denoise_batch`'s input checks: `lmmse` bounds v_ext, `PriorParams` theta and lambda, and the
-cross evidence is the other denoiser's NaN-checked llr.  The posterior forward products are formed
-only for EM's residual, and the posterior means only for the `TurboResult` and the truth-traced
-NMSE.  Activity is carried in log-odds: each denoiser reports its prior-free evidence, +-inf
-included, and the other branch's denoiser takes it, with the rate lambda, as its cross prior;
+pilot-row index are built once per codebook.  The posterior forward products are formed only
+for EM's residual, and the posterior means only for the `TurboResult` and the truth-traced NMSE.
+Activity is carried in log-odds: each denoiser reports its prior-free evidence, +-inf included,
+and the other branch's denoiser takes it, with the rate lambda, as its cross prior;
 `activity.fuse` forms only EM's activity posterior, on its slow refreshes, and the frame's final
 posterior, and `detect` rejects a NaN that reaches the final one.
 
@@ -64,7 +62,7 @@ import numpy as np
 
 from . import lmmse, metrics as _metrics
 from .activity import detect, fuse
-from .denoiser import _denoise
+from .denoiser import bg_denoise_batch
 from .em import SLOW_PERIOD, PriorParams, em_schedule
 from .errors import DimensionError, NumericsError, ParameterError
 from .lmmse import extrinsic, linear_extrinsic, observation_variance
@@ -170,7 +168,7 @@ def _branch(resid, sigma, spectrum, v_pri, fwd_pri, weight, theta, prior, cb, di
     """
     ext, v_ext, fwd_ext = linear_extrinsic(spectrum, v_pri, fwd_pri, resid, sigma, weight, cb,
                                            out=ext)
-    den = _denoise(ext, v_ext, theta, *prior)
+    den = bg_denoise_batch(ext, v_ext, theta, *prior)
     # the denoiser's extrinsic message x_und = alpha post_mean - beta ext
     v_out, alpha, beta = extrinsic(den.column_var, v_ext)
     diag.clamp_events += int(np.count_nonzero(np.concatenate((v_ext, v_out)) == lmmse.V_MAX))

@@ -52,13 +52,14 @@ def _is_finite(value) -> bool:
         return False
 
 
-_KINDS = {  # field annotation -> (check, description)
-    "int": (lambda v: _number(v, numbers.Integral), "an integer"),
-    "float": (_is_finite, "a finite number"),
-    "bool": (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
+_KINDS = {  # field annotation -> (check, description, the Python type a value is stored as)
+    "int": (lambda v: _number(v, numbers.Integral), "an integer", int),
+    "float": (_is_finite, "a finite number", float),
+    "bool": (lambda v: isinstance(v, (bool, np.bool_)), "true or false", bool),
+    "str": (lambda v: isinstance(v, str), "a string", str),
     "tuple[float, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_finite, v)),
-                    "a finite number or a list of finite numbers"),
+                          "a finite number or a list of finite numbers",
+                          lambda v: tuple(map(float, v))),
 }
 
 
@@ -70,13 +71,14 @@ class ExperimentConfig(TurboOptions):
     em_enabled, em_sigma_correction and threshold.  "lambda" and "em" are read as lam,
     em_enabled.
     A config is frozen and checked once, when built (by `dataclasses.replace` too).  Every
-    field must hold a value of its annotated type, a float a finite one; an optional one may
-    also be None; snr_db, a number or a list, is kept as a tuple.  master_seed must be >= 0,
-    and each SNR must give a positive, finite noise variance.  Each trial draws its own pilots,
-    T*N distinct DFT rows of K.  A multipath config reads its power delay profile once per
-    process, when it is built, so a pdp_file that cannot be read or parsed fails before any
-    trial runs.  The trials run on a process pool of min(workers, CPUs this process may use)
-    processes where that is above 1.
+    field must hold a value of its annotated type, a float a finite one, and is stored as that
+    Python type, so a numpy scalar reaches the results JSON as a plain number; an optional one
+    may also be None; snr_db, a number or a list, is kept as a tuple of floats.  master_seed
+    must be >= 0, and each SNR must give a positive, finite noise variance.  Each trial draws
+    its own pilots, T*N distinct DFT rows of K.  A multipath config reads its power delay
+    profile once per process, when it is built, so a pdp_file that cannot be read or parsed
+    fails before any trial runs.  The trials run on a process pool of min(workers, CPUs this
+    process may use) processes where that is above 1.
     """
 
     K: int
@@ -103,13 +105,16 @@ class ExperimentConfig(TurboOptions):
         if _number(self.snr_db):
             object.__setattr__(self, "snr_db", [self.snr_db])
         self.validate()
-        object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
+        for f in fields(self):  # numpy scalars too, so the config is plain JSON
+            value = getattr(self, f.name)
+            if value is not None:
+                object.__setattr__(self, f.name, _KINDS[f.type.partition(" | ")[0]][2](value))
 
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             kind, _, optional = f.type.partition(" | ")
-            check, description = _KINDS[kind]
+            check, description, _ = _KINDS[kind]
             if not (check(value) or optional and value is None):
                 raise ConfigurationError(f"{f.name} must be {description}, got {value!r}")
         super().validate()

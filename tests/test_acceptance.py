@@ -26,7 +26,6 @@ from turbomp import (
     ExperimentConfig,
     PriorParams,
     TurboOptions,
-    bg_denoise_batch,
     build_codebook,
     detect,
     nmse,
@@ -40,6 +39,7 @@ from turbomp import (
 )
 from turbomp.activity import fuse, logit
 from turbomp.channel import example_pdp_path, load_pdp
+from turbomp.denoiser import bg_denoise_batch
 from turbomp.lmmse import extrinsic, linear_extrinsic, observation_variance
 
 

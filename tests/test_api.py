@@ -24,7 +24,6 @@ PUBLIC = [
     "PriorParams",
     "TurboOptions",
     "TurboResult",
-    "bg_denoise_batch",
     "build_codebook",
     "detect",
     "detection_metrics",
@@ -52,6 +51,7 @@ REMOVED = [
     "SigmaDiag",
     "activity_posterior",
     "bg_denoise",
+    "bg_denoise_batch",
     "blockwise_basis",
     "combine",
     "cross_prior",
@@ -67,6 +67,7 @@ REMOVED = [
 
 REMOVED_FROM_MODULES = {
     "activity": ["LOG_ODDS_CLAMP", "activity_posterior", "cross_prior"],
+    "denoiser": ["_denoise", "_per_device"],
     "em": ["em_lambda", "em_sigma_w", "em_theta"],
     "engine": ["TurboState", "_damp", "init_state"],
     "harness": ["_is_number"],
@@ -136,6 +137,7 @@ def test_removed_names_are_gone():
     assert not hasattr(turbomp.PilotCodebook, "to_json")
     for name in ("dense_A", "apply_B", "apply_B_adjoint"):
         assert not hasattr(turbomp.PilotCodebook, name), name
+    assert turbomp.engine.bg_denoise_batch is turbomp.denoiser.bg_denoise_batch
     assert "pi" not in {f.name for f in fields(turbomp.denoiser.DenoiseBatch)}
     assert not hasattr(turbomp.denoiser.DenoiseBatch, "post_var_elem")
     assert "strict" not in {f.name for f in fields(turbomp.PilotCodebook)}

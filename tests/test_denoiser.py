@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import bg_scalar_reference, block_energy, post_var_elem
-from turbomp import ParameterError, activity, bg_denoise_batch, denoiser, detect, parallel
+from turbomp import ParameterError, activity, detect, parallel
 from turbomp.activity import fuse, logit, sigmoid
+from turbomp.denoiser import bg_denoise_batch
 
 
 def denoise_scalar(value, v, theta, lam, evidence=0.0):
@@ -100,20 +101,6 @@ class TestBatchBehaviour:
         pri = 50.0 * (rng.standard_normal((10, 2, 2)) + 1j * rng.standard_normal((10, 2, 2)))
         batch = bg_denoise_batch(pri, np.array([1e-6, 1e-6]), 1.0, np.full(10, 0.5))
         assert np.all(post_var_elem(batch) >= 0)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            bg_denoise_batch(np.zeros((2, 2)), np.array([1.0]), 1.0, 0.5)
-        with pytest.raises(ParameterError):
-            bg_denoise_batch(np.zeros((2, 2, 1), dtype=complex), np.array([0.0]), 1.0, 0.5)
-        with pytest.raises(ParameterError):
-            bg_denoise_batch(np.zeros((2, 2, 1), dtype=complex), np.array([1.0]), 0.0, 0.5)
-        nan, inf = float("nan"), float("inf")
-        for v, theta, lam in (([nan], 1.0, 0.5), ([inf], 1.0, 0.5), ([1.0], nan, 0.5),
-                              ([1.0], inf, 0.5), ([1.0], 1.0, 1.5), ([1.0], 1.0, nan),
-                              ([1.0], 1.0, [0.5, nan])):
-            with pytest.raises(ParameterError):
-                bg_denoise_batch(np.zeros((2, 2, 1), dtype=complex), np.array(v), theta, lam)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("value", [1e200, 1e155j, float("nan"), float("inf")])
@@ -272,49 +259,9 @@ class TestPriorEvidence:
                 for e in (-5.0, 5.0, same_way):
                     assert denoise_scalar(value, 1e-10, theta, lam, e).lambda_post[0] == lam
 
-    @pytest.mark.parametrize("lam, evidence", [
-        (0.5, np.nan), (0.0, np.nan), (1.0, np.nan), (0.0, np.inf), (1.0, -np.inf)])
-    def test_undefined_prior_log_odds_raise(self, lam, evidence):
-        """NaN evidence, and a certain lambda against opposing infinite evidence, have no prior
-        log-odds and raise ParameterError naming both arguments."""
-        pri, v, _, _ = self.inputs(K=5)
-        e = np.zeros(5)
-        e[3] = evidence
-        with pytest.raises(ParameterError, match="lambda_pri and evidence"):
-            bg_denoise_batch(pri, v, 0.8, lam, e)
-
-    @pytest.mark.parametrize("name", ["lambda_pri", "evidence"])
-    @pytest.mark.parametrize("length", [4, 6])
-    def test_a_per_device_argument_of_another_length_raises(self, name, length):
-        """A per-device lambda_pri or evidence whose length is not K raises ParameterError
-        naming it, in place of numpy's broadcast ValueError."""
-        pri, v, _, _ = self.inputs(K=5)
-        args = {"lambda_pri": 0.5, "evidence": 0.0, name: np.full(length, 0.5)}
-        with pytest.raises(ParameterError, match=name):
-            bg_denoise_batch(pri, v, 0.8, **args)
-
-
 class TestFrameCall:
-    """The frame calls `denoiser._denoise` with inputs it has bounded; `bg_denoise_batch` checks
-    its inputs and then runs the same computation."""
-
-    @pytest.mark.parametrize("K, M", [(7, 1), (1000, 4), (1000, 8)])
-    def test_frame_call_is_bitwise_the_public_call(self, K, M):
-        """On device-contiguous blocks with a rate in (0, 1) and evidence that is zero or per
-        device with -inf and +inf entries, every field and moment is bitwise equal."""
-        rng = np.random.default_rng(K + M)
-        blocks = rng.standard_normal((4, M, K)) + 1j * rng.standard_normal((4, M, K))
-        pri, v = blocks.transpose(2, 0, 1), rng.uniform(0.05, 2.0, M)
-        evidence = 3.0 * rng.standard_normal(K)
-        evidence[:2] = [np.inf, -np.inf]
-        for lam, e in ((0.05, 0.0), (0.05, evidence), (0.9, evidence)):
-            got = denoiser._denoise(pri, v, 0.8, lam, e)
-            want = bg_denoise_batch(pri, v, 0.8, lam, e)
-            for name in ("pri_mean", "lambda_post", "evidence", "gain", "phi", "column_var",
-                         "s", "energy", "post_mean"):
-                a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-            assert got.pri_mean is pri
+    """The frame calls `bg_denoise_batch` with inputs it has bounded, and the function checks
+    none of them."""
 
     @pytest.mark.parametrize("value, theta, match", [
         (np.nan, 1.0, "pri_mean"), (np.inf, 1.0, "pri_mean"),
@@ -326,7 +273,7 @@ class TestFrameCall:
         pri[1, 0, 0] = value
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ParameterError, match=match):
-                denoiser._denoise(pri, np.array([1e-10]), theta, 0.5, 0.0)
+                bg_denoise_batch(pri, np.array([1e-10]), theta, 0.5, 0.0)
 
 
 class TestEnergyReduction:

@@ -260,7 +260,7 @@ class TestFusedActivity:
         frame's final posterior are bitwise `fuse` of the same evidence, and EM is handed the
         very arrays."""
         Y, cb, priors, *_ = make_instance(seed=4)
-        denoise, em_schedule, calls = engine._denoise, engine.em_schedule, []
+        denoise, em_schedule, calls = engine.bg_denoise_batch, engine.em_schedule, []
 
         def recorded_denoise(pri, v, theta, lambda_pri, evidence):
             calls.append(("den", lambda_pri, evidence, denoise(pri, v, theta, lambda_pri,
@@ -272,7 +272,7 @@ class TestFusedActivity:
             return em_schedule(priors, iteration, resid, moment, den_h, den_c, lambda_d_post,
                                *args)
 
-        monkeypatch.setattr(engine, "_denoise", recorded_denoise)
+        monkeypatch.setattr(engine, "bg_denoise_batch", recorded_denoise)
         monkeypatch.setattr(engine, "em_schedule", recorded_em)
         result = run_turbo_mp(Y, cb, priors, TurboOptions(max_iters=7, em_enabled=True,
                                                           rel_change_tol=1e-12))
@@ -335,7 +335,7 @@ class TestFusedActivity:
         reaches EM's slow refresh `PriorParams` or, from the frame's last denoiser, `detect`'s
         check of the final posterior; each raises before a result is returned."""
         Y, cb, priors, *_ = make_instance(seed=4)
-        denoise, calls = engine._denoise, []
+        denoise, calls = engine.bg_denoise_batch, []
 
         def poisoned(*args):
             den = denoise(*args)
@@ -346,7 +346,7 @@ class TestFusedActivity:
                 den = dataclasses.replace(den, evidence=evidence)
             return den
 
-        monkeypatch.setattr(engine, "_denoise", poisoned)
+        monkeypatch.setattr(engine, "bg_denoise_batch", poisoned)
         with pytest.raises(error, match=match):
             run_turbo_mp(Y, cb, priors, TurboOptions(max_iters=5, em_enabled=em,
                                                      rel_change_tol=1e-12))
@@ -383,13 +383,18 @@ class TestForwardProducts:
 
 
 class TestMessageLayout:
+    @staticmethod
+    def multipath_frame():
+        """The inputs of the golden multipath frame with EM and the corrected noise update."""
+        with np.load(GOLDEN / "engine_golden.npz") as data:
+            return {key.split("__", 1)[1]: data[key] for key in data.files
+                    if key.startswith("multipath_em_corrected__")}
+
     def test_messages_device_contiguous_and_result_device_major(self, monkeypatch):
         """In a multipath frame every matrix reaching apply_A has a contiguous device axis
         (a C-order temporary would keep the output but lose the fast FFT path), and the
         result's H and C are C-ordered (QK, M) matrices."""
-        with np.load(GOLDEN / "engine_golden.npz") as data:
-            doc = {key.split("__", 1)[1]: data[key] for key in data.files
-                   if key.startswith("multipath_em_corrected__")}
+        doc = self.multipath_frame()
         apply_A, strides = turbomp.PilotCodebook.apply_A, []
 
         def recorded(cb, x, scratch=None):
@@ -404,6 +409,23 @@ class TestMessageLayout:
         K, N, T, Q = (int(v) for v in doc["dims"])
         for X in (result.H, result.C):
             assert X.shape == (Q * K, doc["Y"].shape[1]) and X.flags.c_contiguous
+
+    def test_denoiser_reads_each_block_in_place(self, monkeypatch):
+        """In a multipath frame every block the engine hands its denoiser is device-contiguous,
+        and the denoiser keeps that memory as its pri_mean: its layout line never copies."""
+        doc = self.multipath_frame()
+        denoise, calls = engine.bg_denoise_batch, []
+
+        def recorded(pri, *args):
+            calls.append((pri, denoise(pri, *args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(engine, "bg_denoise_batch", recorded)
+        result = replay(turbomp, doc)
+        assert len(calls) == 3 * result.iterations
+        for pri, den in calls:
+            assert pri.transpose(1, 2, 0).flags.c_contiguous
+            assert den.pri_mean.strides == pri.strides and np.shares_memory(den.pri_mean, pri)
 
 
 class TestWorkspace:

@@ -395,6 +395,17 @@ class TestEmitResults:
         doc = json.loads(Path(paths["json"]).read_text())
         assert ExperimentConfig.from_dict(doc["config"]) == cfg
 
+    def test_a_numpy_scalar_config_writes_its_json(self, tmp_path):
+        """numpy scalars pass the checks and are stored as the annotated Python types, so the
+        finished run's results JSON is written and reloads to an equal config."""
+        cfg = exact_config(K=np.int64(64), trials=np.int64(1), em=np.True_, lam=np.float64(0.2),
+                           snr_db=[np.float64(10.0)])
+        assert type(cfg.K) is int and type(cfg.trials) is int and type(cfg.em_enabled) is bool
+        assert type(cfg.lam) is float and type(cfg.snr_db[0]) is float
+        paths = emit_results(run_experiment(cfg), tmp_path)
+        doc = json.loads(Path(paths["json"]).read_text())
+        assert ExperimentConfig.from_dict(doc["config"]) == cfg
+
     def test_json_is_strict_where_a_trial_has_no_active_device(self, tmp_path):
         """A trial with no active device has no NMSE: the results JSON writes null there, and
         a reader that rejects NaN and Infinity tokens reads the file."""
