@@ -259,9 +259,35 @@ class TestPriorEvidence:
                 for e in (-5.0, 5.0, same_way):
                     assert denoise_scalar(value, 1e-10, theta, lam, e).lambda_post[0] == lam
 
+
 class TestFrameCall:
     """The frame calls `bg_denoise_batch` with inputs it has bounded, and the function checks
     none of them."""
+
+    @pytest.mark.parametrize("K, M", [(7, 1), (1000, 4), (1000, 8)])
+    def test_any_layout_is_bitwise_the_device_contiguous_call(self, K, M):
+        """A block in another layout (C-ordered (K, Q, M), or a strided view) is copied once
+        into the device-contiguous layout: every field and moment is bitwise that of the call
+        on device-contiguous blocks, which keeps its input uncopied, with a rate in (0, 1) and
+        evidence that is zero or per device with -inf and +inf entries."""
+        rng = np.random.default_rng(K + M)
+        blocks = rng.standard_normal((4, M, K)) + 1j * rng.standard_normal((4, M, K))
+        pri, v = blocks.transpose(2, 0, 1), rng.uniform(0.05, 2.0, M)
+        wide = np.zeros((K, 4, 2 * M), dtype=complex)
+        wide[:, :, ::2] = pri
+        evidence = 3.0 * rng.standard_normal(K)
+        evidence[:2] = [np.inf, -np.inf]
+        for lam, e in ((0.05, 0.0), (0.05, evidence), (0.9, evidence)):
+            want = bg_denoise_batch(pri, v, 0.8, lam, e)
+            assert want.pri_mean.strides == pri.strides and np.shares_memory(want.pri_mean, pri)
+            for other in (np.ascontiguousarray(pri), wide[:, :, ::2]):
+                got = bg_denoise_batch(other, v, 0.8, lam, e)
+                assert got.pri_mean.strides == pri.strides
+                assert not np.shares_memory(got.pri_mean, other)
+                for name in ("pri_mean", "lambda_post", "evidence", "gain", "phi", "column_var",
+                             "s", "energy", "post_mean"):
+                    a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("value, theta, match", [
         (np.nan, 1.0, "pri_mean"), (np.inf, 1.0, "pri_mean"),

@@ -310,6 +310,16 @@ class TestConsistency:
             sw_hats.append(res.priors.sigma_w2)
         assert 0.08 <= np.mean(sw_hats) <= 0.12
 
+    @pytest.mark.parametrize("bad", [
+        dict(theta_H=np.nan), dict(theta_C=np.inf), dict(lam=0.0), dict(lam=np.nan),
+        dict(lam=1.5)])
+    def test_prior_params_bound_what_the_denoiser_reads(self, bad):
+        """The denoiser checks neither theta nor the rate: every `PriorParams`, EM's refreshes
+        included, keeps theta positive and finite and the rate in (0, 1), so the rate's
+        log-odds the engine hands over is finite."""
+        with pytest.raises(ParameterError):
+            PriorParams(**{**dict(theta_H=1.0, theta_C=0.05, sigma_w2=1.0, lam=0.5), **bad})
+
     def test_prior_params_validation(self):
         with pytest.raises(ParameterError):
             PriorParams(theta_H=0.0, theta_C=1.0, sigma_w2=1.0, lam=0.5)

@@ -428,6 +428,36 @@ class TestMessageLayout:
             assert den.pri_mean.strides == pri.strides and np.shares_memory(den.pri_mean, pri)
 
 
+class TestDenoiserInputs:
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_every_denoiser_input_is_bounded(self, monkeypatch, case):
+        """The denoiser checks none of its inputs, so in each golden frame every call gets
+        what the engine promises: (K, Q, M) complex blocks, one variance per antenna in
+        [V_FLOOR, V_MAX] (the frame's clamp), a positive finite theta, a rate in (0, 1) and
+        evidence with no NaN, each a scalar or one value per device."""
+        with np.load(GOLDEN / "engine_golden.npz") as data:
+            doc = {key.split("__", 1)[1]: data[key] for key in data.files
+                   if key.startswith(case + "__")}
+        K, _, _, Q = (int(v) for v in doc["dims"])
+        M = doc["Y"].shape[1]
+        denoise, calls = engine.bg_denoise_batch, []
+
+        def recorded(pri, v, theta, lambda_pri, evidence=0.0):
+            calls.append((pri, v, theta, lambda_pri, evidence, turbomp.lmmse.V_MAX))
+            return denoise(pri, v, theta, lambda_pri, evidence)
+
+        monkeypatch.setattr(engine, "bg_denoise_batch", recorded)
+        result = replay(turbomp, doc)
+        assert len(calls) == 3 * result.iterations
+        for pri, v, theta, lambda_pri, evidence, v_max in calls:
+            assert pri.shape == (K, Q, M) and pri.dtype == np.complex128
+            assert v.shape == (M,) and np.all((turbomp.lmmse.V_FLOOR <= v) & (v <= v_max))
+            assert np.ndim(theta) == 0 and 0.0 < theta < np.inf
+            assert np.shape(lambda_pri) in ((), (K,))
+            assert np.all((0 < lambda_pri) & (lambda_pri < 1))
+            assert np.shape(evidence) in ((), (K,)) and not np.isnan(evidence).any()
+
+
 class TestWorkspace:
     """A frame's (K, Q, M) blocks live in one workspace that the frame frees on return."""
 
