@@ -22,12 +22,12 @@ from .errors import ConfigurationError, DimensionError, ParameterError
 POWER_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultipathProfile:
     """Power delay profile: per-tap linear power fractions and delays in seconds.
 
     Powers must be positive and sum to one (unit average channel energy);
-    delays must be nonnegative and strictly increasing.
+    delays must be nonnegative and strictly increasing.  Compared by identity (eq=False).
     """
 
     powers: np.ndarray
@@ -93,11 +93,11 @@ def subblock_offsets(b: int) -> np.ndarray:
     return np.arange(1, b + 1, dtype=float) - b / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """Ground truth for one trial: activity (K,) and G_active (a, N, M), row i the response of
     device active[i], where active = flatnonzero(activity).  Inactive devices' responses are
-    zero and held nowhere."""
+    zero and held nowhere; compared by identity (eq=False), as arrays have no truth value."""
 
     activity: np.ndarray
     G_active: np.ndarray
@@ -127,12 +127,12 @@ class BlockwiseBasis:
 
     `expand` applies G = E1 H + E2 C, where E1 is block diagonal with all-ones
     columns of length N/Q and E2 is block diagonal with the integer offset
-    vector d = [-N/(2Q)+1, ..., N/(2Q)] (`offsets`).
+    vector d = [-N/(2Q)+1, ..., N/(2Q)] (`offsets`, derived, so it compares by (N, Q)).
     """
 
     N: int
     Q: int
-    offsets: np.ndarray = field(init=False)
+    offsets: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.Q < 1 or self.N % self.Q != 0:
@@ -163,9 +163,10 @@ class BlockwiseBasis:
         return g
 
 
-@dataclass
+@dataclass(eq=False)
 class BlockwiseTruth:
-    """Stacked sub-block means H, slopes C (both QK x M) and the active rows' residual Delta."""
+    """Stacked sub-block means H, slopes C (both QK x M) and the active rows' residual Delta;
+    compared by identity (eq=False), as arrays have no truth value."""
 
     H: np.ndarray
     C: np.ndarray

@@ -26,7 +26,7 @@ from .errors import ParameterError
 from .parallel import halves
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenoiseBatch:
     """Vectorized posteriors for all K devices at once.
 
@@ -34,7 +34,7 @@ class DenoiseBatch:
     posterior mean and the per-device energy are built from the input each
     time they are read.  The elementwise posterior variance, which no caller
     needs as a tensor, is lambda_k ((1 - lambda_k) |gain_m pri_kqm|^2 + phi_m)
-    with lambda = lambda_post.
+    with lambda = lambda_post.  Compared by identity (eq=False), as arrays have no truth value.
     """
 
     pri_mean: np.ndarray  # (K, Q, M) input message, device-contiguous; never copied if given so
@@ -103,7 +103,7 @@ def bg_denoise_batch(pri_mean, per_antenna_var, theta, lambda_pri, evidence=0.0)
         raise ParameterError("pri_mean must be finite, with finite energy sum_q |pri_kqm|^2")
 
     # log CN(0; pri, V + theta I) - log CN(0; pri, V), accumulated per device
-    llr = s @ (theta / (v * (v + theta))) - Q * np.sum(np.log1p(theta / v))
+    llr = s @ (theta / (v * (v + theta))) - Q * np.log1p(theta / v).sum()
     if np.isnan(llr).any():
         raise ParameterError("theta and per_antenna_var give an undefined log-likelihood ratio")
 

@@ -12,6 +12,7 @@ operator or reads an engine object.  `em_schedule` is the one update step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,7 +38,7 @@ class PriorParams:
     def __post_init__(self):
         for name in ("theta_H", "theta_C", "sigma_w2"):
             value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0:
+            if not math.isfinite(value) or value <= 0:
                 raise ParameterError(f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.lam < 1.0:
             raise ParameterError(f"lam must be in (0, 1), got {self.lam}")
@@ -56,10 +57,11 @@ def em_schedule(priors, iteration, resid, moment, den_h, den_c, lambda_d_post, c
                 opts) -> PriorParams:
     """One scheduled parameter refresh from the running iteration's quantities.
 
-    resid is the (T*N, M) residual Y - A H_post - B C_post, moment the moment estimate
-    m = mean(|r|^2 - (Sigma - sigma_w2)) of a linear branch's input r, den_h and den_c the
-    last mean-block and slope-block denoiser outputs and lambda_d_post the fused activity
-    posterior of the K >= 1 devices, read only on the slow refreshes (None may stand between).
+    resid is the (T*N, M) residual Y - A H_post - B C_post, moment the moment estimate m =
+    mean(|r|^2 - (Sigma - sigma_w2)) of a linear branch's input r, read only by the default
+    noise update (None may stand in with opts.em_sigma_correction), den_h and den_c the last
+    mean-block and slope-block denoiser outputs and lambda_d_post the fused activity posterior
+    of the K >= 1 devices, read only on the slow refreshes (None may stand between).
 
     The noise variance is refreshed every iteration.  The residual power s per entry
     underestimates it by the power the posterior means fit, and m falls below zero where
@@ -78,12 +80,11 @@ def em_schedule(priors, iteration, resid, moment, den_h, den_c, lambda_d_post, c
     P = codebook.power
     sigma_w2 = float(np.vdot(resid, resid).real) / resid.size
     if opts.em_sigma_correction:
-        d2_mean = float(np.mean(codebook.D2_diag))
         sigma_w2 += (codebook.K * P / resid.shape[1]) * float(
-            np.sum(den_h.column_var) + d2_mean * np.sum(den_c.column_var))
+            den_h.column_var.sum() + codebook.D2_mean * den_c.column_var.sum())
     else:
         sigma_w2 = max(sigma_w2, moment)
-    sigma_w2 = float(np.clip(sigma_w2, VAR_FLOOR * P, VAR_CEIL * P))
+    sigma_w2 = min(max(sigma_w2, VAR_FLOOR * P), VAR_CEIL * P)  # a NaN passes, as through clip
     if iteration % SLOW_PERIOD:
         return replace(priors, sigma_w2=sigma_w2)
     lam = lambda_d_post
@@ -92,8 +93,8 @@ def em_schedule(priors, iteration, resid, moment, den_h, den_c, lambda_d_post, c
     def theta(den, previous):
         if weight <= VAR_FLOOR:  # not taken for a NaN mass, which PriorParams rejects
             return previous
-        return float(np.clip(np.dot(lam, den.energy) / (size * weight), VAR_FLOOR, VAR_CEIL))
+        return float(min(max(np.dot(lam, den.energy) / (size * weight), VAR_FLOOR), VAR_CEIL))
 
     return replace(priors, sigma_w2=sigma_w2, theta_H=theta(den_h, priors.theta_H),
                    theta_C=theta(den_c, priors.theta_C),
-                   lam=float(np.clip(lam.mean(), LAMBDA_FLOOR, 1.0 - LAMBDA_FLOOR)))
+                   lam=float(min(max(lam.mean(), LAMBDA_FLOOR), 1.0 - LAMBDA_FLOOR)))

@@ -28,9 +28,12 @@ observation variance Sigma and activity cross prior, and builds no (K, Q, M) pos
   fwd_h = A h_pri and fwd_c = B c_pri hold at every branch entry and the residual
   Y - fwd_h - fwd_c needs no operator call; nor does EM's residual Y - A H_post - B C_post.
 
-One iteration thus costs one adjoint and one forward operator call per branch; sqrt(P), D^2 and the
-pilot-row index are built once per codebook.  The posterior forward products are formed only
-for EM's residual, and the posterior means only for the `TurboResult` and the truth-traced NMSE.
+One iteration thus costs one adjoint and one forward operator call per branch.  sqrt(P), D^2, its
+mean and the pilot-row index are built once per codebook, the full (T*N, M) weight D once per
+frame, and each other term once per change of its inputs: Sigma's slope term K P D^2 v_c once per
+iteration, EM's moment only for the default update, the posterior forward products only for EM's
+residual, the posterior means only for the result and the traced NMSE.  (T*N, M) products take real
+factors, 1/Sigma and 1/alpha as complex: numpy would cast them through a buffer.
 Activity is carried in log-odds: each denoiser reports its prior-free evidence, +-inf included,
 and the other branch's denoiser takes it, with the rate lambda, as its cross prior;
 `activity.fuse` forms only EM's activity posterior, on its slow refreshes, and the frame's final
@@ -65,7 +68,7 @@ from .activity import detect, fuse
 from .denoiser import bg_denoise_batch
 from .em import SLOW_PERIOD, PriorParams, em_schedule
 from .errors import DimensionError, NumericsError, ParameterError
-from .lmmse import extrinsic, linear_extrinsic, observation_variance
+from .lmmse import extrinsic, linear_extrinsic, observation_variance, slope_variance
 from .parallel import halves
 from .pilots import PilotCodebook
 
@@ -118,9 +121,9 @@ class TurboDiagnostics:
     clamp_events: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class TurboResult:
-    """Final estimates, activity posteriors, decisions, and traces."""
+    """Final estimates, activity posteriors, decisions and traces; compared by identity."""
 
     H: np.ndarray  # (QK, M)
     C: np.ndarray
@@ -135,7 +138,7 @@ class TurboResult:
 def _residual(Y, fwd_h, fwd_c, diag):
     """Y - A h_pri - B c_pri from the carried forward products, checked finite."""
     resid = Y - fwd_h - fwd_c
-    if not np.all(np.isfinite(resid)):
+    if not np.isfinite(resid).all():
         raise NumericsError("non-finite residual in linear estimator", diagnostics=diag)
     return resid
 
@@ -164,20 +167,20 @@ def _branch(resid, sigma, spectrum, v_pri, fwd_pri, weight, theta, prior, cb, di
     linear extrinsic message, which the denoiser keeps as its input, and the outgoing message's
     spectrum, which may be spectrum itself.  Returns the outgoing message (spectrum, variance,
     forward product), the forward product weight * A @ x_ext, the denoiser's output, and the
-    per-antenna alpha and beta, which give weight * A @ post_mean (see the module docstring).
+    per-antenna 1/alpha and beta as complex, which give weight * A @ post_mean (module docstring).
     """
     ext, v_ext, fwd_ext = linear_extrinsic(spectrum, v_pri, fwd_pri, resid, sigma, weight, cb,
                                            out=ext)
     den = bg_denoise_batch(ext, v_ext, theta, *prior)
     # the denoiser's extrinsic message x_und = alpha post_mean - beta ext
     v_out, alpha, beta = extrinsic(den.column_var, v_ext)
-    diag.clamp_events += int(np.count_nonzero(np.concatenate((v_ext, v_out)) == lmmse.V_MAX))
-    scale = (np.outer(alpha * den.gain, den.lambda_post) - beta[:, None]).T  # (K, M), like ext
+    diag.clamp_events += sum(np.count_nonzero(v == lmmse.V_MAX) for v in (v_ext, v_out))
+    scale = (np.multiply.outer(alpha * den.gain, den.lambda_post) - beta[:, None]).T  # (K, M)
     halves(lambda m: np.multiply(ext[..., m], scale[:, None, m], out=out[..., m]),
            ext.shape[2], ext.size)
     fwd_und = cb.apply_A(out, out)  # leaves x_und's spectrum in out
-    fwd_und *= weight
-    return out, v_out, fwd_und, fwd_ext, den, alpha, beta
+    fwd_und *= np.asarray(weight, dtype=complex)
+    return out, v_out, fwd_und, fwd_ext, den, (1.0 / alpha).astype(complex), beta.astype(complex)
 
 
 def run_turbo_mp(
@@ -209,22 +212,24 @@ def run_turbo_mp(
     v_h = np.full(M, priors.lam * priors.theta_H)
     v_c = np.full(M, priors.lam * priors.theta_C)
     evidence_c = 0.0
+    d_weight = np.repeat(codebook.D_diag[:, None], M, axis=1)  # B's row weight, per entry
 
     for iteration in range(1, opts.max_iters + 1):
+        slope = slope_variance(v_c, codebook)  # Sigma's slope term: v_c moves in the slope pass
         h_new = h_pri
         for _ in range(2):  # the first pass writes into the spare slot, the second over its input
             resid = _residual(Y, fwd_h, fwd_c, diag)
-            sigma = observation_variance(v_h, v_c, priors.sigma_w2, codebook)
-            h_new, v_h, fwd_h, fwd_ext_h, den_h, alpha_h, beta_h = _branch(
+            sigma = observation_variance(v_h, slope, priors.sigma_w2, codebook)
+            h_new, v_h, fwd_h, fwd_ext_h, den_h, inv_alpha_h, beta_h = _branch(
                 resid, sigma, h_new, v_h, fwd_h, 1.0, priors.theta_H, (priors.lam, evidence_c),
                 codebook, diag, h_ext, spare)
         # a NaN or inf makes a message's step or a variance's sum non-finite; checked before EM
         (step_h, norm_h), spare, h_pri = _step_norms(h_new, h_pri), h_pri, h_new
         evidence_h = den_h.evidence
         resid = _residual(Y, fwd_h, fwd_c, diag)
-        sigma = observation_variance(v_h, v_c, priors.sigma_w2, codebook)
-        c_new, v_c, fwd_c, fwd_ext_c, den_c, alpha_c, beta_c = _branch(
-            resid, sigma, c_pri, v_c, fwd_c, codebook.D_diag[:, None], priors.theta_C,
+        sigma = observation_variance(v_h, slope, priors.sigma_w2, codebook)
+        c_new, v_c, fwd_c, fwd_ext_c, den_c, inv_alpha_c, beta_c = _branch(
+            resid, sigma, c_pri, v_c, fwd_c, d_weight, priors.theta_C,
             (priors.lam, evidence_h), codebook, diag, c_ext, spare)
         (step_c, norm_c), spare, c_pri = _step_norms(c_new, c_pri), c_pri, c_new
         evidence_c = den_c.evidence
@@ -235,14 +240,15 @@ def run_turbo_mp(
         change = np.hypot(step_h, step_c)
 
         if opts.em_enabled:
-            # the moment estimate mean(|r|^2 - (Sigma - sigma_w2)) of the slope branch's inputs
-            moment = np.vdot(resid, resid).real / resid.size - np.mean(sigma) + priors.sigma_w2
+            # the moment mean(|r|^2 - (Sigma - sigma_w2)) of the slope pass, for the default update
+            moment = None if opts.em_sigma_correction else float(
+                np.vdot(resid, resid).real / resid.size - sigma.mean() + priors.sigma_w2)
             # Y - A H_post - B C_post; the activity posterior only for the slow refreshes
-            post_resid = (Y - (fwd_h + beta_h * fwd_ext_h) / alpha_h
-                          - (fwd_c + beta_c * fwd_ext_c) / alpha_c)
+            post_resid = (Y - (fwd_h + beta_h * fwd_ext_h) * inv_alpha_h
+                          - (fwd_c + beta_c * fwd_ext_c) * inv_alpha_c)
             lambda_d_post = None if iteration % SLOW_PERIOD else fuse(priors.lam, evidence_h,
                                                                       evidence_c)
-            priors = em_schedule(priors, iteration, post_resid, float(moment), den_h, den_c,
+            priors = em_schedule(priors, iteration, post_resid, moment, den_h, den_c,
                                  lambda_d_post, codebook, opts)
 
         denom = np.hypot(norm_h, norm_c)
@@ -254,7 +260,7 @@ def run_turbo_mp(
             H, C = (d.post_mean.reshape(codebook.cols, M) for d in (den_h, den_c))
             nmse_db = _metrics.nmse_db(_metrics.nmse(real, H, C, basis))
         diag.rows.append(dict(
-            iter=iteration, v_h=float(np.mean(v_h)), v_c=float(np.mean(v_c)),
+            iter=iteration, v_h=float(v_h.mean()), v_c=float(v_c.mean()),
             sigma_w2=priors.sigma_w2, lam=priors.lam, theta_H=priors.theta_H,
             theta_C=priors.theta_C, rel_change=rel_change, nmse_db=nmse_db,
             clamp_events=diag.clamp_events,

@@ -36,15 +36,16 @@ from .errors import ConfigurationError, DimensionError
 from .parallel import halves
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PilotCodebook:
     """Immutable pilot operator pair (A, B) plus construction metadata.
 
     selections holds Q rows of T*N/Q DFT-row indices, distinct within each block.
-    `build_codebook` draws T*N distinct rows, but blocks may share rows, since each
-    block reaches its own columns and A @ A^H = K*P*I holds either way.  D_diag is
-    the diagonal of D, the per-row sub-block offset, and D2_diag its square; scale is sqrt(P);
-    roots[i] is exp(-2j pi i / K).  All, and a pilot-row index per M, are built once.
+    `build_codebook` draws T*N distinct rows, but blocks may share rows, since each block
+    reaches its own columns and A @ A^H = K*P*I holds either way.  D_diag is the diagonal of D,
+    the per-row sub-block offset, D2_diag its square and D2_mean that square's mean; scale is
+    sqrt(P); roots[i] is exp(-2j pi i / K).  All, and a pilot-row index per M, are built once.
+    Compared by identity (eq=False), as arrays have no truth value.
     """
 
     K: int
@@ -55,6 +56,7 @@ class PilotCodebook:
     selections: np.ndarray
     D_diag: np.ndarray = field(init=False, repr=False)
     D2_diag: np.ndarray = field(init=False, repr=False)
+    D2_mean: float = field(init=False, repr=False)
     scale: float = field(init=False, repr=False)
     roots: np.ndarray = field(init=False, repr=False)
     _row_index: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -85,6 +87,7 @@ class PilotCodebook:
         offsets = subblock_offsets(N // Q)
         object.__setattr__(self, "D_diag", np.tile(np.repeat(offsets, T), Q))
         object.__setattr__(self, "D2_diag", self.D_diag**2)
+        object.__setattr__(self, "D2_mean", float(self.D2_diag.mean()))
         object.__setattr__(self, "scale", float(np.sqrt(self.power)))
         object.__setattr__(self, "roots", np.exp(-2j * np.pi * np.arange(K) / K))
 
@@ -123,7 +126,7 @@ class PilotCodebook:
         w = (np.empty(rows.shape, dtype=np.result_type(x.dtype, 1j)) if scratch is None
              else self._block("scratch", scratch, rows.shape[1]))
         halves(lambda q: np.fft.fft(rows[q], out=w[q]), self.Q, w.size)
-        y = np.take(w, self._rows(rows.shape[1])).reshape(self.rows, -1)  # a copy, in row order
+        y = w.take(self._rows(rows.shape[1])).reshape(self.rows, -1)  # a copy, in row order
         y *= self.scale
         return y[:, 0] if x.ndim == 1 else y
 
@@ -159,9 +162,9 @@ class PilotCodebook:
 
     def _block(self, name: str, block: np.ndarray, M: int) -> np.ndarray:
         """The (Q, M, K) transpose of a caller's (K, Q, M) block, checked for its shape."""
-        if np.shape(block) != (self.K, self.Q, M):
+        if block.shape != (self.K, self.Q, M):
             raise DimensionError(f"{name} must be a ({self.K}, {self.Q}, {M}) block, "
-                                 f"got shape {np.shape(block)}")
+                                 f"got shape {block.shape}")
         return block.transpose(1, 2, 0)
 
     # -- physical pilot mixing --------------------------------------------

@@ -96,6 +96,40 @@ def lmmse_posterior(y, h_pri, c_pri, v_h, v_c, sigma, codebook, slopes=False):
     return x + v * u, np.maximum(v - v**2 * g, 0.0)
 
 
+def observation_variance(codebook, v_h, v_c, sigma_w2):
+    """Sigma = K P v_h + K P D^2 v_c + sigma_w2 per row (and antenna), in one expression from
+    the three variances; bitwise the engine's sum, whose slope term is formed apart."""
+    kp = codebook.K * codebook.power
+    return kp * v_h + kp * np.multiply.outer(codebook.D2_diag, v_c) + sigma_w2
+
+
+def moment_estimate(resid, sigma, sigma_w2):
+    """EM's moment estimate mean(|r|^2 - (Sigma - sigma_w2)) of a linear branch's input r."""
+    return float(np.vdot(resid, resid).real / resid.size - np.mean(sigma) + sigma_w2)
+
+
+def linear_extrinsic_algebra(spectrum, v_pri, fwd_pri, resid, sigma, weight, codebook):
+    """`lmmse.linear_extrinsic` as numpy's mixed complex-by-real operations write it: the
+    residual divided by Sigma and each real factor (w, one c per antenna) applied as is,
+    with the message-variance bounds read from lmmse.  Returns (x_ext, v_ext, fwd_ext)."""
+    from turbomp.lmmse import V_FLOOR, V_MAX
+
+    w = np.reshape(weight, (-1,) + (1,) * (sigma.ndim - 1))
+    z = np.divide(resid, sigma)
+    z *= w
+    g = (codebook.power / codebook.Q) * np.sum(w**2 / sigma, axis=0)
+    v = np.maximum(v_pri, V_FLOOR)
+    v_ext = 1.0 / g - v
+    informative = v_ext < V_MAX
+    coef = np.where(informative, 1.0 / g, v)
+    v_ext = np.maximum(np.where(informative, v_ext, V_MAX), V_FLOOR)
+    x_ext = codebook.apply_A_adjoint(z * coef, spectrum=spectrum)
+    z *= w
+    z *= codebook.K * codebook.power * coef
+    z += fwd_pri
+    return x_ext, v_ext, z
+
+
 def combine(mean_a, v_a, mean_b, v_b):
     """Precision-weighted fusion of two Gaussian messages; returns (mean, variance)."""
     v = 1.0 / (1.0 / np.asarray(v_a, dtype=float) + 1.0 / np.asarray(v_b, dtype=float))

@@ -40,7 +40,7 @@ from turbomp import (
 from turbomp.activity import fuse, logit
 from turbomp.channel import example_pdp_path, load_pdp
 from turbomp.denoiser import bg_denoise_batch
-from turbomp.lmmse import extrinsic, linear_extrinsic, observation_variance
+from turbomp.lmmse import extrinsic, linear_extrinsic, observation_variance, slope_variance
 
 
 def rand_complex(rng, *shape):
@@ -92,7 +92,7 @@ def test_criterion_02_linear_module_exactness():
 
     # the posterior is the linear module's extrinsic message combined with the
     # prior message, as the message the engine passes implies it
-    sigma = observation_variance(v_h, v_c, sw2, cb)
+    sigma = observation_variance(v_h, slope_variance(v_c, cb), sw2, cb)
     fwd_c = cb.D_diag * cb.apply_A(c_pri)  # B c_pri
     resid = y - cb.apply_A(h_pri) - fwd_c
     posts = []

@@ -166,9 +166,10 @@ def test_one_pilot_row_rule_and_frozen_options():
     for fn in (turbomp.build_codebook, turbomp.pilots.check_pilot_rows):
         assert "strict" not in inspect.signature(fn).parameters, fn.__name__
     cb = turbomp.build_codebook(K=16, N=4, T=2, Q=2, seed=0)
-    sigma = turbomp.lmmse.observation_variance(1.0, 0.1, 0.1, cb)
+    lmmse = turbomp.lmmse
+    sigma = lmmse.observation_variance(1.0, lmmse.slope_variance(0.1, cb), 0.1, cb)
     zeros = np.zeros(cb.rows, dtype=complex)
-    assert len(turbomp.lmmse.linear_extrinsic(None, 1.0, zeros, zeros, sigma, 1.0, cb)) == 3
+    assert len(lmmse.linear_extrinsic(None, 1.0, zeros, zeros, sigma, 1.0, cb)) == 3
     for cls in (turbomp.TurboOptions, turbomp.ExperimentConfig):
         assert cls.__dataclass_params__.frozen, cls.__name__
 
@@ -201,3 +202,27 @@ def test_harness_surface_the_benchmark_drives_is_pinned():
     assert harness.run_turbo_mp is turbomp.engine.run_turbo_mp
     assert harness.sample_channel is turbomp.channel.sample_channel
     assert harness.nmse is turbomp.metrics.nmse
+
+
+def test_dataclasses_holding_arrays_compare_and_hash_without_raising():
+    """==, in and hash never raise on a public dataclass that holds arrays: one identified by
+    an array compares by identity, and `BlockwiseBasis`, whose only array is derived, by
+    (N, Q)."""
+    def instances():
+        basis = turbomp.BlockwiseBasis(N=8, Q=2)
+        truth, real = turbomp.sample_blockwise_exact(64, 2, basis, 0.1, 1.0, 0.01, seed=1)
+        cb = turbomp.build_codebook(64, 8, 2, 2, seed=1)
+        priors = turbomp.PriorParams(theta_H=1.0, theta_C=0.01, sigma_w2=0.1, lam=0.1)
+        result = turbomp.run_turbo_mp(cb.apply_A(truth.H), cb, priors,
+                                      turbomp.TurboOptions(max_iters=2))
+        batch = turbomp.denoiser.bg_denoise_batch(np.ones((64, 2, 2)), np.ones(2), 1.0, 0.1)
+        profile = turbomp.load_pdp(turbomp.channel.example_pdp_path())
+        return [cb, real, truth, result, batch, profile]
+
+    for a, b in zip(instances(), instances()):
+        assert a == a and a != b, type(a).__name__
+        assert a in [b, a] and a not in [b]
+        assert hash(a) == hash(a)
+    basis = turbomp.BlockwiseBasis
+    assert basis(8, 2) == basis(8, 2) != basis(8, 4) and basis(8, 2) in [basis(8, 2)]
+    assert hash(basis(8, 2)) == hash(basis(8, 2))

@@ -31,6 +31,14 @@ from turbomp.em import SLOW_PERIOD
 GOLDEN = Path(__file__).parent / "golden"
 sys.path.insert(0, str(GOLDEN))
 from make_golden import CASES, replay  # noqa: E402
+from oracles import moment_estimate, observation_variance  # noqa: E402
+
+
+def golden_frame(case):
+    """The stored inputs of one golden frame."""
+    with np.load(GOLDEN / "engine_golden.npz") as data:
+        return {key.split("__", 1)[1]: data[key] for key in data.files
+                if key.startswith(case + "__")}
 
 
 def small_config(**overrides):
@@ -202,7 +210,7 @@ class TestFailureModes:
         branch, slope_calls = engine._branch, []
 
         def poisoned(*args):
-            out = list(branch(*args))  # x_new, v_new, fwd_new, fwd_ext, den, alpha, beta
+            out = list(branch(*args))  # x_new, v_new, fwd_new, fwd_ext, den, 1/alpha, beta
             slope_calls.append(not np.isscalar(args[5]))  # weight D: the slope branch
             if sum(slope_calls) == 2 and slope_calls[-1]:
                 for i in ((0, 2, 3) if target == "mean" else (1,)):
@@ -359,17 +367,15 @@ class TestForwardProducts:
         posterior forward product equal the operator applied to the outgoing message (read
         back from its spectrum by the adjoint of zero) and to the denoiser's posterior mean,
         to 1e-12 relative."""
-        with np.load(GOLDEN / "engine_golden.npz") as data:
-            doc = {key.split("__", 1)[1]: data[key] for key in data.files
-                   if key.startswith(case + "__")}
+        doc = golden_frame(case)
         branch, errors = engine._branch, []
 
         def checked(resid, sigma, spectrum, v_pri, fwd_pri, weight, theta, lambda_pri, cb,
                     *args):
             out = branch(resid, sigma, spectrum, v_pri, fwd_pri, weight, theta, lambda_pri, cb,
                          *args)
-            x_new, _, fwd_new, fwd_ext, den, alpha, beta = out
-            fwd_post = (fwd_new + beta * fwd_ext) / alpha
+            x_new, _, fwd_new, fwd_ext, den, inv_alpha, beta = out
+            fwd_post = (fwd_new + beta * fwd_ext) * inv_alpha
             message = cb.apply_A_adjoint(np.zeros_like(resid), spectrum=x_new)
             for got, x in ((fwd_new, message), (fwd_post, den.post_mean)):
                 want = weight * cb.apply_A(x)
@@ -382,13 +388,83 @@ class TestForwardProducts:
         assert max(errors) <= 0.0
 
 
+class TestSigmaAndMoment:
+    """Sigma's slope term is formed once per iteration and EM's moment only for the default
+    noise update; each must still be what every pass and refresh reads."""
+
+    @staticmethod
+    def record(monkeypatch, case):
+        """Replay a golden EM frame; returns its result, its codebook, its priors and, in call
+        order, each branch pass's (mean pass?, resid, Sigma, v_pri, v_out) and each EM call's
+        (its arguments, its priors)."""
+        doc = golden_frame(case)
+        branch, em_schedule, events = engine._branch, engine.em_schedule, []
+
+        def recorded_branch(resid, sigma, spectrum, v_pri, fwd_pri, weight, *args):
+            out = branch(resid, sigma, spectrum, v_pri, fwd_pri, weight, *args)
+            events.append((np.isscalar(weight), resid.copy(), sigma.copy(), v_pri.copy(), out[1]))
+            return out
+
+        def recorded_em(*args):
+            events.append((args, em_schedule(*args)))
+            return events[-1][1]
+
+        monkeypatch.setattr(engine, "_branch", recorded_branch)
+        monkeypatch.setattr(engine, "em_schedule", recorded_em)
+        result = replay(turbomp, doc)
+        K, N, T, Q = (int(v) for v in doc["dims"])
+        cb = turbomp.PilotCodebook(K=K, N=N, T=T, Q=Q, power=float(doc["power"]),
+                                   selections=doc["selections"])
+        assert result.iterations > SLOW_PERIOD  # the frame runs past a slow refresh
+        return result, cb, PriorParams(*(float(v) for v in doc["priors"])), events
+
+    @pytest.mark.parametrize("case", ["multipath_em_corrected", "multipath_60db"])
+    def test_every_pass_gets_sigma_of_its_own_variances(self, monkeypatch, case):
+        """From the first iteration through a slow refresh, each branch pass's Sigma is
+        bitwise `oracles.observation_variance` of that pass's v_h and v_c (its own input and
+        the other branch's last output) and EM's last noise variance."""
+        result, cb, priors, events = self.record(monkeypatch, case)
+        M = result.H.shape[1]
+        v_h, v_c = np.full(M, priors.lam * priors.theta_H), np.full(M, priors.lam * priors.theta_C)
+        sigma_w2, seen = priors.sigma_w2, set()
+        for event in events:
+            if len(event) == 2:  # an EM refresh
+                sigma_w2 = event[1].sigma_w2
+                continue
+            means, _, sigma, v_pri, v_out = event
+            assert v_pri.tobytes() == (v_h if means else v_c).tobytes()
+            assert sigma.tobytes() == observation_variance(cb, v_h, v_c, sigma_w2).tobytes()
+            seen.add((v_c.tobytes(), sigma_w2))
+            v_h, v_c = (v_out, v_c) if means else (v_h, v_out)
+        assert len(seen) == result.iterations  # v_c and sigma_w2 move every iteration
+
+    def test_default_update_gets_the_moment_of_the_slope_pass(self, monkeypatch):
+        """Each refresh of the default noise update gets the moment estimate of the slope
+        pass it follows, bit for bit `oracles.moment_estimate` under the priors it refreshes."""
+        result, _, _, events = self.record(monkeypatch, "multipath_60db")
+        refreshes = [(events[i - 1], em) for i, em in enumerate(events) if len(em) == 2]
+        assert len(refreshes) == result.iterations
+        for (means, resid, sigma, _, _), ((priors, _, _, moment, *_), _) in refreshes:
+            assert not means and type(moment) is float
+            assert moment == moment_estimate(resid, sigma, priors.sigma_w2)
+
+    def test_corrected_update_reads_no_moment(self, monkeypatch):
+        """With the corrected noise update the engine forms no moment, and each refresh, fast
+        and slow, gives the same priors whatever moment it is handed."""
+        result, _, _, events = self.record(monkeypatch, "multipath_em_corrected")
+        refreshes = [em for em in events if len(em) == 2]
+        assert len(refreshes) == result.iterations
+        for (priors, iteration, resid, moment, *rest), out in refreshes:
+            assert moment is None
+            for other in (np.nan, -np.inf, 0.0, 1e300):
+                assert turbomp.em.em_schedule(priors, iteration, resid, other, *rest) == out
+
+
 class TestMessageLayout:
     @staticmethod
     def multipath_frame():
         """The inputs of the golden multipath frame with EM and the corrected noise update."""
-        with np.load(GOLDEN / "engine_golden.npz") as data:
-            return {key.split("__", 1)[1]: data[key] for key in data.files
-                    if key.startswith("multipath_em_corrected__")}
+        return golden_frame("multipath_em_corrected")
 
     def test_messages_device_contiguous_and_result_device_major(self, monkeypatch):
         """In a multipath frame every matrix reaching apply_A has a contiguous device axis
@@ -435,9 +511,7 @@ class TestDenoiserInputs:
         what the engine promises: (K, Q, M) complex blocks, one variance per antenna in
         [V_FLOOR, V_MAX] (the frame's clamp), a positive finite theta, a rate in (0, 1) and
         evidence with no NaN, each a scalar or one value per device."""
-        with np.load(GOLDEN / "engine_golden.npz") as data:
-            doc = {key.split("__", 1)[1]: data[key] for key in data.files
-                   if key.startswith(case + "__")}
+        doc = golden_frame(case)
         K, _, _, Q = (int(v) for v in doc["dims"])
         M = doc["Y"].shape[1]
         denoise, calls = engine.bg_denoise_batch, []

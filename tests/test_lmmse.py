@@ -8,6 +8,7 @@ from oracles import (
     dense_A,
     dense_B,
     dense_joint_lmmse,
+    linear_extrinsic_algebra,
     lmmse_posterior,
     shared_row_codebook,
     spectrum,
@@ -21,18 +22,24 @@ from turbomp import (
     run_turbo_mp,
 )
 from turbomp import engine, lmmse
-from turbomp.lmmse import V_FLOOR, V_MAX, extrinsic, linear_extrinsic, observation_variance
+from turbomp.lmmse import (V_FLOOR, V_MAX, extrinsic, linear_extrinsic, observation_variance,
+                           slope_variance)
 
 
 def rand_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def sigma_of(v_h, v_c, sigma_w2, cb):
+    """Sigma as the engine forms it: its slope term from v_c, then the sum."""
+    return observation_variance(v_h, slope_variance(v_c, cb), sigma_w2, cb)
+
+
 def posterior(y, h_pri, c_pri, v_h, v_c, sigma_w2, cb, slopes=False):
     """One linear branch's posterior as the message the engine passes implies it: the
     precision combination of linear_extrinsic's extrinsic message with the prior
     message, whose variance is floored at V_FLOOR."""
-    sigma = observation_variance(v_h, v_c, sigma_w2, cb)
+    sigma = sigma_of(v_h, v_c, sigma_w2, cb)
     fwd_c = cb.D_diag.reshape((-1,) + (1,) * (np.ndim(y) - 1)) * cb.apply_A(c_pri)  # B = D A
     resid = y - cb.apply_A(h_pri) - fwd_c
     if slopes:
@@ -54,17 +61,17 @@ class TestSigmaDiag:
 
     def test_noise_only(self):
         cb = build_codebook(K=8, N=4, T=2, Q=2, seed=0)
-        np.testing.assert_allclose(observation_variance(0.0, 0.0, 0.25, cb), 0.25)
+        np.testing.assert_allclose(sigma_of(0.0, 0.0, 0.25, cb), 0.25)
 
     def test_mean_term_only(self):
         # K*P = 4
         cb = build_codebook(K=4, N=2, T=2, Q=1, P=1.0, seed=0)
-        np.testing.assert_allclose(observation_variance(1.0, 0.0, 0.1, cb), 4.1)
+        np.testing.assert_allclose(sigma_of(1.0, 0.0, 0.1, cb), 4.1)
 
     def test_slope_term_with_offset_two(self):
         # K*P = 2 and the offset vector contains the value 2
         cb = build_codebook(K=4, N=4, T=1, Q=1, P=0.5, seed=0)
-        values = observation_variance(1.0, 1.0, 0.1, cb)
+        values = sigma_of(1.0, 1.0, 0.1, cb)
         at_two = values[cb.D_diag == 2.0]
         np.testing.assert_allclose(at_two, 2.0 + 2.0 * 4.0 + 0.1)
 
@@ -72,7 +79,7 @@ class TestSigmaDiag:
         cb = build_codebook(K=64, N=8, T=4, Q=2, P=1.3, seed=1)
         v_h, v_c, sw2 = 0.7, 0.2, 0.05
         kp = cb.K * cb.power
-        np.testing.assert_allclose(observation_variance(v_h, v_c, sw2, cb),
+        np.testing.assert_allclose(sigma_of(v_h, v_c, sw2, cb),
                                    kp * v_h + kp * v_c * cb.D_diag**2 + sw2)
 
     def test_rejects_nonpositive_noise(self):
@@ -158,7 +165,7 @@ class TestLinearExtrinsic:
         self.h, self.v_h = rand_complex(rng, self.cb.cols, M), np.array([0.2, 0.5, 0.9])
         self.c, self.v_c = rand_complex(rng, self.cb.cols, M), np.array([0.1, 0.05, 0.3])
         self.Y = rand_complex(rng, self.cb.rows, M)
-        self.sigma = observation_variance(self.v_h, self.v_c, 0.07, self.cb)
+        self.sigma = sigma_of(self.v_h, self.v_c, 0.07, self.cb)
         self.resid = (self.Y - self.cb.apply_A(self.h)
                       - self.cb.D_diag[:, None] * self.cb.apply_A(self.c))
 
@@ -203,7 +210,7 @@ class TestLinearExtrinsic:
         cb, rng = build_codebook(K=96, N=12, T=4, Q=3, P=1.3, seed=4), np.random.default_rng(13)
         x = rand_complex(rng, cb.Q, self.v_h.size, cb.K).transpose(2, 0, 1)  # (K, Q, M) blocks
         fwd, weights = cb.apply_A(x), (1.0, np.ones((cb.rows, 1)))
-        sigma = observation_variance(self.v_h, self.v_c, 0.07, cb)
+        sigma = sigma_of(self.v_h, self.v_c, 0.07, cb)
         resid = rand_complex(rng, cb.rows, self.v_h.size)
 
         def same(a, b):
@@ -225,6 +232,37 @@ class TestLinearExtrinsic:
         for name in ("lambda_post", "evidence", "gain", "phi", "column_var", "energy"):
             same(getattr(scalar[4], name), getattr(rows[4], name))
         assert diags[0].clamp_events == diags[1].clamp_events
+
+
+class TestBitwiseAlgebra:
+    """linear_extrinsic casts each real factor to complex itself and multiplies by 1/Sigma,
+    as numpy's mixed complex-by-real operations do inside (a division by Sigma + 0j
+    multiplies by 1/Sigma), so its outputs are bitwise those of that mixed algebra."""
+
+    @pytest.mark.parametrize("clamped", [False, True])
+    @pytest.mark.parametrize("M", [1, 4, 8])
+    def test_bitwise_the_mixed_algebra(self, monkeypatch, M, clamped):
+        """For the means' weight 1.0 and the slopes' D, as a column and as the engine's full
+        (T*N, M) array, with or without an antenna at the clamp.  K, Q and P are not powers
+        of two, so a product taken in another order rounds differently."""
+        cb, rng = build_codebook(K=96, N=12, T=4, Q=3, P=1.3, seed=4), np.random.default_rng(M)
+        x = rand_complex(rng, cb.Q, M, cb.K).transpose(2, 0, 1)  # device-contiguous blocks
+        v_h, v_c = rng.uniform(0.05, 1.0, M), rng.uniform(0.01, 0.3, M)
+        sigma, resid = sigma_of(v_h, v_c, 0.07, cb), rand_complex(rng, cb.rows, M)
+        d = cb.D_diag[:, None]
+        for weight, forms in ((1.0, [1.0]), (d, [d, np.repeat(d, M, axis=1)])):
+            fwd = weight * cb.apply_A(x)
+            if clamped:  # the clamp just below the largest extrinsic variance
+                v_ext = linear_extrinsic_algebra(None, v_h, fwd, resid, sigma, weight, cb)[1]
+                monkeypatch.setattr(lmmse, "V_MAX", float(v_ext.max() * 0.999))
+            want = linear_extrinsic_algebra(spectrum(cb, x), v_h, fwd, resid, sigma, weight, cb)
+            assert np.any(want[1] == lmmse.V_MAX) == clamped
+            for w in forms:
+                got = linear_extrinsic(spectrum(cb, x), v_h, fwd, resid, sigma, w, cb)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and a.strides == b.strides
+                    assert a.tobytes() == b.tobytes()
+            monkeypatch.undo()
 
 
 class TestExtrinsic:
@@ -276,7 +314,7 @@ class TestGaussianMessage:
         variance it returns falls below it."""
         cb = build_codebook(K=8, N=4, T=2, Q=2, seed=0)
         zeros = np.zeros(cb.rows, dtype=complex)
-        sigma = observation_variance(0.0, 0.0, 0.25, cb)
+        sigma = sigma_of(0.0, 0.0, 0.25, cb)
         _, v_ext, _ = linear_extrinsic(None, 0.0, zeros, zeros, sigma, 1.0, cb)
         assert v_ext >= V_FLOOR
 

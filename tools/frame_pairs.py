@@ -3,14 +3,16 @@
 Usage, from the repository root:
 
     python3 tools/frame_pairs.py PARENT_SRC CHANGE_SRC --pairs 10 --frames 20 --seed 1000 \
-        [--workload {paper_point,high_snr,pooled_sweep}] [--K 16000] [--no-split]
+        [--workload {paper_point,high_snr,massive_k,pooled_sweep}] [--K 16000] [--no-split]
 
 Each path is a `src` directory holding a `turbomp` package.  The frames are those of the
 benchmark workload --workload: multipath, K=1000, N=72, T=8, Q=4, M=8, lambda K = 50 and EM,
 with `paper_point` (the default) at -15 dB with the corrected noise update and at most 15
 iterations, `high_snr` at 60 dB with the default options (the max(m, s) noise update and
-at most 50 iterations), and `pooled_sweep` as `paper_point` but with M=4 (its frames run in
-pool workers, so time them with --no-split); --K changes K and keeps 50 devices active.  PARENT_SRC draws
+at most 50 iterations), `massive_k` as `paper_point` but with K=16000, and `pooled_sweep` as
+`paper_point` but with M=4 (its frames run in pool workers, so time them with --no-split);
+--K changes K and keeps 50 devices active.  A worker that fails (a --K below T*N = 576, say)
+ends the run with exit status 2 and its last error line.  PARENT_SRC draws
 the frames once, trials 0 to frames - 1 of `master_seed` --seed through
 `harness.run_single_trial`, and their inputs (Y, the pilot rows, the priors and options) are
 saved.  A run then times `run_turbo_mp` alone on every saved frame in a fresh interpreter with
@@ -53,6 +55,7 @@ PRIORS = ("theta_H", "theta_C", "sigma_w2", "lam")
 WORKLOADS = {  # ExperimentConfig fields of each workload beyond the shared ones
     "paper_point": {"snr_db": [-15.0], "em_sigma_correction": True, "max_iters": 15},
     "high_snr": {"snr_db": [60.0]},
+    "massive_k": {"K": 16000, "snr_db": [-15.0], "em_sigma_correction": True, "max_iters": 15},
     "pooled_sweep": {"M": 4, "snr_db": [-15.0], "em_sigma_correction": True, "max_iters": 15},
 }
 
@@ -64,9 +67,9 @@ def capture(workload: str, K: int, frames: int, seed: int, path: str) -> None:
     from turbomp import ExperimentConfig, TurboOptions, harness
     from turbomp.channel import example_pdp_path
 
-    config = ExperimentConfig(**{"K": K, "N": 72, "T": 8, "Q": 4, "M": 8, "lam": 50 / K,
-                                 "pdp_file": example_pdp_path(), "master_seed": seed,
-                                 **WORKLOADS[workload]})
+    config = ExperimentConfig(**{"N": 72, "T": 8, "Q": 4, "M": 8, "pdp_file": example_pdp_path(),
+                                 "master_seed": seed, **WORKLOADS[workload], "K": K,
+                                 "lam": 50 / K})
     saved, run = {}, harness.run_turbo_mp
 
     def record(Y, cb, priors, opts, *args, **kwargs):
@@ -158,9 +161,13 @@ def compare_or_save(result, path: Path) -> float:
 def worker(src: str, *args: str) -> dict:
     """Run `args` in a fresh interpreter that imports turbomp from `src`; its last JSON line."""
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, __file__, "--worker", *args], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
+    run = subprocess.run([sys.executable, __file__, "--worker", *args], env=env,
+                         capture_output=True, text=True)
+    if run.returncode:
+        error = (run.stderr.strip().splitlines() or [f"exit status {run.returncode}"])[-1]
+        print(f"error: worker {args[0]} failed: {error}", file=sys.stderr)
+        sys.exit(2)
+    return json.loads(run.stdout.splitlines()[-1])
 
 
 def summary(values: list) -> dict:
@@ -175,13 +182,15 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--frames", type=int, default=20)
     parser.add_argument("--seed", type=int, default=1000, help="master_seed of the frames")
-    parser.add_argument("--K", type=int, default=1000)
+    parser.add_argument("--K", type=int, help="devices (default: the workload's, 1000 or 16000)")
     parser.add_argument("--workload", choices=list(WORKLOADS), default="paper_point")
     parser.add_argument("--no-split", action="store_true",
                         help="run every block pass whole, as the harness's pool workers do")
     args = parser.parse_args(argv)
     if args.pairs < 2 or args.frames < 1:
         parser.error("quartiles need --pairs >= 2, and a run needs --frames >= 1")
+    if args.K is None:
+        args.K = WORKLOADS[args.workload].get("K", 1000)
     sides = {"parent": str(Path(args.parent).resolve()), "change": str(Path(args.change).resolve())}
     with tempfile.TemporaryDirectory() as tmp:
         inputs = str(Path(tmp) / "frames.npz")
