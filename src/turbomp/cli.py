@@ -23,8 +23,8 @@ _CONFIG_ERRORS = (ConfigurationError, ParameterError, DimensionError, json.JSOND
 
 
 def _load_config(args, values=(), **overrides) -> ExperimentConfig:
-    """The JSON config at --config with --seed, --trials and `overrides` if set, then `values`."""
-    overrides.update(master_seed=args.seed, trials=args.trials)
+    """The --config JSON with --seed, --trials, --workers and `overrides` if set, then `values`."""
+    overrides.update(master_seed=args.seed, trials=args.trials, workers=args.workers)
     try:
         with open(args.config) as f:
             doc = json.load(f)
@@ -54,7 +54,7 @@ def _parse_value(text: str):
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args, workers=args.workers)
+    config = _load_config(args)
     _make_out(args)
     result = run_experiment(config, progress=print)
     paths = emit_results(result, args.out, stem=args.stem)
@@ -119,10 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", required=True, help="JSON config path")
     shared.add_argument("--seed", type=int, default=None, help="override master_seed")
     shared.add_argument("--trials", type=int, default=None, help="override trial count")
+    shared.add_argument("--workers", type=int, default=None, help="override worker count")
     shared.add_argument("--out", default="results", help="output directory")
 
     run = sub.add_parser("run", parents=[shared], help="run the SNR sweep of a config file")
-    run.add_argument("--workers", type=int, default=None, help="override worker count")
     run.add_argument("--stem", default="results", help="output file stem")
     run.set_defaults(func=_cmd_run)
 

@@ -1,13 +1,13 @@
 """Expectation-maximization updates of the prior parameters.
 
-The four learnable parameters are the active-block coefficient variances
-(means and slopes), the effective noise variance, and the activity rate.
-The coefficient variances are in channel units; the noise variance is in the
-observations' pilot-power units, sigma_w2 = P 10^(-SNR/10) for pilot power P.
-The posterior expectations entering the updates are the message products of
-the running iteration, not exact posteriors, and arrive as arguments: per-device
-second moments and the residual Y - A H_post - B C_post, so no update applies an
-operator or reads an engine object.  `em_schedule` is the one update step.
+The four learnable parameters are the active-block coefficient variances (means and slopes),
+the effective noise variance, and the activity rate.  The coefficient variances are in channel
+units; the noise variance is in the observations' pilot-power units, sigma_w2 = P 10^(-SNR/10)
+for pilot power P.  The posterior expectations entering the updates are the message products of
+the running iteration, not exact posteriors, and arrive as arguments: the denoisers' outputs,
+the residual Y - A H_post - B C_post and the slope pass's residual and Sigma, so no update
+applies an operator or reads an engine object.  `em_schedule` is the one update step: it alone
+decides when the moment and the activity posterior are formed.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .activity import fuse
 from .errors import ParameterError
 from .pilots import PilotCodebook
 
@@ -53,15 +54,15 @@ def em_initial_params(Y: np.ndarray, codebook: PilotCodebook) -> PriorParams:
                        sigma_w2=max(power, VAR_FLOOR * codebook.power), lam=0.1)
 
 
-def em_schedule(priors, iteration, resid, moment, den_h, den_c, lambda_d_post, codebook,
+def em_schedule(priors, iteration, resid, lin_resid, sigma, den_h, den_c, codebook,
                 opts) -> PriorParams:
     """One scheduled parameter refresh from the running iteration's quantities.
 
-    resid is the (T*N, M) residual Y - A H_post - B C_post, moment the moment estimate m =
-    mean(|r|^2 - (Sigma - sigma_w2)) of a linear branch's input r, read only by the default
-    noise update (None may stand in with opts.em_sigma_correction), den_h and den_c the last
-    mean-block and slope-block denoiser outputs and lambda_d_post the fused activity posterior
-    of the K >= 1 devices, read only on the slow refreshes (None may stand between).
+    resid is the (T*N, M) residual Y - A H_post - B C_post, lin_resid and sigma the slope
+    pass's input residual r and observation variance Sigma, whose moment m = mean(|r|^2 -
+    (Sigma - sigma_w2)) only the default noise update forms, and den_h and den_c the last
+    mean-block and slope-block denoiser outputs, whose evidence only the slow refreshes fuse
+    into the activity posterior of the K >= 1 devices.
 
     The noise variance is refreshed every iteration.  The residual power s per entry
     underestimates it by the power the posterior means fit, and m falls below zero where
@@ -83,11 +84,12 @@ def em_schedule(priors, iteration, resid, moment, den_h, den_c, lambda_d_post, c
         sigma_w2 += (codebook.K * P / resid.shape[1]) * float(
             den_h.column_var.sum() + codebook.D2_mean * den_c.column_var.sum())
     else:
-        sigma_w2 = max(sigma_w2, moment)
+        sigma_w2 = max(sigma_w2, float(np.vdot(lin_resid, lin_resid).real / lin_resid.size
+                                       - sigma.mean() + priors.sigma_w2))
     sigma_w2 = min(max(sigma_w2, VAR_FLOOR * P), VAR_CEIL * P)  # a NaN passes, as through clip
     if iteration % SLOW_PERIOD:
         return replace(priors, sigma_w2=sigma_w2)
-    lam = lambda_d_post
+    lam = fuse(priors.lam, den_h.evidence, den_c.evidence)
     weight, size = lam.sum(), den_h.pri_mean[0].size
 
     def theta(den, previous):

@@ -1,8 +1,8 @@
 """Iteration schedule and message bookkeeping of the turbo estimator.
 
 One engine iteration runs the linear estimator and the mean-block denoiser twice, then the
-linear estimator and the slope-block denoiser once, then optionally fuses activity evidence and
-refreshes the prior parameters.  Messages are device-contiguous (K, Q, M) blocks (the strides of
+linear estimator and the slope-block denoiser once, then, with EM on, refreshes the prior
+parameters.  Messages are device-contiguous (K, Q, M) blocks (the strides of
 a C-ordered (Q, M, K) array, so every DFT and elementwise pass runs along contiguous memory)
 with one variance per antenna; the `TurboResult` holds C-ordered (QK, M) matrices, converted
 once per frame.  Both halves run `_branch` over the row weight w of the operator, 1 for the
@@ -31,13 +31,13 @@ observation variance Sigma and activity cross prior, and builds no (K, Q, M) pos
 One iteration thus costs one adjoint and one forward operator call per branch.  sqrt(P), D^2, its
 mean and the pilot-row index are built once per codebook, the full (T*N, M) weight D once per
 frame, and each other term once per change of its inputs: Sigma's slope term K P D^2 v_c once per
-iteration, EM's moment only for the default update, the posterior forward products only for EM's
-residual, the posterior means only for the result and the traced NMSE.  (T*N, M) products take real
-factors, 1/Sigma and 1/alpha as complex: numpy would cast them through a buffer.
-Activity is carried in log-odds: each denoiser reports its prior-free evidence, +-inf included,
-and the other branch's denoiser takes it, with the rate lambda, as its cross prior;
-`activity.fuse` forms only EM's activity posterior, on its slow refreshes, and the frame's final
-posterior, and `detect` rejects a NaN that reaches the final one.
+iteration, the posterior forward products only for EM's residual, the posterior means only for
+the result and the traced NMSE; EM's moment belongs to `em`, which gets the slope pass's residual
+and Sigma.  (T*N, M) products take real factors, 1/Sigma and 1/alpha as complex: numpy would cast
+them through a buffer.  Activity is carried in log-odds: each denoiser reports its prior-free
+evidence, +-inf included, and the other branch's denoiser takes it, with the rate lambda, as its
+cross prior; `em` fuses EM's activity posterior, the engine only the frame's final one, which
+`detect` rejects if NaN.
 
 A frame writes its (K, Q, M) blocks into one workspace, a (5, Q, M, K) array allocated by
 `run_turbo_mp` and freed when it returns; each slot is a device-contiguous view.  Two slots hold
@@ -66,7 +66,7 @@ import numpy as np
 from . import lmmse, metrics as _metrics
 from .activity import detect, fuse
 from .denoiser import bg_denoise_batch
-from .em import SLOW_PERIOD, PriorParams, em_schedule
+from .em import PriorParams, em_schedule
 from .errors import DimensionError, NumericsError, ParameterError
 from .lmmse import extrinsic, linear_extrinsic, observation_variance, slope_variance
 from .parallel import halves
@@ -82,8 +82,8 @@ def _number(value, kind=numbers.Real) -> bool:
 class TurboOptions:
     """Stopping rule, EM switches and detection threshold of one fixed schedule.
 
-    Each iteration runs the mean branch twice, then the slope branch, then activity fusion
-    and, with em_enabled, the EM refresh of `em.em_schedule`.  Frozen, and checked when built.
+    Each iteration runs the mean branch twice, then the slope branch, then, with em_enabled,
+    the EM refresh of `em.em_schedule`.  Frozen, and checked when built.
     """
 
     max_iters: int = 50
@@ -225,12 +225,11 @@ def run_turbo_mp(
                 codebook, diag, h_ext, spare)
         # a NaN or inf makes a message's step or a variance's sum non-finite; checked before EM
         (step_h, norm_h), spare, h_pri = _step_norms(h_new, h_pri), h_pri, h_new
-        evidence_h = den_h.evidence
         resid = _residual(Y, fwd_h, fwd_c, diag)
         sigma = observation_variance(v_h, slope, priors.sigma_w2, codebook)
         c_new, v_c, fwd_c, fwd_ext_c, den_c, inv_alpha_c, beta_c = _branch(
             resid, sigma, c_pri, v_c, fwd_c, d_weight, priors.theta_C,
-            (priors.lam, evidence_h), codebook, diag, c_ext, spare)
+            (priors.lam, den_h.evidence), codebook, diag, c_ext, spare)
         (step_c, norm_c), spare, c_pri = _step_norms(c_new, c_pri), c_pri, c_new
         evidence_c = den_c.evidence
         for branch, value in (("mean branch (h_pri, v_h)", step_h + v_h.sum()),
@@ -239,17 +238,11 @@ def run_turbo_mp(
                 raise NumericsError(f"non-finite message in the {branch}", diagnostics=diag)
         change = np.hypot(step_h, step_c)
 
-        if opts.em_enabled:
-            # the moment mean(|r|^2 - (Sigma - sigma_w2)) of the slope pass, for the default update
-            moment = None if opts.em_sigma_correction else float(
-                np.vdot(resid, resid).real / resid.size - sigma.mean() + priors.sigma_w2)
-            # Y - A H_post - B C_post; the activity posterior only for the slow refreshes
+        if opts.em_enabled:  # Y - A H_post - B C_post, with the slope pass's residual and Sigma
             post_resid = (Y - (fwd_h + beta_h * fwd_ext_h) * inv_alpha_h
                           - (fwd_c + beta_c * fwd_ext_c) * inv_alpha_c)
-            lambda_d_post = None if iteration % SLOW_PERIOD else fuse(priors.lam, evidence_h,
-                                                                      evidence_c)
-            priors = em_schedule(priors, iteration, post_resid, moment, den_h, den_c,
-                                 lambda_d_post, codebook, opts)
+            priors = em_schedule(priors, iteration, post_resid, resid, sigma, den_h, den_c,
+                                 codebook, opts)
 
         denom = np.hypot(norm_h, norm_c)
         rel_change = float(change / denom) if denom > 0 else np.inf
@@ -269,7 +262,7 @@ def run_turbo_mp(
             converged = True
             break
 
-    lambda_post = fuse(priors.lam, evidence_h, evidence_c)
+    lambda_post = fuse(priors.lam, den_h.evidence, evidence_c)
     H, C = (d.post_mean.reshape(codebook.cols, M) for d in (den_h, den_c))
     return TurboResult(H=H, C=C, lambda_D_post=lambda_post,
                        activity=detect(lambda_post, opts.threshold), priors=priors,

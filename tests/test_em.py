@@ -18,36 +18,57 @@ from turbomp import (
     run_turbo_mp,
     sample_blockwise_exact,
 )
+from turbomp.activity import fuse, logit
 from turbomp.channel import example_pdp_path
 from turbomp.denoiser import bg_denoise_batch
 from turbomp.em import SLOW_PERIOD, em_schedule
+
+from oracles import moment_estimate
 
 CB = build_codebook(K=16, N=4, T=1, Q=2, seed=0)
 PRIORS = PriorParams(theta_H=1.0, theta_C=1e-3, sigma_w2=0.5, lam=0.1)
 
 
 def stand_in(pri_mean, energy=None, column_var=(0.0,)):
-    """A denoiser output holding only the fields `em_schedule` reads."""
+    """A denoiser output holding the fields `em_schedule` reads, but for the evidence."""
     energy = np.zeros(len(pri_mean)) if energy is None else energy
     return SimpleNamespace(pri_mean=pri_mean, energy=energy, column_var=np.asarray(column_var))
 
 
-def refresh(lam, den_h=None, den_c=None, resid=None, moment=-np.inf, iteration=SLOW_PERIOD,
-            priors=PRIORS, cb=CB, correction=False):
+def certain(active):
+    """Evidence that fuses to exactly the 0/1 posterior `active`: +inf where 1, -inf where 0."""
+    return np.where(np.asarray(active) == 1, np.inf, -np.inf)
+
+
+def slope_pass(moment, sigma_w2=PRIORS.sigma_w2, cb=CB, M=1):
+    """A slope pass's residual r and Sigma whose moment mean(|r|^2 - (Sigma - sigma_w2)) is
+    about `moment`: |r|^2 = max(moment, 0) and Sigma = sigma_w2 - min(moment, 0) throughout."""
+    resid = np.full((cb.rows, M), np.sqrt(max(moment, 0.0)), dtype=complex)
+    return resid, np.full(M, sigma_w2 - min(moment, 0.0))
+
+
+def refresh(evidence_h, evidence_c=None, den_h=None, den_c=None, resid=None, moment=-np.inf,
+            iteration=SLOW_PERIOD, priors=PRIORS, cb=CB, correction=False):
     """The priors after one `em_schedule` call; by default a slow refresh with neutral
-    denoiser outputs, a zero residual and no moment estimate."""
-    lam = np.asarray(lam, dtype=float)
-    den_h = stand_in(np.zeros((lam.size, 1, 1))) if den_h is None else den_h
+    denoiser stand-ins carrying the given evidence (none from the slope block), a zero residual
+    and a slope pass whose moment is `moment` (-inf: the residual power wins)."""
+    evidence_h = np.asarray(evidence_h, dtype=float)
+    den_h = stand_in(np.zeros((evidence_h.size, 1, 1))) if den_h is None else den_h
+    evidence_c = np.zeros(evidence_h.size) if evidence_c is None else evidence_c
+    den_h, den_c = (SimpleNamespace(**vars(den), evidence=np.asarray(evidence, dtype=float))
+                    for den, evidence in ((den_h, evidence_h), (den_c or den_h, evidence_c)))
     resid = np.zeros((cb.rows, 1), dtype=complex) if resid is None else resid
     opts = TurboOptions(em_enabled=True, em_sigma_correction=correction)
-    return em_schedule(priors, iteration, resid, moment, den_h, den_h if den_c is None else den_c,
-                       lam, cb, opts)
+    return em_schedule(priors, iteration, resid, *slope_pass(moment, priors.sigma_w2, cb),
+                       den_h, den_c, cb, opts)
 
 
-def theta_H_of(H, var, lam, previous):
-    """The mean-block update from (K, Q, M) posterior means and variances."""
+def theta_H_of(H, var, active, previous):
+    """The mean-block update from (K, Q, M) posterior means and variances, with the devices in
+    `active` certain to be active and the others certain not to be."""
     energy = np.sum(np.abs(H) ** 2 + var, axis=(1, 2))
-    return refresh(lam, den_h=stand_in(H, energy), priors=replace(PRIORS, theta_H=previous)).theta_H
+    return refresh(certain(active), den_h=stand_in(H, energy),
+                   priors=replace(PRIORS, theta_H=previous)).theta_H
 
 
 def residual_power(resid):
@@ -132,17 +153,17 @@ class TestSigmaW:
         """The noise variance is in pilot-power units, so its floor and ceiling are
         P VAR_FLOOR and P VAR_CEIL, in the blind start too; theta keeps its bounds."""
         cb = build_codebook(K=16, N=4, T=1, Q=2, P=P, seed=0)
-        zero = np.zeros((cb.rows, 2), dtype=complex)
-        assert refresh(np.ones(cb.K), resid=zero, cb=cb).sigma_w2 == 1e-12 * P
-        assert refresh(np.ones(cb.K), resid=zero, moment=1e9 * P, cb=cb).sigma_w2 == 1e6 * P
+        zero, active = np.zeros((cb.rows, 2), dtype=complex), certain(np.ones(cb.K))
+        assert refresh(active, resid=zero, cb=cb).sigma_w2 == 1e-12 * P
+        assert refresh(active, resid=zero, moment=1e9 * P, cb=cb).sigma_w2 == 1e6 * P
         assert em_initial_params(zero, cb).sigma_w2 == 1e-12 * P
         den = stand_in(np.zeros((cb.K, 1, 1)), np.full(cb.K, 1e8))
-        assert refresh(np.ones(cb.K), den_h=den, resid=zero, cb=cb).theta_H == 1e6
+        assert refresh(active, den_h=den, resid=zero, cb=cb).theta_H == 1e6
 
 
 class TestNoiseRule:
-    """The scheduled noise update is max(m, s): the moment estimate m when it
-    exceeds the residual power s, else s; the correction ignores m."""
+    """The scheduled noise update is max(m, s): the moment m of the slope pass it is handed
+    when m exceeds the residual power s, else s; the correction forms no m."""
 
     def _inputs(self):
         cb = build_codebook(K=16, N=4, T=1, Q=2, seed=0)
@@ -153,56 +174,81 @@ class TestNoiseRule:
         priors = PriorParams(theta_H=1.0, theta_C=1e-3, sigma_w2=0.5, lam=0.1)
         return cb, resid, den, priors
 
-    def _sigma(self, moment, resid=None, correction=False):
-        cb, default_resid, den, priors = self._inputs()
+    def _refresh(self, slope, resid=None, correction=False, priors=None, iteration=1):
+        """The priors after one refresh handed the slope pass's (residual, Sigma) `slope`."""
+        cb, default_resid, den, default_priors = self._inputs()
         resid = default_resid if resid is None else resid
+        priors = default_priors if priors is None else priors
         opts = TurboOptions(em_enabled=True, em_sigma_correction=correction)
-        return em_schedule(priors, 1, resid, moment, den, den, np.full(16, 0.1), cb,
-                           opts).sigma_w2
+        return em_schedule(priors, iteration, resid, *slope, den, den, cb, opts)
+
+    def _sigma(self, moment, **kwargs):
+        """The noise update handed a slope pass whose moment is about `moment`, and the
+        moment `oracles.moment_estimate` forms from that pass."""
+        priors = kwargs.get("priors") or self._inputs()[3]
+        slope = slope_pass(moment, priors.sigma_w2, M=2)
+        return self._refresh(slope, **kwargs).sigma_w2, moment_estimate(*slope, priors.sigma_w2)
 
     def test_residual_power_when_moment_below(self):
         _, resid, _, _ = self._inputs()
         s = residual_power(resid)
         for moment in (0.5 * s, 0.0, -0.88, -1e9):
-            assert self._sigma(moment) == s
+            got, m = self._sigma(moment)
+            assert m < s and got == s
 
     def test_moment_when_above(self):
         _, resid, _, _ = self._inputs()
-        s = residual_power(resid)
-        assert self._sigma(3.0 * s) == 3.0 * s
+        got, m = self._sigma(3.0 * residual_power(resid))
+        assert m > residual_power(resid) and got == m
 
     def test_both_clipped(self):
-        assert self._sigma(1e9) == 1e6
+        assert self._sigma(1e9)[0] == 1e6
         zero = np.zeros_like(self._inputs()[1])
-        assert self._sigma(-1.0, resid=zero) == 1e-12
-        assert self._sigma(1e-20, resid=zero) == 1e-12
+        assert self._sigma(-1.0, resid=zero)[0] == 1e-12
+        tiny = replace(self._inputs()[3], sigma_w2=1e-30)  # so a moment of 1e-20 is not rounded
+        got, m = self._sigma(1e-20, resid=zero, priors=tiny)
+        assert 0.0 < m < 1e-12 and got == 1e-12
 
     def test_correction_ignores_moment(self):
         cb, resid, den, _ = self._inputs()
         d2 = np.mean(cb.D_diag**2)
         expected = residual_power(resid) + (cb.K / 2) * (
             den.column_var.sum() + d2 * den.column_var.sum())
-        got = {self._sigma(moment, correction=True)
+        got = {self._sigma(moment, correction=True)[0]
                for moment in (-1.0, 0.0, expected * 10.0, 1e9)}
         assert len(got) == 1 and got.pop() == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("iteration", [1, SLOW_PERIOD])
+    def test_correction_reads_no_slope_pass(self, iteration):
+        """On fast and slow refreshes alike, the corrected update returns equal priors
+        whatever slope-pass residual and Sigma it is handed, NaN and +-inf included."""
+        resid = self._inputs()[1]
+        finite = (np.ones_like(resid), np.full(2, 0.5))
+        want = self._refresh(finite, correction=True, iteration=iteration)
+        for bad in (np.nan, np.inf, -np.inf):
+            for slope in ((np.full_like(resid, bad), finite[1]), (finite[0], np.full(2, bad))):
+                assert self._refresh(slope, correction=True, iteration=iteration) == want
+
 
 class TestLambda:
+    """The rate is the mean of the activity posterior that a slow refresh fuses from the
+    denoisers' evidence under the current rate, kept off the exact endpoints."""
+
     def test_mean_identity(self):
-        post = np.full(100, 0.05)
-        assert refresh(post).lam == pytest.approx(0.05)
+        assert refresh(np.full(100, logit(0.05) - logit(PRIORS.lam))).lam == pytest.approx(0.05)
         rng = np.random.default_rng(3)
-        post = rng.uniform(0, 1, 1000)
-        assert refresh(post).lam == np.clip(post.mean(), 1e-6, 1 - 1e-6)
+        e_h, e_c = rng.normal(0.0, 3.0, 1000), rng.normal(0.0, 3.0, 1000)
+        want = np.clip(fuse(PRIORS.lam, e_h, e_c).mean(), 1e-6, 1 - 1e-6)
+        assert refresh(e_h, e_c).lam == want
 
     def test_indicator_recovers_rate(self):
         post = np.zeros(100)
         post[:7] = 1.0
-        assert refresh(post).lam == pytest.approx(0.07)
+        assert refresh(certain(post)).lam == pytest.approx(0.07)
 
     def test_clamped_endpoints(self):
-        assert refresh(np.zeros(10)).lam == 1e-6
-        assert refresh(np.ones(10)).lam == 1 - 1e-6
+        assert refresh(certain(np.zeros(10))).lam == 1e-6
+        assert refresh(certain(np.ones(10))).lam == 1 - 1e-6
 
 
 class TestPilotPowerUnits:

@@ -263,10 +263,10 @@ class TestFailureModes:
 class TestFusedActivity:
     def test_cross_priors_are_the_evidence_and_em_posterior_is_bitwise_fused(self, monkeypatch):
         """The engine hands each denoiser the rate priors.lam and the other branch's evidence
-        array itself as its cross prior (neutral zero evidence before the first slope pass);
-        EM's activity posterior, formed only for its slow refreshes (None between them), and the
-        frame's final posterior are bitwise `fuse` of the same evidence, and EM is handed the
-        very arrays."""
+        array itself as its cross prior (neutral zero evidence before the first slope pass), and
+        EM the very denoiser outputs; EM's activity posterior, which `em_schedule` fuses only on
+        its slow refreshes, and the frame's final posterior are bitwise `fuse` of the same
+        evidence."""
         Y, cb, priors, *_ = make_instance(seed=4)
         denoise, em_schedule, calls = engine.bg_denoise_batch, engine.em_schedule, []
 
@@ -275,13 +275,17 @@ class TestFusedActivity:
                                                                 evidence)))
             return calls[-1][3]
 
-        def recorded_em(priors, iteration, resid, moment, den_h, den_c, lambda_d_post, *args):
-            calls.append(("em", priors.lam, den_h.evidence, den_c.evidence, lambda_d_post))
-            return em_schedule(priors, iteration, resid, moment, den_h, den_c, lambda_d_post,
-                               *args)
+        def recorded_em(priors, iteration, resid, lin_resid, sigma, den_h, den_c, *args):
+            calls.append(("em", priors.lam, den_h, den_c, []))
+            return em_schedule(priors, iteration, resid, lin_resid, sigma, den_h, den_c, *args)
+
+        def recorded_fuse(*args):  # EM's posterior, with the call it belongs to
+            calls[-1][4].append((args, fuse(*args)))
+            return calls[-1][4][-1][1]
 
         monkeypatch.setattr(engine, "bg_denoise_batch", recorded_denoise)
         monkeypatch.setattr(engine, "em_schedule", recorded_em)
+        monkeypatch.setattr(turbomp.em, "fuse", recorded_fuse)
         result = run_turbo_mp(Y, cb, priors, TurboOptions(max_iters=7, em_enabled=True,
                                                           rel_change_tol=1e-12))
         assert result.iterations == 7
@@ -297,32 +301,32 @@ class TestFusedActivity:
                 assert ev_h1 is den_c.evidence and ev_h2 is den_c.evidence
             assert ev_c is den_h.evidence
             den_c = den_c_next
+            assert em[2] is den_h and em[3] is den_c
             if (i + 1) % SLOW_PERIOD:
-                assert em[4] is None
+                assert em[4] == []
             else:
+                [((lam, ev_a, ev_b), post)] = em[4]
+                assert lam == em[1] and ev_a is den_h.evidence and ev_b is den_c.evidence
                 want = fuse(em[1], den_h.evidence, den_c.evidence)
-                assert np.array_equal(em[4].view(np.int64), want.view(np.int64))
-            assert em[2] is den_h.evidence and em[3] is den_c.evidence
+                assert np.array_equal(post.view(np.int64), want.view(np.int64))
         want = fuse(result.priors.lam, den_h.evidence, den_c.evidence)  # after EM's last refresh
         assert np.array_equal(result.lambda_D_post.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("em", [False, True])
     @pytest.mark.parametrize("max_iters", [1, 3, 7])
     def test_activity_is_fused_only_where_it_is_read(self, monkeypatch, em, max_iters):
-        """`activity.fuse` runs once per EM slow refresh and once for the final posterior,
-        not once per iteration."""
+        """`activity.fuse` runs once per EM slow refresh, in `em`, and once per frame, in the
+        engine, for the final posterior; never on a fast refresh."""
         Y, cb, priors, *_ = make_instance(seed=4)
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return fuse(*args)
-
-        monkeypatch.setattr(engine, "fuse", counted)
+        calls = {engine: [], turbomp.em: []}
+        for module in calls:
+            monkeypatch.setattr(module, "fuse",
+                                lambda *args, seen=calls[module]: seen.append(args) or fuse(*args))
         result = run_turbo_mp(Y, cb, priors, TurboOptions(max_iters=max_iters, em_enabled=em,
                                                           rel_change_tol=1e-300))
         assert result.iterations == max_iters
-        assert len(calls) == em * (max_iters // SLOW_PERIOD) + 1
+        assert len(calls[engine]) == 1
+        assert len(calls[turbomp.em]) == em * (max_iters // SLOW_PERIOD)
 
     @pytest.mark.parametrize("call, em, error, match", [
         # the last mean-branch evidence feeds the slope prior, and the slope message goes NaN
@@ -389,8 +393,8 @@ class TestForwardProducts:
 
 
 class TestSigmaAndMoment:
-    """Sigma's slope term is formed once per iteration and EM's moment only for the default
-    noise update; each must still be what every pass and refresh reads."""
+    """Sigma's slope term is formed once per iteration, and EM's moment by `em_schedule` only
+    for the default noise update; each must still be what every pass and refresh reads."""
 
     @staticmethod
     def record(monkeypatch, case):
@@ -439,25 +443,58 @@ class TestSigmaAndMoment:
         assert len(seen) == result.iterations  # v_c and sigma_w2 move every iteration
 
     def test_default_update_gets_the_moment_of_the_slope_pass(self, monkeypatch):
-        """Each refresh of the default noise update gets the moment estimate of the slope
-        pass it follows, bit for bit `oracles.moment_estimate` under the priors it refreshes."""
-        result, _, _, events = self.record(monkeypatch, "multipath_60db")
+        """Each refresh of the default noise update is handed the residual and Sigma of the
+        slope pass it follows, and its noise variance is max(m, s) with m bit for bit
+        `oracles.moment_estimate` of that pass under the priors it refreshes; the moment
+        decides some refreshes."""
+        result, cb, _, events = self.record(monkeypatch, "multipath_60db")
         refreshes = [(events[i - 1], em) for i, em in enumerate(events) if len(em) == 2]
         assert len(refreshes) == result.iterations
-        for (means, resid, sigma, _, _), ((priors, _, _, moment, *_), _) in refreshes:
-            assert not means and type(moment) is float
-            assert moment == moment_estimate(resid, sigma, priors.sigma_w2)
+        decided = 0
+        for (means, resid, sigma, _, _), ((priors, _, post, lin, sig, *_), out) in refreshes:
+            assert not means and lin.tobytes() == resid.tobytes()
+            assert sig.tobytes() == sigma.tobytes()
+            m = moment_estimate(resid, sigma, priors.sigma_w2)
+            s = float(np.vdot(post, post).real) / post.size  # the residual power
+            bounds = (turbomp.em.VAR_FLOOR * cb.power, turbomp.em.VAR_CEIL * cb.power)
+            assert out.sigma_w2 == min(max(m, s, bounds[0]), bounds[1])
+            decided += m > s
+        assert decided > 0
 
     def test_corrected_update_reads_no_moment(self, monkeypatch):
-        """With the corrected noise update the engine forms no moment, and each refresh, fast
-        and slow, gives the same priors whatever moment it is handed."""
+        """With the corrected noise update each refresh, fast and slow, gives the same priors
+        whatever slope-pass residual and Sigma it is handed, NaN and +-inf included."""
         result, _, _, events = self.record(monkeypatch, "multipath_em_corrected")
         refreshes = [em for em in events if len(em) == 2]
         assert len(refreshes) == result.iterations
-        for (priors, iteration, resid, moment, *rest), out in refreshes:
-            assert moment is None
-            for other in (np.nan, -np.inf, 0.0, 1e300):
-                assert turbomp.em.em_schedule(priors, iteration, resid, other, *rest) == out
+        for (priors, iteration, post, lin, sig, *rest), out in refreshes:
+            for other in (np.nan, -np.inf, np.inf, 0.0, 1e300):
+                for slope in ((np.full_like(lin, other), sig), (lin, np.full_like(sig, other))):
+                    assert turbomp.em.em_schedule(priors, iteration, post, *slope,
+                                                  *rest) == out
+
+    @pytest.mark.parametrize("case", ["multipath_em_corrected", "multipath_60db"])
+    def test_em_gets_the_slope_pass_residual_and_sigma_themselves(self, monkeypatch, case):
+        """Every EM call, across a slow refresh, gets the very residual and Sigma arrays (`is`)
+        that the slope pass's `_branch` call got."""
+        branch, em_schedule, slope_inputs, handed = engine._branch, engine.em_schedule, [], []
+
+        def recorded_branch(resid, sigma, spectrum, v_pri, fwd_pri, weight, *args):
+            if not np.isscalar(weight):  # the slope pass
+                slope_inputs.append((resid, sigma))
+            return branch(resid, sigma, spectrum, v_pri, fwd_pri, weight, *args)
+
+        def recorded_em(priors, iteration, post, lin, sig, *args):
+            handed.append((lin, sig))
+            return em_schedule(priors, iteration, post, lin, sig, *args)
+
+        monkeypatch.setattr(engine, "_branch", recorded_branch)
+        monkeypatch.setattr(engine, "em_schedule", recorded_em)
+        result = replay(turbomp, golden_frame(case))
+        assert result.iterations > SLOW_PERIOD and len(handed) == result.iterations
+        assert len(slope_inputs) == len(handed)
+        for (resid, sigma), (lin, sig) in zip(slope_inputs, handed):
+            assert lin is resid and sig is sigma
 
 
 class TestMessageLayout:

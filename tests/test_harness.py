@@ -507,9 +507,10 @@ class TestCli:
     def test_flags_types_defaults_and_required_are_pinned(self):
         """Every subcommand keeps its option strings, types, defaults and required flags."""
         shared = {"--config": (None, None, True), "--seed": (int, None, False),
-                  "--trials": (int, None, False), "--out": (None, "results", False)}
+                  "--trials": (int, None, False), "--workers": (int, None, False),
+                  "--out": (None, "results", False)}
         want = {
-            "run": {**shared, "--workers": (int, None, False), "--stem": (None, "results", False)},
+            "run": {**shared, "--stem": (None, "results", False)},
             "sweep": {**shared, "--param": (None, None, False), "--stem": (None, "sweep", False)},
             "roc": {**shared, "--snr": (float, None, False), "--thresholds": (None, None, False),
                     "--points": (int, 25, False), "--stem": (None, "roc", False)},
@@ -543,6 +544,42 @@ class TestCli:
         assert code == 0
         names = {p.name for p in (tmp_path / "sweep").glob("*.csv")}
         assert names == {"sweep_M1.csv", "sweep_M2.csv"}
+
+    def test_sweep_workers_change_no_record(self, tmp_path):
+        """`sweep --workers 2` runs each point's config with two workers and writes the
+        records and aggregates of `--workers 1`, wall times aside."""
+        cfg = self._write_config(tmp_path, trials=4)
+
+        def without_wall(doc):
+            if isinstance(doc, dict):
+                return {k: without_wall(v) for k, v in doc.items() if k != "wall_s"}
+            return [without_wall(v) for v in doc] if isinstance(doc, list) else doc
+
+        points = {}
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
+            assert cli_main(["sweep", "--config", cfg, "--param", "M=1,2", "--workers",
+                             str(workers), "--out", str(out)]) == 0
+            docs = [json.loads((out / f"sweep_M{m}.json").read_text()) for m in (1, 2)]
+            assert [doc["config"]["workers"] for doc in docs] == [workers, workers]
+            points[workers] = without_wall([doc["points"] for doc in docs])
+        assert points[2] == points[1]
+
+    def test_roc_workers_write_the_same_csv(self, tmp_path, monkeypatch):
+        """`roc --workers 2` runs the config with two workers and writes the bytes of
+        `--workers 1`."""
+        import turbomp.cli as cli
+
+        seen, roc = [], cli.run_roc
+        monkeypatch.setattr(cli, "run_roc", lambda config, *args, **kwargs: (
+            seen.append(config.workers) or roc(config, *args, **kwargs)))
+        cfg = self._write_config(tmp_path, trials=4)
+        for workers in (1, 2):
+            assert cli_main(["roc", "--config", cfg, "--points", "5", "--workers", str(workers),
+                             "--out", str(tmp_path / f"workers{workers}")]) == 0
+        assert seen == [1, 2]
+        csvs = [(tmp_path / f"workers{w}" / "roc.csv").read_bytes() for w in (1, 2)]
+        assert csvs[1] == csvs[0]
 
     @pytest.mark.parametrize("params", [
         ["--param", "M=1", "--param", "M=2"],  # the first M was dropped
