@@ -169,8 +169,7 @@ def _branch(resid, sigma, spectrum, v_pri, fwd_pri, weight, theta, prior, cb, di
     forward product), the forward product weight * A @ x_ext, the denoiser's output, and the
     per-antenna 1/alpha and beta as complex, which give weight * A @ post_mean (module docstring).
     """
-    ext, v_ext, fwd_ext = linear_extrinsic(spectrum, v_pri, fwd_pri, resid, sigma, weight, cb,
-                                           out=ext)
+    ext, v_ext, fwd_ext = linear_extrinsic(spectrum, v_pri, fwd_pri, resid, sigma, weight, cb, ext)
     den = bg_denoise_batch(ext, v_ext, theta, *prior)
     # the denoiser's extrinsic message x_und = alpha post_mean - beta ext
     v_out, alpha, beta = extrinsic(den.column_var, v_ext)
@@ -178,7 +177,7 @@ def _branch(resid, sigma, spectrum, v_pri, fwd_pri, weight, theta, prior, cb, di
     scale = (np.multiply.outer(alpha * den.gain, den.lambda_post) - beta[:, None]).T  # (K, M)
     halves(lambda m: np.multiply(ext[..., m], scale[:, None, m], out=out[..., m]),
            ext.shape[2], ext.size)
-    fwd_und = cb.apply_A(out, out)  # leaves x_und's spectrum in out
+    fwd_und = cb.apply_A(out)  # leaves x_und's spectrum in out
     fwd_und *= np.asarray(weight, dtype=complex)
     return out, v_out, fwd_und, fwd_ext, den, (1.0 / alpha).astype(complex), beta.astype(complex)
 

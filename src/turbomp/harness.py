@@ -77,8 +77,9 @@ class ExperimentConfig(TurboOptions):
     must be >= 0, and each SNR must give a positive, finite noise variance.  Each trial draws
     its own pilots, T*N distinct DFT rows of K.  A multipath config reads its power delay
     profile once per process, when it is built, so a pdp_file that cannot be read or parsed
-    fails before any trial runs.  The trials run on a process pool of min(workers, CPUs this
-    process may use) processes where that is above 1.
+    fails before any trial runs.  The trials run on a process pool of min(workers, trials, CPUs
+    this process may use) processes where that is above 1, so a pool never holds a process
+    without a trial.
     """
 
     K: int
@@ -289,7 +290,8 @@ def _roc_job(args):
 @contextmanager
 def _mapper(workers: int):
     """`map`, or the `map` of one pool of min(workers, CPUs this process may use) processes
-    for every call where that is above 1; pool workers run every block pass unsplit."""
+    for every call where that is above 1; callers cap workers at their trials.  Pool workers
+    run every block pass unsplit."""
     processes = min(workers, parallel.cpus())
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes, initializer=parallel.disable) as pool:
@@ -336,7 +338,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> ExperimentResult:
     points = []
     for point_idx, snr in enumerate(config.snr_db):
         start = time.perf_counter()
-        with _mapper(config.workers) as mapper:
+        with _mapper(min(config.workers, config.trials)) as mapper:
             records = _run_chunks(config, point_idx, snr, mapper)
         wall = time.perf_counter() - start
         aggregate = _aggregate_point(config, snr, records, wall)
@@ -372,7 +374,7 @@ def run_roc(config: ExperimentConfig, thresholds, progress=None):
     snr = config.snr_db[0]
     jobs = [(config, 0, snr, trial) for trial in range(config.trials)]
     posts, truths = [], []
-    with _mapper(config.workers) as mapper:
+    with _mapper(min(config.workers, config.trials)) as mapper:
         for done, (post, truth) in enumerate(mapper(_roc_job, jobs), 1):
             posts.append(post)
             truths.append(truth)

@@ -21,10 +21,9 @@ given as its spectrum: since 1 / g is one scalar per antenna, u / g = A^H (z / g
 z = w r / Sigma, and the pilot adjoint forms x + A^H (z / g) from x's spectrum in one inverse
 DFT (see `pilots`), its real factors cast to complex first (numpy would cast them through a
 buffer on every call).  `extrinsic` divides any other posterior (the denoisers') by its prior
-message.  Both apply the message-variance bounds, which no other module applies.  Means may be
-a single column (one antenna), a (n, M) matrix or (K, Q, M) blocks with one variance per
-antenna; all functions broadcast over the antenna axis, and `linear_extrinsic` returns x_ext as
-the adjoint does: (Q*K,) for a residual vector, else (K, Q, M) blocks.
+message.  Both apply the message-variance bounds, which no other module applies.  Row-side
+arrays are (T*N, M) and means (K, Q, M) blocks, with one variance per antenna; every function
+broadcasts over the antenna axis, and `linear_extrinsic` writes x_ext into the caller's block.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ V_MAX = 1e6
 
 
 def slope_variance(v_c, codebook: PilotCodebook) -> np.ndarray:
-    """Sigma's slope term K*P*v_c*D^2: (T*N,) for a scalar v_c, else (T*N, M)."""
+    """Sigma's slope term K*P*v_c*D^2, (T*N, M) for the (M,) slope variances v_c."""
     return codebook.K * codebook.power * np.multiply.outer(codebook.D2_diag, v_c)
 
 
@@ -47,18 +46,18 @@ def observation_variance(v_h, slope, sigma_w2: float, codebook: PilotCodebook) -
     return slope + codebook.K * codebook.power * v_h + sigma_w2
 
 
-def linear_extrinsic(spectrum, v_pri, fwd_pri, resid, sigma, weight, codebook, out=None):
+def linear_extrinsic(spectrum, v_pri, fwd_pri, resid, sigma, weight, codebook, out):
     """Extrinsic message (x_ext, v_ext) of one linear branch and its forward product w A x_ext
     given fwd_pri = w A x_pri.
 
-    spectrum is x_pri's spectrum as `PilotCodebook.apply_A` leaves it, None for x_pri = 0.
+    spectrum is x_pri's spectrum as `PilotCodebook.apply_A` leaves it, zeros for x_pri = 0.
     weight broadcasts against sigma: a scalar, a column of one entry per row, or one entry per
     element, which numpy multiplies fastest.  Where 1/g - v reaches V_MAX the posterior adds
     nothing to the prior: as in `extrinsic`, the variance is clamped to V_MAX and the posterior
     mean x + v u passes through.  v_pri and v_ext are floored at V_FLOOR.  x_ext = x_pri +
     A^H (c z) with one c per antenna, formed by the adjoint from spectrum, which it leaves
-    unchanged, into out when given (a block as the adjoint takes it, not sharing spectrum's
-    memory); A A^H = K P I gives w A x_ext = fwd_pri + c K P w z without an operator call.
+    unchanged, into the block out (not sharing spectrum's memory); A A^H = K P I gives
+    w A x_ext = fwd_pri + c K P w z without an operator call.
     """
     w = np.asarray(weight)
     w_c = w.astype(complex)
@@ -70,7 +69,7 @@ def linear_extrinsic(spectrum, v_pri, fwd_pri, resid, sigma, weight, codebook, o
     informative = v_ext < V_MAX
     coef = np.where(informative, 1.0 / g, v)  # one per antenna
     v_ext = np.maximum(np.where(informative, v_ext, V_MAX), V_FLOOR)
-    x_ext = codebook.apply_A_adjoint(z * coef.astype(complex), out=out, spectrum=spectrum)
+    x_ext = codebook.apply_A_adjoint(z * coef.astype(complex), out, spectrum)
     z *= w_c  # z's buffer becomes fwd_ext = fwd_pri + c K P w z
     z *= (codebook.K * codebook.power * coef).astype(complex)
     z += fwd_pri

@@ -8,21 +8,18 @@ magnitude P, and the row structure gives the partial orthogonality A @ A^H = K*P
 linear estimator relies on.  B shares the factorization through the real diagonal D: B = D @ A,
 which is applied as the row weight D_diag times A's product (and A^H of D_diag times y).
 
-Coefficients enter as (Q*K,) vectors, device-major (Q*K, M) matrices or (K, Q, M) blocks; the
-adjoint returns a matrix as (K, Q, M) blocks with the strides of a C-ordered (Q, M, K) array
-("device-contiguous").  Every DFT runs along the device axis, which such blocks hold
-contiguously, so pocketfft reads it without a copy: bitwise the values of a C-ordered input in
-about half the time at K=16000.  Each operator's (Q, M, K) block can come from the caller, as
-numpy's out= does: `apply_A(x, scratch)` runs its forward DFTs in scratch, and with scratch = x
-in place, which leaves x's spectrum F x in x; `apply_A_adjoint(y, out, spectrum)` writes
-x + A^H y into out from that spectrum, as one inverse DFT of F x + K sqrt(P) S y with S the
-row scatter (A^H = sqrt(P) F^H S, and F^H = K F^-1), and leaves spectrum as it found it.
-Every such block must be a device-contiguous (K, Q, M) view of a C-ordered (Q, M, K) complex128
-array; the default None allocates a fresh one, and spectrum=None is the zero message.  At large
-K both operators split their Q sub-blocks into two halves on two threads (`parallel.halves`):
-the forward DFTs, and the adjoint's row updates and inverse DFTs.  Each sub-block is
-transformed alike in either half, so outputs are bitwise independent of the split; pool workers
-never split.
+Coefficients enter as (K, Q, M) blocks and observations as (T*N, M) matrices, the forms the
+engine runs.  Blocks are "device-contiguous": the strides of a C-ordered (Q, M, K) array.
+Every DFT runs along the device axis, which such blocks hold contiguously, so pocketfft reads
+it without a copy: bitwise the values of a C-ordered input in about half the time at K=16000.
+`apply_A(x)` runs its forward DFTs in place, which leaves x's spectrum F x in x;
+`apply_A_adjoint(y, out, spectrum)` writes x + A^H y into the caller's block out from that
+spectrum, as one inverse DFT of F x + K sqrt(P) S y with S the row scatter (A^H = sqrt(P) F^H S,
+and F^H = K F^-1), and leaves spectrum as it found it; the zero message's spectrum is a block
+of zeros.  At large K both operators split their Q sub-blocks into two halves on two threads
+(`parallel.halves`): the forward DFTs, and the adjoint's row updates and inverse DFTs.  Each
+sub-block is transformed alike in either half, so outputs are bitwise independent of the split;
+pool workers never split.
 """
 
 from __future__ import annotations
@@ -114,41 +111,33 @@ class PilotCodebook:
 
     # -- fast operator applications ---------------------------------------
 
-    def apply_A(self, x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-        """A @ x for x of shape (Q*K,), (Q*K, M) or (K, Q, M); returns (T*N,) or (T*N, M).
-        The DFT runs along the device axis, which device-contiguous blocks hold contiguously,
-        into scratch when given, which may be x itself (see the module docstring)."""
-        x = np.asarray(x)
-        if (x.shape[:2] != (self.K, self.Q)) if x.ndim == 3 else (x.shape[0] != self.cols):
-            raise DimensionError(f"x must be ({self.cols},), ({self.cols}, M) or "
-                                 f"({self.K}, {self.Q}, M), got {x.shape}")
-        rows = x.reshape(self.K, self.Q, -1).transpose(1, 2, 0)  # (Q, M, K)
-        w = (np.empty(rows.shape, dtype=np.result_type(x.dtype, 1j)) if scratch is None
-             else self._block("scratch", scratch, rows.shape[1]))
-        halves(lambda q: np.fft.fft(rows[q], out=w[q]), self.Q, w.size)
-        y = w.take(self._rows(rows.shape[1])).reshape(self.rows, -1)  # a copy, in row order
+    def apply_A(self, x: np.ndarray) -> np.ndarray:
+        """A @ x for a complex (K, Q, M) block x, whose forward DFTs run in place along the
+        device axis: x holds its spectrum afterwards (see the module docstring).  Returns the
+        (T*N, M) product."""
+        if x.ndim != 3 or x.shape[:2] != (self.K, self.Q):
+            raise DimensionError(f"x must be a ({self.K}, {self.Q}, M) block, got shape {x.shape}")
+        w = x.transpose(1, 2, 0)  # (Q, M, K)
+        halves(lambda q: np.fft.fft(w[q], out=w[q]), self.Q, w.size)
+        y = w.take(self._rows(w.shape[1])).reshape(self.rows, -1)  # a copy, in row order
         y *= self.scale
-        return y[:, 0] if x.ndim == 1 else y
+        return y
 
-    def apply_A_adjoint(self, y: np.ndarray, out: np.ndarray | None = None,
-                        spectrum: np.ndarray | None = None) -> np.ndarray:
-        """x + A^H @ y for y of shape (T*N,) or (T*N, M), where spectrum is the block that
-        `apply_A(x, x)` left (None for x = 0); returns (Q*K,) or (K, Q, M) blocks.
+    def apply_A_adjoint(self, y: np.ndarray, out: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+        """x + A^H @ y for y of shape (T*N, M), where spectrum is the (K, Q, M) block that
+        `apply_A(x)` left; writes it into the (K, Q, M) block out and returns out.
 
         K sqrt(P) y is added to spectrum's selected rows, the inverse DFT runs from spectrum
-        into out's block when given (see the module docstring), and the saved rows are written
-        back, so spectrum is left byte-equal; out may not share its memory.  A matrix y gets
-        the device-contiguous (K, Q, M) transpose view.
+        into out, and the saved rows are written back, so spectrum is left byte-equal; out may
+        not share its memory.
         """
-        y = np.asarray(y)
-        if y.shape[0] != self.rows:
-            raise DimensionError(f"y has leading dim {y.shape[0]}, expected {self.rows}")
-        blocks = y.reshape(self.Q, self.rows_per_block, -1)  # (Q, rpb, M), in row order
-        shape = (self.Q, blocks.shape[2], self.K)
-        w = np.empty(shape, dtype=complex) if out is None else self._block("out", out, shape[1])
-        s = (np.zeros(shape, dtype=complex) if spectrum is None  # a copy only in another layout
-             else np.ascontiguousarray(self._block("spectrum", spectrum, shape[1])))
-        s_flat, index = s.reshape(-1), self._rows(shape[1])
+        if y.ndim != 2 or y.shape[0] != self.rows:
+            raise DimensionError(f"y must be ({self.rows}, M), got shape {y.shape}")
+        M = y.shape[1]
+        blocks = y.reshape(self.Q, self.rows_per_block, M)  # (Q, rpb, M), in row order
+        w = self._block("out", out, M)
+        s = np.ascontiguousarray(self._block("spectrum", spectrum, M))  # a copy in another layout
+        s_flat, index = s.reshape(-1), self._rows(M)
 
         def update_ifft(q):
             saved = s_flat[index[q]]
@@ -157,8 +146,7 @@ class PilotCodebook:
             s_flat[index[q]] = saved
 
         halves(update_ifft, self.Q, w.size)
-        x = w.transpose(2, 0, 1)  # (K, Q, M)
-        return x.reshape(self.cols) if y.ndim == 1 else x
+        return out
 
     def _block(self, name: str, block: np.ndarray, M: int) -> np.ndarray:
         """The (Q, M, K) transpose of a caller's (K, Q, M) block, checked for its shape."""
@@ -170,22 +158,20 @@ class PilotCodebook:
     # -- physical pilot mixing --------------------------------------------
 
     def mix_subcarriers(self, X_active: np.ndarray, active: np.ndarray) -> np.ndarray:
-        """The noiseless observation sum_k Lambda_k X_k over the devices `active`, integer
-        indices in [0, K); X_active is (a, N) or (a, N, M), row i device active[i]'s signal, and
-        the result (T*N,) or (T*N, M).  Fed the expanded block-wise responses H and C it
-        reproduces A H + D A C.  Device k's symbol on DFT row s is scale * roots[(s k) mod K]."""
+        """The noiseless (T*N, M) observation sum_k Lambda_k X_k over the devices `active`,
+        integer indices in [0, K); X_active is (a, N, M), row i device active[i]'s response.
+        Fed the expanded block-wise responses H and C it reproduces A H + D A C.  Device k's
+        symbol on DFT row s is scale * roots[(s k) mod K]."""
         X, active = np.asarray(X_active), np.asarray(active)
-        if X.ndim not in (2, 3) or active.ndim != 1 or X.shape[:2] != (active.size, self.N):
-            raise DimensionError(f"X_active must be ({active.size}, {self.N}, ...) for "
+        if X.ndim != 3 or active.ndim != 1 or X.shape[:2] != (active.size, self.N):
+            raise DimensionError(f"X_active must be ({active.size}, {self.N}, M) for "
                                  f"{active.size} device indices, got {X.shape}")
         if active.size and not (active.dtype.kind in "iu" and 0 <= active.min()
                                 and active.max() < self.K):
             raise DimensionError(f"device indices must be integers in [0, {self.K})")
         index = self.selections.reshape(self.N, self.T, 1) * active.astype(np.int64) % self.K
         phases = self.roots[index]  # (N, T, a), from the exact integer index s k mod K
-        y = phases @ (X if X.ndim == 3 else X[:, :, None]).transpose(1, 0, 2)
-        y = self.scale * y.reshape(self.rows, -1)
-        return y[:, 0] if X.ndim == 2 else y
+        return self.scale * (phases @ X.transpose(1, 0, 2)).reshape(self.rows, -1)
 
 
 def check_pilot_rows(K: int, N: int, T: int, Q: int) -> None:

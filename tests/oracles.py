@@ -43,15 +43,45 @@ def dense_B(codebook):
     return codebook.D_diag[:, None] * dense_A(codebook)
 
 
+def block(codebook, M):
+    """Not an oracle: a fresh (K, Q, M) block of zeros in the operators' layout, the
+    device-contiguous transpose of a C-ordered (Q, M, K) complex128 array; as a spectrum, the
+    zero message's."""
+    return np.zeros((codebook.Q, M, codebook.K), dtype=np.complex128).transpose(2, 0, 1)
+
+
+def device_contiguous(codebook, x):
+    """Not an oracle: a copy of coefficients x as a fresh `block`; x is a (Q*K,) vector (one
+    antenna), a device-major (Q*K, M) matrix or (K, Q, M) blocks of any layout."""
+    blocks = block(codebook, np.size(x) // codebook.cols)
+    blocks[...] = np.reshape(x, blocks.shape)
+    return blocks
+
+
 def spectrum(codebook, x):
     """Not an oracle: the spectrum that `PilotCodebook.apply_A` leaves in a block it transforms
-    in place, the form in which the engine carries a message x ((Q*K,), (Q*K, M) or (K, Q, M);
-    one antenna for a vector) and `lmmse.linear_extrinsic` takes the prior mean."""
-    blocks = np.empty((codebook.Q, np.size(x) // codebook.cols, codebook.K),
-                      dtype=np.complex128).transpose(2, 0, 1)  # device-contiguous (K, Q, M)
-    blocks[...] = np.reshape(x, blocks.shape)
-    codebook.apply_A(blocks, blocks)
+    in place, the form in which the engine carries a message x (any form `device_contiguous`
+    takes) and `lmmse.linear_extrinsic` takes the prior mean."""
+    blocks = device_contiguous(codebook, x)
+    codebook.apply_A(blocks)
     return blocks
+
+
+def forward(codebook, x):
+    """Not an oracle: A @ x by `PilotCodebook.apply_A` on a copy of x in any form
+    `device_contiguous` takes; (T*N,) for a vector, else (T*N, M)."""
+    y = codebook.apply_A(device_contiguous(codebook, x))
+    return y[:, 0] if np.ndim(x) == 1 else y
+
+
+def adjoint(codebook, y, spectrum=None):
+    """Not an oracle: x + A^H @ y by `PilotCodebook.apply_A_adjoint` into a fresh block, with
+    x's spectrum copied (x = 0 for None); y is (T*N,) or (T*N, M), and the result (Q*K,) or
+    (K, Q, M) blocks."""
+    Y = np.reshape(y, (codebook.rows, -1))
+    s = block(codebook, Y.shape[1]) if spectrum is None else device_contiguous(codebook, spectrum)
+    x = codebook.apply_A_adjoint(Y, block(codebook, Y.shape[1]), s)
+    return x.reshape(codebook.cols) if np.ndim(y) == 1 else x
 
 
 def permutation(codebook):
@@ -89,9 +119,8 @@ def lmmse_posterior(y, h_pri, c_pri, v_h, v_c, sigma, codebook, slopes=False):
     x, v, w = (c_pri, v_c, codebook.D_diag) if slopes else (h_pri, v_h, np.ones(codebook.rows))
     w = w.reshape((-1,) + (1,) * (sigma.ndim - 1))
     d = codebook.D_diag.reshape(w.shape)  # B = D A
-    resid = (np.asarray(y, dtype=np.complex128) - codebook.apply_A(h_pri)
-             - d * codebook.apply_A(c_pri))
-    u = codebook.apply_A_adjoint(w * (resid / sigma)).reshape(x.shape)  # (K, Q, M) for matrices
+    resid = y - forward(codebook, h_pri) - d * forward(codebook, c_pri)
+    u = adjoint(codebook, w * (resid / sigma)).reshape(x.shape)  # (K, Q, M) for matrices
     g = (codebook.power / codebook.Q) * np.sum(w**2 / sigma, axis=0)
     return x + v * u, np.maximum(v - v**2 * g, 0.0)
 
@@ -123,7 +152,7 @@ def linear_extrinsic_algebra(spectrum, v_pri, fwd_pri, resid, sigma, weight, cod
     informative = v_ext < V_MAX
     coef = np.where(informative, 1.0 / g, v)
     v_ext = np.maximum(np.where(informative, v_ext, V_MAX), V_FLOOR)
-    x_ext = codebook.apply_A_adjoint(z * coef, spectrum=spectrum)
+    x_ext = adjoint(codebook, z * coef, spectrum)
     z *= w
     z *= codebook.K * codebook.power * coef
     z += fwd_pri
@@ -267,14 +296,12 @@ def nmse_full_expansion(G, H, C, basis, activity):
 
 
 def mix_subcarriers_fft(codebook, X):
-    """Pilot mixing through a K-point FFT over all devices, zero rows included:
-    observation row r is scale * FFT(X)[s_r, n_r], with s_r its DFT row and
+    """Pilot mixing of (K, N, M) responses through a K-point FFT over all devices, zero rows
+    included: observation row r is scale * FFT(X)[s_r, n_r], with s_r its DFT row and
     n_r = r // T its subcarrier."""
-    X = np.asarray(X)
-    Xf = np.fft.fft(X.reshape(codebook.K, codebook.N, -1), axis=0)
+    Xf = np.fft.fft(X, axis=0)
     n_of_row = np.repeat(np.arange(codebook.N), codebook.T)
-    y = codebook.scale * Xf[codebook.selections.ravel(), n_of_row]
-    return y[:, 0] if X.ndim == 2 else y
+    return codebook.scale * Xf[codebook.selections.ravel(), n_of_row]
 
 
 def sigmoid_masked(x):

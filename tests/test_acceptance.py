@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    adjoint,
     bg_scalar_reference,
+    block,
     combine,
     dense_A,
     dense_B,
     dense_joint_lmmse,
+    forward,
     genie_support_lmmse,
     post_var_elem,
     shared_row_codebook,
@@ -59,19 +62,20 @@ def test_criterion_01_operator_algebra():
     rng = np.random.default_rng(1)
     x = rand_complex(rng, cb.cols)
     y = rand_complex(rng, cb.rows)
-    # the engine applies B = D A as the row weight D_diag[:, None] on (rows, M) products
+    # the engine's forms: one-antenna (K, Q, 1) blocks in, (T*N, 1) products out, each run
+    # in place on a fresh block; B = D A as the row weight D_diag[:, None]
     X, Y = x[:, None], y[:, None]
     pairs = [
-        (cb.apply_A(x), A @ x),
-        (cb.apply_A_adjoint(y), A.conj().T @ y),
-        (cb.D_diag[:, None] * cb.apply_A(X), B @ X),
-        (cb.apply_A_adjoint(cb.D_diag[:, None] * Y).reshape(cb.cols, 1), B.conj().T @ Y),
+        (forward(cb, X), A @ X),
+        (adjoint(cb, Y).reshape(cb.cols, 1), A.conj().T @ Y),
+        (cb.D_diag[:, None] * forward(cb, X), B @ X),
+        (adjoint(cb, cb.D_diag[:, None] * Y).reshape(cb.cols, 1), B.conj().T @ Y),
     ]
     worst = max(np.linalg.norm(f - d) / np.linalg.norm(d) for f, d in pairs)
     assert worst < 1e-12
 
-    adj = abs(np.vdot(y, cb.apply_A(x)) - np.vdot(cb.apply_A_adjoint(y), x))
-    adj /= abs(np.vdot(y, cb.apply_A(x)))
+    adj = abs(np.vdot(Y, forward(cb, X)) - np.vdot(adjoint(cb, Y), X))
+    adj /= abs(np.vdot(Y, forward(cb, X)))
     assert adj < 1e-12
 
     wall = time.perf_counter() - start
@@ -91,15 +95,19 @@ def test_criterion_02_linear_module_exactness():
     y = rand_complex(rng, cb.rows)
 
     # the posterior is the linear module's extrinsic message combined with the
-    # prior message, as the message the engine passes implies it
-    sigma = observation_variance(v_h, slope_variance(v_c, cb), sw2, cb)
-    fwd_c = cb.D_diag * cb.apply_A(c_pri)  # B c_pri
-    resid = y - cb.apply_A(h_pri) - fwd_c
+    # prior message, as the message the engine passes implies it, on one-antenna (K, Q, 1)
+    # blocks and (T*N, 1) rows, the engine's forms
+    H, C, Y = h_pri[:, None], c_pri[:, None], y[:, None]
+    sigma = observation_variance(v_h, slope_variance(np.array([v_c]), cb), sw2, cb)
+    fwd_c = cb.D_diag[:, None] * forward(cb, C)  # B c_pri
+    resid = Y - forward(cb, H) - fwd_c
     posts = []
-    for x, v, weight, fwd in [(h_pri, v_h, 1.0, cb.apply_A(h_pri)),
-                              (c_pri, v_c, cb.D_diag, fwd_c)]:
-        x_ext, v_ext, _ = linear_extrinsic(spectrum(cb, x), v, fwd, resid, sigma, weight, cb)
-        posts.append(combine(x_ext, v_ext, x, v))
+    for x, v, weight, fwd in [(H, v_h, 1.0, forward(cb, H)),
+                              (C, v_c, cb.D_diag[:, None], fwd_c)]:
+        x_ext, v_ext, _ = linear_extrinsic(spectrum(cb, x), np.array([v]), fwd, resid, sigma,
+                                           weight, cb, block(cb, 1))
+        mean, var = combine(x_ext.reshape(cb.cols), v_ext[0], x[:, 0], v)
+        posts.append((mean, float(var)))
     (mean_h, var_h), (mean_c, var_c) = posts
     h_ref, c_ref, vh_ref, vc_ref = dense_joint_lmmse(
         y, dense_A(cb), dense_B(cb), h_pri, c_pri, v_h, v_c, sw2
@@ -197,7 +205,7 @@ def test_criterion_05_decomposition_consistency():
             truth = project_blockwise(real, BlockwiseBasis(72, q))
             direct = cb.mix_subcarriers(real.G_active, real.active)
             decomposed = (
-                cb.apply_A(truth.H) + cb.D_diag[:, None] * cb.apply_A(truth.C)
+                forward(cb, truth.H) + cb.D_diag[:, None] * forward(cb, truth.C)
                 + cb.mix_subcarriers(truth.Delta, real.active)
             )
             denom = np.linalg.norm(direct)

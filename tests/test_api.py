@@ -1,5 +1,6 @@
 """The package's public names and config keys: exactly the pinned lists, and none of
-the removed names; and the harness surface the benchmark drives."""
+the removed names; the operand forms of the pilot operators; and the harness and operator
+surface the benchmark drives."""
 
 import concurrent.futures
 import importlib
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 import turbomp
+
+from oracles import block, forward
 
 PUBLIC = [
     "BlockwiseBasis",
@@ -167,9 +170,10 @@ def test_one_pilot_row_rule_and_frozen_options():
         assert "strict" not in inspect.signature(fn).parameters, fn.__name__
     cb = turbomp.build_codebook(K=16, N=4, T=2, Q=2, seed=0)
     lmmse = turbomp.lmmse
-    sigma = lmmse.observation_variance(1.0, lmmse.slope_variance(0.1, cb), 0.1, cb)
-    zeros = np.zeros(cb.rows, dtype=complex)
-    assert len(lmmse.linear_extrinsic(None, 1.0, zeros, zeros, sigma, 1.0, cb)) == 3
+    sigma = lmmse.observation_variance(1.0, lmmse.slope_variance(np.full(1, 0.1), cb), 0.1, cb)
+    zeros = np.zeros((cb.rows, 1), dtype=complex)
+    assert len(lmmse.linear_extrinsic(block(cb, 1), 1.0, zeros, zeros, sigma, 1.0, cb,
+                                      block(cb, 1))) == 3
     for cls in (turbomp.TurboOptions, turbomp.ExperimentConfig):
         assert cls.__dataclass_params__.frozen, cls.__name__
 
@@ -204,6 +208,34 @@ def test_harness_surface_the_benchmark_drives_is_pinned():
     assert harness.nmse is turbomp.metrics.nmse
 
 
+def test_pilot_operators_take_only_the_forms_the_engine_runs():
+    """apply_A takes one (K, Q, M) block, which it transforms in place; apply_A_adjoint takes
+    (T*N, M) rows and a caller's out and spectrum blocks, and `lmmse.linear_extrinsic` an out
+    block, none with a default.  Both operators keep the names that `bench/probe.py`'s
+    PILOT_OPS spells, by which the probe wraps them and counts pilots.calls and
+    pilots.adjoint_ms.  A vector or a (Q*K, M) matrix raises DimensionError."""
+    codebook = turbomp.PilotCodebook
+    assert list(inspect.signature(codebook.apply_A).parameters) == ["self", "x"]
+    for fn, names in ((codebook.apply_A_adjoint, ["self", "y", "out", "spectrum"]),
+                      (turbomp.lmmse.linear_extrinsic, ["spectrum", "v_pri", "fwd_pri", "resid",
+                                                        "sigma", "weight", "codebook", "out"])):
+        params = inspect.signature(fn).parameters
+        assert list(params) == names, fn.__name__
+        assert all(p.default is inspect.Parameter.empty for p in params.values()), fn.__name__
+    for name in ("PilotCodebook.apply_A", "PilotCodebook.apply_A_adjoint"):
+        owner, member = name.split(".")
+        assert callable(getattr(getattr(turbomp, owner), member)), name
+
+    cb = turbomp.build_codebook(K=16, N=4, T=2, Q=2, seed=0)
+    for x in (np.zeros(cb.cols, dtype=complex), np.zeros((cb.cols, 2), dtype=complex)):
+        with pytest.raises(turbomp.DimensionError):
+            cb.apply_A(x)
+    with pytest.raises(turbomp.DimensionError):
+        cb.apply_A_adjoint(np.zeros(cb.rows, dtype=complex), block(cb, 1), block(cb, 1))
+    with pytest.raises(turbomp.DimensionError):
+        cb.mix_subcarriers(np.zeros((1, cb.N), dtype=complex), np.array([0]))
+
+
 def test_dataclasses_holding_arrays_compare_and_hash_without_raising():
     """==, in and hash never raise on a public dataclass that holds arrays: one identified by
     an array compares by identity, and `BlockwiseBasis`, whose only array is derived, by
@@ -213,7 +245,7 @@ def test_dataclasses_holding_arrays_compare_and_hash_without_raising():
         truth, real = turbomp.sample_blockwise_exact(64, 2, basis, 0.1, 1.0, 0.01, seed=1)
         cb = turbomp.build_codebook(64, 8, 2, 2, seed=1)
         priors = turbomp.PriorParams(theta_H=1.0, theta_C=0.01, sigma_w2=0.1, lam=0.1)
-        result = turbomp.run_turbo_mp(cb.apply_A(truth.H), cb, priors,
+        result = turbomp.run_turbo_mp(forward(cb, truth.H), cb, priors,
                                       turbomp.TurboOptions(max_iters=2))
         batch = turbomp.denoiser.bg_denoise_batch(np.ones((64, 2, 2)), np.ones(2), 1.0, 0.1)
         profile = turbomp.load_pdp(turbomp.channel.example_pdp_path())

@@ -23,7 +23,7 @@ from turbomp.channel import example_pdp_path
 from turbomp.denoiser import bg_denoise_batch
 from turbomp.em import SLOW_PERIOD, em_schedule
 
-from oracles import moment_estimate
+from oracles import forward, moment_estimate
 
 CB = build_codebook(K=16, N=4, T=1, Q=2, seed=0)
 PRIORS = PriorParams(theta_H=1.0, theta_C=1e-3, sigma_w2=0.5, lam=0.1)
@@ -78,8 +78,8 @@ def residual_power(resid):
 
 def sigma_w2_of(Y, H, C, cb, **kwargs):
     """The noise update from posterior means, through the residual it takes."""
-    return refresh(np.zeros(cb.K), resid=Y - cb.apply_A(H) - cb.D_diag[:, None] * cb.apply_A(C), iteration=1, cb=cb,
-                   **kwargs).sigma_w2
+    resid = Y - forward(cb, H) - cb.D_diag[:, None] * forward(cb, C)
+    return refresh(np.zeros(cb.K), resid=resid, iteration=1, cb=cb, **kwargs).sigma_w2
 
 
 class TestThetaUpdates:
@@ -118,7 +118,7 @@ class TestSigmaW:
         rng = np.random.default_rng(0)
         H = rng.standard_normal((cb.cols, 2)) + 0j
         C = rng.standard_normal((cb.cols, 2)) + 0j
-        Y = cb.apply_A(H) + cb.D_diag[:, None] * cb.apply_A(C)
+        Y = forward(cb, H) + cb.D_diag[:, None] * forward(cb, C)
         assert sigma_w2_of(Y, H, C, cb) == pytest.approx(1e-12)
 
     def test_zero_estimates_give_observation_power(self):

@@ -31,7 +31,7 @@ from turbomp.em import SLOW_PERIOD
 GOLDEN = Path(__file__).parent / "golden"
 sys.path.insert(0, str(GOLDEN))
 from make_golden import CASES, replay  # noqa: E402
-from oracles import moment_estimate, observation_variance  # noqa: E402
+from oracles import adjoint, forward, moment_estimate, observation_variance  # noqa: E402
 
 
 def golden_frame(case):
@@ -380,9 +380,9 @@ class TestForwardProducts:
                          *args)
             x_new, _, fwd_new, fwd_ext, den, inv_alpha, beta = out
             fwd_post = (fwd_new + beta * fwd_ext) * inv_alpha
-            message = cb.apply_A_adjoint(np.zeros_like(resid), spectrum=x_new)
+            message = adjoint(cb, np.zeros_like(resid), x_new)
             for got, x in ((fwd_new, message), (fwd_post, den.post_mean)):
-                want = weight * cb.apply_A(x)
+                want = weight * forward(cb, x)
                 errors.append(np.max(np.abs(got - want)) - 1e-12 * np.max(np.abs(want)))
             return out
 
@@ -504,16 +504,15 @@ class TestMessageLayout:
         return golden_frame("multipath_em_corrected")
 
     def test_messages_device_contiguous_and_result_device_major(self, monkeypatch):
-        """In a multipath frame every matrix reaching apply_A has a contiguous device axis
+        """In a multipath frame every block reaching apply_A has a contiguous device axis
         (a C-order temporary would keep the output but lose the fast FFT path), and the
         result's H and C are C-ordered (QK, M) matrices."""
         doc = self.multipath_frame()
         apply_A, strides = turbomp.PilotCodebook.apply_A, []
 
-        def recorded(cb, x, scratch=None):
-            if np.ndim(x) > 1:
-                strides.append(x.strides[0] // x.itemsize)
-            return apply_A(cb, x, scratch)
+        def recorded(cb, x):
+            strides.append(x.strides[0] // x.itemsize)
+            return apply_A(cb, x)
 
         monkeypatch.setattr(turbomp.PilotCodebook, "apply_A", recorded)
         result = replay(turbomp, doc)
@@ -643,18 +642,14 @@ class _DevicePermutedCodebook:
         blocks = x.reshape(self.K, -1)
         return blocks[self._perm].reshape(x.shape)
 
-    def apply_A(self, x, scratch=None):
-        """A @ x; a given scratch receives the spectrum of the wrapped codebook's device order,
-        which only this codebook's adjoint reads."""
+    def apply_A(self, x):
+        """A @ x; x receives the spectrum of the wrapped codebook's device order, which only
+        this codebook's adjoint reads."""
         permuted = self._scatter(x)
-        y = self._cb.apply_A(permuted, permuted)
-        if scratch is not None:
-            scratch[...] = permuted
+        y = self._cb.apply_A(permuted)
+        x[...] = permuted
         return y
 
-    def apply_A_adjoint(self, y, out=None, spectrum=None):
-        x = self._gather(self._cb.apply_A_adjoint(y, spectrum=spectrum))
-        if out is None:
-            return x
-        out[...] = x
+    def apply_A_adjoint(self, y, out, spectrum):
+        out[...] = self._gather(self._cb.apply_A_adjoint(y, np.empty_like(out), spectrum))
         return out

@@ -32,6 +32,8 @@ from turbomp.cli import build_parser
 from turbomp.cli import main as cli_main
 from turbomp.harness import ExperimentResult
 
+from oracles import forward
+
 
 def exact_config(**overrides):
     doc = dict(
@@ -177,7 +179,7 @@ class TestObservationEquivalence:
             real = sample_channel(prof, alpha, M=2, N=72, delta_f=15e3, seed=q + 20)
             truth = project_blockwise(real, basis)
             via_model = cb.mix_subcarriers(real.G_active, real.active)
-            via_parts = (cb.apply_A(truth.H) + cb.D_diag[:, None] * cb.apply_A(truth.C)
+            via_parts = (forward(cb, truth.H) + cb.D_diag[:, None] * forward(cb, truth.C)
                          + cb.mix_subcarriers(truth.Delta, real.active))
             scale = np.linalg.norm(via_model)
             assert np.linalg.norm(via_model - via_parts) / scale < 1e-10
@@ -298,27 +300,29 @@ class TestTrialsAndAggregation:
         monkeypatch.delattr(parallel.os, "sched_getaffinity")
         for cpus in (2, None):  # os.cpu_count() may not know, and one CPU starts no pool
             monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
-            run_roc(exact_config(trials=1, workers=500), [0.5])
+            run_roc(exact_config(trials=3, workers=500), [0.5])
         assert sizes == [3, 2, 3, 2]
 
     @pytest.mark.parametrize("roc", [False, True])
-    def test_one_cpu_runs_in_this_process(self, monkeypatch, roc):
-        """Where this process may use one CPU, workers > 1 starts no pool, which would only
-        pickle every trial into a child, and gives the serial records."""
+    @pytest.mark.parametrize("trials, cpus", [(3, 1), (1, 2)])
+    def test_one_cpu_or_one_trial_runs_in_this_process(self, monkeypatch, trials, cpus, roc):
+        """Where this process may use one CPU, or the call has one trial, workers > 1 starts
+        no pool, which would only pickle every trial into a child or fork a process that never
+        gets a job, and gives the serial records."""
         import turbomp.harness as harness
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
         def run(workers):
-            config = exact_config(trials=3, workers=workers)
+            config = exact_config(trials=trials, workers=workers)
             if roc:
                 return run_roc(config, [0.2, 0.5])
             return [strip(t) for t in run_experiment(config).points[0].trials]
 
         serial = run(1)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(parallel, "cpus", lambda: 1)
+        monkeypatch.setattr(parallel, "cpus", lambda: cpus)
         assert run(2) == serial
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import (
+    block,
     combine,
     dense_A,
     dense_B,
     dense_joint_lmmse,
+    forward,
     linear_extrinsic_algebra,
     lmmse_posterior,
     shared_row_codebook,
@@ -38,15 +40,21 @@ def sigma_of(v_h, v_c, sigma_w2, cb):
 def posterior(y, h_pri, c_pri, v_h, v_c, sigma_w2, cb, slopes=False):
     """One linear branch's posterior as the message the engine passes implies it: the
     precision combination of linear_extrinsic's extrinsic message with the prior
-    message, whose variance is floored at V_FLOOR."""
+    message, whose variance is floored at V_FLOOR.  A (T*N,) y with scalar variances runs as
+    one antenna, and gives a (Q*K,) mean and a scalar variance."""
+    if np.ndim(y) == 1:
+        mean, var = posterior(y[:, None], h_pri[:, None], c_pri[:, None], np.atleast_1d(v_h),
+                              np.atleast_1d(v_c), sigma_w2, cb, slopes)
+        return mean[:, 0], var[0]
     sigma = sigma_of(v_h, v_c, sigma_w2, cb)
-    fwd_c = cb.D_diag.reshape((-1,) + (1,) * (np.ndim(y) - 1)) * cb.apply_A(c_pri)  # B = D A
-    resid = y - cb.apply_A(h_pri) - fwd_c
+    fwd_c = cb.D_diag[:, None] * forward(cb, c_pri)  # B = D A
+    resid = y - forward(cb, h_pri) - fwd_c
     if slopes:
-        x, v, weight, fwd = c_pri, v_c, cb.D_diag, fwd_c
+        x, v, weight, fwd = c_pri, v_c, cb.D_diag[:, None], fwd_c
     else:
-        x, v, weight, fwd = h_pri, v_h, 1.0, cb.apply_A(h_pri)
-    x_ext, v_ext, _ = linear_extrinsic(spectrum(cb, x), v, fwd, resid, sigma, weight, cb)
+        x, v, weight, fwd = h_pri, v_h, 1.0, forward(cb, h_pri)
+    x_ext, v_ext, _ = linear_extrinsic(spectrum(cb, x), v, fwd, resid, sigma, weight, cb,
+                                       block(cb, y.shape[1]))
     return combine(x_ext.reshape(x.shape), v_ext, x, np.maximum(v, V_FLOOR))
 
 
@@ -99,7 +107,7 @@ class TestPosteriors:
 
     def test_zero_residual_returns_prior_mean(self):
         h, c = self._means()
-        y = self.cb.apply_A(h) + self.cb.D_diag * self.cb.apply_A(c)
+        y = forward(self.cb, h) + self.cb.D_diag * forward(self.cb, c)
         mean_h, _ = posterior(y, h, c, 0.4, 0.2, 0.01, self.cb)
         np.testing.assert_allclose(mean_h, h, atol=1e-12)
         mean_c, _ = posterior(y, h, c, 0.4, 0.2, 0.01, self.cb, slopes=True)
@@ -166,8 +174,8 @@ class TestLinearExtrinsic:
         self.c, self.v_c = rand_complex(rng, self.cb.cols, M), np.array([0.1, 0.05, 0.3])
         self.Y = rand_complex(rng, self.cb.rows, M)
         self.sigma = sigma_of(self.v_h, self.v_c, 0.07, self.cb)
-        self.resid = (self.Y - self.cb.apply_A(self.h)
-                      - self.cb.D_diag[:, None] * self.cb.apply_A(self.c))
+        self.resid = (self.Y - forward(self.cb, self.h)
+                      - self.cb.D_diag[:, None] * forward(self.cb, self.c))
 
     def _check(self, v_max):
         """Both branches against the reference with the message clamp lmmse.V_MAX = v_max."""
@@ -176,12 +184,12 @@ class TestLinearExtrinsic:
                                      (self.c, self.v_c, cb.D_diag[:, None], True)]:
             post_mean, post_var = lmmse_posterior(self.Y, self.h, self.c, self.v_h, self.v_c,
                                                   sigma, cb, slopes)
-            fwd_pri = weight * cb.apply_A(x)
+            fwd_pri = weight * forward(cb, x)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(lmmse, "V_MAX", v_max)
                 ref_mean, ref_var = extrinsic_message(post_mean, post_var, x, v)
-                x_ext, v_ext, fwd_ext = linear_extrinsic(spectrum(cb, x), v, fwd_pri,
-                                                         self.resid, sigma, weight, cb)
+                x_ext, v_ext, fwd_ext = linear_extrinsic(spectrum(cb, x), v, fwd_pri, self.resid,
+                                                         sigma, weight, cb, block(cb, 3))
             x_ext = x_ext.reshape(x.shape)
             informative = v_ext < v_max  # a clamped message passes the mean, not the variance
             np.testing.assert_allclose(combine(x_ext, v_ext, x, v)[1][informative],
@@ -189,7 +197,7 @@ class TestLinearExtrinsic:
             np.testing.assert_allclose(v_ext, ref_var, rtol=1e-12)
             err = np.max(np.abs(x_ext - ref_mean)) / np.max(np.abs(ref_mean))
             assert err < 1e-12
-            direct = weight * cb.apply_A(x_ext)
+            direct = weight * forward(cb, x_ext)
             assert np.max(np.abs(fwd_ext - direct)) / np.max(np.abs(direct)) < 1e-12
         return ref_var
 
@@ -209,7 +217,7 @@ class TestLinearExtrinsic:
         powers of two, so a scalar-only product taken in another order rounds differently."""
         cb, rng = build_codebook(K=96, N=12, T=4, Q=3, P=1.3, seed=4), np.random.default_rng(13)
         x = rand_complex(rng, cb.Q, self.v_h.size, cb.K).transpose(2, 0, 1)  # (K, Q, M) blocks
-        fwd, weights = cb.apply_A(x), (1.0, np.ones((cb.rows, 1)))
+        fwd, weights = forward(cb, x), (1.0, np.ones((cb.rows, 1)))
         sigma = sigma_of(self.v_h, self.v_c, 0.07, cb)
         resid = rand_complex(rng, cb.rows, self.v_h.size)
 
@@ -218,7 +226,8 @@ class TestLinearExtrinsic:
             assert a.shape == b.shape and a.dtype == b.dtype
             assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
-        scalar, rows = (linear_extrinsic(x, self.v_h, fwd, resid, sigma, w, cb) for w in weights)
+        scalar, rows = (linear_extrinsic(x, self.v_h, fwd, resid, sigma, w, cb,
+                                         block(cb, self.v_h.size)) for w in weights)
         for a, b in zip(scalar, rows):
             same(a, b)
         diags = [engine.TurboDiagnostics() for _ in weights]
@@ -251,14 +260,14 @@ class TestBitwiseAlgebra:
         sigma, resid = sigma_of(v_h, v_c, 0.07, cb), rand_complex(rng, cb.rows, M)
         d = cb.D_diag[:, None]
         for weight, forms in ((1.0, [1.0]), (d, [d, np.repeat(d, M, axis=1)])):
-            fwd = weight * cb.apply_A(x)
+            fwd = weight * forward(cb, x)
             if clamped:  # the clamp just below the largest extrinsic variance
                 v_ext = linear_extrinsic_algebra(None, v_h, fwd, resid, sigma, weight, cb)[1]
                 monkeypatch.setattr(lmmse, "V_MAX", float(v_ext.max() * 0.999))
             want = linear_extrinsic_algebra(spectrum(cb, x), v_h, fwd, resid, sigma, weight, cb)
             assert np.any(want[1] == lmmse.V_MAX) == clamped
             for w in forms:
-                got = linear_extrinsic(spectrum(cb, x), v_h, fwd, resid, sigma, w, cb)
+                got = linear_extrinsic(spectrum(cb, x), v_h, fwd, resid, sigma, w, cb, block(cb, M))
                 for a, b in zip(got, want):
                     assert a.shape == b.shape and a.strides == b.strides
                     assert a.tobytes() == b.tobytes()
@@ -313,10 +322,11 @@ class TestGaussianMessage:
         """A zero prior variance enters the linear module as V_FLOOR, and no
         variance it returns falls below it."""
         cb = build_codebook(K=8, N=4, T=2, Q=2, seed=0)
-        zeros = np.zeros(cb.rows, dtype=complex)
-        sigma = sigma_of(0.0, 0.0, 0.25, cb)
-        _, v_ext, _ = linear_extrinsic(None, 0.0, zeros, zeros, sigma, 1.0, cb)
-        assert v_ext >= V_FLOOR
+        zeros = np.zeros((cb.rows, 1), dtype=complex)
+        sigma = sigma_of(0.0, np.zeros(1), 0.25, cb)
+        _, v_ext, _ = linear_extrinsic(block(cb, 1), 0.0, zeros, zeros, sigma, 1.0, cb,
+                                       block(cb, 1))
+        assert np.all(v_ext >= V_FLOOR)
 
     def test_rejects_non_finite(self):
         """A non-finite message aborts the frame (no nonpositive message variance

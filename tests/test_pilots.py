@@ -6,7 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import dense_A, dense_B, mix_subcarriers_fft, permutation, shared_row_codebook
+from oracles import (adjoint, block, dense_A, dense_B, device_contiguous, forward,
+                     mix_subcarriers_fft, permutation, shared_row_codebook)
 from turbomp import ConfigurationError, DimensionError, PilotCodebook, build_codebook, parallel
 
 
@@ -80,7 +81,7 @@ class TestBuild:
         kp_eye = cb.K * cb.power * np.eye(cb.rows)
         assert np.linalg.norm(A @ A.conj().T - kp_eye) / np.linalg.norm(kp_eye) < 1e-10
         x = rand_complex(np.random.default_rng(0), cb.cols)
-        np.testing.assert_allclose(cb.apply_A(x), A @ x, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(forward(cb, x), A @ x, rtol=1e-10, atol=1e-10)
 
     def test_deterministic_given_seed(self):
         a = build_codebook(K=64, N=8, T=2, Q=2, seed=9)
@@ -130,10 +131,10 @@ class TestOperatorAlgebra:
         x = rand_complex(rng, cb.cols)
         y = rand_complex(rng, cb.rows)
         for fast, ref in [
-            (cb.apply_A(x), A @ x),
-            (cb.apply_A_adjoint(y), A.conj().T @ y),
-            (cb.D_diag * cb.apply_A(x), B @ x),
-            (cb.apply_A_adjoint(cb.D_diag * y), B.conj().T @ y),
+            (forward(cb, x), A @ x),
+            (adjoint(cb, y), A.conj().T @ y),
+            (cb.D_diag * forward(cb, x), B @ x),
+            (adjoint(cb, cb.D_diag * y), B.conj().T @ y),
         ]:
             assert np.linalg.norm(fast - ref) / np.linalg.norm(ref) < 1e-12
 
@@ -142,7 +143,7 @@ class TestOperatorAlgebra:
         A = dense_A(cb)
         rng = np.random.default_rng(1)
         X = rand_complex(rng, cb.cols, 3)
-        assert np.linalg.norm(cb.apply_A(X) - A @ X) / np.linalg.norm(A @ X) < 1e-12
+        assert np.linalg.norm(forward(cb, X) - A @ X) / np.linalg.norm(A @ X) < 1e-12
 
     def test_adjoint_matrix_input_equals_dense(self):
         """A matrix y gives (K, Q, M) blocks equal to the dense adjoints' (Q*K, M) products,
@@ -150,28 +151,26 @@ class TestOperatorAlgebra:
         cb = build_codebook(K=64, N=8, T=2, Q=2, seed=6)
         A, B = dense_A(cb), dense_B(cb)
         Y = rand_complex(np.random.default_rng(4), cb.rows, 3)
-        for got, dense in [(cb.apply_A_adjoint(Y), A),
-                           (cb.apply_A_adjoint(cb.D_diag[:, None] * Y), B)]:
+        for got, dense in [(adjoint(cb, Y), A), (adjoint(cb, cb.D_diag[:, None] * Y), B)]:
             ref = dense.conj().T @ Y
             assert got.shape == (cb.K, cb.Q, 3)
             assert np.linalg.norm(got.reshape(ref.shape) - ref) / np.linalg.norm(ref) < 1e-12
 
     @pytest.mark.parametrize("K", [1000, 16000])
     def test_block_layouts_give_identical_products(self, K):
-        """apply_A is bitwise the same on (Q*K, M) matrices, C-ordered (K, Q, M) blocks and
-        device-contiguous blocks (the strides of a C-ordered (Q, M, K) array)."""
+        """apply_A gives bitwise the same product and leaves bitwise the same spectrum on
+        C-ordered (K, Q, M) blocks and on device-contiguous blocks (the strides of a C-ordered
+        (Q, M, K) array)."""
         cb = build_codebook(K=K, N=72, T=8, Q=4, seed=12)
-        X = rand_complex(np.random.default_rng(5), cb.cols, 8)
-        blocks = X.reshape(cb.K, cb.Q, 8)
-        device_contiguous = np.ascontiguousarray(blocks.transpose(1, 2, 0)).transpose(2, 0, 1)
-        assert device_contiguous.strides[0] == device_contiguous.itemsize
-        want = cb.apply_A(X)
-        for x in (blocks, device_contiguous):
-            assert np.array_equal(cb.apply_A(x), want)
+        blocks = rand_complex(np.random.default_rng(5), cb.K, cb.Q, 8)
+        contiguous = device_contiguous(cb, blocks)
+        assert contiguous.strides[0] == contiguous.itemsize
+        assert np.array_equal(cb.apply_A(blocks), cb.apply_A(contiguous))
+        assert np.array_equal(blocks, contiguous)
 
     def test_zero_maps_to_zero(self):
         cb = build_codebook(K=32, N=4, T=2, Q=2, seed=7)
-        assert np.all(cb.apply_A(np.zeros(cb.cols)) == 0)
+        assert np.all(cb.apply_A(block(cb, 1)) == 0)
 
     def test_b_is_diagonal_times_a(self):
         """The row weight times A's product is the dense B = D A, on vectors and matrices."""
@@ -179,8 +178,8 @@ class TestOperatorAlgebra:
         rng = np.random.default_rng(2)
         x, X = rand_complex(rng, cb.cols), rand_complex(rng, cb.cols, 3)
         B = dense_B(cb)
-        for fast, ref in [(cb.D_diag * cb.apply_A(x), B @ x),
-                          (cb.D_diag[:, None] * cb.apply_A(X), B @ X)]:
+        for fast, ref in [(cb.D_diag * forward(cb, x), B @ x),
+                          (cb.D_diag[:, None] * forward(cb, X), B @ X)]:
             assert np.linalg.norm(fast - ref) / np.linalg.norm(ref) < 1e-12
 
     def test_adjoint_inner_product_identity(self):
@@ -191,12 +190,12 @@ class TestOperatorAlgebra:
             for _ in range(5):
                 x = rand_complex(rng, cb.cols, *shape)
                 y = rand_complex(rng, cb.rows, *shape)
-                lhs = np.vdot(y, cb.apply_A(x))
-                rhs = np.vdot(cb.apply_A_adjoint(y), x)
+                lhs = np.vdot(y, forward(cb, x))
+                rhs = np.vdot(adjoint(cb, y), x)
                 assert abs(lhs - rhs) / abs(lhs) < 1e-12
                 d = cb.D_diag.reshape((-1,) + (1,) * len(shape))  # B = D A
-                lhs_b = np.vdot(y, d * cb.apply_A(x))
-                rhs_b = np.vdot(cb.apply_A_adjoint(d * y), x)
+                lhs_b = np.vdot(y, d * forward(cb, x))
+                rhs_b = np.vdot(adjoint(cb, d * y), x)
                 assert abs(lhs_b - rhs_b) / abs(lhs_b) < 1e-12
 
     def test_partial_orthogonality_on_probes_at_scale(self):
@@ -205,7 +204,7 @@ class TestOperatorAlgebra:
         rng = np.random.default_rng(6)
         for shape in [(cb.rows,), (cb.rows, 4)]:
             y = rand_complex(rng, *shape)
-            back = cb.apply_A(cb.apply_A_adjoint(y))
+            back = forward(cb, adjoint(cb, y))
             kp_y = cb.K * cb.power * y
             assert np.linalg.norm(back - kp_y) / np.linalg.norm(kp_y) < 1e-12
 
@@ -214,7 +213,7 @@ class TestOperatorAlgebra:
         with pytest.raises(DimensionError):
             cb.apply_A(np.zeros(cb.cols + 1))
         with pytest.raises(DimensionError):
-            cb.apply_A_adjoint(np.zeros(cb.rows - 1))
+            cb.apply_A_adjoint(np.zeros((cb.rows - 1, 2)), block(cb, 2), block(cb, 2))
         for shape in [(cb.K + 1, cb.Q, 2), (cb.K, cb.Q + 1, 2), (cb.Q, cb.K, 2)]:
             with pytest.raises(DimensionError):
                 cb.apply_A(np.zeros(shape))
@@ -261,17 +260,16 @@ class TestDirectIndex:
         cb = build(K=K, N=N, T=T, Q=Q, seed=K)
         rng = np.random.default_rng(K)
         X, Y = rand_complex(rng, cb.cols, 3), rand_complex(rng, cb.rows, 3)
-        blocks = X.reshape(cb.K, cb.Q, 3)
-        assert np.array_equal(cb.apply_A(X), along_axis_A(cb, X))
-        assert np.array_equal(cb.apply_A(blocks), along_axis_A(cb, X))
-        assert np.array_equal(cb.apply_A(X[:, 0]), along_axis_A(cb, X[:, :1])[:, 0])
-        assert np.array_equal(cb.apply_A_adjoint(Y), along_axis_A_adjoint(cb, Y))
-        assert np.array_equal(cb.apply_A_adjoint(Y[:, 0]),
+        assert np.array_equal(forward(cb, X), along_axis_A(cb, X))
+        assert np.array_equal(cb.apply_A(X.reshape(cb.K, cb.Q, 3).copy()), along_axis_A(cb, X))
+        assert np.array_equal(forward(cb, X[:, 0]), along_axis_A(cb, X[:, :1])[:, 0])
+        assert np.array_equal(adjoint(cb, Y), along_axis_A_adjoint(cb, Y))
+        assert np.array_equal(adjoint(cb, Y[:, 0]),
                               along_axis_A_adjoint(cb, Y[:, :1]).reshape(cb.cols))
         if K <= 64:
             A = dense_A(cb)
-            np.testing.assert_allclose(cb.apply_A(X), A @ X, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(cb.apply_A_adjoint(Y).reshape(cb.cols, 3),
+            np.testing.assert_allclose(forward(cb, X), A @ X, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(adjoint(cb, Y).reshape(cb.cols, 3),
                                        A.conj().T @ Y, rtol=0, atol=1e-12)
 
 
@@ -280,10 +278,10 @@ class TestDirectIndex:
         held by the codebook alone, so it is freed with the codebook."""
         cb = build_codebook(K=64, N=8, T=2, Q=2, seed=3)
         rng = np.random.default_rng(3)
-        cb.apply_A(rand_complex(rng, cb.cols, 3))
+        forward(cb, rand_complex(rng, cb.cols, 3))
         index = cb._rows(3)
-        cb.apply_A_adjoint(rand_complex(rng, cb.rows, 3))
-        cb.apply_A(rand_complex(rng, cb.cols))
+        adjoint(cb, rand_complex(rng, cb.rows, 3))
+        forward(cb, rand_complex(rng, cb.cols))
         assert cb._rows(3) is index and sorted(cb._row_index) == [1, 3]
         codebook, index = weakref.ref(cb), weakref.ref(index)
         del cb
@@ -291,42 +289,35 @@ class TestDirectIndex:
         assert codebook() is None and index() is None
 
 
-def device_contiguous(x, cb):
-    """A copy of the (Q*K, M) matrix x as the device-contiguous (K, Q, M) blocks of a C-ordered
-    (Q, M, K) array, the operators' block layout."""
-    blocks = np.empty((cb.Q, x.shape[1], cb.K), dtype=complex).transpose(2, 0, 1)
-    blocks[...] = x.reshape(blocks.shape)
-    return blocks
-
-
 class TestAdjointFromSpectrum:
-    """apply_A(x, x) leaves x's spectrum in x, and apply_A_adjoint(y, out, spectrum) returns
+    """apply_A(x) leaves x's spectrum in x, and apply_A_adjoint(y, out, spectrum) returns
     x + A^H y from it, as the engine carries its messages."""
 
     def test_in_place_forward_is_the_forward_and_leaves_the_spectrum(self):
         cb = build_codebook(K=64, N=8, T=2, Q=2, P=1.7, seed=21)
         X = rand_complex(np.random.default_rng(21), cb.cols, 3)
-        blocks = device_contiguous(X, cb)
-        assert np.array_equal(cb.apply_A(blocks, blocks), cb.apply_A(X))
+        blocks = device_contiguous(cb, X)
+        assert np.array_equal(cb.apply_A(blocks), along_axis_A(cb, X))
         assert np.array_equal(blocks, np.fft.fft(X.reshape(cb.K, cb.Q, 3), axis=0))
 
     @pytest.mark.parametrize("K, N, T, Q, build", [(64, 8, 4, 2, build_codebook),
                                                    (16, 8, 4, 2, shared_row_codebook)])
     def test_adjoint_from_a_spectrum_equals_dense(self, K, N, T, Q, build):
         """x + A^H y and x + B^H y (as A^H of D y) equal the dense products to criterion 01's
-        tolerance, for the zero message (spectrum None) and for the spectrum apply_A left."""
+        tolerance, for the zero message (a spectrum of zeros) and for the spectrum apply_A
+        left."""
         cb = build(K=K, N=N, T=T, Q=Q, P=1.3, seed=K)
         A, rng = dense_A(cb), np.random.default_rng(K)
         X, Y = rand_complex(rng, cb.cols, 3), rand_complex(rng, cb.rows, 3)
-        blocks = device_contiguous(X, cb)
-        cb.apply_A(blocks, blocks)
+        blocks = device_contiguous(cb, X)
+        cb.apply_A(blocks)
         for y in (Y, cb.D_diag[:, None] * Y):
-            for x, spectrum in ((np.zeros_like(X), None), (X, blocks)):
+            for x, spectrum in ((np.zeros_like(X), block(cb, 3)), (X, blocks)):
                 want = x + A.conj().T @ y
-                got = cb.apply_A_adjoint(y, spectrum=spectrum).reshape(want.shape)
+                got = cb.apply_A_adjoint(y, block(cb, 3), spectrum).reshape(want.shape)
                 assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
         want = X[:, 0] + A.conj().T @ Y[:, 0]
-        got = cb.apply_A_adjoint(Y[:, 0], spectrum=blocks[..., :1])
+        got = adjoint(cb, Y[:, 0], blocks[..., :1])
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
 
@@ -336,33 +327,30 @@ class TestAdjointFromSpectrum:
         bitwise the same whether or not the sub-blocks run as two halves."""
         cb = build_codebook(K=K, N=72, T=8, Q=4, seed=K)
         rng = np.random.default_rng(K)
-        spectrum = device_contiguous(rand_complex(rng, cb.cols, 8), cb)
-        cb.apply_A(spectrum, spectrum)
+        spectrum = device_contiguous(cb, rand_complex(rng, cb.cols, 8))
+        cb.apply_A(spectrum)
         saved, Y = spectrum.tobytes(), rand_complex(rng, cb.rows, 8)
         outputs = []
         for size in (0, 10**12):
             monkeypatch.setattr(parallel, "MIN_SIZE", size)
-            out = device_contiguous(np.zeros((cb.cols, 8)), cb)
-            assert cb.apply_A_adjoint(Y, out, spectrum).base is out.base
+            out = block(cb, 8)
+            assert cb.apply_A_adjoint(Y, out, spectrum) is out
             assert spectrum.tobytes() == saved
             outputs.append(out.tobytes())
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("name", ["scratch", "out", "spectrum"])
+    @pytest.mark.parametrize("name", ["out", "spectrum"])
     @pytest.mark.parametrize("shape", [(64, 2, 2), (64, 2), (32, 2, 3), (64, 3, 3)])
     def test_a_block_of_another_shape_raises_naming_it(self, name, shape):
         """A caller's block whose shape is not the input's (K, Q, M) raises DimensionError
         naming the argument, in place of numpy's ValueError."""
         cb = build_codebook(K=64, N=8, T=2, Q=2, seed=22)
         rng = np.random.default_rng(22)
-        X, Y = rand_complex(rng, cb.cols, 3), rand_complex(rng, cb.rows, 3)
-        block = device_contiguous(rand_complex(rng, cb.cols, 3), cb)
+        Y = rand_complex(rng, cb.rows, 3)
+        good = device_contiguous(cb, rand_complex(rng, cb.cols, 3))
         bad = np.zeros(shape, dtype=complex)
         with pytest.raises(DimensionError, match=name):
-            if name == "scratch":
-                cb.apply_A(X, bad)
-            else:
-                cb.apply_A_adjoint(Y, **{"out": block, "spectrum": block, name: bad})
+            cb.apply_A_adjoint(Y, **{"out": good, "spectrum": good, name: bad})
 
 
 class TestPermutationAndMixing:
@@ -382,13 +370,13 @@ class TestPermutationAndMixing:
         H = rand_complex(rng, cb.cols, 3)
         C = rand_complex(rng, cb.cols, 3)
         X = basis.expand(H, C)  # (K, N, M)
-        direct = cb.apply_A(H) + cb.D_diag[:, None] * cb.apply_A(C)
+        direct = forward(cb, H) + cb.D_diag[:, None] * forward(cb, C)
         mixed = cb.mix_subcarriers(X, np.arange(cb.K))
         assert np.linalg.norm(mixed - direct) / np.linalg.norm(direct) < 1e-12
 
     def test_mix_matches_fft_over_all_devices(self):
         """Summing over the active device rows equals the K-point FFT over all rows,
-        for sparse, all-active and all-zero inputs, with and without an antenna axis."""
+        for sparse, all-active and all-zero inputs, on three antennas and on one."""
         rng = np.random.default_rng(6)
         for K, N, T, Q, build in [(64, 8, 2, 2, build_codebook), (1000, 72, 8, 4, build_codebook),
                                   (16, 8, 4, 2, shared_row_codebook)]:
@@ -396,16 +384,20 @@ class TestPermutationAndMixing:
             for active in (rng.random(K) < 0.1, np.ones(K, bool), np.zeros(K, bool)):
                 X = np.zeros((K, N, 3), dtype=complex)
                 X[active] = rand_complex(rng, int(active.sum()), N, 3)
-                for x in (X, X[:, :, 0]):
+                for x in (X, X[:, :, :1]):
                     want = mix_subcarriers_fft(cb, x)
                     got = cb.mix_subcarriers(x[active], np.flatnonzero(active))
                     assert got.shape == want.shape
                     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_mix_shape_checks(self):
+        """Responses must be (a, N, M): a row count other than the indices' or an (a, N)
+        matrix raises."""
         cb = build_codebook(K=32, N=4, T=2, Q=2, seed=2)
         with pytest.raises(DimensionError):
-            cb.mix_subcarriers(np.zeros((31, 4)), np.arange(32))
+            cb.mix_subcarriers(np.zeros((31, 4, 2)), np.arange(32))
+        with pytest.raises(DimensionError):
+            cb.mix_subcarriers(np.zeros((32, 4)), np.arange(32))
 
     def test_mix_rejects_rows_that_do_not_match_the_indices(self):
         cb = build_codebook(K=32, N=4, T=2, Q=2, seed=2)
