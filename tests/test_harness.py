@@ -303,12 +303,10 @@ class TestTrialsAndAggregation:
             run_roc(exact_config(trials=3, workers=500), [0.5])
         assert sizes == [3, 2, 3, 2]
 
-    @pytest.mark.parametrize("roc", [False, True])
-    @pytest.mark.parametrize("trials, cpus", [(3, 1), (1, 2)])
-    def test_one_cpu_or_one_trial_runs_in_this_process(self, monkeypatch, trials, cpus, roc):
-        """Where this process may use one CPU, or the call has one trial, workers > 1 starts
-        no pool, which would only pickle every trial into a child or fork a process that never
-        gets a job, and gives the serial records."""
+    @staticmethod
+    def assert_serial_without_a_pool(monkeypatch, roc, trials, cpus):
+        """workers 2 with `trials` trials and `cpus` CPUs starts no pool and gives the records
+        of workers 1."""
         import turbomp.harness as harness
 
         def no_pool(*args, **kwargs):
@@ -324,6 +322,18 @@ class TestTrialsAndAggregation:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(parallel, "cpus", lambda: cpus)
         assert run(2) == serial
+
+    @pytest.mark.parametrize("roc", [False, True])
+    def test_one_cpu_runs_in_this_process(self, monkeypatch, roc):
+        """Where this process may use one CPU, workers > 1 starts no pool, which would only
+        pickle every trial into a child, and gives the serial records."""
+        self.assert_serial_without_a_pool(monkeypatch, roc, trials=3, cpus=1)
+
+    @pytest.mark.parametrize("roc", [False, True])
+    def test_one_trial_runs_in_this_process(self, monkeypatch, roc):
+        """Where the call has one trial, workers > 1 starts no pool, which would fork a process
+        that never gets a job, and gives the serial records."""
+        self.assert_serial_without_a_pool(monkeypatch, roc, trials=1, cpus=2)
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="only forked workers inherit a patched module global")

@@ -352,6 +352,14 @@ class TestAdjointFromSpectrum:
         with pytest.raises(DimensionError, match=name):
             cb.apply_A_adjoint(Y, **{"out": good, "spectrum": good, name: bad})
 
+    @pytest.mark.parametrize("shape", [(128,), (64, 2), (32, 2, 3), (64, 3, 3)])
+    def test_a_forward_block_of_another_shape_raises_naming_it(self, shape):
+        """apply_A's one block x, transformed in place, raises DimensionError naming it where
+        its shape is not (K, Q, M): a vector, a matrix, or a block of another K or Q."""
+        cb = build_codebook(K=64, N=8, T=2, Q=2, seed=22)
+        with pytest.raises(DimensionError, match="x must be a"):
+            cb.apply_A(np.zeros(shape, dtype=complex))
+
 
 class TestPermutationAndMixing:
     def test_permutation_reorders_device_major_to_block_major(self):
